@@ -25,9 +25,9 @@
 //! * every baseline row re-compiled with `TranspileIndex::Naive`
 //!   (schema 6): ISA bytes asserted bit-identical across index modes,
 //!   the naive transpile-stage wall clock recorded next to the indexed
-//!   one (`compile.transpile_naive_s`), and the score-cache counters
-//!   (`transpile.score_cache_hit` / `score_recompute` / `score_dedup` /
-//!   `extset_incremental`) added to the counter columns.
+//!   one (`compile.transpile_naive_s`), and the SABRE counters
+//!   (`transpile.score_recompute` / `score_dedup`) added to the counter
+//!   columns.
 //!
 //! Run with `cargo run --release -p raa-bench --bin scaling
 //! [-- --oracle-max=N] [--serve-max=N] [--naive-max=N] [--sizes=N,N,…]
@@ -59,8 +59,10 @@
 //! and above `--serve-max`). Schema 6 adds the `transpile_index`
 //! column, `compile.transpile_naive_s` (the naive-twin transpile wall
 //! clock; `null` on thread-sweep/layered rows and above `--naive-max`)
-//! and the four score-cache counter columns, plus the 4096-qubit
-//! default rows. Measured numbers are recorded in EXPERIMENTS.md
+//! and the SABRE counter columns, plus the 4096-qubit default rows.
+//! Schema 7 drops the `score_cache_hit` and `extset_incremental`
+//! columns with the score cache they measured (zero on every row).
+//! Measured numbers are recorded in EXPERIMENTS.md
 //! ("Router scaling", "Verifier scaling", "Counter telemetry",
 //! "Parallel compilation", "Batch-compilation service" and "Transpile
 //! indexing").
@@ -294,18 +296,12 @@ struct CounterRow {
     pass_rejected: u64,
     /// `opt.verify.full` — incremental-verifier full-oracle fallbacks.
     verify_fallback: u64,
-    /// `transpile.score_cache_hit` — SABRE candidate deltas served from
-    /// the score cache (schema 6; 0 on the naive path).
-    score_cache_hit: u64,
-    /// `transpile.score_recompute` — SABRE candidate deltas derived
-    /// from the incidence lists (schema 6).
+    /// `transpile.score_recompute` — SABRE swap candidates scored
+    /// (schema 6).
     score_recompute: u64,
     /// `transpile.score_dedup` — duplicate swap candidates skipped per
     /// round (schema 6).
     score_dedup: u64,
-    /// `transpile.extset_incremental` — stall rounds reusing the
-    /// extended set instead of re-running the lookahead BFS (schema 6).
-    extset_incremental: u64,
 }
 
 impl CounterRow {
@@ -315,10 +311,8 @@ impl CounterRow {
             route_try_add: report.counter("route.try_add"),
             pass_rejected: report.counter("opt.rejected"),
             verify_fallback: report.counter("opt.verify.full"),
-            score_cache_hit: report.counter("transpile.score_cache_hit"),
             score_recompute: report.counter("transpile.score_recompute"),
             score_dedup: report.counter("transpile.score_dedup"),
-            extset_incremental: report.counter("transpile.extset_incremental"),
         }
     }
 }
@@ -347,7 +341,7 @@ fn json_serve(serve: &Option<ServeRow>) -> String {
 }
 
 fn write_json(measurements: &[Measurement]) {
-    let mut out = String::from("{\n  \"schema\": 6,\n  \"workloads\": [\n");
+    let mut out = String::from("{\n  \"schema\": 7,\n  \"workloads\": [\n");
     for (i, m) in measurements.iter().enumerate() {
         let t = &m.timings;
         let _ = write!(
@@ -365,8 +359,7 @@ fn write_json(measurements: &[Measurement]) {
                 "\"incremental_reverifies\": {}, \"full_fallbacks\": {}}},\n",
                 "     \"counters\": {{\"grid_query\": {}, \"route_try_add\": {}, ",
                 "\"pass_rejected\": {}, \"verify_fallback\": {}, ",
-                "\"score_cache_hit\": {}, \"score_recompute\": {}, ",
-                "\"score_dedup\": {}, \"extset_incremental\": {}}},\n",
+                "\"score_recompute\": {}, \"score_dedup\": {}}},\n",
                 "     \"serve\": {}}}"
             ),
             m.name,
@@ -396,10 +389,8 @@ fn write_json(measurements: &[Measurement]) {
             m.counters.route_try_add,
             m.counters.pass_rejected,
             m.counters.verify_fallback,
-            m.counters.score_cache_hit,
             m.counters.score_recompute,
             m.counters.score_dedup,
-            m.counters.extset_incremental,
             json_serve(&m.serve),
         );
         out.push_str(if i + 1 < measurements.len() {
@@ -500,7 +491,7 @@ fn main() {
 
             // --- The naive-transpile twin (schema 6): the same
             // workload with `TranspileIndex::Naive` — BFS-built
-            // coupling graph, from-scratch SABRE rescoring — must
+            // coupling graph, rescanned k-Cut degrees — must
             // produce byte-identical ISA; only the transpile wall
             // clock may differ. Verification and tracing are off for
             // the twin (they burn identical time on both paths and the
@@ -641,9 +632,9 @@ fn main() {
                     b.name
                 );
                 assert_eq!(
-                    (par_counters.score_cache_hit, par_counters.score_recompute),
-                    (base_counters.score_cache_hit, base_counters.score_recompute),
-                    "{}-{n}: score-cache telemetry differs at {tc} threads",
+                    (par_counters.score_recompute, par_counters.score_dedup),
+                    (base_counters.score_recompute, base_counters.score_dedup),
+                    "{}-{n}: SABRE telemetry differs at {tc} threads",
                     b.name
                 );
 

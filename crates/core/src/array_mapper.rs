@@ -112,7 +112,8 @@ pub fn map_to_arrays_pooled(
 }
 
 /// `map_to_arrays_pooled` with the transpile-index mode selected
-/// explicitly: [`TranspileIndex::Naive`] is the untouched path above;
+/// explicitly (for the mapper the mode picks only the MAX k-Cut degree
+/// method): [`TranspileIndex::Naive`] is the path above;
 /// [`TranspileIndex::Indexed`] replaces the MAX k-Cut's per-vertex
 /// rescans with adjacency-list degree sums and incrementally-maintained
 /// per-array weights — O(E) total instead of O(n·E) — while producing

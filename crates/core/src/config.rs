@@ -84,30 +84,26 @@ pub enum ProximityIndex {
     Exhaustive,
 }
 
-/// How the transpile stage (MAX k-Cut array mapping + SABRE routing)
-/// evaluates its heuristics.
+/// How the transpile stage builds its multipartite coupling graph and
+/// evaluates the MAX k-Cut array mapper's vertex degrees. SABRE routing
+/// is the same in both modes.
 ///
 /// Like [`ProximityIndex`], both modes produce bit-identical outputs —
-/// mappings, schedules, ISA bytes, stage spans — proven by
+/// mappings, schedules, ISA bytes, stage spans, counters — proven by
 /// `tests/transpile_differential.rs`. The indexed mode only changes *how*
-/// scores are obtained (cached integer deltas, analytic multipartite
-/// distances, adjacency-list degrees), never the arithmetic that turns
-/// them into the floats the tie-breaks compare (see
-/// `docs/PARALLELISM.md`, "Transpile indexing").
+/// values are obtained (analytic multipartite distances, adjacency-list
+/// degrees), never the arithmetic that turns them into the floats the
+/// tie-breaks compare (see `docs/PARALLELISM.md`, "Transpile indexing").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TranspileIndex {
-    /// Incremental score maintenance: SABRE keeps a per-candidate
-    /// `ScoreCache` across rounds and invalidates exactly the candidates
-    /// whose inputs changed, the coupling graph's distance table is built
-    /// analytically for the complete-multipartite geometry, and MAX k-Cut
-    /// maintains weighted degrees from adjacency lists instead of
-    /// rescanning. The default — O(affected candidates) per round.
+    /// The coupling graph's distance table is built analytically for
+    /// the complete-multipartite geometry, and MAX k-Cut maintains
+    /// weighted degrees from adjacency lists instead of rescanning. The
+    /// default.
     #[default]
     Indexed,
-    /// The original from-scratch evaluation every round: O(all
-    /// candidates) per SABRE round, BFS-built distance tables, full
-    /// interaction-graph rescans in MAX k-Cut. Kept untouched as the
-    /// differential baseline.
+    /// BFS-built distance tables and full interaction-graph rescans in
+    /// MAX k-Cut. Kept as the differential baseline.
     Naive,
 }
 
@@ -168,10 +164,10 @@ pub struct AtomiqueConfig {
     /// checks; [`ProximityIndex::Grid`] unless you are running the
     /// differential oracle.
     pub proximity_index: ProximityIndex,
-    /// Transpile-stage heuristic evaluation: [`TranspileIndex::Indexed`]
-    /// (default — incremental SABRE score cache, analytic multipartite
-    /// distances, O(Δ) k-Cut degrees) or [`TranspileIndex::Naive`] (the
-    /// original from-scratch path, kept as the differential baseline).
+    /// Transpile-stage graph construction and k-Cut degree evaluation:
+    /// [`TranspileIndex::Indexed`] (default — analytic multipartite
+    /// distances, O(Δ) k-Cut degrees) or [`TranspileIndex::Naive`] (BFS
+    /// distances and full rescans, kept as the differential baseline).
     /// Bit-identical outputs either way.
     pub transpile_index: TranspileIndex,
     /// SABRE tunables for intra-array SWAP insertion.

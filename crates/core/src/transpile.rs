@@ -13,7 +13,7 @@
 use raa_arch::CouplingGraph;
 use raa_circuit::{Circuit, NativeGateSet};
 use raa_par::WorkPool;
-use raa_sabre::{route_indexed_pooled, route_pooled, SabreConfig};
+use raa_sabre::{route_pooled, SabreConfig, SabreError};
 
 use crate::array_mapper::ArrayMapping;
 use crate::config::TranspileIndex;
@@ -49,8 +49,11 @@ impl TranspiledCircuit {
 ///
 /// # Errors
 ///
-/// Propagates SABRE failures (e.g. a mapping whose multipartite graph
-/// cannot realize the circuit).
+/// * [`CompileError::Routing`] with [`SabreError::InvalidLayout`] if
+///   `mapping` does not assign every qubit of `circuit` exactly one array
+///   below `mapping.num_arrays`.
+/// * Other SABRE failures (e.g. a mapping whose multipartite graph cannot
+///   realize the circuit).
 pub fn transpile(
     circuit: &Circuit,
     mapping: &ArrayMapping,
@@ -76,14 +79,14 @@ pub fn transpile_pooled(
 }
 
 /// `transpile_pooled` with the transpile-index mode selected
-/// explicitly. [`TranspileIndex::Naive`] is the path above —
-/// BFS-built coupling graph, from-scratch SABRE rescoring every round.
-/// [`TranspileIndex::Indexed`] builds the complete-multipartite graph
-/// analytically ([`CouplingGraph::complete_multipartite_indexed`] — the
-/// graph is field-for-field identical, skipping the all-pairs BFS that
-/// dominates large-register transpiles) and routes through
-/// [`route_indexed_pooled`]'s incremental score cache. Outputs are
-/// bit-identical across modes (`tests/transpile_differential.rs`).
+/// explicitly. Both modes route through the same SABRE router
+/// ([`route_pooled`]); the mode only picks how the complete-multipartite
+/// coupling graph is built: [`TranspileIndex::Naive`] runs the generic
+/// constructor's all-pairs BFS, [`TranspileIndex::Indexed`] emits the
+/// field-for-field identical graph analytically
+/// ([`CouplingGraph::complete_multipartite_indexed`]), skipping the BFS
+/// that dominates large-register transpiles. Outputs are bit-identical
+/// across modes (`tests/transpile_differential.rs`).
 ///
 /// # Errors
 ///
@@ -96,7 +99,7 @@ pub fn transpile_with(
     pool: &WorkPool,
 ) -> Result<TranspiledCircuit, CompileError> {
     let n = circuit.num_qubits();
-    debug_assert_eq!(mapping.array_of.len(), n);
+    validate_mapping(mapping, n)?;
 
     // Slots grouped by array, qubit-index order within each array.
     let mut slot_of_qubit = vec![0u32; n];
@@ -117,16 +120,11 @@ pub fn transpile_with(
     }
 
     let native = circuit.decompose_to(NativeGateSet::Cz);
-    let routed = match index {
-        TranspileIndex::Naive => {
-            let graph = CouplingGraph::complete_multipartite(&part_sizes);
-            route_pooled(&native, &graph, &slot_of_qubit, sabre, pool)?
-        }
-        TranspileIndex::Indexed => {
-            let graph = CouplingGraph::complete_multipartite_indexed(&part_sizes);
-            route_indexed_pooled(&native, &graph, &slot_of_qubit, sabre, pool)?
-        }
+    let graph = match index {
+        TranspileIndex::Naive => CouplingGraph::complete_multipartite(&part_sizes),
+        TranspileIndex::Indexed => CouplingGraph::complete_multipartite_indexed(&part_sizes),
     };
+    let routed = route_pooled(&native, &graph, &slot_of_qubit, sabre, pool)?;
     let out = routed.circuit.decompose_to(NativeGateSet::Cz);
 
     Ok(TranspiledCircuit {
@@ -135,6 +133,29 @@ pub fn transpile_with(
         slot_of_qubit,
         swaps_inserted: routed.swaps_inserted,
     })
+}
+
+/// Checks that `mapping` gives each of the circuit's `n` qubits one
+/// array below `num_arrays`, naming the first bad entry otherwise.
+fn validate_mapping(mapping: &ArrayMapping, n: usize) -> Result<(), CompileError> {
+    let invalid = |reason: String| CompileError::Routing(SabreError::InvalidLayout { reason });
+    if mapping.array_of.len() != n {
+        return Err(invalid(format!(
+            "array mapping has {} entries for {n} qubits",
+            mapping.array_of.len()
+        )));
+    }
+    match mapping
+        .array_of
+        .iter()
+        .position(|&a| a as usize >= mapping.num_arrays)
+    {
+        Some(q) => Err(invalid(format!(
+            "qubit {q} mapped to array {} of {}",
+            mapping.array_of[q], mapping.num_arrays
+        ))),
+        None => Ok(()),
+    }
 }
 
 #[cfg(test)]
@@ -261,6 +282,40 @@ mod tests {
             assert_eq!(indexed.slot_of_qubit, naive.slot_of_qubit);
             assert_eq!(indexed.swaps_inserted, naive.swaps_inserted);
         }
+    }
+
+    fn invalid_layout_reason(c: &Circuit, mapping: &ArrayMapping) -> String {
+        match transpile(c, mapping, &SabreConfig::default()) {
+            Err(CompileError::Routing(SabreError::InvalidLayout { reason })) => reason,
+            other => panic!("expected an invalid-layout error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn mapping_longer_than_circuit_is_rejected() {
+        let mut c = Circuit::new(2);
+        c.push(Gate::cz(Qubit(0), Qubit(1)));
+        let mapping = ArrayMapping {
+            array_of: vec![0, 1, 1],
+            num_arrays: 3,
+        };
+        let reason = invalid_layout_reason(&c, &mapping);
+        assert!(reason.contains("3 entries for 2 qubits"), "{reason}");
+    }
+
+    #[test]
+    fn mapping_to_missing_array_is_rejected() {
+        let mut c = Circuit::new(3);
+        c.push(Gate::cz(Qubit(0), Qubit(2)));
+        let mapping = ArrayMapping {
+            array_of: vec![0, 5, 1],
+            num_arrays: 3,
+        };
+        let reason = invalid_layout_reason(&c, &mapping);
+        assert!(
+            reason.contains("qubit 1 mapped to array 5 of 3"),
+            "{reason}"
+        );
     }
 
     #[test]

@@ -27,11 +27,14 @@
 
 mod error;
 mod layout;
+#[cfg(test)]
+#[path = "../tests/reference/mod.rs"]
+mod reference;
 mod route;
 
 pub use error::SabreError;
 pub use layout::{layout_and_route, LayoutConfig};
 pub use route::{
-    reference_swap_score, route, route_indexed, route_indexed_pooled, route_indexed_probed,
-    route_pooled, verify_routing, CandidateEval, RoundProbe, RoutedCircuit, SabreConfig,
+    reference_swap_score, route, route_pooled, route_probed, verify_routing, CandidateEval,
+    RoundProbe, RoutedCircuit, SabreConfig,
 };

@@ -9,8 +9,12 @@
 //!
 //! The paper uses "Qiskit Optimization Level 3 with SABRE" for every
 //! baseline; this module is the workspace's from-scratch equivalent.
+//! Every caller — Atomique's multipartite SWAP insertion and the
+//! fixed-architecture baselines through
+//! [`layout_and_route`](crate::layout_and_route) — runs the same round
+//! loop.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashSet, VecDeque};
 
 use raa_arch::CouplingGraph;
 use raa_circuit::{Circuit, DagSchedule, Gate, GateIdx, Qubit};
@@ -24,18 +28,11 @@ use crate::error::SabreError;
 /// per-wave thread spawn costs more than the scoring itself.
 const PAR_MIN_CANDIDATES: usize = 64;
 
-/// Candidate scores served from the [`route_indexed`] score cache
-/// without recomputation.
-static SCORE_CACHE_HIT: Counter = Counter::new("transpile.score_cache_hit");
-/// Candidate scores the indexed router had to (re)derive because the
-/// cached entry was missing or invalidated.
+/// Swap candidates scored, one per distinct candidate per round.
 static SCORE_RECOMPUTE: Counter = Counter::new("transpile.score_recompute");
-/// Duplicate candidate enumerations skipped by the indexed router's
-/// dedupe (the naive path scores these twice).
+/// Candidate enumerations skipped because the swap joins two front
+/// endpoints and was already enumerated from the smaller one.
 static SCORE_DEDUP: Counter = Counter::new("transpile.score_dedup");
-/// Swap rounds that reused the previous round's extended set and front
-/// pairs instead of rebuilding them (no gate retired in between).
-static EXTSET_INCREMENTAL: Counter = Counter::new("transpile.extset_incremental");
 
 /// Tunables for the SABRE heuristic. Defaults follow the published
 /// implementation (extended-set size 20, weight 0.5, decay 0.001 reset
@@ -154,15 +151,12 @@ pub fn route(
 
 /// [`route`] with candidate swap scoring fanned out over `pool`.
 ///
-/// Each swap round scores every candidate with the same arithmetic as
-/// the sequential router, in contiguous submission-order chunks on
-/// private layout clones, and merges the per-chunk minima with the
-/// sequential selection rule (strictly lower score wins, ties broken by
-/// the smaller normalized pair). The minimum of a candidate list is
-/// independent of how the list is chunked, so the selected swap — and
-/// therefore the routed circuit — is bit-identical at every worker
-/// count. With a sequential pool this *is* [`route`]: the original
-/// nested candidate loop, no allocation, no threads.
+/// Each swap round scores its candidates in contiguous submission-order
+/// chunks and merges the per-chunk minima with the sequential selection
+/// rule (strictly lower score wins, ties broken by the smaller
+/// normalized pair). The minimum of a candidate set is independent of
+/// how it is chunked, so the selected swap — and therefore the routed
+/// circuit — is bit-identical at every worker count.
 ///
 /// # Errors
 ///
@@ -174,246 +168,38 @@ pub fn route_pooled(
     config: &SabreConfig,
     pool: &WorkPool,
 ) -> Result<RoutedCircuit, SabreError> {
-    let n_log = circuit.num_qubits();
-    let n_phys = graph.num_qubits();
-    if n_log > n_phys {
-        return Err(SabreError::TooManyQubits {
-            logical: n_log,
-            physical: n_phys,
-        });
-    }
-    validate_layout(initial_layout, n_log, n_phys)?;
-
-    let mut layout = Layout::new(initial_layout, n_phys);
-    let mut sched = DagSchedule::new(circuit);
-    let mut out = Circuit::new(n_phys);
-    let mut swaps = 0usize;
-    let mut decay = vec![1.0f64; n_phys];
-    let mut swaps_since_reset = 0usize;
-    // If no progress happens for this many consecutive swap rounds, the
-    // needed qubits cannot be brought together (disconnected graph).
-    let stall_limit = 4 * n_phys + 64;
-    let mut stall = 0usize;
-
-    while !sched.is_done() {
-        // 1. Execute everything currently executable.
-        let mut progressed = true;
-        while progressed {
-            progressed = false;
-            let front: Vec<GateIdx> = sched.front().to_vec();
-            for g in front {
-                let gate = circuit.gates()[g];
-                match gate.pair() {
-                    None => {
-                        out.push(gate.map_qubits(|q| Qubit(layout.phys(q))));
-                        sched.execute(g);
-                        progressed = true;
-                    }
-                    Some((a, b)) => {
-                        let (pa, pb) = (layout.phys(a), layout.phys(b));
-                        if graph.are_coupled(pa, pb) {
-                            out.push(gate.map_qubits(|q| Qubit(layout.phys(q))));
-                            sched.execute(g);
-                            progressed = true;
-                        }
-                    }
-                }
-            }
-            if progressed {
-                stall = 0;
-                decay.iter_mut().for_each(|d| *d = 1.0);
-                swaps_since_reset = 0;
-            }
-        }
-        if sched.is_done() {
-            break;
-        }
-
-        // 2. Pick the best swap among edges touching front-layer qubits.
-        let front_pairs: Vec<(u32, u32)> = sched
-            .front()
-            .iter()
-            .filter_map(|&g| circuit.gates()[g].pair())
-            .map(|(a, b)| (layout.phys(a), layout.phys(b)))
-            .collect();
-        let extended = extended_set(circuit, &sched, config.extended_set_size);
-        let ext_pairs: Vec<(Qubit, Qubit)> = extended
-            .iter()
-            .filter_map(|&g| circuit.gates()[g].pair())
-            .collect();
-
-        let best = pick_swap(
-            pool,
-            &mut layout,
-            graph,
-            &front_pairs,
-            &ext_pairs,
-            &decay,
-            config,
-        );
-        let Some((_, (a, b))) = best else {
-            return Err(SabreError::Disconnected);
-        };
-
-        layout.apply_swap(a, b);
-        out.push(Gate::swap(Qubit(a), Qubit(b)));
-        swaps += 1;
-        stall += 1;
-        if stall > stall_limit {
-            return Err(SabreError::Disconnected);
-        }
-        decay[a as usize] += config.decay_increment;
-        decay[b as usize] += config.decay_increment;
-        swaps_since_reset += 1;
-        if swaps_since_reset >= config.decay_reset_interval {
-            decay.iter_mut().for_each(|d| *d = 1.0);
-            swaps_since_reset = 0;
-        }
-    }
-
-    let final_layout = (0..n_log).map(|l| layout.phys(Qubit(l as u32))).collect();
-    Ok(RoutedCircuit {
-        circuit: out,
-        initial_layout: initial_layout.to_vec(),
-        final_layout,
-        swaps_inserted: swaps,
-    })
+    route_inner(circuit, graph, initial_layout, config, pool, None)
 }
 
-/// Selects the best swap among edges touching front-layer qubits: the
-/// candidate with the lowest [`swap_score`], ties broken by the smaller
-/// normalized pair (the order the sequential nested loop first visits
-/// it in).
+/// [`route_pooled`] invoking `probe` once per swap round with the
+/// round's inputs and every candidate evaluation, before the chosen
+/// swap is applied — the hook the per-score audit
+/// (`crates/sabre/tests/reference_differential.rs`) checks every
+/// compared score through.
 ///
-/// On a parallel pool with enough candidates, scoring fans out in
-/// contiguous chunks over private layout clones; the per-chunk minima
-/// fold back with the same selection rule, which re-yields the
-/// sequential pick exactly (see `crates/par/tests/pool_properties.rs`).
-fn pick_swap(
+/// # Errors
+///
+/// Exactly those of [`route`].
+pub fn route_probed(
+    circuit: &Circuit,
+    graph: &CouplingGraph,
+    initial_layout: &[u32],
+    config: &SabreConfig,
     pool: &WorkPool,
-    layout: &mut Layout,
-    graph: &CouplingGraph,
-    front_pairs: &[(u32, u32)],
-    ext_pairs: &[(Qubit, Qubit)],
-    decay: &[f64],
-    config: &SabreConfig,
-) -> Option<(f64, (u32, u32))> {
-    let less =
-        |a: &(f64, (u32, u32)), b: &(f64, (u32, u32))| a.0 < b.0 || (a.0 == b.0 && a.1 < b.1);
-    if pool.is_parallel() {
-        // Enumerate candidates in the exact order the sequential loop
-        // visits them (duplicates included — they score equally, and
-        // the strict comparator keeps the first occurrence).
-        let mut cands: Vec<(u32, u32)> = Vec::new();
-        for &(fa, fb) in front_pairs {
-            for &p in [fa, fb].iter() {
-                for &q in graph.neighbors(p) {
-                    cands.push(if p < q { (p, q) } else { (q, p) });
-                }
-            }
-        }
-        if cands.len() >= PAR_MIN_CANDIDATES {
-            let chunk = cands.len().div_ceil(pool.threads());
-            let chunks: Vec<&[(u32, u32)]> = cands.chunks(chunk).collect();
-            let snapshot = layout.clone();
-            let minima = pool.map("par.sabre.score", &chunks, |_, part| {
-                let mut scratch = snapshot.clone();
-                fold_min_by(
-                    part.iter().map(|&cand| {
-                        let score = swap_score(
-                            cand,
-                            &mut scratch,
-                            graph,
-                            front_pairs,
-                            ext_pairs,
-                            decay,
-                            config,
-                        );
-                        ((score, cand), ())
-                    }),
-                    less,
-                )
-            });
-            return fold_min_by(minima.into_iter().flatten(), less).map(|(k, ())| k);
-        }
-        return fold_min_by(
-            cands.iter().map(|&cand| {
-                let score = swap_score(cand, layout, graph, front_pairs, ext_pairs, decay, config);
-                ((score, cand), ())
-            }),
-            less,
-        )
-        .map(|(k, ())| k);
-    }
-    // The sequential twin: the original nested loop, no candidate
-    // buffer, scratch mutations on the live layout (scored and
-    // reverted in place).
-    let mut best: Option<(f64, (u32, u32))> = None;
-    for &(fa, fb) in front_pairs {
-        for &p in [fa, fb].iter() {
-            for &q in graph.neighbors(p) {
-                let cand = if p < q { (p, q) } else { (q, p) };
-                let score = swap_score(cand, layout, graph, front_pairs, ext_pairs, decay, config);
-                if best.is_none_or(|(s, c)| score < s || (score == s && cand < c)) {
-                    best = Some((score, cand));
-                }
-            }
-        }
-    }
-    best
+    probe: &mut dyn FnMut(RoundProbe<'_>),
+) -> Result<RoutedCircuit, SabreError> {
+    route_inner(circuit, graph, initial_layout, config, pool, Some(probe))
 }
 
-/// Scores a candidate swap: lower is better.
-fn swap_score(
-    (a, b): (u32, u32),
-    layout: &mut Layout,
-    graph: &CouplingGraph,
-    front_pairs: &[(u32, u32)],
-    ext_pairs: &[(Qubit, Qubit)],
-    decay: &[f64],
-    config: &SabreConfig,
-) -> f64 {
-    // Tentatively apply, score, revert.
-    layout.apply_swap(a, b);
-    let remap = |p: u32| -> u32 {
-        // front_pairs hold pre-swap physical ids; translate through the swap
-        if p == a {
-            b
-        } else if p == b {
-            a
-        } else {
-            p
-        }
-    };
-    let mut front_cost = 0.0;
-    for &(pa, pb) in front_pairs {
-        front_cost += graph.distance(remap(pa), remap(pb)) as f64;
-    }
-    front_cost /= front_pairs.len().max(1) as f64;
-
-    let mut ext_cost = 0.0;
-    if !ext_pairs.is_empty() {
-        for &(la, lb) in ext_pairs {
-            ext_cost += graph.distance(layout.phys(la), layout.phys(lb)) as f64;
-        }
-        ext_cost = config.extended_set_weight * ext_cost / ext_pairs.len() as f64;
-    }
-    layout.apply_swap(a, b); // revert
-
-    decay[a as usize].max(decay[b as usize]) * (front_cost + ext_cost)
-}
-
-/// Recomputes a candidate's swap score (private `swap_score`) from
-/// scratch without a layout: the oracle the indexed router's property tests
-/// (`crates/sabre/tests/score_cache.rs`) compare every cached and
-/// incrementally-derived score against, bit for bit.
+/// Recomputes a candidate's swap score from scratch without a layout:
+/// the published heuristic written out term by term, and the oracle the
+/// router's O(Δ) scores are compared against bit for bit
+/// (`crates/sabre/tests/reference_differential.rs`).
 ///
 /// `front_pairs` hold pre-swap physical endpoints, `ext_pairs` logical
 /// endpoints, `log_to_phys` the pre-swap layout (length = physical
-/// qubits, padding entries included). The arithmetic — accumulation
-/// order, division sequence, decay factor — replicates `swap_score`
-/// exactly; the only difference is that the tentative swap is applied
-/// algebraically (endpoint remapping) instead of by mutating a layout.
+/// qubits, padding entries included). The tentative swap is applied
+/// algebraically (endpoint remapping); lower is better.
 pub fn reference_swap_score(
     (a, b): (u32, u32),
     graph: &CouplingGraph,
@@ -449,7 +235,7 @@ pub fn reference_swap_score(
     decay[a as usize].max(decay[b as usize]) * (front_cost + ext_cost)
 }
 
-/// One scored candidate as observed through [`route_indexed_probed`].
+/// One scored candidate as observed through [`route_probed`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CandidateEval {
     /// The normalized candidate swap (smaller physical qubit first).
@@ -457,14 +243,11 @@ pub struct CandidateEval {
     /// The score the selection compared (identical bits to
     /// [`reference_swap_score`] on the same round inputs).
     pub score: f64,
-    /// Whether the score's distance deltas came from the cache (`true`)
-    /// or were recomputed this round (`false`).
-    pub cache_hit: bool,
 }
 
-/// A snapshot of one indexed swap round, handed to the
-/// [`route_indexed_probed`] callback *before* the chosen swap is
-/// applied. All slices borrow the router's live state.
+/// A snapshot of one swap round, handed to the [`route_probed`]
+/// callback *before* the chosen swap is applied. All slices borrow the
+/// router's live state.
 #[derive(Debug)]
 pub struct RoundProbe<'a> {
     /// Physical endpoint pairs of the front layer's two-qubit gates.
@@ -476,78 +259,72 @@ pub struct RoundProbe<'a> {
     pub log_to_phys: &'a [u32],
     /// Per-physical-qubit decay factors the scores were weighted by.
     pub decay: &'a [f64],
-    /// Every candidate evaluated this round, in enumeration order
-    /// (deduplicated).
+    /// Every candidate evaluated this round, each exactly once.
     pub evals: &'a [CandidateEval],
     /// The swap the round selected.
     pub chosen: (u32, u32),
 }
 
-/// A cached candidate entry: the *integer* distance deltas the swap
-/// would apply to the front and extended sums, plus the slot revisions
-/// it was computed under. Valid iff both endpoints' revisions still
-/// match — the revision of a physical slot is bumped exactly when the
-/// set of front/extended pairs incident to it changes (see
-/// [`IndexedState::advance_after_swap`]), which is precisely the set of
-/// inputs a delta depends on. Decay is *not* an input: scores read the
-/// live decay vector at evaluation time, so decay increments and
-/// reset-epoch boundaries never invalidate entries.
-struct CacheEntry {
-    df: i64,
-    de: i64,
-    rx: u64,
-    ry: u64,
+/// A scored candidate: `(score, normalized swap)`.
+type Scored = (f64, (u32, u32));
+
+/// The selection order: strictly lower score wins, ties broken by the
+/// smaller normalized pair — a total order over one round's candidates,
+/// so the minimum does not depend on enumeration or chunk order.
+fn less(a: &Scored, b: &Scored) -> bool {
+    a.0 < b.0 || (a.0 == b.0 && a.1 < b.1)
 }
 
-/// Incrementally-maintained scoring state for [`route_indexed`].
+/// One swap round's scoring state: the front and extended pairs, their
+/// exact integer distance sums, and per-slot touch lists — the pairs
+/// incident to each physical slot, the only pairs a swap on that slot
+/// can change. Rebuilt every round; the buffers are reused.
 ///
-/// # Why cached scores are the naive floats
+/// # Why the scores are the reference floats
 ///
 /// Distances are `u16`; every front/extended sum is an exact integer
-/// far below 2⁵³, so the naive path's left-to-right `f64` accumulation
-/// is exact — equal to the integer sum regardless of order. The indexed
-/// path therefore maintains the sums as integers (`s_front`, `s_ext`),
-/// applies integer deltas per candidate, and converts once before
-/// replaying the identical division/multiply sequence as [`swap_score`]
-/// — producing bit-identical floats (pinned by
-/// `crates/sabre/tests/score_cache.rs` and
-/// `tests/transpile_differential.rs`).
-struct IndexedState<'g> {
+/// far below 2⁵³, so [`reference_swap_score`]'s left-to-right `f64`
+/// accumulation is exact — equal to the integer sum in any order. The
+/// router applies a candidate's integer deltas to the integer sums and
+/// converts once before replaying the reference's division/multiply
+/// sequence, producing bit-identical floats.
+///
+/// # Why nothing is carried across rounds
+///
+/// On Atomique's complete multipartite graph a front pair still waiting
+/// after the execute step is a same-part pair, and every candidate
+/// `(p, q)` moves endpoint `p` into `q`'s part, coupling `p`'s pair. So
+/// every round retires a gate and changes the front: per-candidate
+/// state kept from one round would be stale before the next could read
+/// it.
+struct Round<'g> {
     graph: &'g CouplingGraph,
     /// Physical endpoints of the front layer's 2Q gates (front gates
     /// are qubit-disjoint, so each slot hosts at most one front pair).
     front_pairs: Vec<(u32, u32)>,
-    /// Logical endpoints of the extended set (stable across swaps).
+    /// Logical endpoints of the extended set.
     ext_pairs: Vec<(Qubit, Qubit)>,
     /// The same extended pairs through the current layout.
     ext_phys: Vec<(u32, u32)>,
     /// Per-slot indices into `front_pairs` / `ext_phys` of the pairs
-    /// incident to that slot — the Δ a swap's rescoring touches.
+    /// incident to that slot.
     touch_front: Vec<Vec<u32>>,
     touch_ext: Vec<Vec<u32>>,
     /// Slots with potentially nonempty touch lists (for O(touched)
-    /// clearing on rebuild).
+    /// clearing).
     touched: Vec<u32>,
     /// Exact integer Σ distance over `front_pairs` / `ext_phys`.
     s_front: i64,
     s_ext: i64,
-    /// Per-slot revision stamps; see [`CacheEntry`].
-    slot_rev: Vec<u64>,
-    cache: HashMap<(u32, u32), CacheEntry>,
-    /// Scratch: deduplicated candidate buffer + dedupe set, reused
-    /// across rounds.
+    /// Scratch: the round's candidates and extended-set gates.
     cands: Vec<(u32, u32)>,
-    seen: HashSet<(u32, u32)>,
-    /// Scratch for the extended-set rebuild.
     ext_gates: Vec<GateIdx>,
-    /// Per-round evaluations, recorded only under a probe.
-    evals: Vec<CandidateEval>,
 }
 
-impl<'g> IndexedState<'g> {
-    fn new(graph: &'g CouplingGraph) -> IndexedState<'g> {
+impl<'g> Round<'g> {
+    fn new(graph: &'g CouplingGraph) -> Round<'g> {
         let n = graph.num_qubits();
-        IndexedState {
+        Round {
             graph,
             front_pairs: Vec::new(),
             ext_pairs: Vec::new(),
@@ -557,20 +334,13 @@ impl<'g> IndexedState<'g> {
             touched: Vec::new(),
             s_front: 0,
             s_ext: 0,
-            slot_rev: vec![0; n],
-            cache: HashMap::new(),
             cands: Vec::new(),
-            seen: HashSet::new(),
             ext_gates: Vec::new(),
-            evals: Vec::new(),
         }
     }
 
-    /// Full rebuild after the front layer changed (gates retired):
-    /// recompute pairs, sums and touch lists from the schedule and drop
-    /// every cache entry — with a different front gate set all deltas
-    /// are stale anyway, and clearing keeps the map bounded by the
-    /// candidate count of one front era.
+    /// Collects the round's front and extended pairs from the schedule,
+    /// then indexes them.
     fn rebuild(
         &mut self,
         circuit: &Circuit,
@@ -578,13 +348,6 @@ impl<'g> IndexedState<'g> {
         layout: &Layout,
         config: &SabreConfig,
     ) {
-        for &s in &self.touched {
-            self.touch_front[s as usize].clear();
-            self.touch_ext[s as usize].clear();
-        }
-        self.touched.clear();
-        self.cache.clear();
-
         self.front_pairs.clear();
         self.front_pairs.extend(
             sched
@@ -593,7 +356,7 @@ impl<'g> IndexedState<'g> {
                 .filter_map(|&g| circuit.gates()[g].pair())
                 .map(|(a, b)| (layout.phys(a), layout.phys(b))),
         );
-        extended_set_into(
+        extended_set(
             circuit,
             sched,
             config.extended_set_size,
@@ -605,6 +368,17 @@ impl<'g> IndexedState<'g> {
                 .iter()
                 .filter_map(|&g| circuit.gates()[g].pair()),
         );
+        self.index(layout);
+    }
+
+    /// Recomputes the physical extended pairs, both integer sums and the
+    /// touch lists from `front_pairs` and `ext_pairs`.
+    fn index(&mut self, layout: &Layout) {
+        for &s in &self.touched {
+            self.touch_front[s as usize].clear();
+            self.touch_ext[s as usize].clear();
+        }
+        self.touched.clear();
         self.ext_phys.clear();
         self.ext_phys.extend(
             self.ext_pairs
@@ -648,34 +422,30 @@ impl<'g> IndexedState<'g> {
             };
             g.distance(remap(pa), remap(pb)) as i64 - g.distance(pa, pb) as i64
         };
-        let mut df = 0i64;
-        for &i in &self.touch_front[a as usize] {
-            df += pair_delta(self.front_pairs[i as usize]);
-        }
-        for &i in &self.touch_front[b as usize] {
-            let p = self.front_pairs[i as usize];
-            if p.0 == a || p.1 == a {
-                continue; // incident to both endpoints: already counted
+        let sum = |touch: &[Vec<u32>], pairs: &[(u32, u32)]| -> i64 {
+            let mut d = 0i64;
+            for &i in &touch[a as usize] {
+                d += pair_delta(pairs[i as usize]);
             }
-            df += pair_delta(p);
-        }
-        let mut de = 0i64;
-        for &i in &self.touch_ext[a as usize] {
-            de += pair_delta(self.ext_phys[i as usize]);
-        }
-        for &i in &self.touch_ext[b as usize] {
-            let p = self.ext_phys[i as usize];
-            if p.0 == a || p.1 == a {
-                continue;
+            for &i in &touch[b as usize] {
+                let p = pairs[i as usize];
+                if p.0 == a || p.1 == a {
+                    continue; // incident to both endpoints: already counted
+                }
+                d += pair_delta(p);
             }
-            de += pair_delta(p);
-        }
-        (df, de)
+            d
+        };
+        (
+            sum(&self.touch_front, &self.front_pairs),
+            sum(&self.touch_ext, &self.ext_phys),
+        )
     }
 
-    /// Turns cached/derived integer deltas into the comparison float
-    /// with the exact arithmetic of [`swap_score`].
-    fn score_of(&self, (a, b): (u32, u32), df: i64, de: i64, decay: &[f64], w: f64) -> f64 {
+    /// Candidate `(a, b)`'s score: its deltas turned into the comparison
+    /// float with the exact arithmetic of [`reference_swap_score`].
+    fn score(&self, (a, b): (u32, u32), decay: &[f64], w: f64) -> f64 {
+        let (df, de) = self.deltas(a, b);
         let front_cost = (self.s_front + df) as f64 / self.front_pairs.len().max(1) as f64;
         let ext_cost = if self.ext_phys.is_empty() {
             0.0
@@ -685,284 +455,77 @@ impl<'g> IndexedState<'g> {
         decay[a as usize].max(decay[b as usize]) * (front_cost + ext_cost)
     }
 
-    fn cached(&self, (x, y): (u32, u32)) -> Option<(i64, i64)> {
-        self.cache
-            .get(&(x, y))
-            .filter(|e| e.rx == self.slot_rev[x as usize] && e.ry == self.slot_rev[y as usize])
-            .map(|e| (e.df, e.de))
-    }
-
-    fn insert(&mut self, (x, y): (u32, u32), df: i64, de: i64) {
-        let rx = self.slot_rev[x as usize];
-        let ry = self.slot_rev[y as usize];
-        self.cache.insert((x, y), CacheEntry { df, de, rx, ry });
-    }
-
-    /// Selects the round's swap: enumerate candidates in the sequential
-    /// visit order (deduplicated — duplicates score identically and the
-    /// strict `(score, candidate)` comparator picks the minimum of the
-    /// candidate *set*, so skipping repeats cannot change the winner),
-    /// score each from cached or freshly derived deltas, and fold with
-    /// the naive selection rule.
+    /// Selects the round's swap among edges touching front-layer slots,
+    /// returning it with the candidate evaluations (recorded only when
+    /// `collect_evals` is set).
+    ///
+    /// Each candidate is enumerated once: a swap joining two front
+    /// endpoints is met from both, and only the visit from the smaller
+    /// slot is kept. On a parallel pool with enough candidates, scoring
+    /// fans out in contiguous chunks whose minima fold back in chunk
+    /// order under [`less`].
     fn pick_swap(
         &mut self,
         pool: &WorkPool,
         decay: &[f64],
         config: &SabreConfig,
         collect_evals: bool,
-    ) -> Option<(f64, (u32, u32))> {
+    ) -> (Option<Scored>, Vec<CandidateEval>) {
         self.cands.clear();
-        self.seen.clear();
-        if collect_evals {
-            self.evals.clear();
-        }
         let mut dupes = 0u64;
-        for i in 0..self.front_pairs.len() {
-            let (fa, fb) = self.front_pairs[i];
+        for &(fa, fb) in &self.front_pairs {
             for p in [fa, fb] {
                 for &q in self.graph.neighbors(p) {
-                    let cand = if p < q { (p, q) } else { (q, p) };
-                    if self.seen.insert(cand) {
-                        self.cands.push(cand);
-                    } else {
+                    if q < p && !self.touch_front[q as usize].is_empty() {
                         dupes += 1;
+                    } else {
+                        self.cands.push(if p < q { (p, q) } else { (q, p) });
                     }
                 }
             }
         }
         SCORE_DEDUP.add(dupes);
+        SCORE_RECOMPUTE.add(self.cands.len() as u64);
 
-        let less =
-            |a: &(f64, (u32, u32)), b: &(f64, (u32, u32))| a.0 < b.0 || (a.0 == b.0 && a.1 < b.1);
         let w = config.extended_set_weight;
-
-        if pool.is_parallel() && self.cands.len() >= PAR_MIN_CANDIDATES {
-            // Workers read the cache and index structures immutably;
-            // fresh deltas are carried back and merged in submission
-            // order, so the cache contents after the round — and the
-            // hit/recompute tallies, which depend only on the previous
-            // rounds' state because each candidate appears once — are
-            // identical at every worker count.
-            let chunk = self.cands.len().div_ceil(pool.threads());
-            let shared = &*self;
-            let chunks: Vec<&[(u32, u32)]> = shared.cands.chunks(chunk).collect();
-            let outs = pool.map("par.sabre.score", &chunks, |_, part| {
-                let mut hits = 0u64;
-                let mut fresh: Vec<((u32, u32), i64, i64)> = Vec::new();
-                let mut evals: Vec<CandidateEval> = Vec::new();
-                let min = fold_min_by(
-                    part.iter().map(|&cand| {
-                        let (df, de, hit) = match shared.cached(cand) {
-                            Some((df, de)) => {
-                                hits += 1;
-                                (df, de, true)
-                            }
-                            None => {
-                                let (df, de) = shared.deltas(cand.0, cand.1);
-                                fresh.push((cand, df, de));
-                                (df, de, false)
-                            }
-                        };
-                        let score = shared.score_of(cand, df, de, decay, w);
-                        if collect_evals {
-                            evals.push(CandidateEval {
-                                cand,
-                                score,
-                                cache_hit: hit,
-                            });
-                        }
-                        ((score, cand), ())
-                    }),
-                    less,
-                );
-                (min, hits, fresh, evals)
-            });
-            let mut best: Option<(f64, (u32, u32))> = None;
-            let mut hits = 0u64;
-            let mut recomputes = 0u64;
-            for (min, h, fresh, evals) in outs {
-                // Chunk minima folded in chunk (= submission) order
-                // under the same strict comparator: the earliest
-                // chunk's candidate wins ties, exactly the sequential
-                // first-wins pick.
-                if let Some((k, ())) = min {
-                    if best.is_none_or(|b| less(&k, &b)) {
-                        best = Some(k);
+        let score_part = |part: &[(u32, u32)]| {
+            let mut evals = Vec::new();
+            let min = fold_min_by(
+                part.iter().map(|&cand| {
+                    let score = self.score(cand, decay, w);
+                    if collect_evals {
+                        evals.push(CandidateEval { cand, score });
                     }
-                }
-                hits += h;
-                recomputes += fresh.len() as u64;
-                for (cand, df, de) in fresh {
-                    self.insert(cand, df, de);
-                }
-                if collect_evals {
-                    self.evals.extend(evals);
-                }
-            }
-            SCORE_CACHE_HIT.add(hits);
-            SCORE_RECOMPUTE.add(recomputes);
-            return best;
-        }
-
-        let mut best: Option<(f64, (u32, u32))> = None;
-        let mut hits = 0u64;
-        let mut recomputes = 0u64;
-        for i in 0..self.cands.len() {
-            let cand = self.cands[i];
-            let (df, de, hit) = match self.cached(cand) {
-                Some((df, de)) => {
-                    hits += 1;
-                    (df, de, true)
-                }
-                None => {
-                    let (df, de) = self.deltas(cand.0, cand.1);
-                    self.insert(cand, df, de);
-                    recomputes += 1;
-                    (df, de, false)
-                }
-            };
-            let score = self.score_of(cand, df, de, decay, w);
-            if collect_evals {
-                self.evals.push(CandidateEval {
-                    cand,
-                    score,
-                    cache_hit: hit,
-                });
-            }
-            if best.is_none_or(|b| less(&(score, cand), &b)) {
-                best = Some((score, cand));
-            }
-        }
-        SCORE_CACHE_HIT.add(hits);
-        SCORE_RECOMPUTE.add(recomputes);
-        best
-    }
-
-    /// O(Δ) state update after the chosen swap `(a, b)` is applied on a
-    /// round that retired no gate: the front gate set is unchanged, so
-    /// the pairs survive with the two endpoints exchanged. Applies the
-    /// swap's own (cached) deltas to the sums, remaps the incident
-    /// pairs, bumps the revision of every slot whose incident pair-set
-    /// changed (invalidating exactly the cache entries whose inputs
-    /// changed), and exchanges the two slots' touch lists.
-    fn advance_after_swap(&mut self, a: u32, b: u32) {
-        let key = if a < b { (a, b) } else { (b, a) };
-        let (df, de) = self
-            .cached(key)
-            .expect("the chosen candidate was scored (and therefore cached) this round");
-        self.s_front += df;
-        self.s_ext += de;
-
-        let remap = |p: &mut u32| {
-            if *p == a {
-                *p = b;
-            } else if *p == b {
-                *p = a;
-            }
+                    ((score, cand), ())
+                }),
+                less,
+            );
+            (min.map(|(k, ())| k), evals)
         };
-        // Indices incident to a or b, deduplicated (a pair incident to
-        // both appears in both touch lists but must remap only once).
-        let mut idxs: Vec<u32> = Vec::new();
-        idxs.extend(&self.touch_front[a as usize]);
-        idxs.extend(&self.touch_front[b as usize]);
-        idxs.sort_unstable();
-        idxs.dedup();
-        for &i in &idxs {
-            let pair = &mut self.front_pairs[i as usize];
-            remap(&mut pair.0);
-            remap(&mut pair.1);
-            let (x, y) = *pair;
-            self.slot_rev[x as usize] += 1;
-            self.slot_rev[y as usize] += 1;
+        if !(pool.is_parallel() && self.cands.len() >= PAR_MIN_CANDIDATES) {
+            return score_part(&self.cands);
         }
-        idxs.clear();
-        idxs.extend(&self.touch_ext[a as usize]);
-        idxs.extend(&self.touch_ext[b as usize]);
-        idxs.sort_unstable();
-        idxs.dedup();
-        for &i in &idxs {
-            let pair = &mut self.ext_phys[i as usize];
-            remap(&mut pair.0);
-            remap(&mut pair.1);
-            let (x, y) = *pair;
-            self.slot_rev[x as usize] += 1;
-            self.slot_rev[y as usize] += 1;
+        let chunk = self.cands.len().div_ceil(pool.threads());
+        let chunks: Vec<&[(u32, u32)]> = self.cands.chunks(chunk).collect();
+        let outs = pool.map("par.sabre.score", &chunks, |_, part| score_part(part));
+        let mut best: Option<Scored> = None;
+        let mut evals = Vec::new();
+        for (min, part_evals) in outs {
+            if let Some(k) = min {
+                if best.is_none_or(|b| less(&k, &b)) {
+                    best = Some(k);
+                }
+            }
+            evals.extend(part_evals);
         }
-        self.slot_rev[a as usize] += 1;
-        self.slot_rev[b as usize] += 1;
-
-        // Pairs incident to a are now incident to b and vice versa.
-        self.touch_front.swap(a as usize, b as usize);
-        self.touch_ext.swap(a as usize, b as usize);
-        self.touched.push(a);
-        self.touched.push(b);
+        (best, evals)
     }
 }
 
-/// [`route`] with incremental (indexed) score maintenance — the
-/// `TranspileIndex::Indexed` path. Output is bit-identical to
-/// [`route`]; only the work per round changes: candidate scores are
-/// served from a `CacheEntry` store invalidated by slot revisions,
-/// rounds that retire no gate reuse the extended set and update sums in
-/// O(Δ), and duplicate candidate enumerations are skipped.
-///
-/// # Errors
-///
-/// Exactly those of [`route`].
-pub fn route_indexed(
-    circuit: &Circuit,
-    graph: &CouplingGraph,
-    initial_layout: &[u32],
-    config: &SabreConfig,
-) -> Result<RoutedCircuit, SabreError> {
-    route_indexed_inner(
-        circuit,
-        graph,
-        initial_layout,
-        config,
-        &WorkPool::sequential(),
-        None,
-    )
-}
-
-/// [`route_indexed`] with candidate scoring fanned out over `pool`.
-/// Workers share the score cache read-only; freshly derived deltas
-/// merge back in submission order, so results and telemetry are
-/// identical at every worker count.
-///
-/// # Errors
-///
-/// Exactly those of [`route`].
-pub fn route_indexed_pooled(
-    circuit: &Circuit,
-    graph: &CouplingGraph,
-    initial_layout: &[u32],
-    config: &SabreConfig,
-    pool: &WorkPool,
-) -> Result<RoutedCircuit, SabreError> {
-    route_indexed_inner(circuit, graph, initial_layout, config, pool, None)
-}
-
-/// [`route_indexed_pooled`] invoking `probe` once per swap round with
-/// the round's inputs and every candidate evaluation, before the chosen
-/// swap is applied — the hook the score-cache property tests audit the
-/// cache through.
-///
-/// # Errors
-///
-/// Exactly those of [`route`].
-pub fn route_indexed_probed(
-    circuit: &Circuit,
-    graph: &CouplingGraph,
-    initial_layout: &[u32],
-    config: &SabreConfig,
-    pool: &WorkPool,
-    probe: &mut dyn FnMut(RoundProbe<'_>),
-) -> Result<RoutedCircuit, SabreError> {
-    route_indexed_inner(circuit, graph, initial_layout, config, pool, Some(probe))
-}
-
-fn route_indexed_inner(
+/// The SABRE round loop behind [`route`], [`route_pooled`] and
+/// [`route_probed`]: execute everything executable, then rebuild the
+/// round, pick the best swap and apply it, until the circuit is done.
+fn route_inner(
     circuit: &Circuit,
     graph: &CouplingGraph,
     initial_layout: &[u32],
@@ -986,16 +549,15 @@ fn route_indexed_inner(
     let mut swaps = 0usize;
     let mut decay = vec![1.0f64; n_phys];
     let mut swaps_since_reset = 0usize;
+    // If no progress happens for this many consecutive swap rounds, the
+    // needed qubits cannot be brought together (disconnected graph).
     let stall_limit = 4 * n_phys + 64;
     let mut stall = 0usize;
-    let mut state = IndexedState::new(graph);
-    let mut state_fresh = false;
+    let mut round = Round::new(graph);
 
     while !sched.is_done() {
-        // 1. Execute everything currently executable (identical to the
-        // naive loop).
+        // 1. Execute everything currently executable.
         let mut progressed = true;
-        let mut executed_any = false;
         while progressed {
             progressed = false;
             let front: Vec<GateIdx> = sched.front().to_vec();
@@ -1021,39 +583,28 @@ fn route_indexed_inner(
                 stall = 0;
                 decay.iter_mut().for_each(|d| *d = 1.0);
                 swaps_since_reset = 0;
-                executed_any = true;
             }
         }
         if sched.is_done() {
             break;
         }
 
-        // 2. Refresh or reuse the round's index state. When no gate
-        // retired since the last round, the front layer — and therefore
-        // the extended set — is unchanged: the previous round's pairs
-        // were already remapped through the applied swap in O(Δ).
-        if !state_fresh || executed_any {
-            state.rebuild(circuit, &sched, &layout, config);
-            state_fresh = true;
-        } else {
-            EXTSET_INCREMENTAL.incr();
-        }
-
-        let best = state.pick_swap(pool, &decay, config, probe.is_some());
+        // 2. Pick the best swap among edges touching front-layer qubits.
+        round.rebuild(circuit, &sched, &layout, config);
+        let (best, evals) = round.pick_swap(pool, &decay, config, probe.is_some());
         let Some((_, (a, b))) = best else {
             return Err(SabreError::Disconnected);
         };
         if let Some(cb) = probe.as_deref_mut() {
             cb(RoundProbe {
-                front_pairs: &state.front_pairs,
-                ext_pairs: &state.ext_pairs,
+                front_pairs: &round.front_pairs,
+                ext_pairs: &round.ext_pairs,
                 log_to_phys: &layout.log_to_phys,
                 decay: &decay,
-                evals: &state.evals,
+                evals: &evals,
                 chosen: (a, b),
             });
         }
-        state.advance_after_swap(a, b);
 
         layout.apply_swap(a, b);
         out.push(Gate::swap(Qubit(a), Qubit(b)));
@@ -1081,19 +632,12 @@ fn route_indexed_inner(
 }
 
 /// Collects up to `cap` two-qubit gates reachable from the front layer
-/// (successor closure in BFS order): SABRE's extended set.
-fn extended_set(circuit: &Circuit, sched: &DagSchedule, cap: usize) -> Vec<GateIdx> {
-    let mut out = Vec::new();
-    extended_set_into(circuit, sched, cap, &mut out);
-    out
-}
-
-/// [`extended_set`] writing into a caller-owned scratch buffer (cleared
-/// first) — the indexed router reuses one allocation across rebuilds.
-fn extended_set_into(circuit: &Circuit, sched: &DagSchedule, cap: usize, out: &mut Vec<GateIdx>) {
+/// (successor closure in BFS order) into `out`, cleared first: SABRE's
+/// extended set.
+fn extended_set(circuit: &Circuit, sched: &DagSchedule, cap: usize, out: &mut Vec<GateIdx>) {
     out.clear();
-    let mut queue: std::collections::VecDeque<GateIdx> = sched.front().iter().copied().collect();
-    let mut seen: std::collections::HashSet<GateIdx> = queue.iter().copied().collect();
+    let mut queue: VecDeque<GateIdx> = sched.front().iter().copied().collect();
+    let mut seen: HashSet<GateIdx> = queue.iter().copied().collect();
     while let Some(g) = queue.pop_front() {
         for &s in sched.dag().succs(g) {
             if seen.insert(s) {
@@ -1194,9 +738,25 @@ pub fn verify_routing(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference;
 
     fn trivial_layout(n: usize) -> Vec<u32> {
         (0..n as u32).collect()
+    }
+
+    fn random_circuit(n: usize, gates: usize, seed: u64) -> Circuit {
+        use rand::{RngExt, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut c = Circuit::new(n);
+        for _ in 0..gates {
+            let a = rng.random_range(0..n as u32);
+            let mut b = rng.random_range(0..n as u32);
+            while b == a {
+                b = rng.random_range(0..n as u32);
+            }
+            c.push(Gate::cz(Qubit(a), Qubit(b)));
+        }
+        c
     }
 
     #[test]
@@ -1235,18 +795,8 @@ mod tests {
 
     #[test]
     fn routes_random_circuit_on_grid() {
-        use rand::{RngExt, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         let n = 9;
-        let mut c = Circuit::new(n);
-        for _ in 0..40 {
-            let a = rng.random_range(0..n as u32);
-            let mut b = rng.random_range(0..n as u32);
-            while b == a {
-                b = rng.random_range(0..n as u32);
-            }
-            c.push(Gate::cz(Qubit(a), Qubit(b)));
-        }
+        let c = random_circuit(n, 40, 7);
         let g = CouplingGraph::grid(3, 3);
         let r = route(&c, &g, &trivial_layout(n), &SabreConfig::default()).unwrap();
         assert_eq!(verify_routing(&c, &r, &g).unwrap(), 40);
@@ -1307,21 +857,11 @@ mod tests {
 
     #[test]
     fn pooled_routing_is_bit_identical() {
-        use rand::{RngExt, SeedableRng};
         // Dense multipartite graph: each swap round enumerates well over
         // PAR_MIN_CANDIDATES candidates, so the parallel path engages.
         let g = CouplingGraph::complete_multipartite(&[8, 8, 8]);
         let n = 24usize;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(41);
-        let mut c = Circuit::new(n);
-        for _ in 0..60 {
-            let a = rng.random_range(0..n as u32);
-            let mut b = rng.random_range(0..n as u32);
-            while b == a {
-                b = rng.random_range(0..n as u32);
-            }
-            c.push(Gate::cz(Qubit(a), Qubit(b)));
-        }
+        let c = random_circuit(n, 60, 41);
         let cfg = SabreConfig::default();
         let base = route(&c, &g, &trivial_layout(n), &cfg).unwrap();
         verify_routing(&c, &base, &g).unwrap();
@@ -1334,51 +874,43 @@ mod tests {
         }
     }
 
+    /// The O(Δ)-indexed router against the naive reference loop, which
+    /// rescores every enumerated candidate from scratch.
     #[test]
     fn indexed_routing_is_bit_identical_to_naive() {
-        use rand::{RngExt, SeedableRng};
         let g = CouplingGraph::complete_multipartite(&[8, 8, 8]);
         let n = 24usize;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(41);
-        let mut c = Circuit::new(n);
-        for _ in 0..60 {
-            let a = rng.random_range(0..n as u32);
-            let mut b = rng.random_range(0..n as u32);
-            while b == a {
-                b = rng.random_range(0..n as u32);
-            }
-            c.push(Gate::cz(Qubit(a), Qubit(b)));
-        }
+        let c = random_circuit(n, 60, 41);
         let cfg = SabreConfig::default();
-        let base = route(&c, &g, &trivial_layout(n), &cfg).unwrap();
-        let idx = route_indexed(&c, &g, &trivial_layout(n), &cfg).unwrap();
-        assert_eq!(idx.circuit.gates(), base.circuit.gates());
-        assert_eq!(idx.final_layout, base.final_layout);
-        assert_eq!(idx.swaps_inserted, base.swaps_inserted);
-        for threads in [2, 4, 8] {
+        let naive = reference::route(&c, &g, &trivial_layout(n), &cfg).unwrap();
+        for threads in [1, 2, 4, 8] {
             let pool = WorkPool::new(threads);
-            let r = route_indexed_pooled(&c, &g, &trivial_layout(n), &cfg, &pool).unwrap();
-            assert_eq!(r.circuit.gates(), base.circuit.gates(), "{threads} threads");
-            assert_eq!(r.final_layout, base.final_layout);
+            let r = route_pooled(&c, &g, &trivial_layout(n), &cfg, &pool).unwrap();
+            assert_eq!(
+                r.circuit.gates(),
+                naive.circuit.gates(),
+                "{threads} threads"
+            );
+            assert_eq!(r.final_layout, naive.final_layout);
+            assert_eq!(r.swaps_inserted, naive.swaps_inserted);
         }
     }
 
     #[test]
     fn indexed_routing_matches_on_sparse_graphs_too() {
-        // The indexed path assumes nothing multipartite-specific: lines
-        // and grids exercise long stall chains (many rounds without a
-        // retirement, the O(Δ) reuse path).
+        // Nothing multipartite-specific: on a line, many rounds pass
+        // without a retirement.
         let mut c = Circuit::new(8);
         c.push(Gate::cz(Qubit(0), Qubit(7)));
         c.push(Gate::cz(Qubit(3), Qubit(4)));
         c.push(Gate::cz(Qubit(1), Qubit(6)));
         let g = CouplingGraph::line(8);
         let cfg = SabreConfig::default();
-        let base = route(&c, &g, &trivial_layout(8), &cfg).unwrap();
-        let idx = route_indexed(&c, &g, &trivial_layout(8), &cfg).unwrap();
-        assert_eq!(idx.circuit.gates(), base.circuit.gates());
-        assert_eq!(idx.final_layout, base.final_layout);
-        verify_routing(&c, &idx, &g).unwrap();
+        let naive = reference::route(&c, &g, &trivial_layout(8), &cfg).unwrap();
+        let r = route(&c, &g, &trivial_layout(8), &cfg).unwrap();
+        assert_eq!(r.circuit.gates(), naive.circuit.gates());
+        assert_eq!(r.final_layout, naive.final_layout);
+        verify_routing(&c, &r, &g).unwrap();
     }
 
     #[test]
@@ -1386,32 +918,37 @@ mod tests {
         let mut c = Circuit::new(4);
         c.push(Gate::cz(Qubit(0), Qubit(3)));
         let g = CouplingGraph::from_edges(4, &[(0, 1), (2, 3)]);
+        let pool = WorkPool::new(4);
+        let cfg = SabreConfig::default();
         assert!(matches!(
-            route_indexed(&c, &g, &trivial_layout(4), &SabreConfig::default()),
+            route_pooled(&c, &g, &trivial_layout(4), &cfg, &pool),
             Err(SabreError::Disconnected)
         ));
-        let g2 = CouplingGraph::line(3);
         assert!(matches!(
-            route_indexed(
+            route_pooled(
                 &Circuit::new(5),
-                &g2,
+                &CouplingGraph::line(3),
                 &trivial_layout(5),
-                &SabreConfig::default()
+                &cfg,
+                &pool
             ),
             Err(SabreError::TooManyQubits { .. })
         ));
         assert!(matches!(
-            route_indexed(&c, &g, &[0, 0, 1, 2], &SabreConfig::default()),
+            route_pooled(&c, &g, &[0, 0, 1, 2], &cfg, &pool),
             Err(SabreError::InvalidLayout { .. })
         ));
     }
 
+    /// The router's internal O(Δ) score against the from-scratch oracle
+    /// on random round states, including front pairs that share slots.
     #[test]
     fn reference_swap_score_matches_internal_swap_score() {
         use rand::{RngExt, SeedableRng};
         let g = CouplingGraph::complete_multipartite(&[3, 3, 2]);
         let n = 8usize;
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+        let mut round = Round::new(&g);
         for _ in 0..200 {
             let mut layout = Layout::new(&trivial_layout(n), n);
             // Shuffle via random swaps.
@@ -1430,15 +967,16 @@ mod tests {
                 }
                 (a, b)
             };
-            let front_pairs: Vec<(u32, u32)> = (0..rng.random_range(1..4))
+            round.front_pairs = (0..rng.random_range(1..4))
                 .map(|_| mk_pair(&mut rng))
                 .collect();
-            let ext_pairs: Vec<(Qubit, Qubit)> = (0..rng.random_range(0..5))
+            round.ext_pairs = (0..rng.random_range(0..5))
                 .map(|_| {
                     let (a, b) = mk_pair(&mut rng);
                     (Qubit(a), Qubit(b))
                 })
                 .collect();
+            round.index(&layout);
             let decay: Vec<f64> = (0..n)
                 .map(|_| 1.0 + rng.random_range(0..5) as f64 * 0.001)
                 .collect();
@@ -1449,25 +987,17 @@ mod tests {
             } else {
                 (cand.1, cand.0)
             };
-            let naive = swap_score(
-                cand,
-                &mut layout,
-                &g,
-                &front_pairs,
-                &ext_pairs,
-                &decay,
-                &cfg,
-            );
+            let internal = round.score(cand, &decay, cfg.extended_set_weight);
             let reference = reference_swap_score(
                 cand,
                 &g,
-                &front_pairs,
-                &ext_pairs,
+                &round.front_pairs,
+                &round.ext_pairs,
                 &layout.log_to_phys,
                 &decay,
                 &cfg,
             );
-            assert_eq!(naive.to_bits(), reference.to_bits());
+            assert_eq!(internal.to_bits(), reference.to_bits());
         }
     }
 

@@ -21,36 +21,33 @@ use raa_benchmarks::small_suite;
 
 /// The gated columns, in order: spatial-grid queries, router admission
 /// attempts, optimizer candidate rewrites, optimizer rejections,
-/// incremental-verifier full-oracle fallbacks, and the four
-/// transpile-index cache columns (score-cache hits, from-scratch delta
-/// derivations, duplicate candidates skipped, extended-set reuses —
-/// the default `TranspileIndex::Indexed` path's work profile).
-const COLUMNS: [&str; 9] = [
+/// incremental-verifier full-oracle fallbacks, and the two SABRE
+/// columns (candidates scored, duplicate candidate enumerations
+/// skipped).
+const COLUMNS: [&str; 7] = [
     "grid.query",
     "route.try_add",
     "opt.candidates",
     "opt.rejected",
     "opt.verify.full",
-    "transpile.score_cache_hit",
     "transpile.score_recompute",
     "transpile.score_dedup",
-    "transpile.extset_incremental",
 ];
 
 /// Committed counter baselines for [`traced_config`] over the small
 /// suite. Regenerate by running this test and pasting the printed rows.
-const BASELINES: &[(&str, [u64; 9])] = &[
-    ("Mermin-Bell-5", [423, 30, 3, 0, 0, 0, 18, 0, 0]),
-    ("VQE-10", [265, 10, 3, 0, 0, 0, 0, 0, 0]),
-    ("VQE-20", [923, 23, 3, 0, 0, 0, 0, 0, 0]),
-    ("Adder-10", [1772, 83, 3, 0, 0, 0, 0, 0, 0]),
-    ("BV-14", [521, 15, 1, 0, 0, 0, 0, 0, 0]),
-    ("QSim-rand-5", [549, 39, 3, 0, 0, 0, 6, 0, 0]),
-    ("QSim-rand-10", [2384, 103, 3, 0, 0, 0, 24, 0, 0]),
-    ("H2-4", [512, 42, 2, 0, 0, 0, 0, 0, 0]),
-    ("QAOA-rand-5", [42, 3, 0, 0, 0, 0, 0, 0, 0]),
-    ("QAOA-regu3-20", [934, 60, 3, 0, 0, 0, 24, 0, 0]),
-    ("QAOA-regu4-10", [479, 30, 2, 0, 0, 0, 14, 0, 0]),
+const BASELINES: &[(&str, [u64; 7])] = &[
+    ("Mermin-Bell-5", [423, 30, 3, 0, 0, 18, 0]),
+    ("VQE-10", [265, 10, 3, 0, 0, 0, 0]),
+    ("VQE-20", [923, 23, 3, 0, 0, 0, 0]),
+    ("Adder-10", [1772, 83, 3, 0, 0, 0, 0]),
+    ("BV-14", [521, 15, 1, 0, 0, 0, 0]),
+    ("QSim-rand-5", [549, 39, 3, 0, 0, 6, 0]),
+    ("QSim-rand-10", [2384, 103, 3, 0, 0, 24, 0]),
+    ("H2-4", [512, 42, 2, 0, 0, 0, 0]),
+    ("QAOA-rand-5", [42, 3, 0, 0, 0, 0, 0]),
+    ("QAOA-regu3-20", [934, 60, 3, 0, 0, 24, 0]),
+    ("QAOA-regu4-10", [479, 30, 2, 0, 0, 14, 0]),
 ];
 
 /// The fixed workload configuration the baselines were recorded under:
@@ -66,7 +63,7 @@ fn traced_config() -> AtomiqueConfig {
     }
 }
 
-fn render_rows(rows: &[(String, [u64; 9])]) -> String {
+fn render_rows(rows: &[(String, [u64; 7])]) -> String {
     let mut s = String::new();
     for (name, vals) in rows {
         let cells = vals.map(|v| v.to_string()).join(", ");
@@ -77,17 +74,17 @@ fn render_rows(rows: &[(String, [u64; 9])]) -> String {
 
 #[test]
 fn counters_match_committed_baselines_exactly() {
-    let mut actual: Vec<(String, [u64; 9])> = Vec::new();
+    let mut actual: Vec<(String, [u64; 7])> = Vec::new();
     for b in small_suite() {
         let out =
             compile(&b.circuit, &traced_config()).unwrap_or_else(|e| panic!("{}: {e}", b.name));
-        let mut vals = [0u64; 9];
+        let mut vals = [0u64; 7];
         for (v, col) in vals.iter_mut().zip(COLUMNS) {
             *v = out.report.counter(col);
         }
         actual.push((b.name.to_string(), vals));
     }
-    let expected: Vec<(String, [u64; 9])> =
+    let expected: Vec<(String, [u64; 7])> =
         BASELINES.iter().map(|(n, v)| (n.to_string(), *v)).collect();
     assert_eq!(
         actual,
