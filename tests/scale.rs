@@ -5,9 +5,9 @@
 //! stay within generous *stage-count* bounds — deliberately wall-clock
 //! free, so the tests guard scalability without becoming timing-flaky.
 //!
-//! The 1024-atom test is ignored in debug builds (the tier-1 `cargo
-//! test -q` run) and exercised by CI's `cargo test -q --release --test
-//! scale` step.
+//! The 1024-atom tests and the 1024/2048-atom route-decision pins are
+//! ignored in debug builds (the tier-1 `cargo test -q` run) and
+//! exercised by CI's `cargo test -q --release --test scale` step.
 
 use atomique::{compile, validate_program, AtomiqueConfig, RouterStrategy};
 use raa_benchmarks::{scaling_pair, Benchmark};
@@ -226,4 +226,87 @@ fn routes_1024_atom_workloads_under_both_strategies_within_wall_clock() {
             depths[0]
         );
     }
+}
+
+/// FNV-1a-64 over `bytes`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The route decision counters [`ROUTE_PINS`] records, in order.
+const DECISION_COUNTERS: [&str; 5] = [
+    "route.gates_planned",
+    "route.reject.target_conflict",
+    "route.reject.addressing",
+    "route.reject.order",
+    "route.reject.overlap",
+];
+
+/// Per QAOA-regu3 size: the FNV-1a-64 hash of the encoded ISA stream
+/// and the [`DECISION_COUNTERS`]. Any change to an admission decision
+/// moves at least one of them.
+const ROUTE_PINS: &[(usize, u64, [u64; 5])] = &[
+    (1024, 0xb4e2f2ea48cca1cb, [1593, 7521, 27298, 43912, 2213]),
+    (
+        2048,
+        0xb844b2ec354326b7,
+        [3109, 21627, 106191, 171526, 9216],
+    ),
+];
+
+/// The router's decisions at 1024 and 2048 atoms stay pinned, and its
+/// spatial-grid upkeep stays proportional to the gates it admits — a
+/// work bound in place of a wall-clock guard, so it cannot flake on a
+/// slow machine. Also pins the transfer accounting: every
+/// transfer-assisted fallback stage charges exactly two SLM↔AOD
+/// transfers, and these workloads do take that fallback. Release
+/// builds only.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "slow in debug; CI runs it via cargo test --release"
+)]
+fn qaoa_1024_and_2048_route_decisions_are_pinned() {
+    use raa_isa::codec;
+
+    let mut actual = Vec::new();
+    for n in [1024, 2048] {
+        let [_, b] = scaling_pair("QSim", "QAOA-regu3", n);
+        let cfg = AtomiqueConfig {
+            emit_isa: true,
+            verify_isa: true,
+            trace: true,
+            ..AtomiqueConfig::scaled_to(n)
+        };
+        let out = compile(&b.circuit, &cfg).unwrap_or_else(|e| panic!("{}-{n}: {e}", b.name));
+        let hash = fnv1a64(&codec::to_bytes(out.isa.as_ref().expect("stream attached")));
+        let decisions = DECISION_COUNTERS.map(|c| out.report.counter(c));
+        let fallbacks = out.report.counter("route.transfer_fallbacks");
+        assert!(
+            out.stats.transfers > 0,
+            "{}-{n}: no transfer-assisted fallback",
+            b.name
+        );
+        assert_eq!(
+            out.stats.transfers as u64,
+            2 * fallbacks,
+            "{}-{n}: transfers are not two per fallback stage",
+            b.name
+        );
+        actual.push((n, hash, decisions));
+    }
+    let render: String = actual
+        .iter()
+        .map(|(n, h, d)| {
+            let cells = d.map(|v| v.to_string()).join(", ");
+            format!("    ({n}, {h:#018x}, [{cells}]),\n")
+        })
+        .collect();
+    assert_eq!(
+        actual, ROUTE_PINS,
+        "\nroute decisions drifted (ISA hash, then {DECISION_COUNTERS:?}).\n\
+         If the change is intentional, replace ROUTE_PINS in tests/scale.rs with:\n{render}"
+    );
 }

@@ -21,10 +21,11 @@ use raa_benchmarks::small_suite;
 
 /// The gated columns, in order: spatial-grid queries, router admission
 /// attempts, optimizer candidate rewrites, optimizer rejections,
-/// incremental-verifier full-oracle fallbacks, and the two SABRE
-/// columns (candidates scored, duplicate candidate enumerations
-/// skipped).
-const COLUMNS: [&str; 7] = [
+/// incremental-verifier full-oracle fallbacks, the two SABRE columns
+/// (candidates scored, duplicate candidate enumerations skipped), the
+/// router's admissions and its four rejection kinds (together they pin
+/// every admission decision), and spatial-grid re-buckets.
+const COLUMNS: [&str; 13] = [
     "grid.query",
     "route.try_add",
     "opt.candidates",
@@ -32,22 +33,74 @@ const COLUMNS: [&str; 7] = [
     "opt.verify.full",
     "transpile.score_recompute",
     "transpile.score_dedup",
+    "route.gates_planned",
+    "route.reject.target_conflict",
+    "route.reject.addressing",
+    "route.reject.order",
+    "route.reject.overlap",
+    "grid.rebucket",
 ];
 
 /// Committed counter baselines for [`traced_config`] over the small
-/// suite. Regenerate by running this test and pasting the printed rows.
-const BASELINES: &[(&str, [u64; 7])] = &[
-    ("Mermin-Bell-5", [423, 30, 3, 0, 0, 18, 0]),
-    ("VQE-10", [265, 10, 3, 0, 0, 0, 0]),
-    ("VQE-20", [923, 23, 3, 0, 0, 0, 0]),
-    ("Adder-10", [1772, 83, 3, 0, 0, 0, 0]),
-    ("BV-14", [521, 15, 1, 0, 0, 0, 0]),
-    ("QSim-rand-5", [549, 39, 3, 0, 0, 6, 0]),
-    ("QSim-rand-10", [2384, 103, 3, 0, 0, 24, 0]),
-    ("H2-4", [512, 42, 2, 0, 0, 0, 0]),
-    ("QAOA-rand-5", [42, 3, 0, 0, 0, 0, 0]),
-    ("QAOA-regu3-20", [934, 60, 3, 0, 0, 24, 0]),
-    ("QAOA-regu4-10", [479, 30, 2, 0, 0, 14, 0]),
+/// suite, plus the FNV-1a-64 hash of each benchmark's encoded ISA
+/// stream. Regenerate by running this test and pasting the printed
+/// rows.
+const BASELINES: &[(&str, [u64; 13], u64)] = &[
+    (
+        "Mermin-Bell-5",
+        [423, 30, 3, 0, 0, 18, 0, 27, 1, 2, 0, 0, 640],
+        0x099d2c85b752a705,
+    ),
+    (
+        "VQE-10",
+        [265, 10, 3, 0, 0, 0, 0, 9, 0, 1, 0, 0, 331],
+        0x59c8e2ec6be68e6e,
+    ),
+    (
+        "VQE-20",
+        [923, 23, 3, 0, 0, 0, 0, 19, 0, 4, 0, 0, 759],
+        0x27af8fb30e5d765e,
+    ),
+    (
+        "Adder-10",
+        [1772, 83, 3, 0, 0, 0, 0, 65, 8, 10, 0, 0, 2777],
+        0x665d762795a20ece,
+    ),
+    (
+        "BV-14",
+        [521, 15, 1, 0, 0, 0, 0, 13, 0, 2, 0, 0, 682],
+        0x468ee47f0ebfbb99,
+    ),
+    (
+        "QSim-rand-5",
+        [549, 39, 3, 0, 0, 6, 0, 35, 3, 1, 0, 0, 753],
+        0x3e36f40e260839c4,
+    ),
+    (
+        "QSim-rand-10",
+        [2384, 103, 3, 0, 0, 24, 0, 88, 8, 6, 1, 0, 3194],
+        0x281db4f5d4ea3cee,
+    ),
+    (
+        "H2-4",
+        [512, 42, 2, 0, 0, 0, 0, 42, 0, 0, 0, 0, 552],
+        0x96c01c13eac651a0,
+    ),
+    (
+        "QAOA-rand-5",
+        [42, 3, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 31],
+        0x32de1f71cf415ed2,
+    ),
+    (
+        "QAOA-regu3-20",
+        [934, 60, 3, 0, 0, 24, 0, 33, 5, 10, 12, 0, 1674],
+        0xca6abdbec10d023b,
+    ),
+    (
+        "QAOA-regu4-10",
+        [479, 30, 2, 0, 0, 14, 0, 23, 2, 3, 2, 0, 723],
+        0x2d6d81b0da85b4d5,
+    ),
 ];
 
 /// The fixed workload configuration the baselines were recorded under:
@@ -63,33 +116,48 @@ fn traced_config() -> AtomiqueConfig {
     }
 }
 
-fn render_rows(rows: &[(String, [u64; 7])]) -> String {
+/// FNV-1a-64 over `bytes`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+type Row = (String, [u64; 13], u64);
+
+fn render_rows(rows: &[Row]) -> String {
     let mut s = String::new();
-    for (name, vals) in rows {
+    for (name, vals, hash) in rows {
         let cells = vals.map(|v| v.to_string()).join(", ");
-        s.push_str(&format!("    (\"{name}\", [{cells}]),\n"));
+        s.push_str(&format!(
+            "    (\n        \"{name}\",\n        [{cells}],\n        {hash:#018x},\n    ),\n"
+        ));
     }
     s
 }
 
 #[test]
 fn counters_match_committed_baselines_exactly() {
-    let mut actual: Vec<(String, [u64; 7])> = Vec::new();
+    let mut actual: Vec<Row> = Vec::new();
     for b in small_suite() {
         let out =
             compile(&b.circuit, &traced_config()).unwrap_or_else(|e| panic!("{}: {e}", b.name));
-        let mut vals = [0u64; 7];
+        let mut vals = [0u64; 13];
         for (v, col) in vals.iter_mut().zip(COLUMNS) {
             *v = out.report.counter(col);
         }
-        actual.push((b.name.to_string(), vals));
+        let isa = out.isa.as_ref().expect("emit_isa attaches the stream");
+        let hash = fnv1a64(&raa_isa::codec::to_bytes(isa));
+        actual.push((b.name.to_string(), vals, hash));
     }
-    let expected: Vec<(String, [u64; 7])> =
-        BASELINES.iter().map(|(n, v)| (n.to_string(), *v)).collect();
+    let expected: Vec<Row> = BASELINES
+        .iter()
+        .map(|(n, v, h)| (n.to_string(), *v, *h))
+        .collect();
     assert_eq!(
         actual,
         expected,
-        "\ncounter baselines drifted (columns: {COLUMNS:?}).\n\
+        "\ncounter baselines drifted (columns: {COLUMNS:?}, then the ISA hash).\n\
          If the pipeline change is intentional, replace BASELINES in\n\
          tests/trace_counters.rs with:\n{}",
         render_rows(&actual)
