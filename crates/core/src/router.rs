@@ -46,15 +46,17 @@ use raa_spatial::{FastMap, FastSet, SpatialGrid};
 use raa_trace::Counter;
 
 // Detail-level telemetry (see docs/OBSERVABILITY.md). `route.try_add`
-// counts speculative gate-admission attempts — the hot path PR 5's
-// profiling traced the QAOA-1024 route time to — and the
-// `route.reject.*` family splits the failures by violated constraint.
+// counts gate-admission attempts, the `route.reject.*` family splits
+// the failures by violated constraint, and `route.c1.*` measures the
+// C1 scan, the largest remaining cost of an attempt.
 static TRY_ADD: Counter = Counter::new("route.try_add");
 static GATES_PLANNED: Counter = Counter::new("route.gates_planned");
 static REJECT_TARGET: Counter = Counter::new("route.reject.target_conflict");
 static REJECT_ADDRESSING: Counter = Counter::new("route.reject.addressing");
 static REJECT_ORDER: Counter = Counter::new("route.reject.order");
 static REJECT_OVERLAP: Counter = Counter::new("route.reject.overlap");
+static C1_CALLS: Counter = Counter::new("route.c1.calls");
+static C1_DIRTY: Counter = Counter::new("route.c1.dirty");
 static RETRACT_LINES: Counter = Counter::new("route.retract.lines");
 static RETRACT_MEMO_SCANS: Counter = Counter::new("route.retract.memo_scan");
 static RETRACT_UNRESOLVED: Counter = Counter::new("route.retract.unresolved");
@@ -74,6 +76,10 @@ pub(crate) const PARK_TRAVEL: f64 = 2.0;
 
 /// Identifies one movable line: `(aod index 0-based, axis, line index)`.
 type LineKey = (u8, Axis, u16);
+
+/// A moved atom in the C1 pass over moved pairs: its grid cell, slot and
+/// virtual position.
+type CellEntry = ((i64, i64), u32, (f64, f64));
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 enum Axis {
@@ -103,6 +109,12 @@ pub struct RoutedProgram {
     pub stats: RouterStats,
 }
 
+/// The router's machine state during planning.
+///
+/// Invariant: between gate-admission attempts, `eff_row`/`eff_col` and
+/// `grid` hold exactly the committed positions plus the plan accepted so
+/// far. An attempt decides on virtual positions held in `scratch` and
+/// writes `eff_*` and the grid only when its gate is accepted.
 struct RouterState<'a> {
     hw: &'a RaaConfig,
     relax: Relaxation,
@@ -111,7 +123,7 @@ struct RouterState<'a> {
     /// Committed line positions, indexed `[aod][line]`.
     cur_row: Vec<Vec<f64>>,
     cur_col: Vec<Vec<f64>>,
-    /// Effective positions = committed plus tentative plan targets.
+    /// Effective positions = committed plus the accepted plan.
     eff_row: Vec<Vec<f64>>,
     eff_col: Vec<Vec<f64>>,
     parked: Vec<bool>,
@@ -124,23 +136,22 @@ struct RouterState<'a> {
     /// with `eff_row`/`eff_col` by the axis-mutation helpers. Cell size is
     /// [`BAND_R`], the largest radius any constraint check queries.
     grid: SpatialGrid,
+    /// Per-attempt buffers of [`RouterState::try_add`].
+    scratch: Scratch,
 }
 
-/// Tentative stage plan with an undo journal.
+/// The stage plan accepted so far.
 ///
 /// Explicit `targets` pin the lines that gates need at exact positions;
 /// every other line of an affected axis is *repositioned* by
 /// [`solve_axis`] so that order (C2) and minimum separation (C3) hold —
 /// modelling the physical ability of an AOD to compress or shift its
-/// un-involved rows/columns within the same movement.
+/// un-involved rows/columns within the same movement. Only accepted
+/// gates leave entries here: a rejected attempt removes what it inserted.
 #[derive(Default)]
 struct Plan {
     /// Explicit line targets required by the planned gates.
     targets: FastMap<LineKey, f64>,
-    /// Rollback journal for `targets`: `(key, previous value if any)`.
-    target_journal: Vec<(LineKey, Option<f64>)>,
-    /// Rollback snapshots of solved axis positions.
-    axis_journal: Vec<((u8, Axis), Vec<f64>)>,
     /// Arrays being unparked this stage.
     unparked: FastSet<u8>,
     gates: Vec<(GateIdx, u32, u32)>,
@@ -148,13 +159,104 @@ struct Plan {
     desired: FastSet<(u32, u32)>,
 }
 
-impl Plan {
-    fn checkpoint(&self) -> (usize, usize, usize) {
-        (
-            self.target_journal.len(),
-            self.axis_journal.len(),
-            self.gates.len(),
-        )
+/// Per-attempt buffers of [`RouterState::try_add`], reused across
+/// attempts.
+#[derive(Default)]
+struct Scratch {
+    /// The axes this attempt re-solves, sorted; `vals[i]` holds the
+    /// solved positions of `axes[i]` (buffers past `axes.len()` are
+    /// spares).
+    axes: Vec<(u8, Axis)>,
+    vals: Vec<Vec<f64>>,
+    /// The attempt's dirty atoms, in the order C1 visits them.
+    dirty: Vec<u32>,
+    /// `mark[slot] == epoch` iff `slot` is dirty in this attempt;
+    /// `moved[slot] == epoch` iff it is dirty because a line under it
+    /// moved, so the grid does not hold it at its virtual position.
+    mark: Vec<u32>,
+    moved: Vec<u32>,
+    epoch: u32,
+    /// Non-parked moved atoms with their virtual positions, sorted by
+    /// grid cell: the grid's stand-in for the moved×moved pass of C1.
+    by_cell: Vec<CellEntry>,
+    /// Grid candidate buffer.
+    buf: Vec<u32>,
+    /// What this attempt inserted into the plan, removed again on
+    /// rejection.
+    new_targets: Vec<LineKey>,
+    new_unparked: Vec<u8>,
+    new_participants: Vec<u32>,
+    new_desired: Option<(u32, u32)>,
+}
+
+impl Scratch {
+    fn new(slots: usize) -> Self {
+        Scratch {
+            mark: vec![0; slots],
+            moved: vec![0; slots],
+            ..Scratch::default()
+        }
+    }
+
+    /// Starts an attempt: clears the per-attempt lists and advances the
+    /// epoch, which un-marks every slot at once.
+    fn begin(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.mark.fill(0);
+            self.moved.fill(0);
+            self.epoch = 1;
+        }
+        self.axes.clear();
+        self.dirty.clear();
+        self.new_targets.clear();
+        self.new_unparked.clear();
+        self.new_participants.clear();
+        self.new_desired = None;
+    }
+
+    fn is_dirty(&self, slot: u32) -> bool {
+        self.mark[slot as usize] == self.epoch
+    }
+
+    fn is_moved(&self, slot: u32) -> bool {
+        self.moved[slot as usize] == self.epoch
+    }
+
+    /// Marks `slot` dirty, and also moved when `moved` is set.
+    fn mark_dirty(&mut self, slot: u32, moved: bool) {
+        if moved {
+            self.moved[slot as usize] = self.epoch;
+        }
+        if !self.is_dirty(slot) {
+            self.mark[slot as usize] = self.epoch;
+            self.dirty.push(slot);
+        }
+    }
+
+    /// The solved positions of axis `(k, axis)`, when this attempt
+    /// re-solves it.
+    fn solved(&self, k: u8, axis: Axis) -> Option<&[f64]> {
+        self.axes
+            .iter()
+            .position(|&a| a == (k, axis))
+            .map(|i| &self.vals[i][..])
+    }
+
+    /// Removes from `plan` exactly what this attempt inserted.
+    fn undo(&self, plan: &mut Plan) {
+        for key in &self.new_targets {
+            plan.targets.remove(key);
+        }
+        for k in &self.new_unparked {
+            plan.unparked.remove(k);
+        }
+        for p in &self.new_participants {
+            plan.participants.remove(p);
+        }
+        if let Some(key) = self.new_desired {
+            plan.desired.remove(&key);
+        }
     }
 }
 
@@ -195,8 +297,9 @@ fn fallback_amounts() -> impl Iterator<Item = f64> {
 
 /// Repositions the untargeted lines of one axis around the pinned targets.
 ///
-/// Returns the full position vector, or the violated constraint. Pinned
-/// lines must be strictly increasing in index order (C2); untargeted lines
+/// Writes the full position vector into `out`, or returns the violated
+/// constraint. Pinned lines must be strictly increasing in index order
+/// (C2); untargeted lines
 /// in between are squeezed into the gap with at least [`LINE_GAP`]
 /// separation (C3), preferring half-cell offsets that keep their atoms
 /// away from the SLM lattice; lines outside the pinned range walk outward
@@ -206,13 +309,16 @@ fn solve_axis(
     targets: &FastMap<LineKey, f64>,
     key_of: impl Fn(u16) -> LineKey,
     relax: Relaxation,
-) -> Result<Vec<f64>, Reject> {
+    out: &mut Vec<f64>,
+) -> Result<(), Reject> {
     let n = cur.len();
+    out.clear();
+    out.extend_from_slice(cur);
     let pinned: Vec<(usize, f64)> = (0..n)
         .filter_map(|i| targets.get(&key_of(i as u16)).map(|&t| (i, t)))
         .collect();
     if pinned.is_empty() {
-        return Ok(cur.to_vec());
+        return Ok(());
     }
     // C2 among pinned lines.
     if !relax.allow_order_violation {
@@ -230,7 +336,6 @@ fn solve_axis(
             }
         }
     }
-    let mut out = cur.to_vec();
     for &(i, t) in &pinned {
         out[i] = t;
     }
@@ -293,7 +398,7 @@ fn solve_axis(
             }
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 /// One hypothetical retraction position being tested for clearance:
@@ -352,6 +457,7 @@ impl<'a> RouterState<'a> {
             atoms_on_line,
             atoms_in_aod,
             grid: SpatialGrid::new(BAND_R),
+            scratch: Scratch::new(mapping.site_of_slot.len()),
         };
         for slot in 0..state.site_of_slot.len() as u32 {
             let p = state.pos(slot);
@@ -391,10 +497,9 @@ impl<'a> RouterState<'a> {
         self.parked[k] && !plan.unparked.contains(&(k as u8))
     }
 
-    /// Refreshes the spatial index for every atom on line `key` (and
-    /// collects them into `dirty`, when given) after the line's effective
-    /// position changed.
-    fn sync_line_grid(&mut self, key: LineKey, mut dirty: Option<&mut FastSet<u32>>) {
+    /// Refreshes the spatial index for every atom on line `key` after
+    /// the line's effective position changed.
+    fn sync_line_grid(&mut self, key: LineKey) {
         let Some(atoms) = self.atoms_on_line.get(&key) else {
             return;
         };
@@ -408,39 +513,26 @@ impl<'a> RouterState<'a> {
                 atom,
                 (eff_row[k][site.row as usize], eff_col[k][site.col as usize]),
             );
-            if let Some(d) = dirty.as_deref_mut() {
-                d.insert(atom);
-            }
         }
     }
 
-    /// Replaces one axis's effective positions, keeping the spatial index
-    /// in sync for every atom whose line actually moved (optionally
-    /// collecting those atoms into `dirty`).
-    fn set_eff_axis(
-        &mut self,
-        k: u8,
-        axis: Axis,
-        new_vals: Vec<f64>,
-        mut dirty: Option<&mut FastSet<u32>>,
-    ) {
-        let old = match axis {
-            Axis::Row => &self.eff_row[k as usize],
-            Axis::Col => &self.eff_col[k as usize],
+    /// Replaces one axis's effective positions with `vals`, keeping the
+    /// spatial index in sync for every atom whose line actually moved.
+    /// The old positions are swapped out into `vals`.
+    fn set_eff_axis(&mut self, k: u8, axis: Axis, vals: &mut Vec<f64>) {
+        let eff = match axis {
+            Axis::Row => &mut self.eff_row[k as usize],
+            Axis::Col => &mut self.eff_col[k as usize],
         };
-        let changed: Vec<u16> = old
-            .iter()
-            .zip(new_vals.iter())
-            .enumerate()
-            .filter(|&(_, (&o, &n))| (o - n).abs() > 1e-12)
-            .map(|(i, _)| i as u16)
-            .collect();
-        match axis {
-            Axis::Row => self.eff_row[k as usize] = new_vals,
-            Axis::Col => self.eff_col[k as usize] = new_vals,
-        }
-        for i in changed {
-            self.sync_line_grid((k, axis, i), dirty.as_deref_mut());
+        std::mem::swap(eff, vals);
+        for (i, &old) in vals.iter().enumerate() {
+            let new = match axis {
+                Axis::Row => self.eff_row[k as usize][i],
+                Axis::Col => self.eff_col[k as usize][i],
+            };
+            if (old - new).abs() > 1e-12 {
+                self.sync_line_grid((k, axis, i as u16));
+            }
         }
     }
 
@@ -463,70 +555,74 @@ impl<'a> RouterState<'a> {
         }
     }
 
-    /// Records an explicit target; `false` on conflict with an existing
-    /// different target for the same line.
-    fn set_target(&mut self, plan: &mut Plan, key: LineKey, value: f64) -> bool {
-        match plan.targets.get(&key) {
-            Some(&t) => (t - value).abs() < 1e-9,
-            None => {
-                plan.target_journal.push((key, None));
-                plan.targets.insert(key, value);
-                true
-            }
+    /// The position of `slot` if the attempt in `s` were accepted: its
+    /// lines' solved values where the attempt re-solves them, the
+    /// accepted `eff_*` elsewhere.
+    fn virtual_pos(&self, s: &Scratch, slot: u32) -> (f64, f64) {
+        let site = self.site_of_slot[slot as usize];
+        if site.array.is_slm() {
+            return (site.row as f64, site.col as f64);
         }
+        let k = site.array.aod_number();
+        let (r, c) = (site.row as usize, site.col as usize);
+        (
+            s.solved(k as u8, Axis::Row)
+                .map_or(self.eff_row[k][r], |v| v[r]),
+            s.solved(k as u8, Axis::Col)
+                .map_or(self.eff_col[k][c], |v| v[c]),
+        )
     }
 
-    /// Reverts the plan to a checkpoint taken before a failed `try_add`.
-    fn rollback(
-        &mut self,
-        plan: &mut Plan,
-        cp: (usize, usize, usize),
-        desired_key: Option<(u32, u32)>,
-        participants: &[u32],
-    ) {
-        while plan.target_journal.len() > cp.0 {
-            let (key, old) = plan.target_journal.pop().expect("journal nonempty");
-            match old {
-                Some(v) => {
-                    plan.targets.insert(key, v);
-                }
-                None => {
-                    plan.targets.remove(&key);
-                }
-            }
+    /// Marks the atoms on line `j` of the attempt's `i`-th re-solved
+    /// axis dirty and moved when its solved value differs from the
+    /// accepted one.
+    fn mark_line_if_moved(&self, s: &mut Scratch, i: usize, j: u16) {
+        let (k, axis) = s.axes[i];
+        let old = match axis {
+            Axis::Row => self.eff_row[k as usize][j as usize],
+            Axis::Col => self.eff_col[k as usize][j as usize],
+        };
+        if (s.vals[i][j as usize] - old).abs() <= 1e-12 {
+            return;
         }
-        while plan.axis_journal.len() > cp.1 {
-            let ((k, axis), snapshot) = plan.axis_journal.pop().expect("journal nonempty");
-            self.set_eff_axis(k, axis, snapshot, None);
-        }
-        plan.gates.truncate(cp.2);
-        // Unparks are only kept if an accepted gate still needs them.
-        let mut needed: FastSet<u8> = FastSet::default();
-        for &(_, a, b) in &plan.gates {
-            for s in [a, b] {
-                let site = self.site_of_slot[s as usize];
-                if !site.array.is_slm() {
-                    let k = site.array.aod_number();
-                    if self.parked[k] {
-                        needed.insert(k as u8);
-                    }
-                }
-            }
-        }
-        plan.unparked = needed;
-        if let Some(key) = desired_key {
-            plan.desired.remove(&key);
-        }
-        for p in participants {
-            if !plan.gates.iter().any(|&(_, a, b)| a == *p || b == *p) {
-                plan.participants.remove(p);
+        if let Some(atoms) = self.atoms_on_line.get(&(k, axis, j)) {
+            for &atom in atoms {
+                s.mark_dirty(atom, true);
             }
         }
     }
 
     /// Attempts to add gate `g` between slots `a` and `b` to the plan.
+    ///
+    /// Decides before it writes: [`RouterState::decide`] runs every
+    /// check on virtual positions, and only an accepted gate writes its
+    /// solved axes into `eff_*` and the grid. A rejected gate removes
+    /// from the plan exactly what it inserted, so `eff_*`, the grid and
+    /// the plan are untouched by it.
     fn try_add(&mut self, plan: &mut Plan, g: GateIdx, a: u32, b: u32) -> Result<(), Reject> {
-        let cp = plan.checkpoint();
+        let mut s = std::mem::take(&mut self.scratch);
+        let verdict = self.decide(plan, &mut s, a, b);
+        match verdict {
+            Ok(()) => {
+                for i in 0..s.axes.len() {
+                    let (k, axis) = s.axes[i];
+                    self.set_eff_axis(k, axis, &mut s.vals[i]);
+                }
+                plan.gates.push((g, a, b));
+            }
+            Err(_) => s.undo(plan),
+        }
+        self.scratch = s;
+        verdict
+    }
+
+    /// Decides whether the gate between slots `a` and `b` joins the plan,
+    /// in the order target conflict, C2/C3 per affected axis (sorted, the
+    /// first failure wins), C1, desired pairs. Inserts the gate's targets,
+    /// unparks, participants and desired pair into `plan`, recording them
+    /// in `s` for [`Scratch::undo`]; never writes `eff_*` or the grid.
+    fn decide(&self, plan: &mut Plan, s: &mut Scratch, a: u32, b: u32) -> Result<(), Reject> {
+        s.begin();
         let site_a = self.site_of_slot[a as usize];
         let site_b = self.site_of_slot[b as usize];
         debug_assert_ne!(
@@ -537,14 +633,22 @@ impl<'a> RouterState<'a> {
         // Unpark any parked participant arrays.
         for site in [site_a, site_b] {
             if !site.array.is_slm() {
-                let k = site.array.aod_number();
-                if self.parked[k] {
-                    plan.unparked.insert(k as u8);
+                let k = site.array.aod_number() as u8;
+                if self.parked[k as usize] && plan.unparked.insert(k) {
+                    s.new_unparked.push(k);
                 }
             }
         }
 
         // Compute explicit movement targets.
+        let mut set_target = |key: LineKey, value: f64| match plan.targets.get(&key) {
+            Some(&t) => (t - value).abs() < 1e-9,
+            None => {
+                plan.targets.insert(key, value);
+                s.new_targets.push(key);
+                true
+            }
+        };
         let ok = if site_a.array.is_slm() || site_b.array.is_slm() {
             let (slm, aod) = if site_a.array.is_slm() {
                 (site_a, site_b)
@@ -552,8 +656,8 @@ impl<'a> RouterState<'a> {
                 (site_b, site_a)
             };
             let k = aod.array.aod_number() as u8;
-            self.set_target(plan, (k, Axis::Row, aod.row), slm.row as f64 + DELTA_ROW)
-                && self.set_target(plan, (k, Axis::Col, aod.col), slm.col as f64 + DELTA_COL)
+            set_target((k, Axis::Row, aod.row), slm.row as f64 + DELTA_ROW)
+                && set_target((k, Axis::Col, aod.col), slm.col as f64 + DELTA_COL)
         } else {
             // AOD–AOD: the lower-indexed array anchors; the other moves to
             // the anchor's effective position plus the interaction offset.
@@ -569,146 +673,204 @@ impl<'a> RouterState<'a> {
                 self.eff_col[ka][anchor.col as usize],
             );
             // Hold the anchor's lines so later gates can't move them away.
-            self.set_target(plan, (ka as u8, Axis::Row, anchor.row), ar)
-                && self.set_target(plan, (ka as u8, Axis::Col, anchor.col), ac)
-                && self.set_target(plan, (km, Axis::Row, mover.row), ar + DELTA_ROW)
-                && self.set_target(plan, (km, Axis::Col, mover.col), ac + DELTA_COL)
+            set_target((ka as u8, Axis::Row, anchor.row), ar)
+                && set_target((ka as u8, Axis::Col, anchor.col), ac)
+                && set_target((km, Axis::Row, mover.row), ar + DELTA_ROW)
+                && set_target((km, Axis::Col, mover.col), ac + DELTA_COL)
         };
         if !ok {
-            self.rollback(plan, cp, None, &[]);
             return Err(Reject::TargetConflict);
         }
 
         let key = norm_pair(a, b);
-        plan.desired.insert(key);
-        plan.participants.insert(a);
-        plan.participants.insert(b);
-        plan.gates.push((g, a, b));
-
-        // Re-solve every axis touched by the new targets: C2/C3 plus the
-        // repositioning of untargeted lines. Sorted, not hashed: the loop
-        // below early-exits on the first unsolvable axis, so a seeded
-        // hash order would make the rejection returned (and the work
-        // telemetry records) vary run to run.
-        let mut affected: Vec<(u8, Axis)> = plan.target_journal[cp.0..]
-            .iter()
-            .map(|&((k, axis, _), _)| (k, axis))
-            .collect();
-        affected.sort_unstable();
-        affected.dedup();
-        let mut dirty: FastSet<u32> = FastSet::default();
-        dirty.insert(a);
-        dirty.insert(b);
-        for &(k, axis) in &affected {
-            let cur = match axis {
-                Axis::Row => self.eff_row[k as usize].clone(),
-                Axis::Col => self.eff_col[k as usize].clone(),
-            };
-            let solved = match solve_axis(&cur, &plan.targets, |i| (k, axis, i), self.relax) {
-                Ok(v) => v,
-                Err(rej) => {
-                    self.rollback(plan, cp, Some(key), &[a, b]);
-                    return Err(rej);
-                }
-            };
-            plan.axis_journal.push(((k, axis), cur));
-            // Assign, syncing the spatial index and collecting the atoms
-            // whose line actually moved into the dirty set.
-            self.set_eff_axis(k, axis, solved, Some(&mut dirty));
+        if plan.desired.insert(key) {
+            s.new_desired = Some(key);
         }
-        // Atoms of newly unparked arrays are dirty too.
-        for &k in &plan.unparked {
-            dirty.extend(self.atoms_in_aod[k as usize].iter().copied());
+        for p in [a, b] {
+            if plan.participants.insert(p) {
+                s.new_participants.push(p);
+            }
+        }
+
+        // Re-solve every axis touched by the new targets into scratch:
+        // C2/C3 plus the repositioning of untargeted lines. Sorted, not
+        // hashed: the first unsolvable axis decides the rejection, so a
+        // seeded hash order would make the rejection returned (and the
+        // work telemetry records) vary run to run.
+        s.axes
+            .extend(s.new_targets.iter().map(|&(k, axis, _)| (k, axis)));
+        s.axes.sort_unstable();
+        s.axes.dedup();
+        if s.vals.len() < s.axes.len() {
+            s.vals.resize_with(s.axes.len(), Vec::new);
+        }
+        for i in 0..s.axes.len() {
+            let (k, axis) = s.axes[i];
+            let cur = match axis {
+                Axis::Row => &self.eff_row[k as usize],
+                Axis::Col => &self.eff_col[k as usize],
+            };
+            solve_axis(
+                cur,
+                &plan.targets,
+                |j| (k, axis, j),
+                self.relax,
+                &mut s.vals[i],
+            )?;
+        }
+
+        // Dirty atoms, in the order C1 visits them: the gate's atoms, the
+        // atoms on the gate's own target lines that moved (where most
+        // violations are), the atoms on every other line that moved, and
+        // the atoms of every unparked array.
+        s.mark_dirty(a, false);
+        s.mark_dirty(b, false);
+        for t in 0..s.new_targets.len() {
+            let (k, axis, j) = s.new_targets[t];
+            let i = s
+                .axes
+                .binary_search(&(k, axis))
+                .expect("targeted axis is re-solved");
+            self.mark_line_if_moved(s, i, j);
+        }
+        for i in 0..s.axes.len() {
+            for j in 0..s.vals[i].len() {
+                self.mark_line_if_moved(s, i, j as u16);
+            }
+        }
+        for (k, atoms) in self.atoms_in_aod.iter().enumerate() {
+            if plan.unparked.contains(&(k as u8)) {
+                for &atom in atoms {
+                    s.mark_dirty(atom, false);
+                }
+            }
         }
 
         // C1: exact interaction set plus participant safety bands.
         if !self.relax.individual_addressing {
-            if let Err(rej) = self.check_addressing(plan, &dirty) {
-                self.rollback(plan, cp, Some(key), &[a, b]);
-                return Err(rej);
+            C1_CALLS.incr();
+            C1_DIRTY.add(s.dirty.len() as u64);
+            if !self.c1_clear(plan, s) {
+                return Err(Reject::Addressing);
             }
         }
 
         // Desired pairs must all still touch (an anchor may have moved).
-        for &(da, db) in plan.desired.iter() {
-            let (pa, pb) = (self.pos(da), self.pos(db));
-            if dist(pa, pb) > INTERACT_R + 1e-9 {
-                self.rollback(plan, cp, Some(key), &[a, b]);
-                return Err(Reject::TargetConflict);
-            }
+        let at = |slot: u32| self.virtual_pos(s, slot);
+        if plan
+            .desired
+            .iter()
+            .any(|&(da, db)| dist(at(da), at(db)) > INTERACT_R + 1e-9)
+        {
+            return Err(Reject::TargetConflict);
         }
         Ok(())
     }
 
-    /// C1 over the dirty set: exact interaction set plus participant
-    /// safety bands.
+    /// C1 over the attempt's dirty atoms at their virtual positions:
+    /// exact interaction set plus participant safety bands. `true` when
+    /// clear.
     ///
-    /// The per-pair predicate is [`RouterState::addressing_pair_ok`];
-    /// this function only chooses which candidate atoms `y` to test
-    /// against each dirty atom. The grid enumeration is a superset of
-    /// every atom within [`BAND_R`] (the largest radius the predicate
-    /// compares against), so both modes accept and reject identically.
-    fn check_addressing(&self, plan: &Plan, dirty: &FastSet<u32>) -> Result<(), Reject> {
-        let mut buf: Vec<u32> = Vec::new();
-        for &x in dirty {
+    /// Every unordered pair with at least one dirty, non-parked atom and
+    /// a non-parked partner is tested by [`RouterState::c1_pair_ok`].
+    /// [`ProximityIndex::Exhaustive`] scans every slot for every dirty
+    /// atom. [`ProximityIndex::Grid`] splits the same pairs in two
+    /// passes. First, each dirty atom against the grid hits that have not
+    /// moved: the grid holds the accepted plan, which is exact for every
+    /// atom the attempt does not move. Then, only if that passes, the
+    /// pairs of moved atoms through `by_cell`, a list sorted by grid
+    /// cell that enumerates the same cells the grid would. The predicate
+    /// is symmetric and passes every pair farther apart than [`BAND_R`],
+    /// and every failure is [`Reject::Addressing`], so both modes return
+    /// the same verdict.
+    fn c1_clear(&self, plan: &Plan, s: &mut Scratch) -> bool {
+        let n = self.site_of_slot.len() as u32;
+        for i in 0..s.dirty.len() {
+            let x = s.dirty[i];
             if self.is_parked_slot(x, plan) {
                 continue;
             }
-            let px = self.pos(x);
+            let px = self.virtual_pos(s, x);
             match self.index {
                 ProximityIndex::Exhaustive => {
-                    for y in 0..self.site_of_slot.len() as u32 {
-                        self.addressing_pair_ok(plan, dirty, x, px, y)?;
+                    for y in 0..n {
+                        // Dirty pairs are tested once, from the lower slot.
+                        if y == x || (s.is_dirty(y) && y < x) || self.is_parked_slot(y, plan) {
+                            continue;
+                        }
+                        if !self.c1_pair_ok(plan, x, px, y, self.virtual_pos(s, y)) {
+                            return false;
+                        }
                     }
                 }
                 ProximityIndex::Grid => {
-                    buf.clear();
-                    self.grid.candidates_into(px, BAND_R, &mut buf);
-                    for &y in &buf {
-                        self.addressing_pair_ok(plan, dirty, x, px, y)?;
+                    // A moved `x` tests every unmoved dirty hit; pairs of
+                    // unmoved dirty atoms are tested once, from the lower
+                    // slot.
+                    let x_moved = s.is_moved(x);
+                    s.buf.clear();
+                    self.grid.candidates_into(px, BAND_R, &mut s.buf);
+                    for &y in &s.buf {
+                        if y == x
+                            || s.is_moved(y)
+                            || (!x_moved && y < x && s.is_dirty(y))
+                            || self.is_parked_slot(y, plan)
+                        {
+                            continue;
+                        }
+                        if !self.c1_pair_ok(plan, x, px, y, self.virtual_pos(s, y)) {
+                            return false;
+                        }
                     }
                 }
             }
         }
-        Ok(())
+        if self.index == ProximityIndex::Exhaustive {
+            return true;
+        }
+        let mut by_cell = std::mem::take(&mut s.by_cell);
+        by_cell.clear();
+        for &x in &s.dirty {
+            if s.is_moved(x) && !self.is_parked_slot(x, plan) {
+                let p = self.virtual_pos(s, x);
+                by_cell.push((self.grid.cell_of(p), x, p));
+            }
+        }
+        by_cell.sort_unstable_by_key(|&(c, x, _)| (c, x));
+        let clear = by_cell.iter().all(|&(_, x, px)| {
+            let ((x0, y0), (x1, y1)) = self.grid.cell_span(px, BAND_R);
+            (x0..=x1).all(|cx| {
+                let lo = by_cell.partition_point(|&(c, _, _)| c < (cx, y0));
+                by_cell[lo..]
+                    .iter()
+                    .take_while(|&&(c, _, _)| c <= (cx, y1))
+                    // Each moved pair once, from the lower slot.
+                    .all(|&(_, y, py)| y <= x || self.c1_pair_ok(plan, x, px, y, py))
+            })
+        });
+        s.by_cell = by_cell;
+        clear
     }
 
-    /// The C1 predicate for one ordered pair of the dirty scan: `Ok` when
-    /// `y` is skippable or clear of `x`, `Err` on an unwanted interaction
-    /// or a safety-band violation. Pairs farther apart than [`BAND_R`]
-    /// always pass, which is what makes the grid enumeration above exact.
+    /// The C1 predicate for one pair at the attempt's virtual positions:
+    /// `false` on an unwanted interaction or a safety-band violation.
+    /// Symmetric in its two atoms, and every pair farther apart than
+    /// [`BAND_R`] passes — which is what makes the grid enumeration in
+    /// [`RouterState::c1_clear`] exact.
     #[inline]
-    fn addressing_pair_ok(
-        &self,
-        plan: &Plan,
-        dirty: &FastSet<u32>,
-        x: u32,
-        px: (f64, f64),
-        y: u32,
-    ) -> Result<(), Reject> {
-        if y == x || self.is_parked_slot(y, plan) {
-            return Ok(());
-        }
-        // Avoid double-checking dirty pairs.
-        if dirty.contains(&y) && y < x {
-            return Ok(());
-        }
-        let d = dist(px, self.pos(y));
-        if plan.desired.contains(&norm_pair(x, y)) {
-            return Ok(()); // validated separately
+    fn c1_pair_ok(&self, plan: &Plan, x: u32, px: (f64, f64), y: u32, py: (f64, f64)) -> bool {
+        let d = dist(px, py);
+        if d >= BAND_R || plan.desired.contains(&norm_pair(x, y)) {
+            return true; // desired pairs are validated separately
         }
         if d <= INTERACT_R {
-            return Err(Reject::Addressing); // unwanted gate
+            return false; // unwanted gate
         }
         let x_part = plan.participants.contains(&x);
         let y_part = plan.participants.contains(&y);
         let y_slm = self.site_of_slot[y as usize].array.is_slm();
         let x_slm = self.site_of_slot[x as usize].array.is_slm();
-        let band_applies = (x_part && (y_part || y_slm)) || (y_part && x_slm);
-        if band_applies && d < BAND_R {
-            return Err(Reject::Addressing);
-        }
-        Ok(())
+        !((x_part && (y_part || y_slm)) || (y_part && x_slm))
     }
 
     /// Commits the plan: updates committed positions and returns the
@@ -895,7 +1057,7 @@ impl<'a> RouterState<'a> {
                     self.eff_col[k as usize][i] = new;
                 }
             }
-            self.sync_line_grid(key, None);
+            self.sync_line_grid(key);
             moves.push(LineMove {
                 aod: k,
                 axis_row: axis == Axis::Row,
@@ -1758,6 +1920,232 @@ mod tests {
             results[0], results[1],
             "grid and exhaustive modes retracted differently"
         );
+    }
+
+    const MODES: [ProximityIndex; 2] = [ProximityIndex::Grid, ProximityIndex::Exhaustive];
+
+    /// A hand-placed machine for driving `try_add` directly: a 10×10
+    /// SLM plus the given AOD arrays, with the listed sites as slots.
+    fn hand_placed(aods: Vec<ArrayDims>, sites: Vec<TrapSite>) -> (RaaConfig, AtomMapping) {
+        let hw = RaaConfig::new(ArrayDims::new(10, 10), aods).unwrap();
+        (
+            hw,
+            AtomMapping {
+                site_of_slot: sites,
+            },
+        )
+    }
+
+    /// Moves AOD `k`'s lines to the given committed positions.
+    fn place(state: &mut RouterState<'_>, k: usize, rows: &[f64], cols: &[f64]) {
+        state.cur_row[k] = rows.to_vec();
+        state.eff_row[k] = rows.to_vec();
+        state.cur_col[k] = cols.to_vec();
+        state.eff_col[k] = cols.to_vec();
+        state.resync_aod_grid(k);
+    }
+
+    /// Everything a rejected attempt must leave untouched, floats as
+    /// bits and hashed collections sorted.
+    #[derive(Debug, PartialEq)]
+    struct Snapshot {
+        eff_row: Vec<Vec<u64>>,
+        eff_col: Vec<Vec<u64>>,
+        grid: Vec<Option<(u64, u64)>>,
+        targets: Vec<(LineKey, u64)>,
+        unparked: Vec<u8>,
+        gates: Vec<(GateIdx, u32, u32)>,
+        participants: Vec<u32>,
+        desired: Vec<(u32, u32)>,
+    }
+
+    fn snapshot(state: &RouterState<'_>, plan: &Plan) -> Snapshot {
+        fn sorted<T: Ord>(it: impl Iterator<Item = T>) -> Vec<T> {
+            let mut v: Vec<T> = it.collect();
+            v.sort();
+            v
+        }
+        let bits = |v: &Vec<Vec<f64>>| -> Vec<Vec<u64>> {
+            v.iter()
+                .map(|axis| axis.iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        Snapshot {
+            eff_row: bits(&state.eff_row),
+            eff_col: bits(&state.eff_col),
+            grid: (0..state.site_of_slot.len() as u32)
+                .map(|s| {
+                    state
+                        .grid
+                        .position(s)
+                        .map(|(r, c)| (r.to_bits(), c.to_bits()))
+                })
+                .collect(),
+            targets: sorted(plan.targets.iter().map(|(&k, v)| (k, v.to_bits()))),
+            unparked: sorted(plan.unparked.iter().copied()),
+            gates: plan.gates.clone(),
+            participants: sorted(plan.participants.iter().copied()),
+            desired: sorted(plan.desired.iter().copied()),
+        }
+    }
+
+    /// The only C1 violation is between two atoms the attempt moves:
+    /// the gate's SLM atom and an atom on the AOD row the gate re-solves.
+    /// The grid holds neither at its virtual position, so only the
+    /// dirty×dirty pass can find it.
+    #[test]
+    fn c1_catches_a_violation_between_two_dirty_atoms() {
+        let (hw, am) = hand_placed(
+            vec![ArrayDims::new(1, 2)],
+            vec![
+                TrapSite::new(ArrayIndex::SLM, 5, 5),
+                TrapSite::new(ArrayIndex::aod(0), 0, 1),
+                TrapSite::new(ArrayIndex::aod(0), 0, 0),
+            ],
+        );
+        for index in MODES {
+            for individual_addressing in [false, true] {
+                let relax = Relaxation {
+                    individual_addressing,
+                    ..Relaxation::NONE
+                };
+                let mut state = RouterState::new(&hw, &am, relax, index);
+                // Column 0 sits just left of where column 1 must go.
+                place(&mut state, 0, &[0.6], &[4.90, 6.0]);
+                let mut plan = Plan::default();
+                let verdict = state.try_add(&mut plan, 0, 0, 1);
+                assert!(state.scratch.is_dirty(0) && state.scratch.is_dirty(2));
+                let z = if individual_addressing {
+                    state.pos(2)
+                } else {
+                    state.virtual_pos(&state.scratch, 2)
+                };
+                assert!(dist(z, (5.0, 5.0)) <= INTERACT_R, "{index:?}: z at {z:?}");
+                if individual_addressing {
+                    assert_eq!(verdict, Ok(()), "{index:?}: only C1 may reject");
+                } else {
+                    assert_eq!(verdict, Err(Reject::Addressing), "{index:?}");
+                }
+            }
+        }
+    }
+
+    /// An array that this attempt unparks takes part in C1: its atom
+    /// that the gate does not move still collides with a resting SLM atom.
+    #[test]
+    fn c1_treats_an_array_unparked_by_the_attempt_as_unparked() {
+        for with_blocker in [true, false] {
+            let mut sites = vec![
+                TrapSite::new(ArrayIndex::SLM, 5, 5),
+                TrapSite::new(ArrayIndex::aod(0), 1, 1),
+                TrapSite::new(ArrayIndex::aod(0), 0, 0),
+            ];
+            if with_blocker {
+                sites.push(TrapSite::new(ArrayIndex::SLM, 2, 2));
+            }
+            let (hw, am) = hand_placed(vec![ArrayDims::new(2, 2)], sites);
+            for index in MODES {
+                let mut state = RouterState::new(&hw, &am, Relaxation::NONE, index);
+                place(&mut state, 0, &[2.05, 3.0], &[2.08, 3.0]);
+                state.parked[0] = true;
+                let mut plan = Plan::default();
+                let verdict = state.try_add(&mut plan, 0, 0, 1);
+                if with_blocker {
+                    assert_eq!(verdict, Err(Reject::Addressing), "{index:?}");
+                    assert!(plan.unparked.is_empty(), "{index:?}: unpark kept");
+                } else {
+                    assert_eq!(verdict, Ok(()), "{index:?}");
+                    assert!(plan.unparked.contains(&0), "{index:?}: unpark lost");
+                }
+            }
+        }
+    }
+
+    /// A target equal to one the plan already holds is not inserted
+    /// again and does not re-solve its axis; an AOD–AOD anchor holds
+    /// the position the accepted plan gave its lines.
+    #[test]
+    fn shared_targets_add_nothing_and_anchors_read_the_accepted_plan() {
+        let (hw, am) = hand_placed(
+            vec![ArrayDims::new(1, 2), ArrayDims::new(1, 1)],
+            vec![
+                TrapSite::new(ArrayIndex::SLM, 5, 5),
+                TrapSite::new(ArrayIndex::aod(0), 0, 0),
+                TrapSite::new(ArrayIndex::aod(0), 0, 1),
+                TrapSite::new(ArrayIndex::aod(1), 0, 0),
+            ],
+        );
+        for index in MODES {
+            let mut state = RouterState::new(&hw, &am, Relaxation::NONE, index);
+            let mut plan = Plan::default();
+            assert_eq!(state.try_add(&mut plan, 0, 0, 1), Ok(()), "{index:?}");
+            // Accepting the first gate repositioned AOD 0's column 1.
+            let anchor = state.pos(2);
+            assert_eq!(anchor.0, 5.0 + DELTA_ROW);
+            assert!(
+                anchor.1 > 5.0 + DELTA_COL + LINE_GAP,
+                "{index:?}: {anchor:?}"
+            );
+
+            assert_eq!(state.try_add(&mut plan, 1, 2, 3), Ok(()), "{index:?}");
+            // Row 0 of AOD 0 was already pinned at the same value.
+            assert!(!state.scratch.new_targets.contains(&(0, Axis::Row, 0)));
+            assert!(state.scratch.solved(0, Axis::Row).is_none(), "{index:?}");
+            assert_eq!(plan.targets.len(), 5, "{index:?}");
+            assert_eq!(plan.targets[&(0, Axis::Col, 1)], anchor.1);
+            assert_eq!(
+                state.pos(3),
+                (anchor.0 + DELTA_ROW, anchor.1 + DELTA_COL),
+                "{index:?}: mover ignored the accepted anchor"
+            );
+        }
+    }
+
+    /// Rejections on a target conflict, while solving an axis and in C1
+    /// leave `eff_*`, the grid and the plan exactly as the accepted plan
+    /// left them.
+    #[test]
+    fn rejected_attempts_leave_state_and_plan_untouched() {
+        let (hw, am) = hand_placed(
+            vec![ArrayDims::new(2, 2), ArrayDims::new(2, 2)],
+            vec![
+                TrapSite::new(ArrayIndex::SLM, 5, 5),
+                TrapSite::new(ArrayIndex::aod(0), 0, 0),
+                TrapSite::new(ArrayIndex::SLM, 6, 6),
+                TrapSite::new(ArrayIndex::aod(0), 1, 0),
+                TrapSite::new(ArrayIndex::SLM, 3, 8),
+                TrapSite::new(ArrayIndex::aod(0), 1, 1),
+                TrapSite::new(ArrayIndex::SLM, 5, 6),
+                TrapSite::new(ArrayIndex::aod(1), 0, 0),
+                TrapSite::new(ArrayIndex::aod(1), 1, 1),
+                TrapSite::new(ArrayIndex::SLM, 8, 8),
+            ],
+        );
+        // (slot a, slot b, expected rejection)
+        let attempts = [
+            // Row 1 is newly pinned, then column 0 conflicts.
+            (2, 3, Reject::TargetConflict),
+            // Row 1 would have to pass row 0.
+            (4, 5, Reject::Order),
+            // Unparks AOD 1, whose resting atom 8 sits on SLM atom 9.
+            (6, 7, Reject::Addressing),
+        ];
+        for index in MODES {
+            let mut state = RouterState::new(&hw, &am, Relaxation::NONE, index);
+            place(&mut state, 1, &[0.3, 8.05], &[0.6, 8.08]);
+            state.parked[1] = true;
+            let mut plan = Plan::default();
+            assert_eq!(state.try_add(&mut plan, 0, 0, 1), Ok(()), "{index:?}");
+            let before = snapshot(&state, &plan);
+            for (g, &(a, b, want)) in attempts.iter().enumerate() {
+                assert_eq!(
+                    state.try_add(&mut plan, g + 1, a, b),
+                    Err(want),
+                    "{index:?}: attempt {a}-{b}"
+                );
+                assert_eq!(snapshot(&state, &plan), before, "{index:?}: {want:?}");
+            }
+        }
     }
 
     #[test]

@@ -37,9 +37,12 @@
 //! active, the grid reports two counters: `grid.query` (one per
 //! [`SpatialGrid::candidates_into`] call — every proximity question
 //! asked of the index) and `grid.rebucket` (one per
-//! [`SpatialGrid::update`] that crosses a cell boundary — the hash
-//! churn PR 5 identified as the router's speculative-`try_add` hot
-//! spot). See `docs/OBSERVABILITY.md` for the full counter glossary.
+//! [`SpatialGrid::update`] that crosses a cell boundary). The router's
+//! grid holds only the accepted stage plan: a gate-admission attempt
+//! decides on virtual positions and writes the grid only when the gate
+//! is accepted, so `grid.rebucket` counts admitted movement, not
+//! rejected attempts. See `docs/OBSERVABILITY.md` for the full counter
+//! glossary.
 
 #![deny(missing_docs)]
 
@@ -196,10 +199,23 @@ impl SpatialGrid {
         self.pos_of.get(id as usize).copied().flatten()
     }
 
-    fn cell_of(&self, p: (f64, f64)) -> (i64, i64) {
+    /// The cell containing `p`.
+    pub fn cell_of(&self, p: (f64, f64)) -> (i64, i64) {
         (
             (p.0 / self.cell).floor() as i64,
             (p.1 / self.cell).floor() as i64,
+        )
+    }
+
+    /// The corners `(lo, hi)` of the inclusive block of cells that
+    /// [`SpatialGrid::candidates_into`] visits for the disk of radius
+    /// `r` around `p`. A caller that buckets extra points with
+    /// [`SpatialGrid::cell_of`] enumerates them exactly as the grid
+    /// would.
+    pub fn cell_span(&self, p: (f64, f64), r: f64) -> ((i64, i64), (i64, i64)) {
+        (
+            self.cell_of((p.0 - r, p.1 - r)),
+            self.cell_of((p.0 + r, p.1 + r)),
         )
     }
 
@@ -257,8 +273,7 @@ impl SpatialGrid {
     /// one cell, so duplicates cannot occur) and not sorted.
     pub fn candidates_into(&self, p: (f64, f64), r: f64, out: &mut Vec<u32>) {
         GRID_QUERY.incr();
-        let (x0, y0) = self.cell_of((p.0 - r, p.1 - r));
-        let (x1, y1) = self.cell_of((p.0 + r, p.1 + r));
+        let ((x0, y0), (x1, y1)) = self.cell_span(p, r);
         for cx in x0..=x1 {
             for cy in y0..=y1 {
                 if let Some(bucket) = self.cells.get(&(cx, cy)) {

@@ -259,7 +259,10 @@ const ROUTE_PINS: &[(usize, u64, [u64; 5])] = &[
 /// The router's decisions at 1024 and 2048 atoms stay pinned, and its
 /// spatial-grid upkeep stays proportional to the gates it admits — a
 /// work bound in place of a wall-clock guard, so it cannot flake on a
-/// slow machine. Also pins the transfer accounting: every
+/// slow machine. Admission writes the grid only for accepted gates, so
+/// re-buckets stay in the hundreds per admitted gate; writing and
+/// rolling back every rejected attempt cost tens of thousands per gate
+/// at 2048 atoms. Also pins the transfer accounting: every
 /// transfer-assisted fallback stage charges exactly two SLM↔AOD
 /// transfers, and these workloads do take that fallback. Release
 /// builds only.
@@ -283,6 +286,13 @@ fn qaoa_1024_and_2048_route_decisions_are_pinned() {
         let out = compile(&b.circuit, &cfg).unwrap_or_else(|e| panic!("{}-{n}: {e}", b.name));
         let hash = fnv1a64(&codec::to_bytes(out.isa.as_ref().expect("stream attached")));
         let decisions = DECISION_COUNTERS.map(|c| out.report.counter(c));
+        let rebuckets = out.report.counter("grid.rebucket");
+        assert!(
+            rebuckets <= 2_000 * decisions[0],
+            "{}-{n}: {rebuckets} grid re-buckets for {} admitted gates",
+            b.name,
+            decisions[0]
+        );
         let fallbacks = out.report.counter("route.transfer_fallbacks");
         assert!(
             out.stats.transfers > 0,

@@ -48,37 +48,37 @@ const COLUMNS: [&str; 13] = [
 const BASELINES: &[(&str, [u64; 13], u64)] = &[
     (
         "Mermin-Bell-5",
-        [423, 30, 3, 0, 0, 18, 0, 27, 1, 2, 0, 0, 640],
+        [422, 30, 3, 0, 0, 18, 0, 27, 1, 2, 0, 0, 634],
         0x099d2c85b752a705,
     ),
     (
         "VQE-10",
-        [265, 10, 3, 0, 0, 0, 0, 9, 0, 1, 0, 0, 331],
+        [262, 10, 3, 0, 0, 0, 0, 9, 0, 1, 0, 0, 319],
         0x59c8e2ec6be68e6e,
     ),
     (
         "VQE-20",
-        [923, 23, 3, 0, 0, 0, 0, 19, 0, 4, 0, 0, 759],
+        [920, 23, 3, 0, 0, 0, 0, 19, 0, 4, 0, 0, 717],
         0x27af8fb30e5d765e,
     ),
     (
         "Adder-10",
-        [1772, 83, 3, 0, 0, 0, 0, 65, 8, 10, 0, 0, 2777],
+        [1762, 83, 3, 0, 0, 0, 0, 65, 8, 10, 0, 0, 2697],
         0x665d762795a20ece,
     ),
     (
         "BV-14",
-        [521, 15, 1, 0, 0, 0, 0, 13, 0, 2, 0, 0, 682],
+        [524, 15, 1, 0, 0, 0, 0, 13, 0, 2, 0, 0, 640],
         0x468ee47f0ebfbb99,
     ),
     (
         "QSim-rand-5",
-        [549, 39, 3, 0, 0, 6, 0, 35, 3, 1, 0, 0, 753],
+        [549, 39, 3, 0, 0, 6, 0, 35, 3, 1, 0, 0, 749],
         0x3e36f40e260839c4,
     ),
     (
         "QSim-rand-10",
-        [2384, 103, 3, 0, 0, 24, 0, 88, 8, 6, 1, 0, 3194],
+        [2387, 103, 3, 0, 0, 24, 0, 88, 8, 6, 1, 0, 3150],
         0x281db4f5d4ea3cee,
     ),
     (
@@ -93,12 +93,12 @@ const BASELINES: &[(&str, [u64; 13], u64)] = &[
     ),
     (
         "QAOA-regu3-20",
-        [934, 60, 3, 0, 0, 24, 0, 33, 5, 10, 12, 0, 1674],
+        [934, 60, 3, 0, 0, 24, 0, 33, 5, 10, 12, 0, 1506],
         0xca6abdbec10d023b,
     ),
     (
         "QAOA-regu4-10",
-        [479, 30, 2, 0, 0, 14, 0, 23, 2, 3, 2, 0, 723],
+        [488, 30, 2, 0, 0, 14, 0, 23, 2, 3, 2, 0, 687],
         0x2d6d81b0da85b4d5,
     ),
 ];
