@@ -1989,12 +1989,12 @@ mod tests {
         }
     }
 
-    /// The only C1 violation is between two atoms the attempt moves:
-    /// the gate's SLM atom and an atom on the AOD row the gate re-solves.
-    /// The grid holds neither at its virtual position, so only the
-    /// dirty×dirty pass can find it.
+    /// The only C1 violation is between two dirty atoms: the gate's SLM
+    /// atom, which does not move, and an atom on the AOD row the gate
+    /// re-solves. The grid holds the SLM atom exactly, so the moved atom
+    /// must test it in the first pass.
     #[test]
-    fn c1_catches_a_violation_between_two_dirty_atoms() {
+    fn c1_catches_a_violation_between_a_moved_and_an_unmoved_dirty_atom() {
         let (hw, am) = hand_placed(
             vec![ArrayDims::new(1, 2)],
             vec![
@@ -2027,6 +2027,43 @@ mod tests {
                     assert_eq!(verdict, Err(Reject::Addressing), "{index:?}");
                 }
             }
+        }
+    }
+
+    /// The only C1 violation is between two atoms the attempt moves: with
+    /// overlap relaxed, re-solving squeezes six rows between two pinned
+    /// ones closer than the Rydberg radius. The grid holds neither atom at
+    /// its virtual position, so only the second pass, over moved pairs,
+    /// can find it.
+    #[test]
+    fn c1_catches_a_violation_between_two_moved_atoms() {
+        let (hw, am) = hand_placed(
+            vec![ArrayDims::new(8, 2)],
+            vec![
+                TrapSite::new(ArrayIndex::SLM, 5, 5),
+                TrapSite::new(ArrayIndex::aod(0), 0, 0),
+                TrapSite::new(ArrayIndex::SLM, 6, 7),
+                TrapSite::new(ArrayIndex::aod(0), 7, 1),
+                TrapSite::new(ArrayIndex::aod(0), 3, 1),
+                TrapSite::new(ArrayIndex::aod(0), 4, 1),
+            ],
+        );
+        let relax = Relaxation {
+            allow_overlap: true,
+            ..Relaxation::NONE
+        };
+        for index in MODES {
+            let mut state = RouterState::new(&hw, &am, relax, index);
+            let mut plan = Plan::default();
+            assert_eq!(state.try_add(&mut plan, 0, 0, 1), Ok(()), "{index:?}");
+            let verdict = state.try_add(&mut plan, 1, 2, 3);
+            assert!(state.scratch.is_moved(4) && state.scratch.is_moved(5));
+            let (z1, z2) = (
+                state.virtual_pos(&state.scratch, 4),
+                state.virtual_pos(&state.scratch, 5),
+            );
+            assert!(dist(z1, z2) <= INTERACT_R, "{index:?}: {z1:?} {z2:?}");
+            assert_eq!(verdict, Err(Reject::Addressing), "{index:?}");
         }
     }
 

@@ -5,13 +5,15 @@
 //! constraint checks enumerate — never the accept/reject predicates — so
 //! any divergence in the compiled schedule is a bug in the index.
 //!
-//! Coverage: the full small suite compiled under four router-relevant
+//! Coverage: the full small suite compiled under five router-relevant
 //! Atomique configurations, asserting stage-for-stage equality (kinds,
 //! gate sets, every line move bit-for-bit) and byte-identical lowered
 //! ISA streams; plus byte-stability of the three baseline backends,
 //! which must not be affected by the proximity-index setting at all.
 
-use atomique::{compile, AtomiqueConfig, CompiledProgram, LineMove, ProximityIndex, Stage};
+use atomique::{
+    compile, AtomiqueConfig, CompiledProgram, LineMove, ProximityIndex, Relaxation, Stage,
+};
 use raa_arch::RaaConfig;
 use raa_baselines::{
     compile_fixed, geyser_pulses, lower_fixed, lower_geyser, lower_tan, tan_iterp,
@@ -22,9 +24,11 @@ use raa_circuit::NativeGateSet;
 use raa_isa::codec;
 use raa_physics::HardwareParams;
 
-/// The four router configurations the differential harness sweeps:
+/// The five router configurations the differential harness sweeps:
 /// paper defaults, serial scheduling, the Fig. 21 all-baselines
-/// ablation, and a three-AOD machine.
+/// ablation, a three-AOD machine, and C2/C3 relaxed (Fig. 22) with C1
+/// kept, where rows and columns may bunch closer than the Rydberg
+/// radius.
 fn configs() -> Vec<(&'static str, AtomiqueConfig)> {
     let base = AtomiqueConfig {
         emit_isa: true,
@@ -44,6 +48,17 @@ fn configs() -> Vec<(&'static str, AtomiqueConfig)> {
             "three-aods",
             AtomiqueConfig {
                 hardware: RaaConfig::square(10, 3).expect("valid machine"),
+                ..base.clone()
+            },
+        ),
+        (
+            "relaxed-order-overlap",
+            AtomiqueConfig {
+                relaxation: Relaxation {
+                    allow_order_violation: true,
+                    allow_overlap: true,
+                    ..Relaxation::NONE
+                },
                 ..base
             },
         ),
