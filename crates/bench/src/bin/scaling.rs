@@ -37,7 +37,7 @@
 //! a quick look). `--naive-max` likewise bounds the naive-transpile
 //! twin compile (default unbounded — the naive path is quadratic in
 //! atoms at graph construction, so cap it for quick sweeps). `--sizes`
-//! restricts the size sweep (default 64,128,256,512,1024,4096; entries
+//! restricts the size sweep (default 64,128,256,512,1024,2048,4096; entries
 //! must be 2..=65536). `--threads` lists the work-pool widths to
 //! sweep (default `1`; the first entry is the baseline every other
 //! entry is asserted bit-identical against, and the oracle/layered
@@ -102,7 +102,7 @@ fn parse_args() -> Args {
         oracle_max: 1024,
         serve_max: 1024,
         naive_max: usize::MAX,
-        sizes: vec![64, 128, 256, 512, 1024, 4096],
+        sizes: vec![64, 128, 256, 512, 1024, 2048, 4096],
         threads: vec![1],
         trace_path: None,
         counters: false,

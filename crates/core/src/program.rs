@@ -142,7 +142,8 @@ pub struct RouterStats {
     pub cooling_events: usize,
     /// Gates rejected because rows/columns would overlap (Fig. 24).
     pub overlap_rejections: usize,
-    /// SLM↔AOD transfers performed (fallback path only).
+    /// SLM↔AOD transfers performed: two per transfer-assisted fallback
+    /// stage (`route.transfer_fallbacks`), which large arrays do reach.
     pub transfers: usize,
     /// Movement-heating fidelity factor.
     pub f_heating: f64,
@@ -309,7 +310,8 @@ pub struct CompileStats {
     pub cooling_events: usize,
     /// Overlap-caused scheduling rejections (Fig. 24).
     pub overlap_rejections: usize,
-    /// SLM↔AOD transfers (fallback path only; 0 in normal operation).
+    /// SLM↔AOD transfers: two per transfer-assisted fallback stage
+    /// (`route.transfer_fallbacks`), which large arrays do reach.
     pub transfers: usize,
     /// Wall-clock compile time, seconds.
     pub compile_time_s: f64,

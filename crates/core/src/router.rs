@@ -113,8 +113,9 @@ pub struct RoutedProgram {
 ///
 /// Invariant: between gate-admission attempts, `eff_row`/`eff_col` and
 /// `grid` hold exactly the committed positions plus the plan accepted so
-/// far. An attempt decides on virtual positions held in `scratch` and
-/// writes `eff_*` and the grid only when its gate is accepted.
+/// far. An attempt decides on virtual positions computed from the axes
+/// it solved into `scratch`, and writes `eff_*` and the grid only when
+/// its gate is accepted.
 struct RouterState<'a> {
     hw: &'a RaaConfig,
     relax: Relaxation,
