@@ -40,9 +40,8 @@
 //! [`SpatialGrid::update`] that crosses a cell boundary). The router's
 //! grid holds only the accepted stage plan: a gate-admission attempt
 //! decides on virtual positions and writes the grid only when the gate
-//! is accepted, so `grid.rebucket` counts admitted movement, not
-//! rejected attempts. See `docs/OBSERVABILITY.md` for the full counter
-//! glossary.
+//! is accepted, so none of the router's re-buckets come from rejected
+//! attempts. See `docs/OBSERVABILITY.md` for the full counter glossary.
 
 #![deny(missing_docs)]
 
