@@ -11,14 +11,11 @@
 //!   `CheckMode::Exhaustive` (verdicts asserted identical), and
 //! * the `-O2` optimizer under the incremental re-verify harness vs the
 //!   full-oracle harness (outputs asserted identical), and
-//! * every workload re-compiled under `RouterStrategy::Layered`
-//!   (schema 2 rows): same gate counts, never more pulses, with its own
-//!   compile/verify/opt timings, and
 //! * every workload re-compiled at each extra `--threads` count on the
 //!   `raa-par` work-pool (schema 4 rows): stages and ISA bytes asserted
 //!   bit-identical to the single-threaded row, with pooled verify and
 //!   `-O2` harness timings, and
-//! * the baseline and layered rows pushed through the `raa-serve`
+//! * the baseline rows pushed through the `raa-serve`
 //!   batch-compilation engine cold and warm (schema 5 `serve`
 //!   columns): served bytes asserted bit-identical to the direct
 //!   compile, cache hit/miss and queue-depth counters recorded, and
@@ -40,10 +37,10 @@
 //! restricts the size sweep (default 64,128,256,512,1024,2048,4096; entries
 //! must be 2..=65536). `--threads` lists the work-pool widths to
 //! sweep (default `1`; the first entry is the baseline every other
-//! entry is asserted bit-identical against, and the oracle/layered
+//! entry is asserted bit-identical against, and the oracle
 //! comparisons run only at that baseline). `--trace` writes every
-//! workload × strategy compile's span tree to one Chrome trace-event
-//! file — each cell its own named process, loadable in Perfetto — and
+//! workload's compile span tree to one Chrome trace-event file — each
+//! compile its own named process, loadable in Perfetto — and
 //! `--counters` prints the per-compile telemetry counter tables (see
 //! `docs/OBSERVABILITY.md`).
 //!
@@ -58,10 +55,11 @@
 //! hit/miss counts, queue high-water mark; `null` on thread-sweep rows
 //! and above `--serve-max`). Schema 6 adds the `transpile_index`
 //! column, `compile.transpile_naive_s` (the naive-twin transpile wall
-//! clock; `null` on thread-sweep/layered rows and above `--naive-max`)
+//! clock; `null` on thread-sweep rows and above `--naive-max`)
 //! and the SABRE counter columns, plus the 4096-qubit default rows.
 //! Schema 7 drops the `score_cache_hit` and `extset_incremental`
 //! columns with the score cache they measured (zero on every row).
+//! Every row's `strategy` is `"sequential"`, the one router strategy.
 //! Measured numbers are recorded in EXPERIMENTS.md
 //! ("Router scaling", "Verifier scaling", "Counter telemetry",
 //! "Parallel compilation", "Batch-compilation service" and "Transpile
@@ -72,8 +70,8 @@ use std::time::Instant;
 
 use atomique::trace::{export, TraceReport};
 use atomique::{
-    compile, AtomiqueConfig, CompiledProgram, OptLevel, ProximityIndex, RouterStrategy, StageKind,
-    TranspileIndex, MAX_THREADS,
+    compile, AtomiqueConfig, CompiledProgram, OptLevel, ProximityIndex, StageKind, TranspileIndex,
+    MAX_THREADS,
 };
 use raa_bench::harness::{row, scaling_row, section, serve_probe, SCALING_COLUMNS};
 use raa_benchmarks::scaling_pair;
@@ -197,11 +195,6 @@ fn assert_stage_identical(name: &str, grid: &CompiledProgram, scan: &CompiledPro
 struct Measurement {
     name: String,
     qubits: usize,
-    /// `"sequential"` or `"layered"` (`AtomiqueConfig::router_strategy`).
-    /// Layered rows skip the exhaustive oracle comparisons (those are
-    /// covered once on the sequential rows); schema 2 added this field
-    /// and the layered rows, keeping every schema-1 row.
-    strategy: &'static str,
     /// `raa-par` work-pool width the row's compile/verify/opt ran at
     /// (`AtomiqueConfig::threads`; schema 4). Rows with `threads > 1`
     /// are asserted bit-identical to the baseline row of the same
@@ -215,7 +208,7 @@ struct Measurement {
     transpile_index: &'static str,
     /// Transpile-stage wall clock of the same workload re-compiled
     /// with `TranspileIndex::Naive`, ISA bytes asserted bit-identical
-    /// first (schema 6). `None` on thread-sweep/layered rows and above
+    /// first (schema 6). `None` on thread-sweep rows and above
     /// `--naive-max`.
     transpile_naive_s: Option<f64>,
     /// End-to-end compile wall clock with the grid proximity index
@@ -347,7 +340,7 @@ fn write_json(measurements: &[Measurement]) {
         let _ = write!(
             out,
             concat!(
-                "    {{\"name\": \"{}\", \"qubits\": {}, \"strategy\": \"{}\", \"threads\": {}, ",
+                "    {{\"name\": \"{}\", \"qubits\": {}, \"strategy\": \"sequential\", \"threads\": {}, ",
                 "\"transpile_index\": \"{}\",\n",
                 "     \"compile\": {{\"total_s\": {}, \"transpile_s\": {}, ",
                 "\"transpile_naive_s\": {}, \"map_s\": {}, ",
@@ -364,7 +357,6 @@ fn write_json(measurements: &[Measurement]) {
             ),
             m.name,
             m.qubits,
-            m.strategy,
             m.threads,
             m.transpile_index,
             json_f(m.compile_total_s),
@@ -421,8 +413,8 @@ fn main() {
     println!("(exhaustive oracles run up to {oracle_max} qubits; results asserted identical)");
 
     let mut measurements = Vec::new();
-    // One span tree per workload × strategy cell, exported as named
-    // Perfetto processes when `--trace` is set.
+    // One span tree per compile, exported as named Perfetto processes
+    // when `--trace` is set.
     let mut traces: Vec<(String, TraceReport)> = Vec::new();
     for &n in &args.sizes {
         let pair = scaling_pair("QSim", "QAOA-regu3", n);
@@ -479,14 +471,11 @@ fn main() {
                 t.transpile_s, t.map_s, t.route_s, t.lower_s, t.opt_s, t.verify_s
             );
             if args.counters {
-                println!("  counters (sequential):");
+                println!("  counters:");
                 print_counters(&grid.report);
             }
             if args.trace_path.is_some() {
-                traces.push((
-                    format!("{}-{n} sequential", b.name),
-                    grid.report.trace.clone(),
-                ));
+                traces.push((format!("{}-{n}", b.name), grid.report.trace.clone()));
             }
 
             // --- The naive-transpile twin (schema 6): the same
@@ -581,7 +570,6 @@ fn main() {
             measurements.push(Measurement {
                 name: b.name.to_string(),
                 qubits: n,
-                strategy: "sequential",
                 threads: args.threads[0],
                 timings: t,
                 transpile_index: "indexed",
@@ -665,7 +653,6 @@ fn main() {
                 measurements.push(Measurement {
                     name: b.name.to_string(),
                     qubits: n,
-                    strategy: "sequential",
                     threads: tc,
                     timings: par.timings,
                     transpile_index: "indexed",
@@ -684,80 +671,6 @@ fn main() {
                     serve: None,
                 });
             }
-
-            // --- The layered strategy on the same workload (schema 2):
-            // same pipeline, Arctic-style move batching in the router.
-            // Never more pulses than sequential, identical gate counts;
-            // the exhaustive oracle comparisons are already covered by
-            // the sequential row.
-            let lay_cfg = AtomiqueConfig {
-                router_strategy: RouterStrategy::Layered,
-                ..cfg.clone()
-            };
-            let t0 = Instant::now();
-            let lay = compile(&b.circuit, &lay_cfg)
-                .unwrap_or_else(|e| panic!("{}-{n} (layered): {e}", b.name));
-            let lay_s = t0.elapsed().as_secs_f64();
-            assert_eq!(
-                lay.stats.two_qubit_gates, grid.stats.two_qubit_gates,
-                "{}-{n}: layered gate count differs",
-                b.name
-            );
-            let lay_raw = atomique::emit_isa(&lay, &lay_cfg.hardware, b.name);
-            let lay_stats = IsaStats::of(&lay_raw);
-            assert!(
-                lay_stats.pulses <= stats.pulses,
-                "{}-{n}: layered pulses grew",
-                b.name
-            );
-            let t0 = Instant::now();
-            check_legality_mode(&lay_raw, CheckMode::Grid)
-                .unwrap_or_else(|e| panic!("{}-{n}: layered grid check: {e}", b.name));
-            let lay_verify_s = t0.elapsed().as_secs_f64();
-            let t0 = Instant::now();
-            let (_, lay_inc_report) =
-                optimize_with(&lay_raw, OptLevel::Aggressive, VerifyStrategy::Incremental);
-            let lay_opt_s = t0.elapsed().as_secs_f64();
-            let lt = lay.timings;
-            println!(
-                "  layered: compile {lay_s:.2}s (route {:.2}s)  pulses {} -> {}  \
-                 travel {:.0} -> {:.0} tracks",
-                lt.route_s,
-                stats.pulses,
-                lay_stats.pulses,
-                stats.line_travel_tracks,
-                lay_stats.line_travel_tracks,
-            );
-            if args.counters {
-                println!("  counters (layered):");
-                print_counters(&lay.report);
-            }
-            if args.trace_path.is_some() {
-                traces.push((format!("{}-{n} layered", b.name), lay.report.trace.clone()));
-            }
-            let lay_serve = (n <= args.serve_max)
-                .then(|| ServeRow::probed(b.name, n, &b.circuit, &lay_cfg, &lay));
-            measurements.push(Measurement {
-                name: b.name.to_string(),
-                qubits: n,
-                strategy: "layered",
-                threads: args.threads[0],
-                timings: lt,
-                transpile_index: "indexed",
-                transpile_naive_s: None,
-                compile_total_s: lay_s,
-                router_scan_s: None,
-                isa_instrs: lay_stats.instructions,
-                isa_pulses: lay_stats.pulses,
-                verify_grid_s: lay_verify_s,
-                verify_exhaustive_s: None,
-                opt_incremental_s: lay_opt_s,
-                opt_full_s: None,
-                opt_incremental_reverifies: lay_inc_report.incremental_reverifies,
-                opt_full_fallbacks: lay_inc_report.full_reverifies,
-                counters: CounterRow::of(&lay.report),
-                serve: lay_serve,
-            });
         }
     }
     write_json(&measurements);

@@ -41,28 +41,15 @@ pub enum RouterMode {
 
 /// How the router turns its planned gate groups into movement stages.
 ///
-/// Unlike [`ProximityIndex`], the two strategies produce *different*
-/// schedules — layered batching merges stages — but provably the same
-/// computation: the flattened gate-execution sequence is identical, and
-/// every layered stream passes the same ISA legality + replay oracle
-/// (`tests/layered_differential.rs` proves both over the benchmark
-/// suite).
+/// One strategy remains: one movement stage per planned gate group.
+/// Merging compatible stages is the ISA optimizer's job (`-O2`'s
+/// `parallelize` and `fuse` passes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RouterStrategy {
     /// One movement stage (move in, pulse, retract) per planned gate
-    /// group — the paper's Sec. III-C scheduling, kept as the
-    /// differential baseline.
+    /// group — the paper's Sec. III-C scheduling.
     #[default]
     Sequential,
-    /// Arctic-style layer batching on top of the same gate planner:
-    /// consecutive stages whose moves touch disjoint lines and whose
-    /// merged configuration stays blockade-exact fuse into one
-    /// coordinated Move/Unpark group with a single merged Rydberg
-    /// pulse, and retract/approach round trips that the ISA optimizer's
-    /// fuse pass would cancel (same [`raa_isa::opt::cost`] predicates)
-    /// are never emitted at all. Strictly fewer pulses and less travel,
-    /// never more.
-    Layered,
 }
 
 /// How the router's constraint checks enumerate proximity candidates.
@@ -155,10 +142,8 @@ pub struct AtomiqueConfig {
     pub atom_mapper: AtomMapperKind,
     /// Router scheduling mode.
     pub router_mode: RouterMode,
-    /// How planned gate groups become movement stages:
-    /// [`RouterStrategy::Sequential`] (default, the paper's one stage
-    /// per group) or [`RouterStrategy::Layered`] (Arctic-style move
-    /// batching — merged pulses, elided round trips).
+    /// How planned gate groups become movement stages; always
+    /// [`RouterStrategy::Sequential`], one stage per group.
     pub router_strategy: RouterStrategy,
     /// Proximity-candidate enumeration used by the router's constraint
     /// checks; [`ProximityIndex::Grid`] unless you are running the
@@ -501,7 +486,6 @@ impl AtomiqueConfig {
         });
         h.put(match router_strategy {
             RouterStrategy::Sequential => 0,
-            RouterStrategy::Layered => 1,
         });
         h.put(match proximity_index {
             ProximityIndex::Grid => 0,
@@ -639,8 +623,6 @@ mod tests {
 
         let mut opt = base.clone();
         opt.opt_level = OptLevel::Aggressive;
-        let mut layered = base.clone();
-        layered.router_strategy = RouterStrategy::Layered;
         let mut threads = base.clone();
         threads.threads = 4;
         let mut prox = base.clone();
@@ -655,7 +637,6 @@ mod tests {
         let prints = [
             base.fingerprint(),
             opt.fingerprint(),
-            layered.fingerprint(),
             threads.fingerprint(),
             prox.fingerprint(),
             tidx.fingerprint(),

@@ -42,7 +42,6 @@ mod atom_mapper;
 mod compiler;
 mod config;
 mod error;
-mod layers;
 mod lower;
 mod program;
 mod render;

@@ -13,13 +13,11 @@
 //! | `Cooling`           | one `Cool`                                          |
 //!
 //! A `Movement` stage emits exactly one `RydbergPulse` whatever its
-//! size, so a layered schedule
-//! ([`RouterStrategy::Layered`](crate::RouterStrategy)) lowers each
-//! merged layer to one coordinated move/unpark group, a single pulse
-//! driving every pair of the layer, and one combined retraction group —
-//! no special casing here. `Unpark` markers may sit anywhere in the
-//! move group (a later-merged stage's array enters the field mid-group);
-//! the checker's machine model handles them positionally.
+//! size, with its `Unpark` markers where the router listed them in the
+//! move group. Merging stages further is the ISA optimizer's job
+//! (`-O2`'s `parallelize` pass), which can leave an `Unpark` anywhere
+//! in a merged group; the checker's machine model handles them
+//! positionally.
 //!
 //! The emitted program embeds the transpiled slot-level circuit as its
 //! reference, so `raa_isa::replay_verify` can prove gate-set

@@ -283,6 +283,12 @@ impl CompiledProgram {
 
 /// Statistics of one compilation (the quantities the paper's figures
 /// report).
+///
+/// Depth, execution time, the movement figures and the
+/// [`CompiledProgram::fidelity`] estimate describe the router's stage
+/// schedule before `opt`: the ISA optimizer rewrites only the lowered
+/// stream, so two schedules whose `-O2` streams are byte-identical can
+/// report different depths.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompileStats {
     /// Logical qubits in the input circuit.

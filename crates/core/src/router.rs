@@ -64,7 +64,7 @@ static RESET_STAGES: Counter = Counter::new("route.reset_stages");
 static TRANSFER_FALLBACKS: Counter = Counter::new("route.transfer_fallbacks");
 
 /// Rydberg radius in track units (`r_b = d/6`).
-pub(crate) const INTERACT_R: f64 = 1.0 / 6.0;
+const INTERACT_R: f64 = 1.0 / 6.0;
 /// Safety band in track units (2.5 `r_b`).
 const BAND_R: f64 = 5.0 / 12.0;
 /// Row offset of a parked interacting atom relative to its partner.
@@ -72,7 +72,7 @@ const DELTA_ROW: f64 = 0.05;
 /// Column offset of a parked interacting atom relative to its partner.
 const DELTA_COL: f64 = 0.08;
 /// Distance (in tracks) charged for parking or unparking one array.
-pub(crate) const PARK_TRAVEL: f64 = 2.0;
+const PARK_TRAVEL: f64 = 2.0;
 
 /// Identifies one movable line: `(aod index 0-based, axis, line index)`.
 type LineKey = (u8, Axis, u16);
@@ -1292,16 +1292,14 @@ fn norm_pair(a: u32, b: u32) -> (u32, u32) {
 
 /// Runs the movement router over a transpiled circuit.
 ///
-/// The router is two-phase. Phase one, the *gate planner* (this
-/// function's loop), greedily builds maximal legal parallel gate sets
-/// and plans one movement stage per set. Phase two depends on
-/// `strategy`: [`RouterStrategy::Sequential`] emits the planned stages
-/// as-is (the paper's scheduling, and the differential baseline), while
-/// [`RouterStrategy::Layered`] re-batches them through the
-/// layer-batching module — compatible consecutive stages
-/// fuse into one coordinated move group with a merged Rydberg pulse,
-/// and retract/approach round trips the ISA optimizer would cancel are
-/// elided up front.
+/// The router walks the DAG front, greedily builds a maximal legal
+/// parallel gate set per iteration and emits one movement stage (move
+/// in, pulse, retract) per set: the paper's Sec. III-C scheduling.
+/// Batching compatible stages further is the ISA optimizer's job: at
+/// `-O2` its `parallelize` and `fuse` passes merge pulses and cancel
+/// retract/approach round trips on the lowered stream.
+///
+/// `strategy` is [`RouterStrategy::Sequential`], the only strategy.
 ///
 /// `index` selects how the constraint checks enumerate proximity
 /// candidates: [`ProximityIndex::Grid`] (the default in
@@ -1330,26 +1328,7 @@ pub fn route_movements(
     strategy: RouterStrategy,
     index: ProximityIndex,
 ) -> Result<RoutedProgram, CompileError> {
-    let routed = plan_and_route(transpiled, mapping, hw, params, relax, mode, index)?;
-    Ok(match strategy {
-        RouterStrategy::Sequential => routed,
-        RouterStrategy::Layered => {
-            crate::layers::rebatch(routed, mapping, hw, params, transpiled.circuit.num_qubits())
-        }
-    })
-}
-
-/// Phase one: the greedy per-frontier gate planner, emitting one
-/// movement stage per planned gate set with sequential accounting.
-fn plan_and_route(
-    transpiled: &TranspiledCircuit,
-    mapping: &AtomMapping,
-    hw: &RaaConfig,
-    params: &HardwareParams,
-    relax: Relaxation,
-    mode: RouterMode,
-    index: ProximityIndex,
-) -> Result<RoutedProgram, CompileError> {
+    let RouterStrategy::Sequential = strategy;
     let circuit = &transpiled.circuit;
     let num_qubits = circuit.num_qubits();
     let mut state = RouterState::new(hw, mapping, relax, index);

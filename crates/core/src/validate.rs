@@ -219,8 +219,8 @@ pub fn validate_program(
         }
         // C2 (strict ordering) and C3 (adjacent lines at least one
         // Rydberg radius apart) at the pulse — the same per-pulse line
-        // constraints the ISA legality checker enforces, so a merged
-        // (layered) stage cannot pass here and fail there.
+        // constraints the ISA legality checker enforces, so a stage
+        // cannot pass here and fail there.
         for k in 0..num_aods {
             for lines in [&row_pos[k], &col_pos[k]] {
                 if lines.windows(2).any(|w| w[1] <= w[0]) {

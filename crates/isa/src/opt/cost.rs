@@ -1,20 +1,11 @@
-//! The optimizer's cost model, shared with upstream planners.
+//! The optimizer's cost model: the predicates the passes share.
 //!
 //! The pass pipeline's applicability decisions reduce to a small set of
-//! predicates: when two moves of one line are one move in disguise,
-//! when a retract/approach round trip cancels, and when a merged pulse
-//! configuration is legal. They are factored out here — public, so a
-//! *scheduler* can consult the very same rules the post-schedule passes
-//! apply. The Atomique layered router
-//! (`atomique::AtomiqueConfig::router_strategy`) does exactly that: it
-//! plans approaches knowing which retractions the
-//! [`fuse`](mod@crate::opt::fuse) pass would cancel anyway, and batches
-//! stages under the same merged-pulse geometry the
-//! [`parallelize`](mod@crate::opt::parallelize) pass applies post hoc.
-//! Keeping both sides on one predicate set means the planner and the
-//! passes cannot disagree about what a rewrite is worth — the feedback
-//! loop between optimizer and router is closed by construction, not by
-//! convention.
+//! predicates: when two moves of one line are one move in disguise
+//! ([`coalesce`](mod@crate::opt::coalesce)), when a retract/approach
+//! round trip cancels ([`fuse`](mod@crate::opt::fuse)), and when a
+//! merged pulse configuration is legal
+//! ([`parallelize`](mod@crate::opt::parallelize)).
 //!
 //! All positions are in track units, exactly as carried by
 //! [`Instr::MoveRow`](crate::Instr::MoveRow) /
@@ -31,7 +22,7 @@ const EPS: f64 = 1e-9;
 /// move. Keys are `(aod, is_row, line)` as returned by the stream
 /// accessors.
 #[must_use]
-pub fn coalescible(a: (u8, bool, u16), b: (u8, bool, u16)) -> bool {
+pub(crate) fn coalescible(a: (u8, bool, u16), b: (u8, bool, u16)) -> bool {
     a == b
 }
 
@@ -39,18 +30,17 @@ pub fn coalescible(a: (u8, bool, u16), b: (u8, bool, u16)) -> bool {
 /// cancellable round trip: the approach returns the line *exactly* to
 /// its position before the retraction. Exact comparison is deliberate —
 /// the router re-approaches a repeated gate at bit-identical targets,
-/// and an epsilon here would let the planner and the
-/// [`fuse`](mod@crate::opt::fuse) pass disagree on borderline cases.
+/// and cancelling a near miss would leave the line somewhere the
+/// original stream never put it.
 #[must_use]
-pub fn round_trip_cancels(pre_retract_pos: f64, approach_to: f64) -> bool {
+pub(crate) fn round_trip_cancels(pre_retract_pos: f64, approach_to: f64) -> bool {
     approach_to == pre_retract_pos
 }
 
 /// The legality checker's pulse predicates over one candidate
-/// configuration — the shared geometry test behind pulse merging
+/// configuration — the geometry test behind pulse merging
 /// (`docs/ISA.md` §4.2), consulted by the
-/// [`parallelize`](mod@crate::opt::parallelize) pass and by the
-/// Atomique layered router so the two cannot drift apart. Radii and
+/// [`parallelize`](mod@crate::opt::parallelize) pass. Radii and
 /// epsilons mirror [`check_legality`](crate::check_legality) exactly;
 /// a configuration accepted here cannot fail the oracle's per-pulse
 /// geometry.
@@ -67,7 +57,7 @@ pub fn round_trip_cancels(pre_retract_pos: f64, approach_to: f64) -> bool {
 ///   and sorted. Every desired pair must be in the field and within
 ///   the radius; no other in-field pair may be within it.
 #[must_use]
-pub fn pulse_configuration_legal<'a>(
+pub(crate) fn pulse_configuration_legal<'a>(
     interact: f64,
     axes: impl IntoIterator<Item = &'a [f64]>,
     in_field: &[(u32, (f64, f64))],

@@ -20,8 +20,8 @@
 //! | [mod@fuse] | `Aggressive` | cancels a retraction undone by the next approach |
 //! | [mod@park] | `Aggressive` | elides park–unpark pairs and redundant unparks |
 //!
-//! The applicability/profitability predicates the passes share — and
-//! that upstream schedulers may consult — live in [`cost`].
+//! The applicability predicates the passes share live in the
+//! crate-private `cost` module.
 //!
 //! Every pass runs under a harness that refuses unsafe rewrites: after
 //! each pass the candidate stream must (1) keep the *flattened*
@@ -128,7 +128,7 @@
 //! ```
 
 pub mod coalesce;
-pub mod cost;
+pub(crate) mod cost;
 pub mod dead;
 pub mod fuse;
 pub mod parallelize;
@@ -572,8 +572,7 @@ enum FlatEvent<'a> {
 /// transfers and cooling swaps pass through whole. This is the
 /// equivalence relation the optimizer preserves — two streams with
 /// equal flattened sequences execute the same gates in the same order,
-/// differing only in how pulses are grouped — and the comparison the
-/// differential tests use for layered-vs-sequential schedules.
+/// differing only in how pulses are grouped.
 ///
 /// # Examples
 ///

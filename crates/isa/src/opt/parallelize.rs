@@ -29,9 +29,8 @@
 //! the survivor plus the window moves in place — one instruction saved
 //! per merge, which fits the no-insertion edit-map contract. The
 //! merged-configuration geometry is decided by the shared
-//! [`cost::pulse_configuration_legal`] predicate. Line travel is
-//! untouched —
-//! the moves keep their endpoints, only their order around the pulse
+//! `cost::pulse_configuration_legal` predicate. Line travel is
+//! untouched — the moves keep their endpoints, only their order around the pulse
 //! changes. This is the one pass that rewrites the gate-event sequence,
 //! which the safety harness admits because the *flattened* event
 //! sequence (pair lists concatenated in stream order) is preserved and
@@ -210,10 +209,9 @@ fn in_field(tracker: &Tracker, site: &SiteSpec) -> bool {
 }
 
 /// The merged-configuration legality test, delegated to the shared
-/// [`cost::pulse_configuration_legal`] predicate (the same one the
-/// Atomique layered router consults): C2/C3 on every AOD, every
-/// scheduled pair in the field and in range, no other in-field pair
-/// within the blockade radius.
+/// [`cost::pulse_configuration_legal`] predicate: C2/C3 on every AOD,
+/// every scheduled pair in the field and in range, no other in-field
+/// pair within the blockade radius.
 fn merged_pulse_legal(
     merged: &Tracker,
     sites: &[SiteSpec],

@@ -6,7 +6,7 @@
 //!
 //! ```json
 //! {
-//!   "config": {"opt_level": 2, "strategy": "layered", "threads": 4},
+//!   "config": {"opt_level": 2},
 //!   "jobs": [
 //!     {"name": "bell", "qasm": "OPENQASM 2.0; ..."},
 //!     {"name": "ghz", "circuit": {"num_qubits": 3,
@@ -14,6 +14,10 @@
 //!   ]
 //! }
 //! ```
+//!
+//! `opt_level` is the only `config` key: every other compile setting
+//! comes from the engine's base config, and any other key is a
+//! `bad_request`.
 //!
 //! Gate arrays use the exact per-gate encoding of the ISA JSON codec
 //! ([`raa_isa::codec::gate_from_json`]). The response carries one
@@ -23,7 +27,7 @@
 
 use std::sync::Arc;
 
-use atomique::{AtomiqueConfig, OptLevel, ProximityIndex, RouterStrategy};
+use atomique::{AtomiqueConfig, OptLevel};
 use raa_circuit::{qasm, Circuit};
 use raa_isa::json::{self, Value};
 use raa_isa::{codec, DecodeError};
@@ -31,18 +35,12 @@ use raa_isa::{codec, DecodeError};
 use crate::engine::{Engine, EngineStats, Job, JobOutcome, JobResult};
 use crate::{b64, ServeError};
 
-/// Per-request knobs layered over the engine's base config. Every
-/// field is optional; an absent field keeps the base value.
+/// Per-request knobs applied over the engine's base config. An absent
+/// field keeps the base value.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Overrides {
     /// ISA optimization level (JSON `opt_level`: 0, 1 or 2).
     pub opt_level: Option<OptLevel>,
-    /// Router strategy (JSON `strategy`: `"sequential"` / `"layered"`).
-    pub strategy: Option<RouterStrategy>,
-    /// Intra-compile worker threads (JSON `threads`: 1..=MAX_THREADS).
-    pub threads: Option<usize>,
-    /// Proximity index (JSON `proximity`: `"grid"` / `"exhaustive"`).
-    pub proximity: Option<ProximityIndex>,
 }
 
 impl Overrides {
@@ -50,44 +48,22 @@ impl Overrides {
     ///
     /// # Errors
     ///
-    /// [`ServeError::BadRequest`] on unknown values or out-of-range
-    /// thread counts (validated by [`atomique::parse_threads`]).
+    /// [`ServeError::BadRequest`] when `v` is not an object, has a key
+    /// other than `opt_level`, or carries an out-of-range level.
     pub fn parse(v: &Value) -> Result<Overrides, ServeError> {
+        if let Value::Obj(items) = v {
+            if let Some((key, _)) = items.iter().find(|(k, _)| k != "opt_level") {
+                return Err(bad(format!(
+                    "unknown config key `{key}` (only `opt_level` is accepted)"
+                )));
+            }
+        }
         let mut o = Overrides::default();
         if let Some(level) = v.opt_field("opt_level").map_err(shape)? {
             o.opt_level = Some(match level.uint(2).map_err(shape)? {
                 0 => OptLevel::None,
                 1 => OptLevel::Basic,
                 _ => OptLevel::Aggressive,
-            });
-        }
-        if let Some(strategy) = v.opt_field("strategy").map_err(shape)? {
-            o.strategy = Some(match strategy.str().map_err(shape)? {
-                "sequential" => RouterStrategy::Sequential,
-                "layered" => RouterStrategy::Layered,
-                other => {
-                    return Err(bad(format!(
-                        "unknown strategy `{other}` (expected `sequential` or `layered`)"
-                    )))
-                }
-            });
-        }
-        if let Some(threads) = v.opt_field("threads").map_err(shape)? {
-            let raw = threads.uint(u64::MAX).map_err(shape)?;
-            o.threads = Some(
-                atomique::parse_threads(&raw.to_string())
-                    .map_err(|e| bad(format!("bad threads override: {e}")))?,
-            );
-        }
-        if let Some(proximity) = v.opt_field("proximity").map_err(shape)? {
-            o.proximity = Some(match proximity.str().map_err(shape)? {
-                "grid" => ProximityIndex::Grid,
-                "exhaustive" => ProximityIndex::Exhaustive,
-                other => {
-                    return Err(bad(format!(
-                        "unknown proximity `{other}` (expected `grid` or `exhaustive`)"
-                    )))
-                }
             });
         }
         Ok(o)
@@ -98,15 +74,6 @@ impl Overrides {
         let mut cfg = base.clone();
         if let Some(level) = self.opt_level {
             cfg.opt_level = level;
-        }
-        if let Some(strategy) = self.strategy {
-            cfg.router_strategy = strategy;
-        }
-        if let Some(threads) = self.threads {
-            cfg.threads = threads;
-        }
-        if let Some(proximity) = self.proximity {
-            cfg.proximity_index = proximity;
         }
         cfg
     }
@@ -430,7 +397,7 @@ mod tests {
     #[test]
     fn parses_a_full_request() {
         let body = r#"{
-            "config": {"opt_level": 2, "strategy": "layered", "threads": 4, "proximity": "grid"},
+            "config": {"opt_level": 2},
             "jobs": [
                 {"name": "gates", "circuit": {"num_qubits": 2, "gates": [["h", 0], ["cz", 0, 1]]}},
                 {"name": "broken", "qasm": "not qasm"}
@@ -438,8 +405,6 @@ mod tests {
         }"#;
         let req = parse_request(body).unwrap();
         assert_eq!(req.overrides.opt_level, Some(OptLevel::Aggressive));
-        assert_eq!(req.overrides.strategy, Some(RouterStrategy::Layered));
-        assert_eq!(req.overrides.threads, Some(4));
         assert_eq!(req.jobs.len(), 2);
         let c = req.jobs[0].circuit.as_ref().unwrap();
         assert_eq!(c.num_qubits(), 2);
@@ -450,12 +415,12 @@ mod tests {
     #[test]
     fn bad_overrides_are_bad_requests() {
         for (body, want) in [
-            (r#"{"config": {"threads": 0}, "jobs": []}"#, "bad_request"),
+            (r#"{"config": {"opt_level": 7}, "jobs": []}"#, "bad_request"),
             (
-                r#"{"config": {"strategy": "x"}, "jobs": []}"#,
+                r#"{"config": {"opt_level": "2"}, "jobs": []}"#,
                 "bad_request",
             ),
-            (r#"{"config": {"opt_level": 7}, "jobs": []}"#, "bad_request"),
+            (r#"{"config": 2, "jobs": []}"#, "bad_request"),
             (r#"{"jobs": 3}"#, "bad_request"),
             (r#"{}"#, "bad_request"),
             (r#"{"jobs": ["#, "decode"),
@@ -463,6 +428,31 @@ mod tests {
             let err = parse_request(body).unwrap_err();
             assert_eq!(err.kind(), want, "body {body}");
         }
+    }
+
+    /// The retired `strategy`, `threads` and `proximity` overrides and
+    /// a misspelt `opt_level` are rejected by name, never ignored.
+    #[test]
+    fn config_keys_other_than_opt_level_are_rejected_by_name() {
+        for (config, key) in [
+            (r#"{"strategy": "layered"}"#, "strategy"),
+            (r#"{"strategy": "sequential"}"#, "strategy"),
+            (r#"{"threads": 4}"#, "threads"),
+            (r#"{"proximity": "grid"}"#, "proximity"),
+            (r#"{"opt-level": 2}"#, "opt-level"),
+            (r#"{"opt_level": 2, "optlevel": 0}"#, "optlevel"),
+        ] {
+            let body = format!(r#"{{"config": {config}, "jobs": []}}"#);
+            let err = parse_request(&body).unwrap_err();
+            assert_eq!(err.kind(), "bad_request", "config {config}");
+            assert!(
+                err.to_string().contains(&format!("`{key}`")),
+                "config {config}: {err}"
+            );
+        }
+        // `null` keeps the base level, like an absent key.
+        let req = parse_request(r#"{"config": {"opt_level": null}, "jobs": []}"#).unwrap();
+        assert_eq!(req.overrides, Overrides::default());
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! ```text
 //! raa-serve serve [--addr 127.0.0.1:7417] [--workers N] [--queue N] [--cache N]
 //!                 [--deadline-ms N] [--drain-ms N]
-//! raa-serve batch [--opt 0|1|2] [--strategy sequential|layered] [--threads N]
-//!                 [--workers N] [--out DIR] circuit.qasm [more.qasm ...]
+//! raa-serve batch [--opt 0|1|2] [--threads N] [--workers N] [--out DIR]
+//!                 circuit.qasm [more.qasm ...]
 //! ```
 //!
 //! `serve` binds the HTTP/JSON front and runs until SIGTERM/SIGINT,
@@ -24,7 +24,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use atomique::OptLevel;
-use atomique::RouterStrategy;
 use raa_circuit::qasm;
 use raa_serve::engine::{Engine, Job, ServeConfig};
 use raa_serve::http;
@@ -33,8 +32,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: raa-serve serve [--addr A] [--workers N] [--queue N] [--cache N] \
          [--deadline-ms N] [--drain-ms N]\n\
-         \x20      raa-serve batch [--opt N] [--strategy S] [--threads N] [--workers N] \
-         [--out DIR] FILE..."
+         \x20      raa-serve batch [--opt N] [--threads N] [--workers N] [--out DIR] FILE..."
     );
     ExitCode::from(2)
 }
@@ -127,14 +125,12 @@ fn cmd_serve(args: Vec<String>) -> Result<(), String> {
 fn cmd_batch(args: Vec<String>) -> Result<(), String> {
     let mut cfg = ServeConfig::default();
     let mut opt = 0usize;
-    let mut strategy = "sequential".to_string();
     let mut threads = 1usize;
     let mut out_dir = String::new();
     let mut files: Vec<String> = Vec::new();
     let mut args = args.into_iter().peekable();
     while let Some(arg) = args.next() {
         if flag_value(&mut args, &arg, "--opt", &mut opt)?
-            || flag_value(&mut args, &arg, "--strategy", &mut strategy)?
             || flag_value(&mut args, &arg, "--threads", &mut threads)?
             || flag_value(&mut args, &arg, "--workers", &mut cfg.workers)?
             || flag_value(&mut args, &arg, "--out", &mut out_dir)?
@@ -154,11 +150,6 @@ fn cmd_batch(args: Vec<String>) -> Result<(), String> {
         1 => OptLevel::Basic,
         2 => OptLevel::Aggressive,
         other => return Err(format!("bad --opt {other} (expected 0, 1 or 2)")),
-    };
-    cfg.base.router_strategy = match strategy.as_str() {
-        "sequential" => RouterStrategy::Sequential,
-        "layered" => RouterStrategy::Layered,
-        other => return Err(format!("bad --strategy {other}")),
     };
     cfg.base.threads =
         atomique::parse_threads(&threads.to_string()).map_err(|e| format!("bad --threads: {e}"))?;

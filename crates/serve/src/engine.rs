@@ -14,10 +14,9 @@
 //! at stage boundaries, bounded retry-with-backoff for transient
 //! failures (panics and `raa-fault` injections), then a degradation
 //! ladder that retries on progressively cheaper configs
-//! (Layered→Sequential router, `-O2`→`-O1`→`-O0`, threads→1) and
-//! labels the result degraded. Degraded results are served and shared
-//! with coalesced followers but never cached, so later identical
-//! requests retry the primary config. A circuit breaker sheds whole
+//! (`-O2`→`-O1`→`-O0`, threads→1) and labels the result degraded.
+//! Degraded results are served and shared with coalesced followers but
+//! never cached, so later identical requests retry the primary config. A circuit breaker sheds whole
 //! batches after repeated terminal failures, and [`Engine::begin_drain`]
 //! rejects new batches while in-flight ones finish.
 
@@ -75,7 +74,7 @@ pub struct ServeConfig {
     /// attempt.
     pub retry_backoff_ms: u64,
     /// Whether exhausted/timed-out compiles fall down the degradation
-    /// ladder (cheaper router strategy, lower opt level, one thread)
+    /// ladder (lower opt level, then one thread)
     /// instead of failing outright.
     pub degrade: bool,
     /// Per-attempt compile deadline applied when a request does not
@@ -148,7 +147,7 @@ pub struct CacheEntry {
     pub counters: Vec<(String, u64)>,
     /// `None` for a primary-config result; `Some(label)` when the
     /// result came from a degradation-ladder rung, naming the
-    /// cumulative config diff (e.g. `"strategy=sequential,opt=1"`).
+    /// cumulative config diff (e.g. `"opt=0,threads=1"`).
     /// Degraded entries are served but never cached.
     pub degraded: Option<String>,
 }
@@ -998,13 +997,8 @@ fn classify(e: CompileError) -> Failure {
 /// last. Each rung's label names the *full* diff from the primary
 /// config, so a `degraded` response is self-describing.
 fn degradation_ladder(cfg: &AtomiqueConfig) -> Vec<(String, AtomiqueConfig)> {
-    use atomique::RouterStrategy;
     let mut rungs = Vec::new();
     let mut cur = cfg.clone();
-    if cur.router_strategy == RouterStrategy::Layered {
-        cur.router_strategy = RouterStrategy::Sequential;
-        rungs.push((diff_label(cfg, &cur), cur.clone()));
-    }
     while cur.opt_level != raa_isa::OptLevel::None {
         cur.opt_level = match cur.opt_level {
             raa_isa::OptLevel::Aggressive => raa_isa::OptLevel::Basic,
@@ -1022,9 +1016,6 @@ fn degradation_ladder(cfg: &AtomiqueConfig) -> Vec<(String, AtomiqueConfig)> {
 /// The config fields a ladder rung changed, as `key=value` pairs.
 fn diff_label(base: &AtomiqueConfig, cur: &AtomiqueConfig) -> String {
     let mut parts: Vec<String> = Vec::new();
-    if cur.router_strategy != base.router_strategy {
-        parts.push("strategy=sequential".into());
-    }
     if cur.opt_level != base.opt_level {
         parts.push(format!(
             "opt={}",
@@ -1269,26 +1260,15 @@ mod tests {
 
     #[test]
     fn ladder_rungs_are_cumulative_with_self_describing_labels() {
-        use atomique::RouterStrategy;
         let cfg = AtomiqueConfig {
-            router_strategy: RouterStrategy::Layered,
             opt_level: raa_isa::OptLevel::Aggressive,
             threads: 4,
             ..AtomiqueConfig::default()
         };
         let rungs = degradation_ladder(&cfg);
         let labels: Vec<&str> = rungs.iter().map(|(l, _)| l.as_str()).collect();
-        assert_eq!(
-            labels,
-            [
-                "strategy=sequential",
-                "strategy=sequential,opt=1",
-                "strategy=sequential,opt=0",
-                "strategy=sequential,opt=0,threads=1",
-            ]
-        );
+        assert_eq!(labels, ["opt=1", "opt=0", "opt=0,threads=1"]);
         let last = &rungs.last().unwrap().1;
-        assert_eq!(last.router_strategy, RouterStrategy::Sequential);
         assert_eq!(last.opt_level, raa_isa::OptLevel::None);
         assert_eq!(last.threads, 1);
         // Nothing to shed for an already-minimal config.

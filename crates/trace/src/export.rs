@@ -496,7 +496,7 @@ mod tests {
     fn named_sections_get_pids() {
         let a = sample();
         let b = TraceReport::default();
-        let text = to_chrome_named(&[("qaoa-1024/grid", &a), ("qaoa-1024/layered", &b)]);
+        let text = to_chrome_named(&[("qaoa-1024", &a), ("qaoa-1024 4-threads", &b)]);
         assert!(text.contains("\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0"));
         assert!(text.contains("\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1"));
         assert!(text.contains("\"ph\":\"X\",\"pid\":0"));

@@ -3,29 +3,26 @@
 //! what the ISA optimizer saves on it.
 //!
 //! Run with `cargo run --release --example isa_dump [-- -O{0,1,2}]
-//! [--layered] [--stage-timings] [--trace <path>] [--counters]`
-//! (default `-O2`; `--layered` routes with the layer-batching strategy,
-//! `--stage-timings` prints the per-stage compile wall-clock breakdown,
-//! `--trace` writes the compile's span tree to `<path>` — Chrome
-//! trace-event JSON loadable in Perfetto, or JSONL when the path ends
-//! in `.jsonl` — and `--counters` prints the telemetry counter table;
-//! see `docs/ISA.md` for the instruction set and
-//! `docs/OBSERVABILITY.md` for the tracing surface).
+//! [--stage-timings] [--trace <path>] [--counters]`
+//! (default `-O2`; `--stage-timings` prints the per-stage compile
+//! wall-clock breakdown, `--trace` writes the compile's span tree to
+//! `<path>` — Chrome trace-event JSON loadable in Perfetto, or JSONL
+//! when the path ends in `.jsonl` — and `--counters` prints the
+//! telemetry counter table; see `docs/ISA.md` for the instruction set
+//! and `docs/OBSERVABILITY.md` for the tracing surface).
 
-use atomique::{compile, emit_isa, trace, AtomiqueConfig, OptLevel, RouterStrategy};
+use atomique::{compile, emit_isa, trace, AtomiqueConfig, OptLevel};
 use raa_benchmarks::qaoa_regular;
 use raa_isa::{check_legality, codec, disassemble, optimize, replay_verify, IsaStats};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut level = OptLevel::Aggressive;
-    let mut strategy = RouterStrategy::Sequential;
     let mut stage_timings = false;
     let mut trace_path: Option<String> = None;
     let mut counters = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--layered" => strategy = RouterStrategy::Layered,
             "--stage-timings" => stage_timings = true,
             "--counters" => counters = true,
             "--trace" => match args.next() {
@@ -49,7 +46,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = AtomiqueConfig {
         emit_isa: true,
         verify_isa: true,
-        router_strategy: strategy,
         // Optimize inside compile too, so the trace and counters cover
         // the passes at the chosen level (the display re-run below is
         // separate and untraced).

@@ -21,7 +21,7 @@
 
 use std::sync::{Mutex, MutexGuard, Once};
 
-use atomique::{AtomiqueConfig, OptLevel, RouterStrategy};
+use atomique::{AtomiqueConfig, OptLevel};
 use raa_circuit::{qasm, Circuit, Gate, Qubit};
 use raa_isa::{check_legality, codec, json, replay_verify};
 use raa_serve::engine::{BreakerState, CacheStatus, Engine, Job, ServeConfig};
@@ -132,10 +132,9 @@ struct RunSignature {
 fn chaos_workload(spec: &str) -> RunSignature {
     raa_fault::configure(spec).expect("valid fault spec");
     let engine = Engine::new(chaos_config());
-    // Layered + -O2 gives the degradation ladder real rungs to fall
-    // down; threads stays 1 so the whole run is one thread end to end.
+    // -O2 gives the degradation ladder real rungs to fall down;
+    // threads stays 1 so the whole run is one thread end to end.
     let cfg = AtomiqueConfig {
-        router_strategy: RouterStrategy::Layered,
         opt_level: OptLevel::Aggressive,
         ..AtomiqueConfig::default()
     };
@@ -249,24 +248,20 @@ fn failed_leader_leaves_nothing_poisoned_for_the_next_request() {
 /// the next identical request retries the primary config.
 #[test]
 fn fault_injected_primary_degrades_to_a_verified_fallback() {
-    // Hits 1–3 fail: the primary (layered, -O2) and the first two
-    // rungs. Hit 4 — the `strategy=sequential,opt=0` rung — succeeds.
-    let _armed = Armed::new("serve.compile:error@1-3;seed=1");
+    // Hits 1–2 fail: the primary (-O2) and the first rung (`opt=1`).
+    // Hit 3 — the `opt=0` rung — succeeds.
+    let _armed = Armed::new("serve.compile:error@1-2;seed=1");
     let engine = Engine::new(ServeConfig {
         max_retries: 0,
         ..chaos_config()
     });
     let cfg = AtomiqueConfig {
-        router_strategy: RouterStrategy::Layered,
         opt_level: OptLevel::Aggressive,
         ..AtomiqueConfig::default()
     };
     let out = engine.submit(&cfg, &[job("ghz", ghz(5))]).unwrap();
     let r = out[0].result.as_ref().expect("ladder served the job");
-    assert_eq!(
-        r.entry.degraded.as_deref(),
-        Some("strategy=sequential,opt=0")
-    );
+    assert_eq!(r.entry.degraded.as_deref(), Some("opt=0"));
 
     // The degraded stream is a real, independently verified program.
     let program = codec::from_bytes(&r.entry.isa_bytes).expect("decodable ISA");
@@ -274,17 +269,16 @@ fn fault_injected_primary_degrades_to_a_verified_fallback() {
     replay_verify(&program).expect("degraded stream replays");
     // And it is exactly what the named fallback config produces.
     let fallback = AtomiqueConfig {
-        router_strategy: RouterStrategy::Sequential,
         opt_level: OptLevel::None,
         ..cfg.clone()
     };
     assert_eq!(r.entry.isa_bytes, direct_bytes(&ghz(5), &fallback));
 
     let stats = engine.stats();
-    assert_eq!((stats.degraded, stats.compiles), (1, 4));
+    assert_eq!((stats.degraded, stats.compiles), (1, 3));
     assert_eq!(stats.cache_entries, 0, "degraded results are never cached");
 
-    // Hits 5+ are clean: the retry compiles the primary config and
+    // Hits 4+ are clean: the retry compiles the primary config and
     // caches it.
     let out = engine.submit(&cfg, &[job("ghz", ghz(5))]).unwrap();
     let r = out[0].result.as_ref().unwrap();

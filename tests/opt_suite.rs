@@ -11,8 +11,12 @@
 //!   travel on a majority of the movement (Atomique) streams — the
 //!   transfer-based baseline lowerings carry no moves, so the optimizer
 //!   is a verified identity there.
+//!
+//! The router emits one movement stage per planned gate set; merging
+//! stages is the optimizer's job, so the pulses `-O2` recovers from
+//! serial schedules are pinned per benchmark.
 
-use atomique::{compile, emit_isa, AtomiqueConfig};
+use atomique::{compile, emit_isa, AtomiqueConfig, RouterMode};
 use raa_baselines::{
     compile_fixed, geyser_pulses, lower_fixed, lower_geyser, lower_tan, tan_iterp,
     FixedArchitecture,
@@ -203,4 +207,58 @@ fn compile_with_opt_level_matches_standalone_optimization() {
     let wired = compile(&b.circuit, &opt).unwrap().isa.unwrap();
     let (standalone, _) = optimize(&plain, OptLevel::Aggressive);
     assert_eq!(wired, standalone);
+}
+
+/// Per small-suite benchmark under `RouterMode::Serial`: the `-O0`
+/// pulse count and the pulses `-O2`'s `parallelize` pass merges.
+const SERIAL_MERGES: [(&str, usize, usize); 11] = [
+    ("Mermin-Bell-5", 27, 0),
+    ("VQE-10", 9, 0),
+    ("VQE-20", 19, 0),
+    ("Adder-10", 65, 0),
+    ("BV-14", 13, 0),
+    ("QSim-rand-5", 35, 0),
+    ("QSim-rand-10", 88, 0),
+    ("H2-4", 42, 0),
+    ("QAOA-rand-5", 3, 0),
+    ("QAOA-regu3-20", 33, 8),
+    ("QAOA-regu4-10", 23, 5),
+];
+
+/// Serial scheduling leaves parallelism on the table by construction
+/// (one gate per stage); `-O2` must recover exactly the pinned part of
+/// it by merging pulses the serial router spread over separate stages.
+/// Merging fewer — or more, which would mean the serial stream or the
+/// pass changed — fails here.
+#[test]
+fn o2_recovers_pinned_pulses_from_serial_schedules() {
+    let suite = small_suite();
+    let names: Vec<&str> = suite.iter().map(|b| b.name).collect();
+    let pinned: Vec<&str> = SERIAL_MERGES.iter().map(|&(name, _, _)| name).collect();
+    assert_eq!(names, pinned, "small suite changed; re-pin SERIAL_MERGES");
+
+    let cfg = AtomiqueConfig {
+        emit_isa: true,
+        router_mode: RouterMode::Serial,
+        ..AtomiqueConfig::default()
+    };
+    let mut merged_total = 0;
+    for (b, &(name, pulses, merged)) in suite.iter().zip(&SERIAL_MERGES) {
+        let out = compile(&b.circuit, &cfg).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let raw = out.isa.as_ref().expect("emit_isa set");
+        let (opt, report) = optimize(raw, OptLevel::Aggressive);
+        assert_eq!(report.rejected_rewrites, 0, "{name}: unsafe rewrite");
+        let (before, after) = (IsaStats::of(raw).pulses, IsaStats::of(&opt).pulses);
+        assert_eq!(
+            (before, report.merged_pulses),
+            (pulses, merged),
+            "{name}: (serial pulses, -O2 merged pulses)"
+        );
+        assert_eq!(after, before - merged, "{name}: pulses after -O2");
+        merged_total += report.merged_pulses;
+    }
+    assert!(
+        merged_total > 0,
+        "-O2 merged no pulses on any serial small-suite stream"
+    );
 }

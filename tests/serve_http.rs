@@ -1,16 +1,16 @@
 //! End-to-end differential gate for the batch-compilation service:
 //! ISA bytes served over HTTP must be bit-identical to a direct
 //! in-process `atomique::compile` — cold (cache miss) *and* warm
-//! (cache hit) — for every small-suite benchmark under
-//! {sequential, layered} × threads {1, 4}. Also pins the service's
-//! edges: queue-full rejection (429), per-job QASM failures, body
-//! caps and the stats endpoint.
+//! (cache hit) — for every small-suite benchmark at `opt_level` 0 and
+//! 2. Also pins the service's edges: queue-full rejection (429),
+//! per-job QASM failures, rejected `config` keys, body caps and the
+//! stats endpoint.
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::Arc;
 
-use atomique::{AtomiqueConfig, RouterStrategy};
+use atomique::{AtomiqueConfig, OptLevel};
 use raa_benchmarks::small_suite;
 use raa_circuit::{qasm, Circuit};
 use raa_isa::codec;
@@ -18,13 +18,8 @@ use raa_isa::json::{self, Value};
 use raa_serve::engine::{Engine, ServeConfig};
 use raa_serve::{b64, http, request};
 
-/// The served config axes: (label, strategy word, threads).
-const AXES: [(&str, &str, usize); 4] = [
-    ("seq-t1", "sequential", 1),
-    ("seq-t4", "sequential", 4),
-    ("lay-t1", "layered", 1),
-    ("lay-t4", "layered", 4),
-];
+/// The served `opt_level` values and the level each compiles at.
+const LEVELS: [(u8, OptLevel); 2] = [(0, OptLevel::None), (2, OptLevel::Aggressive)];
 
 fn start_server(config: ServeConfig) -> (Arc<Engine>, http::ServerHandle) {
     let engine = Arc::new(Engine::new(config));
@@ -40,10 +35,9 @@ fn post_compile(addr: SocketAddr, body: &str) -> (u16, Value) {
 
 /// Direct in-process compile under the exact flags the engine forces,
 /// returning the verified binary-codec bytes.
-fn direct_bytes(circuit: &Circuit, strategy: RouterStrategy, threads: usize) -> Vec<u8> {
+fn direct_bytes(circuit: &Circuit, opt_level: OptLevel) -> Vec<u8> {
     let cfg = AtomiqueConfig {
-        router_strategy: strategy,
-        threads,
+        opt_level,
         emit_isa: true,
         verify_isa: true,
         trace: true,
@@ -90,24 +84,19 @@ fn served_isa_is_bit_identical_to_direct_compile_cold_and_warm() {
         })
         .collect();
 
-    // threads ∈ {1, 4} is fingerprint-distinct but byte-identical
-    // (the parallel-determinism guarantee), so one direct reference
-    // per (benchmark, strategy) at threads=1 covers both columns.
-    let mut reference: HashMap<(String, &str), Vec<u8>> = HashMap::new();
+    let mut reference: HashMap<(String, u8), Vec<u8>> = HashMap::new();
     for (name, circuit, _) in &suite {
-        for (word, strategy) in [
-            ("sequential", RouterStrategy::Sequential),
-            ("layered", RouterStrategy::Layered),
-        ] {
-            reference.insert((name.clone(), word), direct_bytes(circuit, strategy, 1));
+        for (level, opt_level) in LEVELS {
+            reference.insert((name.clone(), level), direct_bytes(circuit, opt_level));
         }
     }
 
-    for (label, strategy, threads) in AXES {
+    for (level, _) in LEVELS {
+        let label = format!("opt_level={level}");
         // `{:?}` on a String produces a JSON-compatible escaped
         // literal for the QASM text (quotes and newlines escaped).
         let body = format!(
-            "{{\"config\":{{\"strategy\":\"{strategy}\",\"threads\":{threads}}},\"jobs\":[{}]}}",
+            "{{\"config\":{{\"opt_level\":{level}}},\"jobs\":[{}]}}",
             suite
                 .iter()
                 .map(|(name, _, text)| format!("{{\"name\":{name:?},\"qasm\":{text:?}}}"))
@@ -129,7 +118,7 @@ fn served_isa_is_bit_identical_to_direct_compile_cold_and_warm() {
             );
             assert_eq!(
                 isa_bytes_of(r),
-                reference[&(name.clone(), strategy)],
+                reference[&(name.clone(), level)],
                 "{label} {name}: served bytes diverge from direct compile"
             );
             // Per-request telemetry is present and non-trivial.
@@ -160,18 +149,18 @@ fn served_isa_is_bit_identical_to_direct_compile_cold_and_warm() {
             );
             assert_eq!(
                 isa_bytes_of(r),
-                reference[&(name.clone(), strategy)],
+                reference[&(name.clone(), level)],
                 "{label} {name}: warm bytes diverge"
             );
         }
     }
 
-    // The stats endpoint agrees with what just happened: 4 axes ×
+    // The stats endpoint agrees with what just happened: 2 levels ×
     // suite misses, the same again in hits, zero rejections.
     let (status, text) = request(addr, "GET", "/v1/stats", None).expect("stats");
     assert_eq!(status, 200);
     let stats = json::parse(&text).unwrap();
-    let n = (AXES.len() * suite.len()) as u64;
+    let n = (LEVELS.len() * suite.len()) as u64;
     assert_eq!(stats.field("misses").unwrap().uint(u64::MAX).unwrap(), n);
     assert_eq!(stats.field("compiles").unwrap().uint(u64::MAX).unwrap(), n);
     assert_eq!(stats.field("hits").unwrap().uint(u64::MAX).unwrap(), n);
@@ -226,6 +215,36 @@ fn per_job_qasm_failures_do_not_poison_the_batch() {
     assert_eq!(results["bad"].field("ok").unwrap(), &Value::Bool(false));
     let error = results["bad"].field("error").unwrap();
     assert_eq!(error.field("kind").unwrap().str().unwrap(), "qasm");
+    server.stop();
+}
+
+/// A `config` key other than `opt_level` — a retired override or a
+/// misspelling — is a 400 `bad_request` naming the key, never a
+/// silent compile at the base level.
+#[test]
+fn config_keys_other_than_opt_level_get_400_naming_the_key() {
+    let (engine, server) = start_server(ServeConfig::default());
+    let ghz = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n";
+    for (config, key) in [
+        (r#"{"strategy": "layered"}"#, "strategy"),
+        (r#"{"threads": 4}"#, "threads"),
+        (r#"{"proximity": "exhaustive"}"#, "proximity"),
+        (r#"{"opt-level": 2}"#, "opt-level"),
+    ] {
+        let body =
+            format!("{{\"config\":{config},\"jobs\":[{{\"name\":\"g\",\"qasm\":{ghz:?}}}]}}");
+        let (status, response) = post_compile(server.addr(), &body);
+        assert_eq!(status, 400, "{config}");
+        let error = response.field("error").unwrap();
+        assert_eq!(
+            error.field("kind").unwrap().str().unwrap(),
+            "bad_request",
+            "{config}"
+        );
+        let message = error.field("message").unwrap().str().unwrap();
+        assert!(message.contains(&format!("`{key}`")), "{config}: {message}");
+    }
+    assert_eq!(engine.stats().compiles, 0, "a rejected request compiled");
     server.stop();
 }
 
