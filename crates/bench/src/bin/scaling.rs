@@ -11,10 +11,6 @@
 //!   `CheckMode::Exhaustive` (verdicts asserted identical), and
 //! * the `-O2` optimizer under the incremental re-verify harness vs the
 //!   full-oracle harness (outputs asserted identical), and
-//! * every workload re-compiled at each extra `--threads` count on the
-//!   `raa-par` work-pool (schema 4 rows): stages and ISA bytes asserted
-//!   bit-identical to the single-threaded row, with pooled verify and
-//!   `-O2` harness timings, and
 //! * the baseline rows pushed through the `raa-serve`
 //!   batch-compilation engine cold and warm (schema 5 `serve`
 //!   columns): served bytes asserted bit-identical to the direct
@@ -28,17 +24,14 @@
 //!
 //! Run with `cargo run --release -p raa-bench --bin scaling
 //! [-- --oracle-max=N] [--serve-max=N] [--naive-max=N] [--sizes=N,N,…]
-//! [--threads=N,N,…] [--trace <path>] [--counters]`.
+//! [--trace <path>] [--counters]`.
 //! The exhaustive paths are O(atoms²) per stage/pulse, so they only run
 //! up to `--oracle-max` qubits (default 1024 — pass a smaller value for
 //! a quick look). `--naive-max` likewise bounds the naive-transpile
 //! twin compile (default unbounded — the naive path is quadratic in
 //! atoms at graph construction, so cap it for quick sweeps). `--sizes`
 //! restricts the size sweep (default 64,128,256,512,1024,2048,4096; entries
-//! must be 2..=65536). `--threads` lists the work-pool widths to
-//! sweep (default `1`; the first entry is the baseline every other
-//! entry is asserted bit-identical against, and the oracle
-//! comparisons run only at that baseline). `--trace` writes every
+//! must be 2..=65536). `--trace` writes every
 //! workload's compile span tree to one Chrome trace-event file — each
 //! compile its own named process, loadable in Perfetto — and
 //! `--counters` prints the per-compile telemetry counter tables (see
@@ -49,21 +42,21 @@
 //! from PR 4 onward. Schema 3 added a `counters` object per row —
 //! grid queries, router admissions, optimizer rejections and
 //! incremental-verifier fallbacks — recorded from the same compile the
-//! timings came from. Schema 4 adds a `threads` column (the `raa-par`
-//! pool width the row ran at) and the per-thread-count rows. Schema 5
-//! adds a `serve` object (cold/warm service round trips, cache
-//! hit/miss counts, queue high-water mark; `null` on thread-sweep rows
-//! and above `--serve-max`). Schema 6 adds the `transpile_index`
+//! timings came from. Schema 4 added a `threads` column and
+//! per-thread-count rows. Schema 5 adds a `serve` object (cold/warm
+//! service round trips, cache hit/miss counts, queue high-water mark;
+//! `null` above `--serve-max`). Schema 6 adds the `transpile_index`
 //! column, `compile.transpile_naive_s` (the naive-twin transpile wall
-//! clock; `null` on thread-sweep rows and above `--naive-max`)
-//! and the SABRE counter columns, plus the 4096-qubit default rows.
-//! Schema 7 drops the `score_cache_hit` and `extset_incremental`
-//! columns with the score cache they measured (zero on every row).
-//! Every row's `strategy` is `"sequential"`, the one router strategy.
-//! Measured numbers are recorded in EXPERIMENTS.md
+//! clock; `null` above `--naive-max`) and the SABRE counter columns,
+//! plus the 4096-qubit default rows. Schema 7 drops the
+//! `score_cache_hit` and `extset_incremental` columns with the score
+//! cache they measured (zero on every row). Schema 8 drops the
+//! `threads` column and the thread-sweep rows: every compile runs on
+//! one thread. Every row's `strategy` is `"sequential"`, the one
+//! router strategy. Measured numbers are recorded in EXPERIMENTS.md
 //! ("Router scaling", "Verifier scaling", "Counter telemetry",
-//! "Parallel compilation", "Batch-compilation service" and "Transpile
-//! indexing").
+//! "Intra-compile parallelism retired", "Batch-compilation service"
+//! and "Transpile indexing").
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -71,22 +64,16 @@ use std::time::Instant;
 use atomique::trace::{export, TraceReport};
 use atomique::{
     compile, AtomiqueConfig, CompiledProgram, OptLevel, ProximityIndex, StageKind, TranspileIndex,
-    MAX_THREADS,
 };
 use raa_bench::harness::{row, scaling_row, section, serve_probe, SCALING_COLUMNS};
 use raa_benchmarks::scaling_pair;
-use raa_isa::{
-    check_legality_mode, check_legality_with, codec, optimize_pooled, optimize_with, CheckMode,
-    IsaStats, VerifyStrategy,
-};
-use raa_par::WorkPool;
+use raa_isa::{check_legality_mode, codec, optimize_with, CheckMode, IsaStats, VerifyStrategy};
 
 struct Args {
     oracle_max: usize,
     serve_max: usize,
     naive_max: usize,
     sizes: Vec<usize>,
-    threads: Vec<usize>,
     trace_path: Option<String>,
     counters: bool,
 }
@@ -101,7 +88,6 @@ fn parse_args() -> Args {
         serve_max: 1024,
         naive_max: usize::MAX,
         sizes: vec![64, 128, 256, 512, 1024, 2048, 4096],
-        threads: vec![1],
         trace_path: None,
         counters: false,
     };
@@ -140,25 +126,6 @@ fn parse_args() -> Args {
             if parsed.sizes.is_empty() {
                 die("--sizes needs at least one qubit count".into());
             }
-        } else if let Some(v) = arg.strip_prefix("--threads=") {
-            parsed.threads = v
-                .split(',')
-                .map(|s| {
-                    let t: usize = s
-                        .trim()
-                        .parse()
-                        .unwrap_or_else(|_| die(format!("invalid --threads entry `{s}`")));
-                    if !(1..=MAX_THREADS).contains(&t) {
-                        die(format!(
-                            "--threads entry `{s}` out of range (1..={MAX_THREADS})"
-                        ));
-                    }
-                    t
-                })
-                .collect();
-            if parsed.threads.is_empty() {
-                die("--threads needs at least one count".into());
-            }
         } else if arg == "--trace" {
             match args.next() {
                 Some(path) => parsed.trace_path = Some(path),
@@ -195,11 +162,6 @@ fn assert_stage_identical(name: &str, grid: &CompiledProgram, scan: &CompiledPro
 struct Measurement {
     name: String,
     qubits: usize,
-    /// `raa-par` work-pool width the row's compile/verify/opt ran at
-    /// (`AtomiqueConfig::threads`; schema 4). Rows with `threads > 1`
-    /// are asserted bit-identical to the baseline row of the same
-    /// workload and skip the exhaustive-oracle comparisons.
-    threads: usize,
     timings: atomique::StageTimings,
     /// The `AtomiqueConfig::transpile_index` mode the row compiled
     /// under (schema 6). Every row runs the `Indexed` default; the
@@ -208,8 +170,7 @@ struct Measurement {
     transpile_index: &'static str,
     /// Transpile-stage wall clock of the same workload re-compiled
     /// with `TranspileIndex::Naive`, ISA bytes asserted bit-identical
-    /// first (schema 6). `None` on thread-sweep rows and above
-    /// `--naive-max`.
+    /// first (schema 6). `None` above `--naive-max`.
     transpile_naive_s: Option<f64>,
     /// End-to-end compile wall clock with the grid proximity index
     /// (`compile.total_s` = `router.grid_compile_s` in the JSON; the
@@ -228,8 +189,8 @@ struct Measurement {
     counters: CounterRow,
     /// Schema-5 serving columns: the same workload pushed through the
     /// `raa-serve` engine cold (miss) and warm (hit), served bytes
-    /// asserted bit-identical to this row's direct compile. `None` on
-    /// thread-sweep rows and above `--serve-max`.
+    /// asserted bit-identical to this row's direct compile. `None`
+    /// above `--serve-max`.
     serve: Option<ServeRow>,
 }
 
@@ -334,13 +295,13 @@ fn json_serve(serve: &Option<ServeRow>) -> String {
 }
 
 fn write_json(measurements: &[Measurement]) {
-    let mut out = String::from("{\n  \"schema\": 7,\n  \"workloads\": [\n");
+    let mut out = String::from("{\n  \"schema\": 8,\n  \"workloads\": [\n");
     for (i, m) in measurements.iter().enumerate() {
         let t = &m.timings;
         let _ = write!(
             out,
             concat!(
-                "    {{\"name\": \"{}\", \"qubits\": {}, \"strategy\": \"sequential\", \"threads\": {}, ",
+                "    {{\"name\": \"{}\", \"qubits\": {}, \"strategy\": \"sequential\", ",
                 "\"transpile_index\": \"{}\",\n",
                 "     \"compile\": {{\"total_s\": {}, \"transpile_s\": {}, ",
                 "\"transpile_naive_s\": {}, \"map_s\": {}, ",
@@ -357,7 +318,6 @@ fn write_json(measurements: &[Measurement]) {
             ),
             m.name,
             m.qubits,
-            m.threads,
             m.transpile_index,
             json_f(m.compile_total_s),
             json_f(t.transpile_s),
@@ -437,7 +397,6 @@ fn main() {
                 verify_isa: true,
                 opt_level: OptLevel::Aggressive,
                 trace: true,
-                threads: args.threads[0],
                 ..AtomiqueConfig::scaled_to(n)
             };
             let t0 = Instant::now();
@@ -570,7 +529,6 @@ fn main() {
             measurements.push(Measurement {
                 name: b.name.to_string(),
                 qubits: n,
-                threads: args.threads[0],
                 timings: t,
                 transpile_index: "indexed",
                 transpile_naive_s,
@@ -587,90 +545,6 @@ fn main() {
                 counters: CounterRow::of(&grid.report),
                 serve,
             });
-
-            // --- The same workload at every extra work-pool width
-            // (schema 4): the compile, verify and -O2 harness re-run on
-            // a `raa-par` pool, output asserted bit-identical to the
-            // baseline row above (stages, ISA bytes and the headline
-            // counters — the per-compile differential contract of
-            // `tests/parallel_differential.rs`, measured here at scale).
-            let raw_bytes = codec::to_bytes(&raw);
-            let base_counters = CounterRow::of(&grid.report);
-            for &tc in &args.threads[1..] {
-                let par_cfg = AtomiqueConfig {
-                    threads: tc,
-                    ..cfg.clone()
-                };
-                let t0 = Instant::now();
-                let par = compile(&b.circuit, &par_cfg)
-                    .unwrap_or_else(|e| panic!("{}-{n} ({tc} threads): {e}", b.name));
-                let par_s = t0.elapsed().as_secs_f64();
-                assert_stage_identical(b.name, &grid, &par);
-                let par_raw = atomique::emit_isa(&par, &par_cfg.hardware, b.name);
-                assert_eq!(
-                    codec::to_bytes(&par_raw),
-                    raw_bytes,
-                    "{}-{n}: ISA bytes differ at {tc} threads",
-                    b.name
-                );
-                let par_counters = CounterRow::of(&par.report);
-                assert_eq!(
-                    par_counters.route_try_add, base_counters.route_try_add,
-                    "{}-{n}: route.try_add differs at {tc} threads",
-                    b.name
-                );
-                assert_eq!(
-                    (par_counters.score_recompute, par_counters.score_dedup),
-                    (base_counters.score_recompute, base_counters.score_dedup),
-                    "{}-{n}: SABRE telemetry differs at {tc} threads",
-                    b.name
-                );
-
-                let pool = WorkPool::new(tc);
-                let t0 = Instant::now();
-                check_legality_with(&par_raw, CheckMode::Grid, pool)
-                    .unwrap_or_else(|e| panic!("{}-{n}: pooled grid check: {e}", b.name));
-                let par_verify_s = t0.elapsed().as_secs_f64();
-                let t0 = Instant::now();
-                let (_, par_inc_report) = optimize_pooled(
-                    &par_raw,
-                    OptLevel::Aggressive,
-                    VerifyStrategy::Incremental,
-                    &pool,
-                );
-                let par_opt_s = t0.elapsed().as_secs_f64();
-                println!(
-                    "  {tc} threads: compile {par_s:.2}s ({:.1}x vs baseline)  \
-                     verify {par_verify_s:.2}s  -O2 {par_opt_s:.2}s  [bit-identical]",
-                    grid_s / par_s.max(1e-9),
-                );
-                if args.trace_path.is_some() {
-                    traces.push((
-                        format!("{}-{n} {tc}-threads", b.name),
-                        par.report.trace.clone(),
-                    ));
-                }
-                measurements.push(Measurement {
-                    name: b.name.to_string(),
-                    qubits: n,
-                    threads: tc,
-                    timings: par.timings,
-                    transpile_index: "indexed",
-                    transpile_naive_s: None,
-                    compile_total_s: par_s,
-                    router_scan_s: None,
-                    isa_instrs: stats.instructions,
-                    isa_pulses: stats.pulses,
-                    verify_grid_s: par_verify_s,
-                    verify_exhaustive_s: None,
-                    opt_incremental_s: par_opt_s,
-                    opt_full_s: None,
-                    opt_incremental_reverifies: par_inc_report.incremental_reverifies,
-                    opt_full_fallbacks: par_inc_report.full_reverifies,
-                    counters: par_counters,
-                    serve: None,
-                });
-            }
         }
     }
     write_json(&measurements);

@@ -58,8 +58,8 @@ pub fn compare_architectures(
 /// wave runs through [`raa_par::WorkPool::map_isolated`]: workers get
 /// fresh threads with no session attached, per-compile counters and
 /// timings stay unpolluted by their neighbours, and results come back
-/// in submission order. With `threads = 1` this is exactly the
-/// sequential compile loop.
+/// in submission order. With one worker this is exactly the sequential
+/// compile loop.
 ///
 /// # Panics
 ///

@@ -15,11 +15,6 @@ use raa_par::WorkPool;
 use crate::config::{ArrayMapperKind, TranspileIndex};
 use crate::error::CompileError;
 
-/// Minimum register size before the pooled mapper fans the per-vertex
-/// degree refinement out over the pool's workers; smaller graphs cost
-/// less to score than a wave costs to spawn.
-const PAR_MIN_VERTICES: usize = 256;
-
 /// The result of the array-mapping pass: `array_of[q]` is the array index
 /// (0 = SLM, `1..` = AODs) hosting logical qubit `q`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -73,26 +68,42 @@ pub fn map_to_arrays(
     kind: ArrayMapperKind,
     gamma: f64,
 ) -> Result<ArrayMapping, CompileError> {
-    map_to_arrays_pooled(circuit, hardware, kind, gamma, &WorkPool::sequential())
+    map_arrays(circuit, hardware, kind, gamma, TranspileIndex::Indexed)
 }
 
-/// [`map_to_arrays`] with the per-vertex refinement scoring of the MAX
-/// k-Cut mapper fanned out over `pool`. The greedy assignment itself
-/// stays sequential (each placement depends on all earlier ones); only
-/// the weighted-degree ordering pass — a pure per-vertex function of
-/// the immutable interaction graph, scattered over its independent
-/// connected gate groups — runs in parallel, so the mapping is
-/// bit-identical at every worker count.
+/// [`map_to_arrays`] with the transpile-index mode selected explicitly
+/// (for the mapper the mode picks only the MAX k-Cut degree method):
+/// [`TranspileIndex::Indexed`] is the default path, which builds
+/// adjacency-list degree sums and incrementally-maintained per-array
+/// weights — O(E) total instead of O(n·E);
+/// [`TranspileIndex::Naive`] rescans the interaction graph per vertex.
+/// Both produce the bit-identical mapping (see `max_k_cut_indexed` for
+/// why the floats agree; proven by the unit tests here and
+/// `tests/transpile_differential.rs`). `_pool` is unused: the mapper
+/// runs on the calling thread.
 ///
 /// # Errors
 ///
 /// Exactly those of [`map_to_arrays`].
-pub fn map_to_arrays_pooled(
+pub fn map_to_arrays_with(
     circuit: &Circuit,
     hardware: &RaaConfig,
     kind: ArrayMapperKind,
     gamma: f64,
-    pool: &WorkPool,
+    index: TranspileIndex,
+    _pool: &WorkPool,
+) -> Result<ArrayMapping, CompileError> {
+    map_arrays(circuit, hardware, kind, gamma, index)
+}
+
+/// The array mapper under an explicit transpile-index mode, behind
+/// both public entry points and `compile`.
+pub(crate) fn map_arrays(
+    circuit: &Circuit,
+    hardware: &RaaConfig,
+    kind: ArrayMapperKind,
+    gamma: f64,
+    index: TranspileIndex,
 ) -> Result<ArrayMapping, CompileError> {
     let n = circuit.num_qubits();
     let capacity = hardware.total_capacity();
@@ -105,53 +116,13 @@ pub fn map_to_arrays_pooled(
     let caps: Vec<usize> = (0..hardware.num_arrays())
         .map(|a| hardware.dims(raa_arch::ArrayIndex(a as u8)).capacity())
         .collect();
-    match kind {
-        ArrayMapperKind::MaxKCut => Ok(max_k_cut(circuit, &caps, gamma, pool)),
-        ArrayMapperKind::Dense => Ok(dense(n, &caps)),
-    }
-}
-
-/// `map_to_arrays_pooled` with the transpile-index mode selected
-/// explicitly (for the mapper the mode picks only the MAX k-Cut degree
-/// method): [`TranspileIndex::Naive`] is the path above;
-/// [`TranspileIndex::Indexed`] replaces the MAX k-Cut's per-vertex
-/// rescans with adjacency-list degree sums and incrementally-maintained
-/// per-array weights — O(E) total instead of O(n·E) — while producing
-/// the bit-identical mapping (see `max_k_cut_indexed` for why the
-/// floats agree; proven by the unit tests here and
-/// `tests/transpile_differential.rs`).
-///
-/// # Errors
-///
-/// Exactly those of [`map_to_arrays`].
-pub fn map_to_arrays_with(
-    circuit: &Circuit,
-    hardware: &RaaConfig,
-    kind: ArrayMapperKind,
-    gamma: f64,
-    index: TranspileIndex,
-    pool: &WorkPool,
-) -> Result<ArrayMapping, CompileError> {
-    match index {
-        TranspileIndex::Naive => map_to_arrays_pooled(circuit, hardware, kind, gamma, pool),
-        TranspileIndex::Indexed => {
-            let n = circuit.num_qubits();
-            let capacity = hardware.total_capacity();
-            if n > capacity {
-                return Err(CompileError::Capacity {
-                    required: n,
-                    available: capacity,
-                });
-            }
-            let caps: Vec<usize> = (0..hardware.num_arrays())
-                .map(|a| hardware.dims(raa_arch::ArrayIndex(a as u8)).capacity())
-                .collect();
-            match kind {
-                ArrayMapperKind::MaxKCut => Ok(max_k_cut_indexed(circuit, &caps, gamma)),
-                ArrayMapperKind::Dense => Ok(dense(n, &caps)),
-            }
+    Ok(match (kind, index) {
+        (ArrayMapperKind::MaxKCut, TranspileIndex::Indexed) => {
+            max_k_cut_indexed(circuit, &caps, gamma)
         }
-    }
+        (ArrayMapperKind::MaxKCut, TranspileIndex::Naive) => max_k_cut(circuit, &caps, gamma),
+        (ArrayMapperKind::Dense, _) => dense(n, &caps),
+    })
 }
 
 /// Paper Alg. 1: assign each vertex, one by one, to the array maximizing
@@ -160,42 +131,15 @@ pub fn map_to_arrays_with(
 /// Vertices are visited in descending weighted-degree order (heaviest
 /// qubits choose first), which can only improve on the arbitrary order the
 /// pseudo-code shows while keeping the same greedy structure.
-fn max_k_cut(circuit: &Circuit, caps: &[usize], gamma: f64, pool: &WorkPool) -> ArrayMapping {
+fn max_k_cut(circuit: &Circuit, caps: &[usize], gamma: f64) -> ArrayMapping {
     let n = circuit.num_qubits();
     let k = caps.len();
     let graph = InteractionGraph::with_layer_decay(circuit, gamma);
 
     let mut order: Vec<usize> = (0..n).collect();
-    let mut degree: Vec<f64> = if pool.is_parallel() && n >= PAR_MIN_VERTICES {
-        // Scatter the O(n·E) degree refinement over the graph's
-        // independent gate groups (connected components, split further
-        // so one giant component still fans out). Each weighted degree
-        // is a pure per-vertex sum over the immutable graph, gathered
-        // back by vertex id — bit-identical to the sequential loop.
-        let cap = n.div_ceil(4 * pool.threads()).max(1);
-        let groups: Vec<Vec<u32>> = graph
-            .components()
-            .iter()
-            .flat_map(|comp| comp.chunks(cap).map(<[u32]>::to_vec))
-            .collect();
-        let parts = pool.map("par.map.degree", &groups, |_, group| {
-            group
-                .iter()
-                .map(|&q| graph.weighted_degree(Qubit(q)))
-                .collect::<Vec<f64>>()
-        });
-        let mut degree = vec![0.0f64; n];
-        for (group, part) in groups.iter().zip(parts) {
-            for (&q, d) in group.iter().zip(part) {
-                degree[q as usize] = d;
-            }
-        }
-        degree
-    } else {
-        (0..n)
-            .map(|q| graph.weighted_degree(Qubit(q as u32)))
-            .collect()
-    };
+    let mut degree: Vec<f64> = (0..n)
+        .map(|q| graph.weighted_degree(Qubit(q as u32)))
+        .collect();
     order.sort_by(|&a, &b| {
         degree[b]
             .partial_cmp(&degree[a])
@@ -236,7 +180,7 @@ fn max_k_cut(circuit: &Circuit, caps: &[usize], gamma: f64, pool: &WorkPool) -> 
 }
 
 /// [`max_k_cut`] with indexed degree/weight maintenance — the
-/// `TranspileIndex::Indexed` twin.
+/// `TranspileIndex::Indexed` default.
 ///
 /// Two rescans disappear: (1) weighted degrees are summed over
 /// per-vertex adjacency lists built in one pass over the graph's
@@ -439,30 +383,6 @@ mod tests {
     }
 
     #[test]
-    fn pooled_mapping_is_bit_identical() {
-        use rand::{RngExt, SeedableRng};
-        // Large enough to clear PAR_MIN_VERTICES so the parallel degree
-        // scatter actually engages.
-        let n = 280usize;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
-        let mut c = Circuit::new(n);
-        for _ in 0..800 {
-            let a = rng.random_range(0..n as u32);
-            let mut b = rng.random_range(0..n as u32);
-            while b == a {
-                b = rng.random_range(0..n as u32);
-            }
-            c.push(Gate::cz(Qubit(a), Qubit(b)));
-        }
-        let base = map_to_arrays(&c, &hw(), ArrayMapperKind::MaxKCut, 0.9).unwrap();
-        for threads in [2, 4, 8] {
-            let pool = raa_par::WorkPool::new(threads);
-            let m = map_to_arrays_pooled(&c, &hw(), ArrayMapperKind::MaxKCut, 0.9, &pool).unwrap();
-            assert_eq!(m, base, "{threads} threads");
-        }
-    }
-
-    #[test]
     fn indexed_mapping_is_bit_identical_to_naive() {
         use rand::{RngExt, SeedableRng};
         for (seed, n, gates, gamma) in [(17u64, 280usize, 800usize, 0.9f64), (5, 40, 120, 0.5)] {
@@ -476,30 +396,21 @@ mod tests {
                 }
                 c.push(Gate::cz(Qubit(a), Qubit(b)));
             }
-            let base = map_to_arrays(&c, &hw(), ArrayMapperKind::MaxKCut, gamma).unwrap();
-            for threads in [1, 4] {
-                let pool = raa_par::WorkPool::new(threads);
-                let idx = map_to_arrays_with(
+            let with = |index| {
+                map_to_arrays_with(
                     &c,
                     &hw(),
                     ArrayMapperKind::MaxKCut,
                     gamma,
-                    TranspileIndex::Indexed,
-                    &pool,
+                    index,
+                    &WorkPool::new(1),
                 )
-                .unwrap();
-                assert_eq!(idx, base, "seed {seed}, {threads} threads");
-            }
-            let naive = map_to_arrays_with(
-                &c,
-                &hw(),
-                ArrayMapperKind::MaxKCut,
-                gamma,
-                TranspileIndex::Naive,
-                &raa_par::WorkPool::sequential(),
-            )
-            .unwrap();
-            assert_eq!(naive, base, "seed {seed}: Naive mode must be the old path");
+                .unwrap()
+            };
+            let naive = with(TranspileIndex::Naive);
+            assert_eq!(with(TranspileIndex::Indexed), naive, "seed {seed}");
+            let plain = map_to_arrays(&c, &hw(), ArrayMapperKind::MaxKCut, gamma).unwrap();
+            assert_eq!(plain, naive, "seed {seed}: plain entry point");
         }
     }
 

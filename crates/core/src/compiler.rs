@@ -15,13 +15,13 @@ use raa_circuit::Circuit;
 use raa_physics::{gate_phase_fidelity, transfer_fidelity, FidelityBreakdown, GatePhaseStats};
 use raa_trace::{Counter, Level};
 
-use crate::array_mapper::map_to_arrays_with;
+use crate::array_mapper::map_arrays;
 use crate::atom_mapper::map_to_atoms;
 use crate::config::AtomiqueConfig;
 use crate::error::CompileError;
 use crate::program::{CompileReport, CompileStats, CompiledProgram};
 use crate::router::route_movements;
-use crate::transpile::transpile_with;
+use crate::transpile::insert_swaps;
 
 /// Detail-level telemetry: faults injected into compile stage gates by
 /// an armed `raa-fault` schedule (always 0 in production).
@@ -172,13 +172,6 @@ fn compile_under_trace(
 ) -> Result<CompiledProgram, CompileError> {
     let _compile_span = raa_trace::span_at("compile", Level::Stages);
 
-    // The intra-compile work-pool. `threads = 1` (the default) keeps
-    // every stage on its original sequential code path; larger counts
-    // fan out the independent per-item work inside transpile, map,
-    // opt and verify while producing bit-identical output (see
-    // docs/PARALLELISM.md).
-    let pool = raa_par::WorkPool::new(config.threads);
-
     // 0. Peephole optimization (the paper preprocesses with Qiskit
     // Optimization Level 3; see raa_circuit::optimize).
     let circuit = &{
@@ -189,25 +182,23 @@ fn compile_under_trace(
     // 1. Qubit-array mapper (Alg. 1).
     let array_mapping = {
         let _s = raa_trace::span_at("map", Level::Stages);
-        map_to_arrays_with(
+        map_arrays(
             circuit,
             &config.hardware,
             config.array_mapper,
             config.gamma,
             config.transpile_index,
-            &pool,
         )?
     };
 
     // 2. SWAP insertion on the complete multipartite graph (Fig. 5).
     let transpiled = {
         let _s = raa_trace::span_at("transpile", Level::Stages);
-        transpile_with(
+        insert_swaps(
             circuit,
             &array_mapping,
             &config.sabre,
             config.transpile_index,
-            &pool,
         )?
     };
     stage_gate("transpile", limits)?;
@@ -316,19 +307,12 @@ fn compile_under_trace(
             // the oracle and unsafe rewrites are refused), so this can
             // only shrink the stream, never corrupt it.
             let _s = raa_trace::span_at("opt", Level::Stages);
-            isa = raa_isa::optimize_pooled(
-                &isa,
-                config.opt_level,
-                raa_isa::VerifyStrategy::default(),
-                &pool,
-            )
-            .0;
+            isa = raa_isa::optimize(&isa, config.opt_level).0;
             stage_gate("opt", limits)?;
         }
         if config.verify_isa {
             let _s = raa_trace::span_at("verify", Level::Stages);
-            raa_isa::check_legality_with(&isa, raa_isa::CheckMode::default(), pool)
-                .map_err(CompileError::IsaLegality)?;
+            raa_isa::check_legality(&isa).map_err(CompileError::IsaLegality)?;
             raa_isa::replay_verify(&isa).map_err(CompileError::IsaReplay)?;
             drop(_s);
             stage_gate("verify", limits)?;

@@ -179,16 +179,10 @@ pub struct AtomiqueConfig {
     /// [`AtomiqueConfig::emit_isa`] attaches the stream; default
     /// [`OptLevel::None`].
     pub opt_level: OptLevel,
-    /// Worker threads for intra-compile parallel waves (`raa-par`):
-    /// SABRE lookahead scoring, MAX k-Cut group refinement, and the
-    /// sharded ISA legality replay all scatter over a
-    /// [`raa_par::WorkPool`] of this size. `1` (the default) *is* the
-    /// original sequential code path; any other value produces
-    /// bit-identical schedules, ISA bytes and telemetry counters —
-    /// proven by `tests/parallel_differential.rs` — so the knob only
-    /// trades wall clock. The default honors the `ATOMIQUE_THREADS`
-    /// environment variable (CI's thread-matrix leg), falling back to 1
-    /// when unset or unparsable.
+    /// Has no effect: every compile runs on its calling thread. Kept
+    /// (default 1) only because the benchmark adapter still names it,
+    /// and still hashed by [`AtomiqueConfig::fingerprint`] so cache
+    /// keys do not move.
     pub threads: usize,
     /// Detail-level tracing: record inner router/optimizer/checker phase
     /// spans and all telemetry counters into the compile's
@@ -220,120 +214,9 @@ impl Default for AtomiqueConfig {
             emit_isa: false,
             verify_isa: false,
             opt_level: OptLevel::None,
-            threads: threads_from_env(),
+            threads: 1,
             trace: false,
         }
-    }
-}
-
-/// The largest worker count [`parse_threads`] accepts (and the
-/// fallback when `ATOMIQUE_THREADS` asks for more).
-pub const MAX_THREADS: usize = 256;
-
-/// Why a thread-count string (an `ATOMIQUE_THREADS` value, or a
-/// service request's `threads` override) was rejected.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ThreadsParseError {
-    /// The value is not an unsigned integer.
-    NotANumber {
-        /// The offending text.
-        value: String,
-    },
-    /// The value is `0`; waves need at least one worker.
-    Zero,
-    /// The value exceeds [`MAX_THREADS`].
-    TooLarge {
-        /// The requested count.
-        value: usize,
-    },
-}
-
-impl ThreadsParseError {
-    /// The safe worker count to run with when the requested one was
-    /// rejected: [`MAX_THREADS`] for an over-large request (the host
-    /// asked for parallelism — give it as much as supported), 1
-    /// otherwise.
-    pub fn fallback(&self) -> usize {
-        match self {
-            ThreadsParseError::TooLarge { .. } => MAX_THREADS,
-            _ => 1,
-        }
-    }
-}
-
-impl std::fmt::Display for ThreadsParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ThreadsParseError::NotANumber { value } => {
-                write!(f, "`{value}` is not an unsigned integer")
-            }
-            ThreadsParseError::Zero => write!(f, "thread count must be at least 1"),
-            ThreadsParseError::TooLarge { value } => {
-                write!(
-                    f,
-                    "thread count {value} exceeds the supported maximum {MAX_THREADS}"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for ThreadsParseError {}
-
-/// Parses a worker-thread count: an integer in `[1, MAX_THREADS]`,
-/// surrounding whitespace tolerated.
-///
-/// # Errors
-///
-/// [`ThreadsParseError`] describing exactly why the value was
-/// rejected; [`ThreadsParseError::fallback`] gives the safe count to
-/// degrade to.
-///
-/// # Examples
-///
-/// ```
-/// use atomique::{parse_threads, ThreadsParseError, MAX_THREADS};
-/// assert_eq!(parse_threads(" 8 "), Ok(8));
-/// assert_eq!(parse_threads("0"), Err(ThreadsParseError::Zero));
-/// assert_eq!(parse_threads("9999"), Err(ThreadsParseError::TooLarge { value: 9999 }));
-/// assert_eq!(parse_threads("abc").unwrap_err().fallback(), 1);
-/// assert_eq!(parse_threads("9999").unwrap_err().fallback(), MAX_THREADS);
-/// ```
-pub fn parse_threads(value: &str) -> Result<usize, ThreadsParseError> {
-    let trimmed = value.trim();
-    let n = trimmed
-        .parse::<usize>()
-        .map_err(|_| ThreadsParseError::NotANumber {
-            value: trimmed.to_string(),
-        })?;
-    if n == 0 {
-        return Err(ThreadsParseError::Zero);
-    }
-    if n > MAX_THREADS {
-        return Err(ThreadsParseError::TooLarge { value: n });
-    }
-    Ok(n)
-}
-
-/// Default worker count: `ATOMIQUE_THREADS` parsed by
-/// [`parse_threads`] when set, else 1. An invalid value no longer
-/// degrades silently — a misconfigured service host must not discover
-/// at traffic time that it has been running single-threaded — it
-/// emits one deterministic stderr warning per process and falls back
-/// to [`ThreadsParseError::fallback`]. Read per call — it is a
-/// handful of nanoseconds against a compile, and tests that set the
-/// variable see it immediately.
-fn threads_from_env() -> usize {
-    match std::env::var("ATOMIQUE_THREADS") {
-        Err(_) => 1,
-        Ok(raw) => parse_threads(&raw).unwrap_or_else(|e| {
-            let fallback = e.fallback();
-            static WARNED: std::sync::Once = std::sync::Once::new();
-            WARNED.call_once(|| {
-                eprintln!("warning: ignoring ATOMIQUE_THREADS={raw}: {e}; using {fallback}");
-            });
-            fallback
-        }),
     }
 }
 
@@ -575,45 +458,6 @@ mod tests {
     fn relaxation_default_enforces_all() {
         let r = Relaxation::default();
         assert!(!r.individual_addressing && !r.allow_order_violation && !r.allow_overlap);
-    }
-
-    #[test]
-    fn parse_threads_accepts_the_valid_range() {
-        assert_eq!(parse_threads("1"), Ok(1));
-        assert_eq!(parse_threads("4"), Ok(4));
-        assert_eq!(parse_threads(" 16\n"), Ok(16));
-        assert_eq!(parse_threads("256"), Ok(256));
-    }
-
-    #[test]
-    fn parse_threads_rejects_zero() {
-        assert_eq!(parse_threads("0"), Err(ThreadsParseError::Zero));
-        assert_eq!(parse_threads("0").unwrap_err().fallback(), 1);
-    }
-
-    #[test]
-    fn parse_threads_rejects_non_numbers() {
-        for bad in ["abc", "", "-2", "1.5", "4 threads"] {
-            match parse_threads(bad) {
-                Err(ThreadsParseError::NotANumber { value }) => {
-                    assert_eq!(value, bad.trim());
-                }
-                other => panic!("`{bad}` parsed as {other:?}"),
-            }
-        }
-        assert_eq!(parse_threads("abc").unwrap_err().fallback(), 1);
-    }
-
-    #[test]
-    fn parse_threads_rejects_oversized_counts() {
-        assert_eq!(
-            parse_threads("9999"),
-            Err(ThreadsParseError::TooLarge { value: 9999 })
-        );
-        // An over-large request degrades to full supported
-        // parallelism, not to 1.
-        assert_eq!(parse_threads("9999").unwrap_err().fallback(), MAX_THREADS);
-        assert_eq!(parse_threads("257").unwrap_err().fallback(), MAX_THREADS);
     }
 
     #[test]

@@ -53,8 +53,8 @@ pub use array_mapper::{map_to_arrays, map_to_arrays_with, ArrayMapping};
 pub use atom_mapper::{diagonal_spiral_order, map_to_atoms, AtomMapping};
 pub use compiler::{compile, compile_with_limits, CompileLimits};
 pub use config::{
-    parse_threads, ArrayMapperKind, AtomMapperKind, AtomiqueConfig, ProximityIndex, Relaxation,
-    RouterMode, RouterStrategy, ThreadsParseError, TranspileIndex, MAX_THREADS,
+    ArrayMapperKind, AtomMapperKind, AtomiqueConfig, ProximityIndex, Relaxation, RouterMode,
+    RouterStrategy, TranspileIndex,
 };
 pub use error::CompileError;
 pub use lower::emit_isa;

@@ -13,7 +13,7 @@
 use raa_arch::CouplingGraph;
 use raa_circuit::{Circuit, NativeGateSet};
 use raa_par::WorkPool;
-use raa_sabre::{route_pooled, SabreConfig, SabreError};
+use raa_sabre::{route, SabreConfig, SabreError};
 
 use crate::array_mapper::ArrayMapping;
 use crate::config::TranspileIndex;
@@ -59,34 +59,18 @@ pub fn transpile(
     mapping: &ArrayMapping,
     sabre: &SabreConfig,
 ) -> Result<TranspiledCircuit, CompileError> {
-    transpile_pooled(circuit, mapping, sabre, &WorkPool::sequential())
+    insert_swaps(circuit, mapping, sabre, TranspileIndex::Indexed)
 }
 
-/// [`transpile`] with SABRE's candidate scoring fanned out over `pool`
-/// (see [`raa_sabre::route_pooled`]); bit-identical output at every
-/// worker count.
-///
-/// # Errors
-///
-/// Exactly those of [`transpile`].
-pub fn transpile_pooled(
-    circuit: &Circuit,
-    mapping: &ArrayMapping,
-    sabre: &SabreConfig,
-    pool: &WorkPool,
-) -> Result<TranspiledCircuit, CompileError> {
-    transpile_with(circuit, mapping, sabre, TranspileIndex::Naive, pool)
-}
-
-/// `transpile_pooled` with the transpile-index mode selected
-/// explicitly. Both modes route through the same SABRE router
-/// ([`route_pooled`]); the mode only picks how the complete-multipartite
-/// coupling graph is built: [`TranspileIndex::Naive`] runs the generic
-/// constructor's all-pairs BFS, [`TranspileIndex::Indexed`] emits the
-/// field-for-field identical graph analytically
-/// ([`CouplingGraph::complete_multipartite_indexed`]), skipping the BFS
-/// that dominates large-register transpiles. Outputs are bit-identical
-/// across modes (`tests/transpile_differential.rs`).
+/// [`transpile`] with the transpile-index mode selected explicitly. The
+/// mode only picks how the complete-multipartite coupling graph is
+/// built: [`TranspileIndex::Indexed`] (the default) emits it
+/// analytically ([`CouplingGraph::complete_multipartite_indexed`]),
+/// skipping the all-pairs BFS of [`TranspileIndex::Naive`]'s generic
+/// constructor, which dominates large-register transpiles. Both modes
+/// route through the same SABRE router, and outputs are bit-identical
+/// (`tests/transpile_differential.rs`). `_pool` is unused: SWAP
+/// insertion runs on the calling thread.
 ///
 /// # Errors
 ///
@@ -96,7 +80,18 @@ pub fn transpile_with(
     mapping: &ArrayMapping,
     sabre: &SabreConfig,
     index: TranspileIndex,
-    pool: &WorkPool,
+    _pool: &WorkPool,
+) -> Result<TranspiledCircuit, CompileError> {
+    insert_swaps(circuit, mapping, sabre, index)
+}
+
+/// SWAP insertion under an explicit transpile-index mode, behind both
+/// public entry points and `compile`.
+pub(crate) fn insert_swaps(
+    circuit: &Circuit,
+    mapping: &ArrayMapping,
+    sabre: &SabreConfig,
+    index: TranspileIndex,
 ) -> Result<TranspiledCircuit, CompileError> {
     let n = circuit.num_qubits();
     validate_mapping(mapping, n)?;
@@ -124,7 +119,7 @@ pub fn transpile_with(
         TranspileIndex::Naive => CouplingGraph::complete_multipartite(&part_sizes),
         TranspileIndex::Indexed => CouplingGraph::complete_multipartite_indexed(&part_sizes),
     };
-    let routed = route_pooled(&native, &graph, &slot_of_qubit, sabre, pool)?;
+    let routed = route(&native, &graph, &slot_of_qubit, sabre)?;
     let out = routed.circuit.decompose_to(NativeGateSet::Cz);
 
     Ok(TranspiledCircuit {
@@ -272,15 +267,15 @@ mod tests {
         let hw = RaaConfig::default();
         let mapping = map_to_arrays(&c, &hw, ArrayMapperKind::MaxKCut, 0.9).unwrap();
         let sabre = SabreConfig::default();
-        let naive = transpile(&c, &mapping, &sabre).unwrap();
-        for threads in [1, 4] {
-            let pool = WorkPool::new(threads);
-            let indexed =
-                transpile_with(&c, &mapping, &sabre, TranspileIndex::Indexed, &pool).unwrap();
-            assert_eq!(indexed.circuit.gates(), naive.circuit.gates());
-            assert_eq!(indexed.slot_array, naive.slot_array);
-            assert_eq!(indexed.slot_of_qubit, naive.slot_of_qubit);
-            assert_eq!(indexed.swaps_inserted, naive.swaps_inserted);
+        let pool = WorkPool::new(1);
+        let naive = transpile_with(&c, &mapping, &sabre, TranspileIndex::Naive, &pool).unwrap();
+        let indexed = transpile_with(&c, &mapping, &sabre, TranspileIndex::Indexed, &pool).unwrap();
+        let plain = transpile(&c, &mapping, &sabre).unwrap();
+        for (mode, t) in [("indexed", &indexed), ("plain", &plain)] {
+            assert_eq!(t.circuit.gates(), naive.circuit.gates(), "{mode}");
+            assert_eq!(t.slot_array, naive.slot_array, "{mode}");
+            assert_eq!(t.slot_of_qubit, naive.slot_of_qubit, "{mode}");
+            assert_eq!(t.swaps_inserted, naive.swaps_inserted, "{mode}");
         }
     }
 

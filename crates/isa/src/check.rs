@@ -46,7 +46,6 @@
 //! random legal and illegal streams (`crates/isa/tests/check_modes.rs`)
 //! and over the full benchmark suites (`tests/verify_differential.rs`).
 
-use raa_par::WorkPool;
 use raa_spatial::SpatialGrid;
 
 use crate::error::LegalityError;
@@ -54,11 +53,6 @@ use crate::program::{Instr, IsaProgram, SiteSpec};
 
 /// Slack applied to strict inequalities, matching the router/validator.
 const EPS: f64 = 1e-9;
-
-/// Minimum slot count before [`check_legality_with`] shards the C1
-/// proximity scan over its pool's workers. Each pulse opens one wave,
-/// so small arrays would pay more in thread spawns than the scan costs.
-const PAR_MIN_SLOTS: u32 = 512;
 
 /// How [`check_legality_mode`] enumerates C1 proximity candidates.
 ///
@@ -106,9 +100,6 @@ pub(crate) struct Machine {
     aod_slots: Vec<Vec<u32>>,
     /// In-field slot index ([`CheckMode::Grid`] only).
     grid: Option<SpatialGrid>,
-    /// Workers the C1 proximity scan shards over (sequential by
-    /// default; see [`check_legality_with`]).
-    pool: WorkPool,
 }
 
 impl Machine {
@@ -347,7 +338,6 @@ fn malformed(pc: usize, message: impl Into<String>) -> LegalityError {
 pub(crate) fn init_machine(
     program: &IsaProgram,
     mode: CheckMode,
-    pool: WorkPool,
 ) -> Result<(Machine, usize), LegalityError> {
     let interact_r = program.interaction_radius_tracks();
     if !(interact_r.is_finite() && interact_r > 0.0) {
@@ -454,7 +444,6 @@ pub(crate) fn init_machine(
             CheckMode::Grid => Some(SpatialGrid::new(interact_r)),
             CheckMode::Exhaustive => None,
         },
-        pool,
     };
     // Seed the index: every slot starts in the field at its trap site.
     if let Some(mut grid) = m.grid.take() {
@@ -487,31 +476,8 @@ pub fn check_legality(program: &IsaProgram) -> Result<(), LegalityError> {
 /// The first violation or structural problem found, as a
 /// [`LegalityError`].
 pub fn check_legality_mode(program: &IsaProgram, mode: CheckMode) -> Result<(), LegalityError> {
-    check_legality_with(program, mode, WorkPool::sequential())
-}
-
-/// [`check_legality_mode`] with the C1 proximity scan sharded over
-/// `pool`: in [`CheckMode::Grid`], each pulse's per-slot neighborhood
-/// scan splits into contiguous ascending slot ranges, one per worker,
-/// against the shared (immutable during the scan) spatial index. Each
-/// range reports the first violation it finds; ranges merge in slot
-/// order, so the returned error is the one the sequential scan finds —
-/// the verdict is bit-identical at every worker count. (On a rejecting
-/// stream, ranges past the violation still scan their own slots, so
-/// `grid.query` counts may exceed the sequential run's there; on
-/// accepting streams every mode and worker count performs exactly the
-/// same queries.)
-///
-/// # Errors
-///
-/// Exactly those of [`check_legality_mode`].
-pub fn check_legality_with(
-    program: &IsaProgram,
-    mode: CheckMode,
-    pool: WorkPool,
-) -> Result<(), LegalityError> {
     let _span = raa_trace::span("isa.check");
-    let (mut m, start) = init_machine(program, mode, pool)?;
+    let (mut m, start) = init_machine(program, mode)?;
     // A stray init instruction is reported before any replay-discovered
     // violation, wherever it sits in the stream.
     if let Some(at) = program.instrs[start..]
@@ -605,71 +571,38 @@ fn check_pulse(m: &Machine, pc: usize, pairs: &[(u32, u32)]) -> Result<(), Legal
 /// (lexicographically ascending) order and share the one distance
 /// predicate, so the first violation found — and therefore the returned
 /// error — is the same.
-/// The grid-mode C1 scan over the contiguous slot range `[lo, hi)`: the
-/// index holds exactly the in-field slots, so a per-slot neighborhood
-/// query enumerates every candidate partner that can possibly be within
-/// the radius. Returns the first violation by ascending `x`.
-fn grid_scan(
-    m: &Machine,
-    grid: &SpatialGrid,
-    pc: usize,
-    exempt: &[(u32, u32)],
-    lo: u32,
-    hi: u32,
-) -> Result<(), LegalityError> {
-    let mut cand: Vec<u32> = Vec::new();
-    for x in lo..hi {
-        let site = m.sites[x as usize];
-        if !m.in_field(site) {
-            continue;
-        }
-        let px = m.position(site);
-        cand.clear();
-        grid.candidates_into(px, m.interact_r, &mut cand);
-        cand.sort_unstable();
-        for &y in &cand {
-            if y <= x || exempt.binary_search(&(x, y)).is_ok() {
-                continue;
-            }
-            let py = m.position(m.sites[y as usize]);
-            let d = dist(px, py);
-            if d <= m.interact_r {
-                return Err(LegalityError::UnwantedInteraction {
-                    pc,
-                    pair: (x, y),
-                    distance: d,
-                });
-            }
-        }
-    }
-    Ok(())
-}
-
 fn check_no_proximity(m: &Machine, pc: usize, exempt: &[(u32, u32)]) -> Result<(), LegalityError> {
     debug_assert!(exempt.windows(2).all(|w| w[0] <= w[1]), "exempt not sorted");
     let n = m.sites.len() as u32;
     match &m.grid {
+        // The index holds exactly the in-field slots, so a per-slot
+        // neighborhood query enumerates every candidate partner that can
+        // possibly be within the radius.
         Some(grid) => {
-            if m.pool.is_parallel() && n >= PAR_MIN_SLOTS {
-                // Shard the ascending-slot scan into contiguous ranges,
-                // one wave per pulse. The grid is immutable during the
-                // scan, each range reports its first violation, and
-                // ranges merge in slot order — so the error returned is
-                // the first one by ascending x, exactly the sequential
-                // scan's.
-                let shard = (n as usize).div_ceil(m.pool.threads()) as u32;
-                let ranges: Vec<(u32, u32)> = (0..m.pool.threads() as u32)
-                    .map(|w| (w * shard, ((w + 1) * shard).min(n)))
-                    .filter(|&(lo, hi)| lo < hi)
-                    .collect();
-                let firsts = m.pool.map("par.isa.c1", &ranges, |_, &(lo, hi)| {
-                    grid_scan(m, grid, pc, exempt, lo, hi).err()
-                });
-                if let Some(e) = firsts.into_iter().flatten().next() {
-                    return Err(e);
+            let mut cand: Vec<u32> = Vec::new();
+            for x in 0..n {
+                let site = m.sites[x as usize];
+                if !m.in_field(site) {
+                    continue;
                 }
-            } else {
-                grid_scan(m, grid, pc, exempt, 0, n)?;
+                let px = m.position(site);
+                cand.clear();
+                grid.candidates_into(px, m.interact_r, &mut cand);
+                cand.sort_unstable();
+                for &y in &cand {
+                    if y <= x || exempt.binary_search(&(x, y)).is_ok() {
+                        continue;
+                    }
+                    let py = m.position(m.sites[y as usize]);
+                    let d = dist(px, py);
+                    if d <= m.interact_r {
+                        return Err(LegalityError::UnwantedInteraction {
+                            pc,
+                            pair: (x, y),
+                            distance: d,
+                        });
+                    }
+                }
             }
         }
         None => {

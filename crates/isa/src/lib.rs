@@ -75,12 +75,10 @@ mod program;
 mod replay;
 mod stats;
 
-pub use check::{check_legality, check_legality_mode, check_legality_with, CheckMode};
+pub use check::{check_legality, check_legality_mode, CheckMode};
 pub use error::{DecodeError, EncodeError, LegalityError, LowerError, ReplayError};
 pub use lower::lower_gate_schedule;
-pub use opt::{
-    flat_gate_events, optimize, optimize_pooled, optimize_with, OptLevel, OptReport, VerifyStrategy,
-};
+pub use opt::{flat_gate_events, optimize, optimize_with, OptLevel, OptReport, VerifyStrategy};
 pub use program::{disassemble, Instr, IsaProgram, ProgramHeader, SiteSpec, FORMAT_VERSION};
 pub use replay::{replay_verify, ReplayReport};
 pub use stats::IsaStats;

@@ -134,12 +134,11 @@ pub mod fuse;
 pub mod parallelize;
 pub mod park;
 
-use crate::check::{check_legality, check_legality_with, init_machine, CheckMode};
+use crate::check::{check_legality, init_machine, CheckMode};
 use crate::program::{Instr, IsaProgram};
 use crate::replay::replay_verify;
 use crate::stats::IsaStats;
 use raa_circuit::Gate;
-use raa_par::WorkPool;
 use raa_trace::Counter;
 
 /// Candidate rewrites produced by passes (accepted + rejected).
@@ -400,26 +399,6 @@ pub fn optimize_with(
     level: OptLevel,
     strategy: VerifyStrategy,
 ) -> (IsaProgram, OptReport) {
-    optimize_pooled(program, level, strategy, &WorkPool::sequential())
-}
-
-/// [`optimize_with`] with the harness's independent oracle work fanned
-/// out over `pool`: the up-front input oracle runs its two halves
-/// ([`check_legality`] and [`replay_verify`]) as a concurrent wave, and
-/// every whole-stream candidate re-verify shards its C1 proximity scan
-/// over the pool ([`check_legality_with`]). The pass pipeline itself
-/// stays sequential — each accepted candidate feeds the next pass — so
-/// the optimized stream and report are bit-identical at every worker
-/// count. (On an input the oracle *rejects*, the concurrent wave still
-/// runs both halves where the sequential `||` stops at the first, so
-/// rejected inputs may do more oracle work — never a different
-/// verdict.)
-pub fn optimize_pooled(
-    program: &IsaProgram,
-    level: OptLevel,
-    strategy: VerifyStrategy,
-    pool: &WorkPool,
-) -> (IsaProgram, OptReport) {
     let before = IsaStats::of(program);
     let mut report = OptReport {
         level,
@@ -432,20 +411,7 @@ pub fn optimize_pooled(
     if level == OptLevel::None {
         return (program.clone(), report);
     }
-    let input_failed = if pool.is_parallel() {
-        // The two oracle halves are independent reads of the input
-        // stream: run them as one wave, worker 0 sharding its C1 scan
-        // over the remaining idle workers via the nested pool.
-        pool.map("par.opt.oracle", &[0u8, 1], |_, &half| match half {
-            0 => check_legality_with(program, CheckMode::default(), *pool).is_err(),
-            _ => replay_verify(program).is_err(),
-        })
-        .into_iter()
-        .any(|failed| failed)
-    } else {
-        check_legality(program).is_err() || replay_verify(program).is_err()
-    };
-    if input_failed {
+    if check_legality(program).is_err() || replay_verify(program).is_err() {
         report.skipped_unverified = true;
         return (program.clone(), report);
     }
@@ -491,7 +457,7 @@ pub fn optimize_pooled(
                                 report.full_reverifies += 1;
                                 OPT_VERIFY_FULL.incr();
                                 let _s = raa_trace::span("opt.verify.full");
-                                verify_full(&current, &kept, &reference_trace, pool)
+                                verify_full(&current, &kept, &reference_trace)
                             }
                         }
                     }
@@ -499,7 +465,7 @@ pub fn optimize_pooled(
                         report.full_reverifies += 1;
                         OPT_VERIFY_FULL.incr();
                         let _s = raa_trace::span("opt.verify.full");
-                        verify_full(&current, &kept, &reference_trace, pool)
+                        verify_full(&current, &kept, &reference_trace)
                     }
                 };
             if accepted {
@@ -628,19 +594,14 @@ fn flat_trace(instrs: &[Instr]) -> Vec<FlatEvent<'_>> {
 /// flattened gate trace preserved, and both oracle halves on the full
 /// candidate (the replay half re-proves DAG order and exactly-once
 /// execution under any pulse regrouping).
-fn verify_full(
-    current: &IsaProgram,
-    kept: &[Instr],
-    reference_trace: &[FlatEvent<'_>],
-    pool: &WorkPool,
-) -> bool {
+fn verify_full(current: &IsaProgram, kept: &[Instr], reference_trace: &[FlatEvent<'_>]) -> bool {
     let candidate = IsaProgram {
         instrs: kept.to_vec(),
         ..current.clone()
     };
     line_travel(&candidate.instrs) <= line_travel(&current.instrs) + 1e-12
         && flat_trace(&candidate.instrs) == reference_trace
-        && check_legality_with(&candidate, CheckMode::default(), *pool).is_ok()
+        && check_legality(&candidate).is_ok()
         && replay_verify(&candidate).is_ok()
 }
 
@@ -684,15 +645,13 @@ fn verify_incremental(current: &IsaProgram, edit: &PassEdit, kept: &[Instr]) -> 
     // Lockstep legality. The init prefix and loading map are shared with
     // the (verified) input, so both machines start from the same state;
     // edits inside the init prefix cannot be bounded this way.
-    let Ok((mut m_old, start)) =
-        init_machine(current, CheckMode::Exhaustive, WorkPool::sequential())
-    else {
+    let Ok((mut m_old, start)) = init_machine(current, CheckMode::Exhaustive) else {
         return None;
     };
     if edits[0] < start {
         return None;
     }
-    let Ok((mut m_new, _)) = init_machine(current, CheckMode::Grid, WorkPool::sequential()) else {
+    let Ok((mut m_new, _)) = init_machine(current, CheckMode::Grid) else {
         return None;
     };
     let mut diverged = false;

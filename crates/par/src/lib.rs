@@ -1,46 +1,38 @@
-//! `raa-par` — a deterministic work-pool for intra-compile parallelism.
+//! `raa-par` — a deterministic work-pool for whole-compile fan-out.
 //!
-//! The Atomique pipeline's value rests on *provable determinism*: exact
-//! counter baselines and byte-identical differential harnesses gate
-//! every optimization. Parallel execution must therefore never be
-//! allowed to change an output bit. This crate provides the one
-//! primitive the parallel stages are built from: a *wave* — an indexed
-//! scatter of independent jobs over a fixed set of workers, followed by
-//! an ordered gather that merges results **in submission order**, no
-//! matter which worker finished first.
+//! Every compile runs on its calling thread. What fans out is whole
+//! compiles: a bench suite's benchmarks, or the leader jobs of one
+//! `raa-serve` batch. This crate provides the one primitive both are
+//! built from: a *wave* — an indexed scatter of independent jobs over a
+//! fixed set of workers, followed by an ordered gather that returns
+//! results **in submission order**, no matter which worker finished
+//! first.
 //!
 //! # Determinism model
 //!
 //! A [`WorkPool`] is a capacity descriptor (worker count), not a set of
-//! live threads; [`WorkPool::map`] spawns scoped workers per wave and
-//! joins them before returning, so a wave holds no state beyond its
-//! own stack frame and pools nest freely (a compile running on one
-//! pool's worker may open its own pool). The contract each caller must
-//! uphold, and the pool then guarantees:
+//! live threads; [`WorkPool::map_isolated`] spawns scoped workers per
+//! wave and joins them before returning, so a wave holds no state
+//! beyond its own stack frame and pools nest freely. The contract each
+//! caller must uphold, and the pool then guarantees:
 //!
 //! - **Independent jobs.** `f(i, &jobs[i])` may read shared state but
 //!   must not mutate anything another job observes during the wave.
 //! - **Indexed scatter.** Job `i` is identified by its submission
 //!   index; which worker runs it is unobservable.
 //! - **Ordered gather.** Results come back as `out[i] = f(i,
-//!   &jobs[i])`, bit-identical to the sequential loop — any merge the
-//!   caller performs over `out` (min-reductions, concatenation, float
-//!   summation) therefore sees operands in the same order at every
-//!   thread count.
+//!   &jobs[i])`, identical to the sequential loop.
 //!
-//! With one worker (the default everywhere: `AtomiqueConfig::threads =
-//! 1`) [`WorkPool::map`] *is* the sequential loop — same code path, no
-//! threads, no tracing scaffolding.
+//! With one worker, or fewer than two jobs, a wave *is* the sequential
+//! loop on the calling thread.
 //!
 //! # Telemetry
 //!
-//! A wave run under an active `raa-trace` session keeps telemetry
-//! exact: the wave wraps itself in a `par.<label>` span, workers attach
-//! to the session via [`raa_trace::link`] (counter increments land in
-//! the session's shared atomic store — totals are order-independent
-//! sums, so they match the sequential run to the last increment), and
-//! each worker's span buffer is absorbed back under the wave span in
-//! worker order.
+//! Workers are fresh threads with no `raa-trace` session: a job that
+//! wants telemetry opens its own session (as `atomique::compile` does
+//! when its config enables tracing), so concurrent jobs never share a
+//! counter. The caller's session records only the wave's `par.<label>`
+//! span.
 //!
 //! Panics in a job propagate to the caller with the original payload
 //! after the remaining workers drain.
@@ -50,20 +42,13 @@
 
 use std::panic::resume_unwind;
 
-/// A deterministic work-pool: a fixed worker count and the wave
-/// primitives that scatter jobs over it. Cheap to construct and copy —
-/// workers are scoped to each wave, so a pool held by a long-lived
-/// structure costs nothing between waves and can be reused across any
-/// number of them.
+/// A deterministic work-pool: a fixed worker count and the wave that
+/// scatters jobs over it. Cheap to construct and copy — workers are
+/// scoped to each wave, so a pool held by a long-lived structure costs
+/// nothing between waves and can be reused across any number of them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkPool {
     threads: usize,
-}
-
-impl Default for WorkPool {
-    fn default() -> Self {
-        WorkPool::sequential()
-    }
 }
 
 impl WorkPool {
@@ -74,77 +59,20 @@ impl WorkPool {
         }
     }
 
-    /// The single-worker pool: every wave degenerates to the plain
-    /// sequential loop on the calling thread.
-    pub const fn sequential() -> WorkPool {
-        WorkPool { threads: 1 }
-    }
-
     /// The fixed worker count.
     pub fn threads(&self) -> usize {
         self.threads
     }
 
-    /// Whether waves actually fan out (`threads > 1`).
-    pub fn is_parallel(&self) -> bool {
-        self.threads > 1
-    }
-
-    /// Runs one wave: `f(i, &jobs[i])` for every job, returning results
-    /// in submission order. Workers join the caller's `raa-trace`
-    /// session (if any): counters accumulate atomically into it and
-    /// worker spans merge back under a `par.<label>` span.
+    /// Runs one wave of *self-contained* jobs, returning results in
+    /// submission order. Each job manages its own `raa-trace` session
+    /// (the whole-compile fan-out case), so every job runs on a freshly
+    /// spawned thread with **no** session attached, and nothing merges
+    /// into the caller's session beyond the `par.<label>` wave span.
     ///
     /// With one worker or fewer than two jobs this is exactly the
-    /// sequential loop `jobs.iter().enumerate().map(..).collect()`.
-    pub fn map<I, O, F>(&self, label: &'static str, jobs: &[I], f: F) -> Vec<O>
-    where
-        I: Sync,
-        O: Send,
-        F: Fn(usize, &I) -> O + Sync,
-    {
-        if self.threads == 1 || jobs.len() <= 1 {
-            return jobs.iter().enumerate().map(|(i, job)| f(i, job)).collect();
-        }
-        let wave = raa_trace::span(label);
-        let link = raa_trace::link();
-        let workers = self.threads.min(jobs.len());
-        let per = jobs.len().div_ceil(workers);
-        let gathered = std::thread::scope(|scope| {
-            let f = &f;
-            let link = &link;
-            let handles: Vec<_> = (1..workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        let _attached = link.as_ref().map(|l| raa_trace::attach(l, w));
-                        run_range(w * per, per, jobs, f)
-                    })
-                })
-                .collect();
-            // Worker 0 is the calling thread: its telemetry records
-            // straight into the session, inside the wave span.
-            let mut gathered = vec![run_range(0, per, jobs, f)];
-            for handle in handles {
-                match handle.join() {
-                    Ok(results) => gathered.push(results),
-                    Err(payload) => resume_unwind(payload),
-                }
-            }
-            gathered
-        });
-        if let Some(l) = &link {
-            raa_trace::absorb(l);
-        }
-        drop(wave);
-        ordered(jobs.len(), gathered)
-    }
-
-    /// Runs one wave of *self-contained* jobs — each job manages its own
-    /// `raa-trace` session (the whole-compile fan-out case) — so every
-    /// job runs on a freshly spawned thread with **no** session
-    /// attached, and nothing merges into the caller's session beyond
-    /// the `par.<label>` wave span itself. Gather order and the
-    /// sequential `threads = 1` degenerate case match [`WorkPool::map`].
+    /// sequential loop `jobs.iter().enumerate().map(..).collect()` on
+    /// the calling thread.
     pub fn map_isolated<I, O, F>(&self, label: &'static str, jobs: &[I], f: F) -> Vec<O>
     where
         I: Sync,
@@ -175,31 +103,6 @@ impl WorkPool {
     }
 }
 
-/// Deterministic min-reduction: folds `items` in submission order,
-/// keeping the element whose key the caller's `less` deems strictly
-/// better than the incumbent's — i.e. first-wins under the caller's
-/// tie rule, matching the classic sequential `if key < best` selection
-/// loop. Because the minimum of a list is independent of how the list
-/// is chunked into contiguous submission-order pieces, reducing
-/// per-chunk minima (each computed with this same rule, chunks folded
-/// in order) re-yields the sequential pick exactly.
-pub fn fold_min_by<T, K, F>(items: impl IntoIterator<Item = (K, T)>, less: F) -> Option<(K, T)>
-where
-    F: Fn(&K, &K) -> bool,
-{
-    let mut best: Option<(K, T)> = None;
-    for (key, item) in items {
-        let better = match &best {
-            Some((incumbent, _)) => less(&key, incumbent),
-            None => true,
-        };
-        if better {
-            best = Some((key, item));
-        }
-    }
-    best
-}
-
 /// Runs the contiguous chunk `[start, start + len)` (clamped to the job
 /// list), tagging each result with its submission index.
 ///
@@ -208,8 +111,9 @@ where
 /// `error` escalates to a panic here — a worker has no error channel,
 /// and the wave's join/`resume_unwind` path is exactly what the chaos
 /// suite needs to exercise. The sequential fast path in
-/// [`WorkPool::map`] (one worker or ≤ 1 job) deliberately bypasses the
-/// seam: it is the reference loop outputs are compared against.
+/// [`WorkPool::map_isolated`] (one worker or ≤ 1 job) deliberately
+/// bypasses the seam: it is the reference loop outputs are compared
+/// against.
 fn run_range<I, O, F>(start: usize, len: usize, jobs: &[I], f: &F) -> Vec<(usize, O)>
 where
     F: Fn(usize, &I) -> O,
@@ -245,9 +149,8 @@ mod tests {
 
     #[test]
     fn sequential_pool_is_the_plain_loop() {
-        let pool = WorkPool::sequential();
-        assert!(!pool.is_parallel());
-        let out = pool.map("par.test", &[1, 2, 3], |i, x| i as i32 * 10 + x);
+        let pool = WorkPool::new(1);
+        let out = pool.map_isolated("par.test", &[1, 2, 3], |i, x| i as i32 * 10 + x);
         assert_eq!(out, vec![1, 12, 23]);
     }
 
@@ -260,16 +163,7 @@ mod tests {
     fn parallel_map_preserves_submission_order() {
         let pool = WorkPool::new(4);
         let jobs: Vec<usize> = (0..37).collect();
-        let out = pool.map("par.test", &jobs, |_, &x| x * x);
+        let out = pool.map_isolated("par.test", &jobs, |_, &x| x * x);
         assert_eq!(out, jobs.iter().map(|x| x * x).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn fold_min_by_is_first_wins_on_ties() {
-        let best = fold_min_by(
-            vec![(2.0, "a"), (1.0, "b"), (1.0, "c"), (3.0, "d")],
-            |a: &f64, b: &f64| a < b,
-        );
-        assert_eq!(best, Some((1.0, "b")));
     }
 }

@@ -1,16 +1,17 @@
-//! Pool determinism properties, the foundation the bit-identity of the
-//! whole parallel pipeline rests on: randomized job sets with injected
-//! artificial delays (so completion order is adversarially permuted)
-//! must gather to the same merged output at every worker count, a panic
-//! in any worker must propagate to the submitter with its original
-//! payload, and one pool must be reusable across many waves — including
-//! nested waves — without leaking state between them.
+//! Pool determinism properties, the foundation whole-compile fan-out
+//! (bench suites, serve batches) rests on: randomized job sets with
+//! injected artificial delays (so completion order is adversarially
+//! permuted) must gather to the same merged output at every worker
+//! count, a panic in any worker must propagate to the submitter with
+//! its original payload, and one pool must be reusable across many
+//! waves — including nested waves — without leaking state between
+//! them.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
-use raa_par::{fold_min_by, WorkPool};
+use raa_par::WorkPool;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 
 /// A job whose artificial delay decouples completion order from
@@ -33,7 +34,7 @@ fn random_jobs(rng: &mut StdRng, n: usize) -> Vec<DelayedJob> {
 }
 
 fn run_wave(pool: &WorkPool, jobs: &[DelayedJob]) -> Vec<u64> {
-    pool.map("par.test", jobs, |i, job| {
+    pool.map_isolated("par.test", jobs, |i, job| {
         std::thread::sleep(Duration::from_micros(job.delay_us));
         job.value.wrapping_mul(31).wrapping_add(i as u64)
     })
@@ -47,7 +48,7 @@ fn ordered_gather_is_invariant_under_completion_order() {
     let mut rng = StdRng::seed_from_u64(7);
     for round in 0..6 {
         let jobs = random_jobs(&mut rng, 5 + round * 17);
-        let baseline = run_wave(&WorkPool::sequential(), &jobs);
+        let baseline = run_wave(&WorkPool::new(1), &jobs);
         for threads in [2, 4, 8] {
             let pool = WorkPool::new(threads);
             for repeat in 0..3 {
@@ -61,30 +62,6 @@ fn ordered_gather_is_invariant_under_completion_order() {
     }
 }
 
-/// The chunked min-reduction the parallel SABRE scorer uses: per-chunk
-/// minima folded in chunk order must re-yield the sequential first-wins
-/// pick exactly, including on ties.
-#[test]
-fn chunked_min_reduction_matches_sequential_fold() {
-    let mut rng = StdRng::seed_from_u64(11);
-    let less = |a: &(u64, usize), b: &(u64, usize)| a.0 < b.0 || (a.0 == b.0 && a.1 < b.1);
-    for _ in 0..20 {
-        let n = rng.random_range(1..200usize);
-        // Few distinct keys, so ties are common.
-        let keys: Vec<(u64, usize)> = (0..n).map(|i| (rng.random_range(0..8), i % 5)).collect();
-        let sequential = fold_min_by(keys.iter().map(|&k| (k, ())), less);
-        for threads in [2, 4, 8] {
-            let chunk = n.div_ceil(threads);
-            let merged = fold_min_by(
-                keys.chunks(chunk)
-                    .filter_map(|c| fold_min_by(c.iter().map(|&k| (k, ())), less)),
-                less,
-            );
-            assert_eq!(merged, sequential);
-        }
-    }
-}
-
 /// A panicking job aborts the wave and re-raises on the submitting
 /// thread with the worker's original payload; the pool (a value type)
 /// remains usable for the next wave.
@@ -93,7 +70,7 @@ fn worker_panic_propagates_with_payload() {
     let pool = WorkPool::new(4);
     let jobs: Vec<usize> = (0..32).collect();
     let result = catch_unwind(AssertUnwindSafe(|| {
-        pool.map("par.test", &jobs, |_, &x| {
+        pool.map_isolated("par.test", &jobs, |_, &x| {
             if x == 19 {
                 panic!("job 19 exploded");
             }
@@ -109,37 +86,37 @@ fn worker_panic_propagates_with_payload() {
         .unwrap_or_default();
     assert_eq!(message, "job 19 exploded");
     // The pool is still good: the next wave runs clean.
-    assert_eq!(pool.map("par.test", &[5, 6], |_, &x| x + 1), vec![6, 7]);
+    assert_eq!(
+        pool.map_isolated("par.test", &[5, 6], |_, &x| x + 1),
+        vec![6, 7]
+    );
 }
 
-/// One pool across many waves: results never bleed between waves, and
-/// the number of distinct OS threads a wave uses stays within the fixed
-/// worker count (submitting thread + spawned workers).
+/// One pool across many waves: results never bleed between waves.
 #[test]
 fn pool_reuse_across_waves_is_stateless() {
     let pool = WorkPool::new(3);
     let mut rng = StdRng::seed_from_u64(23);
     for wave in 0..25u64 {
         let jobs: Vec<u64> = (0..rng.random_range(1..40u64)).collect();
-        let out = pool.map("par.test", &jobs, |_, &x| x + wave);
+        let out = pool.map_isolated("par.test", &jobs, |_, &x| x + wave);
         assert_eq!(out, jobs.iter().map(|x| x + wave).collect::<Vec<_>>());
     }
 }
 
 /// Nested pools (a job that itself opens a pool) complete without
-/// deadlock and gather deterministically — the shape the stress test in
-/// `tests/scale.rs` exercises at 1024 atoms.
+/// deadlock and gather deterministically.
 #[test]
 fn nested_waves_gather_deterministically() {
     let outer = WorkPool::new(4);
     let jobs: Vec<u64> = (0..12).collect();
     let expect: Vec<u64> = jobs.iter().map(|o| (0..20).map(|i| o * i).sum()).collect();
     for _ in 0..3 {
-        let out = outer.map("par.outer", &jobs, |_, &o| {
+        let out = outer.map_isolated("par.outer", &jobs, |_, &o| {
             let inner = WorkPool::new(2);
             let inner_jobs: Vec<u64> = (0..20).collect();
             inner
-                .map("par.inner", &inner_jobs, |_, &i| o * i)
+                .map_isolated("par.inner", &inner_jobs, |_, &i| o * i)
                 .into_iter()
                 .sum::<u64>()
         });
@@ -154,7 +131,7 @@ fn each_job_runs_exactly_once() {
         let pool = WorkPool::new(threads);
         let ran = AtomicUsize::new(0);
         let jobs: Vec<usize> = (0..97).collect();
-        let out = pool.map("par.test", &jobs, |i, &x| {
+        let out = pool.map_isolated("par.test", &jobs, |i, &x| {
             ran.fetch_add(1, Ordering::Relaxed);
             assert_eq!(i, x);
             x
@@ -162,4 +139,25 @@ fn each_job_runs_exactly_once() {
         assert_eq!(ran.load(Ordering::Relaxed), jobs.len());
         assert_eq!(out, jobs);
     }
+}
+
+/// Workers start with no trace session: a job's counters land in the
+/// session the job opens itself, never in the submitter's, which
+/// records only the wave span.
+#[test]
+fn workers_record_nothing_into_the_callers_session() {
+    static TICKS: raa_trace::Counter = raa_trace::Counter::new("par.test.ticks");
+    raa_trace::begin(raa_trace::Level::Detail);
+    let jobs: Vec<u64> = (1..=4).collect();
+    let own = WorkPool::new(2).map_isolated("par.test", &jobs, |_, &n| {
+        TICKS.add(100);
+        raa_trace::begin(raa_trace::Level::Detail);
+        TICKS.add(n);
+        raa_trace::end().counter("par.test.ticks")
+    });
+    let caller = raa_trace::end();
+    assert_eq!(own, jobs);
+    assert_eq!(caller.counter("par.test.ticks"), 0);
+    assert_eq!(caller.spans.len(), 1);
+    assert_eq!(caller.spans[0].name, "par.test");
 }

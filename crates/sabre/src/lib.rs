@@ -35,6 +35,6 @@ mod route;
 pub use error::SabreError;
 pub use layout::{layout_and_route, LayoutConfig};
 pub use route::{
-    reference_swap_score, route, route_pooled, route_probed, verify_routing, CandidateEval,
-    RoundProbe, RoutedCircuit, SabreConfig,
+    reference_swap_score, route, route_probed, verify_routing, CandidateEval, RoundProbe,
+    RoutedCircuit, SabreConfig,
 };

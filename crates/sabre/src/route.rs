@@ -18,15 +18,9 @@ use std::collections::{HashSet, VecDeque};
 
 use raa_arch::CouplingGraph;
 use raa_circuit::{Circuit, DagSchedule, Gate, GateIdx, Qubit};
-use raa_par::{fold_min_by, WorkPool};
 use raa_trace::Counter;
 
 use crate::error::SabreError;
-
-/// Minimum number of swap candidates in a round before the pooled
-/// router fans scoring out over the pool's workers. Below this the
-/// per-wave thread spawn costs more than the scoring itself.
-const PAR_MIN_CANDIDATES: usize = 64;
 
 /// Swap candidates scored, one per distinct candidate per round.
 static SCORE_RECOMPUTE: Counter = Counter::new("transpile.score_recompute");
@@ -140,40 +134,12 @@ pub fn route(
     initial_layout: &[u32],
     config: &SabreConfig,
 ) -> Result<RoutedCircuit, SabreError> {
-    route_pooled(
-        circuit,
-        graph,
-        initial_layout,
-        config,
-        &WorkPool::sequential(),
-    )
+    route_inner(circuit, graph, initial_layout, config, None)
 }
 
-/// [`route`] with candidate swap scoring fanned out over `pool`.
-///
-/// Each swap round scores its candidates in contiguous submission-order
-/// chunks and merges the per-chunk minima with the sequential selection
-/// rule (strictly lower score wins, ties broken by the smaller
-/// normalized pair). The minimum of a candidate set is independent of
-/// how it is chunked, so the selected swap — and therefore the routed
-/// circuit — is bit-identical at every worker count.
-///
-/// # Errors
-///
-/// Exactly those of [`route`].
-pub fn route_pooled(
-    circuit: &Circuit,
-    graph: &CouplingGraph,
-    initial_layout: &[u32],
-    config: &SabreConfig,
-    pool: &WorkPool,
-) -> Result<RoutedCircuit, SabreError> {
-    route_inner(circuit, graph, initial_layout, config, pool, None)
-}
-
-/// [`route_pooled`] invoking `probe` once per swap round with the
-/// round's inputs and every candidate evaluation, before the chosen
-/// swap is applied — the hook the per-score audit
+/// [`route`] invoking `probe` once per swap round with the round's
+/// inputs and every candidate evaluation, before the chosen swap is
+/// applied — the hook the per-score audit
 /// (`crates/sabre/tests/reference_differential.rs`) checks every
 /// compared score through.
 ///
@@ -185,10 +151,9 @@ pub fn route_probed(
     graph: &CouplingGraph,
     initial_layout: &[u32],
     config: &SabreConfig,
-    pool: &WorkPool,
     probe: &mut dyn FnMut(RoundProbe<'_>),
 ) -> Result<RoutedCircuit, SabreError> {
-    route_inner(circuit, graph, initial_layout, config, pool, Some(probe))
+    route_inner(circuit, graph, initial_layout, config, Some(probe))
 }
 
 /// Recomputes a candidate's swap score from scratch without a layout:
@@ -270,7 +235,7 @@ type Scored = (f64, (u32, u32));
 
 /// The selection order: strictly lower score wins, ties broken by the
 /// smaller normalized pair — a total order over one round's candidates,
-/// so the minimum does not depend on enumeration or chunk order.
+/// so the minimum does not depend on enumeration order.
 fn less(a: &Scored, b: &Scored) -> bool {
     a.0 < b.0 || (a.0 == b.0 && a.1 < b.1)
 }
@@ -461,12 +426,9 @@ impl<'g> Round<'g> {
     ///
     /// Each candidate is enumerated once: a swap joining two front
     /// endpoints is met from both, and only the visit from the smaller
-    /// slot is kept. On a parallel pool with enough candidates, scoring
-    /// fans out in contiguous chunks whose minima fold back in chunk
-    /// order under [`less`].
+    /// slot is kept.
     fn pick_swap(
         &mut self,
-        pool: &WorkPool,
         decay: &[f64],
         config: &SabreConfig,
         collect_evals: bool,
@@ -488,49 +450,29 @@ impl<'g> Round<'g> {
         SCORE_RECOMPUTE.add(self.cands.len() as u64);
 
         let w = config.extended_set_weight;
-        let score_part = |part: &[(u32, u32)]| {
-            let mut evals = Vec::new();
-            let min = fold_min_by(
-                part.iter().map(|&cand| {
-                    let score = self.score(cand, decay, w);
-                    if collect_evals {
-                        evals.push(CandidateEval { cand, score });
-                    }
-                    ((score, cand), ())
-                }),
-                less,
-            );
-            (min.map(|(k, ())| k), evals)
-        };
-        if !(pool.is_parallel() && self.cands.len() >= PAR_MIN_CANDIDATES) {
-            return score_part(&self.cands);
-        }
-        let chunk = self.cands.len().div_ceil(pool.threads());
-        let chunks: Vec<&[(u32, u32)]> = self.cands.chunks(chunk).collect();
-        let outs = pool.map("par.sabre.score", &chunks, |_, part| score_part(part));
         let mut best: Option<Scored> = None;
         let mut evals = Vec::new();
-        for (min, part_evals) in outs {
-            if let Some(k) = min {
-                if best.is_none_or(|b| less(&k, &b)) {
-                    best = Some(k);
-                }
+        for &cand in &self.cands {
+            let score = self.score(cand, decay, w);
+            if collect_evals {
+                evals.push(CandidateEval { cand, score });
             }
-            evals.extend(part_evals);
+            if best.is_none_or(|b| less(&(score, cand), &b)) {
+                best = Some((score, cand));
+            }
         }
         (best, evals)
     }
 }
 
-/// The SABRE round loop behind [`route`], [`route_pooled`] and
-/// [`route_probed`]: execute everything executable, then rebuild the
-/// round, pick the best swap and apply it, until the circuit is done.
+/// The SABRE round loop behind [`route`] and [`route_probed`]: execute
+/// everything executable, then rebuild the round, pick the best swap and
+/// apply it, until the circuit is done.
 fn route_inner(
     circuit: &Circuit,
     graph: &CouplingGraph,
     initial_layout: &[u32],
     config: &SabreConfig,
-    pool: &WorkPool,
     mut probe: Option<&mut dyn FnMut(RoundProbe<'_>)>,
 ) -> Result<RoutedCircuit, SabreError> {
     let n_log = circuit.num_qubits();
@@ -591,7 +533,7 @@ fn route_inner(
 
         // 2. Pick the best swap among edges touching front-layer qubits.
         round.rebuild(circuit, &sched, &layout, config);
-        let (best, evals) = round.pick_swap(pool, &decay, config, probe.is_some());
+        let (best, evals) = round.pick_swap(&decay, config, probe.is_some());
         let Some((_, (a, b))) = best else {
             return Err(SabreError::Disconnected);
         };
@@ -855,25 +797,6 @@ mod tests {
         verify_routing(&c, &r, &g).unwrap();
     }
 
-    #[test]
-    fn pooled_routing_is_bit_identical() {
-        // Dense multipartite graph: each swap round enumerates well over
-        // PAR_MIN_CANDIDATES candidates, so the parallel path engages.
-        let g = CouplingGraph::complete_multipartite(&[8, 8, 8]);
-        let n = 24usize;
-        let c = random_circuit(n, 60, 41);
-        let cfg = SabreConfig::default();
-        let base = route(&c, &g, &trivial_layout(n), &cfg).unwrap();
-        verify_routing(&c, &base, &g).unwrap();
-        for threads in [2, 4, 8] {
-            let pool = WorkPool::new(threads);
-            let r = route_pooled(&c, &g, &trivial_layout(n), &cfg, &pool).unwrap();
-            assert_eq!(r.circuit.gates(), base.circuit.gates(), "{threads} threads");
-            assert_eq!(r.final_layout, base.final_layout);
-            assert_eq!(r.swaps_inserted, base.swaps_inserted);
-        }
-    }
-
     /// The O(Δ)-indexed router against the naive reference loop, which
     /// rescores every enumerated candidate from scratch.
     #[test]
@@ -883,17 +806,10 @@ mod tests {
         let c = random_circuit(n, 60, 41);
         let cfg = SabreConfig::default();
         let naive = reference::route(&c, &g, &trivial_layout(n), &cfg).unwrap();
-        for threads in [1, 2, 4, 8] {
-            let pool = WorkPool::new(threads);
-            let r = route_pooled(&c, &g, &trivial_layout(n), &cfg, &pool).unwrap();
-            assert_eq!(
-                r.circuit.gates(),
-                naive.circuit.gates(),
-                "{threads} threads"
-            );
-            assert_eq!(r.final_layout, naive.final_layout);
-            assert_eq!(r.swaps_inserted, naive.swaps_inserted);
-        }
+        let r = route(&c, &g, &trivial_layout(n), &cfg).unwrap();
+        assert_eq!(r.circuit.gates(), naive.circuit.gates());
+        assert_eq!(r.final_layout, naive.final_layout);
+        assert_eq!(r.swaps_inserted, naive.swaps_inserted);
     }
 
     #[test]
@@ -918,24 +834,22 @@ mod tests {
         let mut c = Circuit::new(4);
         c.push(Gate::cz(Qubit(0), Qubit(3)));
         let g = CouplingGraph::from_edges(4, &[(0, 1), (2, 3)]);
-        let pool = WorkPool::new(4);
         let cfg = SabreConfig::default();
         assert!(matches!(
-            route_pooled(&c, &g, &trivial_layout(4), &cfg, &pool),
+            route(&c, &g, &trivial_layout(4), &cfg),
             Err(SabreError::Disconnected)
         ));
         assert!(matches!(
-            route_pooled(
+            route(
                 &Circuit::new(5),
                 &CouplingGraph::line(3),
                 &trivial_layout(5),
-                &cfg,
-                &pool
+                &cfg
             ),
             Err(SabreError::TooManyQubits { .. })
         ));
         assert!(matches!(
-            route_pooled(&c, &g, &[0, 0, 1, 2], &cfg, &pool),
+            route(&c, &g, &[0, 0, 1, 2], &cfg),
             Err(SabreError::InvalidLayout { .. })
         ));
     }

@@ -3,16 +3,14 @@
 //! enumerated candidate from scratch with
 //! [`raa_sabre::reference_swap_score`] — same gate stream, same final
 //! layout, same swap count — on every coupling-graph family the
-//! workspace routes on, at 1 and 4 workers.
+//! workspace routes on.
 //!
 //! Every routed case also runs through the probe hook
 //! ([`raa_sabre::route_probed`]), which exposes each round's front
 //! layer, extended set, layout, decay vector and candidate evaluations
 //! *before* the chosen swap is applied: every compared score must be
 //! bit-identical to the reference recomputation on the same inputs,
-//! including across decay-reset epochs and across the parallel scorer's
-//! chunk seams (the `[8, 8, 8]` multipartite rounds enumerate more than
-//! 64 candidates, crossing `PAR_MIN_CANDIDATES` at 4 workers).
+//! including across decay-reset epochs.
 
 mod reference;
 
@@ -21,7 +19,6 @@ use std::collections::HashSet;
 use proptest::prelude::*;
 use raa_arch::CouplingGraph;
 use raa_circuit::{Circuit, Gate, Qubit};
-use raa_par::WorkPool;
 use raa_sabre::{
     layout_and_route, reference_swap_score, route_probed, LayoutConfig, RoutedCircuit, SabreConfig,
     SabreError,
@@ -55,8 +52,7 @@ fn random_layout(n_log: usize, n_phys: usize, seed: u64) -> Vec<u32> {
     layout
 }
 
-/// Routes through the probed router at `threads` workers and asserts,
-/// for every round, that each candidate is evaluated once, that the
+/// Routes through the probed router and asserts, for every round, that each candidate is evaluated once, that the
 /// score the selection compared is bit-identical to the reference
 /// recomputation, and that the chosen swap was evaluated. Returns the
 /// number of audited evaluations and the routed output.
@@ -65,11 +61,9 @@ fn audit_route(
     graph: &CouplingGraph,
     layout: &[u32],
     config: &SabreConfig,
-    threads: usize,
 ) -> (usize, RoutedCircuit) {
-    let pool = WorkPool::new(threads);
     let mut audited = 0usize;
-    let routed = route_probed(circuit, graph, layout, config, &pool, &mut |probe| {
+    let routed = route_probed(circuit, graph, layout, config, &mut |probe| {
         let distinct: HashSet<(u32, u32)> = probe.evals.iter().map(|e| e.cand).collect();
         assert_eq!(
             distinct.len(),
@@ -117,17 +111,15 @@ fn assert_same_routing(ctx: &str, got: &RoutedCircuit, want: &RoutedCircuit) {
 }
 
 /// Routes a random circuit from a random layout through the reference
-/// and through the audited router at 1 and 4 workers; all must agree.
+/// and through the audited router; both must agree.
 fn check_against_reference(graph: &CouplingGraph, n_log: usize, gates: usize, seed: u64) {
     let c = random_circuit(n_log, gates, seed);
     let layout = random_layout(n_log, graph.num_qubits(), seed.wrapping_mul(0x9e37));
     let config = SabreConfig::default();
     let want = reference::route(&c, graph, &layout, &config).expect("reference routes");
-    for threads in [1usize, 4] {
-        let (audited, got) = audit_route(&c, graph, &layout, &config, threads);
-        assert_same_routing(&format!("seed {seed}, {threads} threads"), &got, &want);
-        assert_eq!(audited > 0, got.swaps_inserted > 0);
-    }
+    let (audited, got) = audit_route(&c, graph, &layout, &config);
+    assert_same_routing(&format!("seed {seed}"), &got, &want);
+    assert_eq!(audited > 0, got.swaps_inserted > 0);
 }
 
 /// The layout search of `layout_and_route`, step for step, over the
@@ -222,7 +214,7 @@ proptest! {
             let n = graph.num_qubits();
             let c = random_circuit(n, gates, seed);
             let layout = random_layout(n, n, seed);
-            route_probed(&c, &graph, &layout, &SabreConfig::default(), &WorkPool::sequential(), &mut |probe| {
+            route_probed(&c, &graph, &layout, &SabreConfig::default(), &mut |probe| {
                 let (a, b) = probe.chosen;
                 let remap = |p: u32| if p == a { b } else if p == b { a } else { p };
                 assert!(
@@ -254,7 +246,7 @@ fn scores_stay_exact_across_decay_reset_epochs() {
         want.swaps_inserted > config.decay_reset_interval,
         "workload too small to cross a reset epoch"
     );
-    let (audited, got) = audit_route(&c, &graph, &layout, &config, 1);
+    let (audited, got) = audit_route(&c, &graph, &layout, &config);
     assert!(audited > 0);
     assert_same_routing("CZ(0, 9) on a 10-line", &got, &want);
 }
@@ -277,7 +269,7 @@ fn dedup_preserves_picks_and_strictly_lowers_recomputes() {
     let want = reference::route(&c, &graph, &layout, &config).expect("routes");
 
     raa_trace::begin(Level::Detail);
-    let (audited, got) = audit_route(&c, &graph, &layout, &config, 1);
+    let (audited, got) = audit_route(&c, &graph, &layout, &config);
     let report = raa_trace::end();
     assert_same_routing("dedup", &got, &want);
 
@@ -290,8 +282,8 @@ fn dedup_preserves_picks_and_strictly_lowers_recomputes() {
 
 /// Baseline scale, release builds only: QAOA-100 through the
 /// superconducting baseline's full layout search on the 129-qubit
-/// heavy-hex device, and a 1024-slot multipartite QAOA routed at 1 and
-/// 4 workers — the regime Atomique's large-register transpiles run in.
+/// heavy-hex device, and a 1024-slot multipartite QAOA — the regime
+/// Atomique's large-register transpiles run in.
 #[test]
 #[cfg_attr(
     debug_assertions,
@@ -311,9 +303,6 @@ fn baseline_scale_routes_match_reference() {
     let config = SabreConfig::default();
     let want = reference::route(&qaoa, &graph, &layout, &config).expect("routes");
     assert!(want.swaps_inserted > 0);
-    for threads in [1usize, 4] {
-        let got = raa_sabre::route_pooled(&qaoa, &graph, &layout, &config, &WorkPool::new(threads))
-            .expect("routes");
-        assert_same_routing(&format!("QAOA-1024, {threads} threads"), &got, &want);
-    }
+    let got = raa_sabre::route(&qaoa, &graph, &layout, &config).expect("routes");
+    assert_same_routing("QAOA-1024", &got, &want);
 }

@@ -3,7 +3,7 @@
 //! ```text
 //! raa-serve serve [--addr 127.0.0.1:7417] [--workers N] [--queue N] [--cache N]
 //!                 [--deadline-ms N] [--drain-ms N]
-//! raa-serve batch [--opt 0|1|2] [--threads N] [--workers N] [--out DIR]
+//! raa-serve batch [--opt 0|1|2] [--workers N] [--out DIR]
 //!                 circuit.qasm [more.qasm ...]
 //! ```
 //!
@@ -32,7 +32,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: raa-serve serve [--addr A] [--workers N] [--queue N] [--cache N] \
          [--deadline-ms N] [--drain-ms N]\n\
-         \x20      raa-serve batch [--opt N] [--threads N] [--workers N] [--out DIR] FILE..."
+         \x20      raa-serve batch [--opt N] [--workers N] [--out DIR] FILE..."
     );
     ExitCode::from(2)
 }
@@ -125,13 +125,11 @@ fn cmd_serve(args: Vec<String>) -> Result<(), String> {
 fn cmd_batch(args: Vec<String>) -> Result<(), String> {
     let mut cfg = ServeConfig::default();
     let mut opt = 0usize;
-    let mut threads = 1usize;
     let mut out_dir = String::new();
     let mut files: Vec<String> = Vec::new();
     let mut args = args.into_iter().peekable();
     while let Some(arg) = args.next() {
         if flag_value(&mut args, &arg, "--opt", &mut opt)?
-            || flag_value(&mut args, &arg, "--threads", &mut threads)?
             || flag_value(&mut args, &arg, "--workers", &mut cfg.workers)?
             || flag_value(&mut args, &arg, "--out", &mut out_dir)?
         {
@@ -151,8 +149,6 @@ fn cmd_batch(args: Vec<String>) -> Result<(), String> {
         2 => OptLevel::Aggressive,
         other => return Err(format!("bad --opt {other} (expected 0, 1 or 2)")),
     };
-    cfg.base.threads =
-        atomique::parse_threads(&threads.to_string()).map_err(|e| format!("bad --threads: {e}"))?;
 
     let mut jobs = Vec::new();
     for file in &files {

@@ -14,11 +14,14 @@
 //! at stage boundaries, bounded retry-with-backoff for transient
 //! failures (panics and `raa-fault` injections), then a degradation
 //! ladder that retries on progressively cheaper configs
-//! (`-O2`→`-O1`→`-O0`, threads→1) and labels the result degraded.
-//! Degraded results are served and shared with coalesced followers but
-//! never cached, so later identical requests retry the primary config. A circuit breaker sheds whole
-//! batches after repeated terminal failures, and [`Engine::begin_drain`]
-//! rejects new batches while in-flight ones finish.
+//! (`-O2`→`-O1`→`-O0`) and labels the result degraded. Degraded
+//! results are served and shared with coalesced followers but never
+//! cached, so later identical requests retry the primary config. A
+//! circuit breaker sheds whole batches after repeated terminal
+//! failures that say something about compile health — an error the
+//! request's own input decided (an oversized circuit, say) is not one
+//! — and [`Engine::begin_drain`] rejects new batches while in-flight
+//! ones finish.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -49,9 +52,8 @@ static SHED: Counter = Counter::new("serve.breaker.shed");
 /// Sizing knobs for an [`Engine`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker threads compiling jobs concurrently (the inter-job
-    /// fan-out; each compile may additionally use
-    /// [`AtomiqueConfig::threads`] internally).
+    /// Worker threads compiling a batch's leader jobs concurrently;
+    /// each compile runs on one of them.
     pub workers: usize,
     /// Maximum jobs admitted at once across all batches; a batch that
     /// would push the in-flight count past this bound is rejected
@@ -74,14 +76,15 @@ pub struct ServeConfig {
     /// attempt.
     pub retry_backoff_ms: u64,
     /// Whether exhausted/timed-out compiles fall down the degradation
-    /// ladder (lower opt level, then one thread)
-    /// instead of failing outright.
+    /// ladder (lower opt levels) instead of failing outright.
     pub degrade: bool,
     /// Per-attempt compile deadline applied when a request does not
     /// carry its own `deadline_ms`. `None` means unlimited.
     pub default_deadline_ms: Option<u64>,
     /// Consecutive terminal leader failures that open the circuit
-    /// breaker. `0` disables the breaker.
+    /// breaker. Errors the request's own input decided (capacity,
+    /// circuit, architecture, routing, a stuck router) do not count.
+    /// `0` disables the breaker.
     pub breaker_threshold: u32,
     /// How long an open breaker sheds load before letting one probe
     /// batch through, milliseconds.
@@ -147,7 +150,7 @@ pub struct CacheEntry {
     pub counters: Vec<(String, u64)>,
     /// `None` for a primary-config result; `Some(label)` when the
     /// result came from a degradation-ladder rung, naming the
-    /// cumulative config diff (e.g. `"opt=0,threads=1"`).
+    /// cumulative config diff (e.g. `"opt=0"`).
     /// Degraded entries are served but never cached.
     pub degraded: Option<String>,
 }
@@ -424,9 +427,10 @@ impl Breaker {
         }
     }
 
-    /// Releases the probe slot when a probe batch ends with no leader
-    /// outcomes at all (pure hits / coalesced followers): no evidence
-    /// either way, so the next batch probes again.
+    /// Releases the probe slot when a probe batch ends without evidence
+    /// either way — only hits, coalesced followers, or leaders whose
+    /// errors their own input decided — so the next batch probes
+    /// again.
     fn release_probe(&self) {
         if self.threshold == 0 {
             return;
@@ -685,33 +689,60 @@ impl Engine {
             }
         }
 
-        // Compile the leaders, fanned out over the worker pool.
-        // `WorkPool::map` links workers into this thread's trace
-        // session, so `serve.compile` (and the compiler's own
-        // counters) land with the submitter.
+        // Compile the leaders, fanned out over the worker pool. Each
+        // leader compile owns its trace session, so its counters are
+        // its own; the `serve.*` counters are ticked below, on this
+        // thread, so a caller's session still sees them.
         let mut lead_guard = LeadGuard {
             engine: self,
             keys: leads.iter().map(|&(_, key)| key).collect(),
             armed: true,
         };
-        let results = self.pool.map("par.serve", &leads, |_, &(i, _)| {
-            self.compile_resilient(&jobs[i].circuit, &cfg, deadline_ms)
+        let attempts = self.pool.map_isolated("par.serve", &leads, |_, &(i, _)| {
+            let mut tally = Attempts::default();
+            let result = self.compile_resilient(&jobs[i].circuit, &cfg, deadline_ms, &mut tally);
+            (result, tally)
         });
 
-        // Feed the breaker from terminal leader outcomes (followers and
-        // hits carry no new evidence about compile health).
-        for result in &results {
-            match result {
-                Ok(_) => self.breaker.record_success(),
-                Err(_) => {
-                    if self.breaker.record_failure() {
-                        BREAKER_OPEN.incr();
-                        self.tallies.breaker_opens.fetch_add(1, Ordering::Relaxed);
+        // Tally every attempt and feed the breaker from terminal leader
+        // outcomes (followers and hits carry no new evidence about
+        // compile health, and neither do errors the input decided).
+        let mut evidence = false;
+        let results: Vec<Result<Arc<CacheEntry>, ServeError>> = attempts
+            .into_iter()
+            .map(|(result, tally)| {
+                COMPILE.add(tally.compiles);
+                self.tallies
+                    .compiles
+                    .fetch_add(tally.compiles, Ordering::Relaxed);
+                RETRY.add(tally.retries);
+                self.tallies
+                    .retries
+                    .fetch_add(tally.retries, Ordering::Relaxed);
+                match result {
+                    Ok(entry) => {
+                        if entry.degraded.is_some() {
+                            DEGRADED.incr();
+                            self.tallies.degraded.fetch_add(1, Ordering::Relaxed);
+                        }
+                        evidence = true;
+                        self.breaker.record_success();
+                        Ok(entry)
+                    }
+                    Err(failure) => {
+                        if !matches!(failure, Failure::Input(_)) {
+                            evidence = true;
+                            if self.breaker.record_failure() {
+                                BREAKER_OPEN.incr();
+                                self.tallies.breaker_opens.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
+                        Err(self.terminal_error(failure))
                     }
                 }
-            }
-        }
-        if probe && leads.is_empty() {
+            })
+            .collect();
+        if probe && !evidence {
             self.breaker.release_probe();
         }
 
@@ -839,43 +870,51 @@ impl Engine {
     /// degradation ladder. Every attempt gets a fresh `deadline_ms`
     /// budget — the ladder exists precisely so a config that cannot
     /// finish in budget can be answered by a cheaper one that can.
+    /// Attempts are counted into `tally`; the submitting thread turns
+    /// them into telemetry.
     fn compile_resilient(
         &self,
         circuit: &Circuit,
         cfg: &AtomiqueConfig,
         deadline_ms: Option<u64>,
-    ) -> Result<Arc<CacheEntry>, ServeError> {
-        let mut last = match self.compile_retrying(circuit, cfg, deadline_ms) {
+        tally: &mut Attempts,
+    ) -> Result<Arc<CacheEntry>, Failure> {
+        let mut last = match self.compile_retrying(circuit, cfg, deadline_ms, tally) {
             Ok(entry) => return Ok(entry),
-            Err(Failure::Permanent(e)) => return Err(e),
+            Err(f @ (Failure::Input(_) | Failure::Permanent(_))) => return Err(f),
             Err(f) => f,
         };
         if self.degrade {
             for (label, rung) in degradation_ladder(cfg) {
+                tally.compiles += 1;
                 match self.compile_once(circuit, &rung, deadline_ms) {
                     Ok(entry) => {
-                        DEGRADED.incr();
-                        self.tallies.degraded.fetch_add(1, Ordering::Relaxed);
                         let mut entry = Arc::try_unwrap(entry).unwrap_or_else(|arc| (*arc).clone());
                         entry.degraded = Some(label);
                         return Ok(Arc::new(entry));
                     }
-                    // A permanent error on a rung (e.g. capacity) will
-                    // not improve further down: fail now.
-                    Err(Failure::Permanent(e)) => return Err(e),
+                    // A deterministic error on a rung (e.g. capacity)
+                    // will not improve further down: fail now.
+                    Err(f @ (Failure::Input(_) | Failure::Permanent(_))) => return Err(f),
                     Err(f) => last = f,
                 }
             }
         }
-        match last {
+        Err(last)
+    }
+
+    /// A leader's terminal failure as the error its flight publishes;
+    /// a deadline overrun is counted here.
+    fn terminal_error(&self, failure: Failure) -> ServeError {
+        match failure {
             Failure::Deadline { stage } => {
                 DEADLINE.incr();
                 self.tallies
                     .deadline_exceeded
                     .fetch_add(1, Ordering::Relaxed);
-                Err(ServeError::DeadlineExceeded { stage })
+                ServeError::DeadlineExceeded { stage }
             }
-            Failure::Transient(e) | Failure::Permanent(e) => Err(e),
+            Failure::Transient(e) | Failure::Input(e) | Failure::Permanent(e) => e,
         }
     }
 
@@ -888,14 +927,15 @@ impl Engine {
         circuit: &Circuit,
         cfg: &AtomiqueConfig,
         deadline_ms: Option<u64>,
+        tally: &mut Attempts,
     ) -> Result<Arc<CacheEntry>, Failure> {
         let mut backoff = self.retry_backoff;
         for attempt in 0..=self.max_retries {
+            tally.compiles += 1;
             match self.compile_once(circuit, cfg, deadline_ms) {
                 Ok(entry) => return Ok(entry),
                 Err(Failure::Transient(_)) if attempt < self.max_retries => {
-                    RETRY.incr();
-                    self.tallies.retries.fetch_add(1, Ordering::Relaxed);
+                    tally.retries += 1;
                     if !backoff.is_zero() {
                         std::thread::sleep(backoff);
                         backoff *= 2;
@@ -914,13 +954,11 @@ impl Engine {
         cfg: &AtomiqueConfig,
         deadline_ms: Option<u64>,
     ) -> Result<Arc<CacheEntry>, Failure> {
-        COMPILE.incr();
-        self.tallies.compiles.fetch_add(1, Ordering::Relaxed);
         let limits = CompileLimits {
             deadline: deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms)),
         };
         // A panic — adversarial circuit or injected fault — must become
-        // a per-job error, not unwind through `WorkPool::map` and
+        // a per-job error, not unwind through the worker wave and
         // `submit`: an escaped panic would skip the publish step and
         // leave this key's flight wedged in `in_flight` forever.
         let out = catch_unwind(AssertUnwindSafe(|| {
@@ -963,7 +1001,18 @@ impl Engine {
     }
 }
 
-/// How one compile attempt failed, for the retry/ladder policy.
+/// Compile attempts one leader made, counted on its worker and ticked
+/// into telemetry by the submitting thread.
+#[derive(Default)]
+struct Attempts {
+    /// Every attempt: the first, same-config retries and ladder rungs.
+    compiles: u64,
+    /// Same-config retries after transient failures.
+    retries: u64,
+}
+
+/// How one compile attempt failed, for the retry/ladder and breaker
+/// policies.
 enum Failure {
     /// Worth retrying on the same config (caught panic, injected
     /// fault).
@@ -974,22 +1023,32 @@ enum Failure {
         /// Stage boundary where the overrun was observed.
         stage: String,
     },
-    /// Deterministic rejection (capacity, routing, verification):
-    /// retries and cheaper configs cannot help.
+    /// Decided by the request's own input (capacity, circuit,
+    /// architecture, routing, a stuck router): retries and cheaper
+    /// configs cannot help, and the failure says nothing about the
+    /// compiler's health, so it never feeds the breaker.
+    Input(ServeError),
+    /// Deterministic rejection by the compiler's own checks (ISA
+    /// legality or replay, a missing stream): retries and cheaper
+    /// configs cannot help, but it is a compiler fault.
     Permanent(ServeError),
 }
 
 fn classify(e: CompileError) -> Failure {
+    let error = |e: CompileError| ServeError::Compile {
+        message: e.to_string(),
+    };
     match e {
-        CompileError::Injected { .. } => Failure::Transient(ServeError::Compile {
-            message: e.to_string(),
-        }),
+        CompileError::Injected { .. } => Failure::Transient(error(e)),
         CompileError::Deadline { stage } => Failure::Deadline {
             stage: stage.to_string(),
         },
-        _ => Failure::Permanent(ServeError::Compile {
-            message: e.to_string(),
-        }),
+        CompileError::Capacity { .. }
+        | CompileError::Circuit(_)
+        | CompileError::Arch(_)
+        | CompileError::Routing(_)
+        | CompileError::RouterStuck { .. } => Failure::Input(error(e)),
+        CompileError::IsaLegality(_) | CompileError::IsaReplay(_) => Failure::Permanent(error(e)),
     }
 }
 
@@ -1004,10 +1063,6 @@ fn degradation_ladder(cfg: &AtomiqueConfig) -> Vec<(String, AtomiqueConfig)> {
             raa_isa::OptLevel::Aggressive => raa_isa::OptLevel::Basic,
             _ => raa_isa::OptLevel::None,
         };
-        rungs.push((diff_label(cfg, &cur), cur.clone()));
-    }
-    if cur.threads > 1 {
-        cur.threads = 1;
         rungs.push((diff_label(cfg, &cur), cur.clone()));
     }
     rungs
@@ -1025,9 +1080,6 @@ fn diff_label(base: &AtomiqueConfig, cur: &AtomiqueConfig) -> String {
                 raa_isa::OptLevel::Aggressive => 2,
             }
         ));
-    }
-    if cur.threads != base.threads {
-        parts.push(format!("threads={}", cur.threads));
     }
     parts.join(",")
 }
@@ -1201,11 +1253,11 @@ mod tests {
             ..ServeConfig::default()
         });
         let cfg = engine.base().clone();
-        // Two consecutive terminal failures (capacity errors are
-        // permanent) trip the breaker.
-        for _ in 0..2 {
+        // Two consecutive terminal failures (a 0 ms deadline overruns
+        // at the first stage boundary) trip the breaker.
+        for n in [3, 4] {
             let out = engine
-                .submit(&cfg, &[job("too-big", Circuit::new(100_000))])
+                .submit_with(&cfg, &[job("slow", ghz(n))], Some(0))
                 .unwrap();
             assert!(out[0].result.is_err());
         }
@@ -1226,6 +1278,56 @@ mod tests {
     }
 
     #[test]
+    fn oversized_jobs_never_open_the_breaker() {
+        // 400 qubits on the default 300-atom machine: `Capacity`, an
+        // error the request's own input decides. Eight of them (the
+        // default threshold) say nothing about compile health, so the
+        // breaker stays closed and the next valid job is served.
+        let engine = Engine::new(ServeConfig::default());
+        let cfg = engine.base().clone();
+        for i in 0..8 {
+            let out = engine
+                .submit(&cfg, &[job(&format!("big{i}"), ghz(400))])
+                .unwrap();
+            let err = out[0].result.as_ref().unwrap_err();
+            assert!(err.to_string().contains("400"), "{err}");
+        }
+        assert_eq!(engine.stats().breaker_state, BreakerState::Closed);
+        let out = engine.submit(&cfg, &[job("ghz", ghz(5))]).unwrap();
+        assert!(out[0].result.is_ok());
+        let stats = engine.stats();
+        assert_eq!(stats.breaker_state, BreakerState::Closed);
+        assert_eq!((stats.breaker_opens, stats.shed), (0, 0));
+    }
+
+    #[test]
+    fn input_errors_release_a_probe_without_closing_the_breaker() {
+        let engine = Engine::new(ServeConfig {
+            breaker_threshold: 1,
+            breaker_cooldown_ms: 20,
+            max_retries: 0,
+            degrade: false,
+            ..ServeConfig::default()
+        });
+        let cfg = engine.base().clone();
+        let out = engine
+            .submit_with(&cfg, &[job("slow", ghz(4))], Some(0))
+            .unwrap();
+        assert!(out[0].result.is_err());
+        assert_eq!(engine.stats().breaker_state, BreakerState::Open);
+        std::thread::sleep(std::time::Duration::from_millis(30));
+        // The probe batch's only leader fails on its own input: no
+        // evidence, so the breaker stays half-open and frees the slot
+        // for the next batch, which probes and closes it.
+        let out = engine.submit(&cfg, &[job("big", ghz(400))]).unwrap();
+        assert!(out[0].result.is_err());
+        assert_eq!(engine.stats().breaker_state, BreakerState::HalfOpen);
+        let out = engine.submit(&cfg, &[job("ghz", ghz(5))]).unwrap();
+        assert!(out[0].result.is_ok());
+        assert_eq!(engine.stats().breaker_state, BreakerState::Closed);
+    }
+
+    #[test]
     fn draining_rejects_new_batches() {
         let engine = Engine::new(ServeConfig::default());
         let cfg = engine.base().clone();
@@ -1241,8 +1343,8 @@ mod tests {
     fn exhausted_deadline_is_reported_after_the_ladder() {
         // A deadline of 0 ms expires at every stage boundary of every
         // rung, deterministically: the default config has no cheaper
-        // rungs (sequential, -O0, one thread), so exactly one attempt
-        // runs and the job reports `deadline`.
+        // rungs (it is already -O0), so exactly one attempt runs and
+        // the job reports `deadline`.
         let engine = Engine::new(ServeConfig::default());
         let cfg = engine.base().clone();
         let out = engine
@@ -1262,15 +1364,13 @@ mod tests {
     fn ladder_rungs_are_cumulative_with_self_describing_labels() {
         let cfg = AtomiqueConfig {
             opt_level: raa_isa::OptLevel::Aggressive,
-            threads: 4,
             ..AtomiqueConfig::default()
         };
         let rungs = degradation_ladder(&cfg);
         let labels: Vec<&str> = rungs.iter().map(|(l, _)| l.as_str()).collect();
-        assert_eq!(labels, ["opt=1", "opt=0", "opt=0,threads=1"]);
+        assert_eq!(labels, ["opt=1", "opt=0"]);
         let last = &rungs.last().unwrap().1;
         assert_eq!(last.opt_level, raa_isa::OptLevel::None);
-        assert_eq!(last.threads, 1);
         // Nothing to shed for an already-minimal config.
         assert!(degradation_ladder(&AtomiqueConfig::default()).is_empty());
     }

@@ -6,11 +6,12 @@
 //! distinct entry, each matching its own direct compile) and *single
 //! flight* (identical concurrent submissions compile exactly once —
 //! proven through the `serve.compile` telemetry counter, not just
-//! engine bookkeeping).
+//! engine bookkeeping). Each entry's telemetry is its own compile's,
+//! however many leaders a batch fans out.
 
 use std::sync::{Arc, Barrier};
 
-use atomique::{trace, AtomiqueConfig, OptLevel};
+use atomique::{trace, AtomiqueConfig, CompiledProgram, OptLevel};
 use raa_circuit::{Circuit, Gate, Qubit};
 use raa_isa::codec;
 use raa_serve::engine::{CacheStatus, Engine, Job, ServeConfig};
@@ -32,14 +33,18 @@ fn job(name: &str, circuit: &Circuit) -> Job {
 }
 
 /// Compiles directly (no cache) under the same forced serving flags
-/// the engine applies, returning the verified ISA bytes.
-fn direct_bytes(circuit: &Circuit, cfg: &AtomiqueConfig) -> Vec<u8> {
+/// the engine applies.
+fn direct(circuit: &Circuit, cfg: &AtomiqueConfig) -> CompiledProgram {
     let mut cfg = cfg.clone();
     cfg.emit_isa = true;
     cfg.verify_isa = true;
     cfg.trace = true;
-    let out = atomique::compile(circuit, &cfg).expect("direct compile failed");
-    codec::to_bytes(out.isa.as_ref().expect("isa attached"))
+    atomique::compile(circuit, &cfg).expect("direct compile failed")
+}
+
+/// The verified ISA bytes of [`direct`].
+fn direct_bytes(circuit: &Circuit, cfg: &AtomiqueConfig) -> Vec<u8> {
+    codec::to_bytes(direct(circuit, cfg).isa.as_ref().expect("isa attached"))
 }
 
 /// Distinct configs must never alias: a cache warmed at one opt level
@@ -74,43 +79,80 @@ fn distinct_opt_levels_never_serve_stale_entries() {
     assert_eq!(engine.stats().compiles, 2);
 }
 
-/// Every compilation axis that reaches the engine — the request's
-/// `opt_level` and the base config's `threads` — produces its own
-/// cache entry: warming one axis value never hits on another.
+/// Every value of the one per-request compilation axis, the request's
+/// `opt_level`, produces its own cache entry: warming one value never
+/// hits on another.
 #[test]
 fn every_override_axis_gets_its_own_entry() {
     let engine = Engine::new(ServeConfig::default());
     let circuit = ghz(4);
-    let base = engine.base().clone();
+    let levels = [OptLevel::None, OptLevel::Basic, OptLevel::Aggressive];
+    let configs: Vec<AtomiqueConfig> = levels
+        .iter()
+        .map(|&opt_level| AtomiqueConfig {
+            opt_level,
+            ..engine.base().clone()
+        })
+        .collect();
 
-    let mut threaded = base.clone();
-    threaded.threads = 4;
-    let mut aggressive = base.clone();
-    aggressive.opt_level = OptLevel::Aggressive;
-
-    for cfg in [&base, &threaded, &aggressive] {
+    for cfg in &configs {
         let out = engine.submit(cfg, &[job("g", &circuit)]).unwrap();
         assert_eq!(out[0].result.as_ref().unwrap().status, CacheStatus::Miss);
     }
     assert_eq!(engine.stats().compiles, 3);
     assert_eq!(engine.stats().cache_entries, 3);
+    for cfg in &configs {
+        let out = engine.submit(cfg, &[job("g", &circuit)]).unwrap();
+        let warm = out[0].result.as_ref().unwrap();
+        assert_eq!(warm.status, CacheStatus::Hit);
+        assert_eq!(warm.entry.isa_bytes, direct_bytes(&circuit, cfg));
+    }
+}
 
-    // threads=1 vs threads=4 are distinct entries by fingerprint, yet
-    // bit-identical by the parallel-determinism guarantee — the cache
-    // distinguishes them without ever being *wrong* about either.
-    let warm1 = engine.submit(&base, &[job("g", &circuit)]).unwrap();
-    let warm4 = engine.submit(&threaded, &[job("g", &circuit)]).unwrap();
-    let r1 = warm1[0].result.as_ref().unwrap();
-    let r4 = warm4[0].result.as_ref().unwrap();
-    assert_eq!(r1.status, CacheStatus::Hit);
-    assert_eq!(r4.status, CacheStatus::Hit);
-    assert_eq!(r1.entry.isa_bytes, r4.entry.isa_bytes);
+/// Two distinct leaders in one batch on two workers, submitted from a
+/// thread that holds a `Detail` session: each cached entry reports
+/// exactly its own compile's counter table — neither leader's
+/// increments bleed into the other's entry or arrive through the
+/// caller's session — while the caller's session still counts every
+/// compile attempt the engine ran.
+#[test]
+fn leader_counters_stay_with_their_own_entry() {
+    let engine = Engine::new(ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    });
+    let circuits = [ghz(30), ghz(40)];
+    let jobs: Vec<Job> = circuits
+        .iter()
+        .enumerate()
+        .map(|(i, c)| job(&format!("ghz{i}"), c))
+        .collect();
+    let before = engine.stats().compiles;
+
+    trace::begin(trace::Level::Detail);
+    let out = engine.submit(engine.base(), &jobs).unwrap();
+    let caller = trace::end();
+
+    for (circuit, outcome) in circuits.iter().zip(&out) {
+        let result = outcome.result.as_ref().unwrap();
+        assert_eq!(result.status, CacheStatus::Miss);
+        let own = direct(circuit, engine.base());
+        assert!(own.report.counter("grid.query") > 0);
+        assert_eq!(
+            result.entry.counters,
+            own.report.counters(),
+            "{}: entry counters differ from its direct compile",
+            outcome.name
+        );
+    }
+    let compiles = engine.stats().compiles - before;
+    assert_eq!(compiles, 2);
+    assert_eq!(caller.counter("serve.compile"), compiles);
 }
 
 /// Eight identical jobs in one batch over four workers: exactly one
 /// compile happens, asserted through the `serve.compile` raa-trace
-/// counter recorded in the submitter's session (WorkPool::map links
-/// worker telemetry back into it).
+/// counter, which the engine ticks on the submitting thread.
 #[test]
 fn identical_jobs_within_a_batch_compile_once() {
     let engine = Engine::new(ServeConfig {

@@ -26,15 +26,8 @@
 //! Thread safety: all session state is thread-local, so concurrent
 //! threads trace independently and never contend; the only shared state
 //! is the lock-protected counter-name registry, touched once per
-//! counter per process. A session can additionally *adopt* worker
-//! threads for the duration of a parallel wave: [`link`] captures a
-//! [`SessionLink`] on the session's thread, [`attach`] joins a worker
-//! to it (counter increments land atomically in the linked session's
-//! store; spans record into a per-worker buffer), and [`absorb`] merges
-//! the finished workers' span buffers back into the session in worker
-//! order — so counter totals and merged span structure are independent
-//! of scheduling. Sessions on *different* threads still never share
-//! state: a link only ever points at the one session that created it.
+//! counter per process. Work on another thread records into that
+//! thread's own session (or nowhere), never into the caller's.
 //!
 //! # The disabled fast path
 //!
@@ -77,8 +70,8 @@
 pub mod export;
 
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// How much a session records. Ordered: a session at some level records
@@ -120,47 +113,6 @@ impl RawEvent {
     }
 }
 
-/// Atomic counter totals shared between a session and the workers
-/// linked to it. Increments are relaxed atomic adds (counter totals are
-/// order-independent sums, so parallel accumulation is deterministic);
-/// the `RwLock` is only written when a counter id past the current
-/// capacity first appears.
-struct CounterSink {
-    counts: RwLock<Vec<AtomicU64>>,
-}
-
-impl CounterSink {
-    fn new() -> CounterSink {
-        CounterSink {
-            counts: RwLock::new(Vec::new()),
-        }
-    }
-
-    fn add(&self, id: usize, n: u64) {
-        {
-            let counts = self.counts.read().expect("counter sink poisoned");
-            if let Some(slot) = counts.get(id) {
-                slot.fetch_add(n, Ordering::Relaxed);
-                return;
-            }
-        }
-        let mut counts = self.counts.write().expect("counter sink poisoned");
-        if counts.len() <= id {
-            counts.resize_with(id + 1, AtomicU64::default);
-        }
-        counts[id].fetch_add(n, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> Vec<u64> {
-        self.counts
-            .read()
-            .expect("counter sink poisoned")
-            .iter()
-            .map(|slot| slot.load(Ordering::Relaxed))
-            .collect()
-    }
-}
-
 /// One thread's active recording session.
 struct Session {
     t0: Instant,
@@ -168,9 +120,8 @@ struct Session {
     /// Open span depth (guards against stray `End`s from guards that
     /// outlived the session they were opened in).
     depth: usize,
-    /// Counter totals, indexed by registry id. Shared (via [`link`])
-    /// with worker threads attached to this session.
-    counts: Arc<CounterSink>,
+    /// Counter totals, indexed by registry id.
+    counts: Vec<u64>,
 }
 
 impl Session {
@@ -222,9 +173,8 @@ impl Counter {
         self.name
     }
 
-    /// Adds `n` to the counter in the calling thread's session (or, on
-    /// an [`attach`]ed worker, the linked session's shared atomic
-    /// store); no-op unless a session at [`Level::Detail`] is active.
+    /// Adds `n` to the counter in the calling thread's session; no-op
+    /// unless a session at [`Level::Detail`] is active.
     #[inline]
     pub fn add(&self, n: u64) {
         if LEVEL.with(|l| l.get()) < Level::Detail as u8 {
@@ -232,8 +182,11 @@ impl Counter {
         }
         let id = self.id();
         SESSION.with(|s| {
-            if let Some(session) = s.borrow().as_ref() {
-                session.counts.add(id, n);
+            if let Some(session) = s.borrow_mut().as_mut() {
+                if session.counts.len() <= id {
+                    session.counts.resize(id + 1, 0);
+                }
+                session.counts[id] += n;
             }
         });
     }
@@ -321,7 +274,7 @@ pub fn begin(level: Level) {
             t0: Instant::now(),
             events: Vec::new(),
             depth: 0,
-            counts: Arc::new(CounterSink::new()),
+            counts: Vec::new(),
         });
     });
 }
@@ -335,7 +288,7 @@ pub fn end() -> TraceReport {
     match session {
         Some(mut session) => {
             close_open_spans(&mut session);
-            build_report(&session.events, &session.counts.snapshot(), &[])
+            build_report(&session.events, &session.counts, &[])
         }
         None => TraceReport::default(),
     }
@@ -365,7 +318,7 @@ pub fn mark() -> Mark {
     SESSION.with(|s| match s.borrow().as_ref() {
         Some(session) => Mark {
             events: session.events.len(),
-            counts: session.counts.snapshot(),
+            counts: session.counts.clone(),
         },
         None => Mark {
             events: 0,
@@ -384,133 +337,10 @@ pub fn report_since(mark: &Mark) -> TraceReport {
         Some(session) => {
             let now = session.now_ns();
             let from = mark.events.min(session.events.len());
-            build_report_closing(
-                &session.events[from..],
-                &session.counts.snapshot(),
-                &mark.counts,
-                now,
-            )
+            build_report_closing(&session.events[from..], &session.counts, &mark.counts, now)
         }
         None => TraceReport::default(),
     })
-}
-
-/// `(worker, events)` span buffers handed back by detached workers,
-/// awaiting an [`absorb`] merge.
-type GatheredEvents = Mutex<Vec<(usize, Vec<RawEvent>)>>;
-
-/// A handle to one thread's live session that worker threads can
-/// [`attach`] to for the duration of a parallel wave.
-///
-/// The link shares the session's clock and its atomic counter store;
-/// spans recorded by an attached worker buffer per worker and are
-/// spliced back into the owning session — in worker order, each batch
-/// wrapped in a `par.worker` span — by [`absorb`]. Obtain one with
-/// [`link`] on the session's own thread.
-#[derive(Clone)]
-pub struct SessionLink {
-    level: u8,
-    t0: Instant,
-    counts: Arc<CounterSink>,
-    /// `(worker, events)` buffers pushed by detached workers, merged by
-    /// [`absorb`]. Sorted by worker index at merge time so the spliced
-    /// span structure is independent of completion order.
-    gathered: Arc<GatheredEvents>,
-}
-
-/// Captures a [`SessionLink`] to the calling thread's active session,
-/// or `None` when no session is active (workers then simply record
-/// nothing, exactly like today's unlinked threads).
-pub fn link() -> Option<SessionLink> {
-    SESSION.with(|s| {
-        s.borrow().as_ref().map(|session| SessionLink {
-            level: LEVEL.with(|l| l.get()),
-            t0: session.t0,
-            counts: Arc::clone(&session.counts),
-            gathered: Arc::new(Mutex::new(Vec::new())),
-        })
-    })
-}
-
-/// RAII guard for a worker thread attached to another thread's session
-/// via [`attach`]; dropping it detaches the worker and hands its span
-/// buffer to the link for a later [`absorb`].
-#[must_use = "the worker records only while the guard is alive"]
-pub struct WorkerGuard {
-    link: SessionLink,
-    worker: usize,
-}
-
-/// Joins the calling (worker) thread to the linked session: counter
-/// increments land in the linked session's atomic store, spans record
-/// into a worker-local buffer on the shared clock at the linked
-/// session's level. Replaces any session already active on the calling
-/// thread (pool workers are freshly spawned, so none exists in
-/// practice). Detach by dropping the returned guard *before* the
-/// owning thread calls [`absorb`].
-pub fn attach(link: &SessionLink, worker: usize) -> WorkerGuard {
-    LEVEL.with(|l| l.set(link.level));
-    SESSION.with(|s| {
-        *s.borrow_mut() = Some(Session {
-            t0: link.t0,
-            events: Vec::new(),
-            depth: 0,
-            counts: Arc::clone(&link.counts),
-        });
-    });
-    WorkerGuard {
-        link: link.clone(),
-        worker,
-    }
-}
-
-impl Drop for WorkerGuard {
-    fn drop(&mut self) {
-        LEVEL.with(|l| l.set(Level::Off as u8));
-        let session = SESSION.with(|s| s.borrow_mut().take());
-        if let Some(mut session) = session {
-            close_open_spans(&mut session);
-            if !session.events.is_empty() {
-                self.link
-                    .gathered
-                    .lock()
-                    .expect("session link poisoned")
-                    .push((self.worker, session.events));
-            }
-        }
-    }
-}
-
-/// Splices every detached worker's span buffer into the calling
-/// thread's session (which must be the one [`link`] was taken from),
-/// in worker order, each batch wrapped in a `par.worker` span so the
-/// merged tree shows which region ran on the pool. Counter totals need
-/// no merging — workers added straight into the shared atomic store.
-/// No-op for buffers from workers that recorded nothing, or when no
-/// session is active.
-pub fn absorb(link: &SessionLink) {
-    let mut batches = {
-        let mut gathered = link.gathered.lock().expect("session link poisoned");
-        std::mem::take(&mut *gathered)
-    };
-    if batches.is_empty() {
-        return;
-    }
-    batches.sort_by_key(|(worker, _)| *worker);
-    SESSION.with(|s| {
-        if let Some(session) = s.borrow_mut().as_mut() {
-            for (_, events) in batches {
-                let first = events.first().map(|e| e.at_ns()).unwrap_or(0);
-                let last = events.iter().map(RawEvent::at_ns).max().unwrap_or(first);
-                session.events.push(RawEvent::Begin {
-                    name: "par.worker",
-                    at_ns: first,
-                });
-                session.events.extend(events);
-                session.events.push(RawEvent::End { at_ns: last });
-            }
-        }
-    });
 }
 
 /// Closes still-open spans at the end instant so every begin has an end.
@@ -523,13 +353,7 @@ fn close_open_spans(session: &mut Session) {
 }
 
 fn build_report(events: &[RawEvent], counts: &[u64], baseline: &[u64]) -> TraceReport {
-    let now = events
-        .iter()
-        .map(|e| match e {
-            RawEvent::Begin { at_ns, .. } | RawEvent::End { at_ns } => *at_ns,
-        })
-        .max()
-        .unwrap_or(0);
+    let now = events.iter().map(RawEvent::at_ns).max().unwrap_or(0);
     build_report_closing(events, counts, baseline, now)
 }
 
@@ -795,99 +619,6 @@ mod tests {
         };
         assert!((report.span_total_s("x") - 100e-9).abs() < 1e-15);
         assert_eq!(report.find("x").unwrap().dur_ns, 100);
-    }
-
-    #[test]
-    fn linked_workers_count_into_the_owning_session() {
-        std::thread::spawn(|| {
-            begin(Level::Detail);
-            TEST_COUNTER_A.add(1);
-            let link = link().expect("session is active");
-            let outer = span("wave");
-            std::thread::scope(|scope| {
-                for w in [2usize, 1] {
-                    let l = link.clone();
-                    scope.spawn(move || {
-                        let _g = attach(&l, w);
-                        let _s = span(if w == 1 { "job.one" } else { "job.two" });
-                        TEST_COUNTER_A.add(10);
-                    });
-                }
-            });
-            absorb(&link);
-            drop(outer);
-            let report = end();
-            assert_eq!(report.counter("test.alpha"), 21);
-            // Worker batches land under the open span, in worker order
-            // regardless of spawn/completion order.
-            let wave = &report.spans[0];
-            assert_eq!(wave.name, "wave");
-            let names: Vec<_> = wave
-                .children
-                .iter()
-                .map(|w| (w.name.clone(), w.children[0].name.clone()))
-                .collect();
-            assert_eq!(
-                names,
-                vec![
-                    ("par.worker".to_string(), "job.one".to_string()),
-                    ("par.worker".to_string(), "job.two".to_string())
-                ]
-            );
-        })
-        .join()
-        .unwrap();
-    }
-
-    #[test]
-    fn link_is_none_without_a_session() {
-        std::thread::spawn(|| {
-            assert!(link().is_none());
-            begin(Level::Stages);
-            // Stages-level link: workers attach but detail spans and
-            // counters stay muted, so nothing is gathered.
-            let l = link().expect("session is active");
-            std::thread::scope(|scope| {
-                let l2 = l.clone();
-                scope.spawn(move || {
-                    let _g = attach(&l2, 0);
-                    let _s = span("detail.only");
-                    TEST_COUNTER_B.add(5);
-                });
-            });
-            absorb(&l);
-            let report = end();
-            assert!(report.spans.is_empty());
-            assert!(report.counters.is_empty());
-        })
-        .join()
-        .unwrap();
-    }
-
-    #[test]
-    fn report_since_sees_absorbed_worker_events() {
-        std::thread::spawn(|| {
-            begin(Level::Detail);
-            TEST_COUNTER_A.add(3);
-            let m = mark();
-            let link = link().expect("session is active");
-            std::thread::scope(|scope| {
-                let l = link.clone();
-                scope.spawn(move || {
-                    let _g = attach(&l, 0);
-                    let _s = span("windowed");
-                    TEST_COUNTER_A.add(4);
-                });
-            });
-            absorb(&link);
-            let windowed = report_since(&m);
-            assert_eq!(windowed.counter("test.alpha"), 4);
-            assert_eq!(windowed.spans[0].name, "par.worker");
-            assert_eq!(windowed.spans[0].children[0].name, "windowed");
-            assert_eq!(end().counter("test.alpha"), 7);
-        })
-        .join()
-        .unwrap();
     }
 
     #[test]

@@ -132,8 +132,8 @@ struct RunSignature {
 fn chaos_workload(spec: &str) -> RunSignature {
     raa_fault::configure(spec).expect("valid fault spec");
     let engine = Engine::new(chaos_config());
-    // -O2 gives the degradation ladder real rungs to fall down;
-    // threads stays 1 so the whole run is one thread end to end.
+    // -O2 gives the degradation ladder real rungs to fall down; one
+    // worker keeps the whole run on one thread end to end.
     let cfg = AtomiqueConfig {
         opt_level: OptLevel::Aggressive,
         ..AtomiqueConfig::default()

@@ -9,10 +9,16 @@
 //!
 //! The 1024-atom tests and the 1024/2048-atom route-decision pins are
 //! ignored in debug builds (the tier-1 `cargo test -q` run) and
-//! exercised by CI's `cargo test -q --release --test scale` step.
+//! exercised by CI's `cargo test -q --release --test scale` step. The
+//! concurrency tests pin that compiles running side by side — eight OS
+//! threads at 1024 atoms, or a bench suite fanned out over a pool —
+//! never share telemetry.
 
-use atomique::{compile, validate_program, AtomiqueConfig};
-use raa_benchmarks::{scaling_pair, Benchmark};
+use atomique::{compile, validate_program, AtomiqueConfig, OptLevel};
+use raa_bench::harness::compile_suite_pooled;
+use raa_benchmarks::{scaling_pair, small_suite, Benchmark};
+use raa_isa::codec;
+use raa_par::WorkPool;
 
 fn compile_and_verify(b: &Benchmark, qubits: usize) -> atomique::CompiledProgram {
     let cfg = AtomiqueConfig {
@@ -125,30 +131,23 @@ fn compiles_1024_atom_workloads_through_the_isa_oracle() {
     }
 }
 
-/// Nested-pool stress: the 1024-atom QAOA workload compiled 8× at once
-/// from 8 plain OS threads, each compile running its own 2-worker
-/// `raa-par` pool (so pool waves nest inside foreign threads the pool
-/// never spawned). Must not deadlock — pools are capacity descriptors
-/// whose workers are scoped per wave, so concurrent compiles never
-/// contend on shared pool state — and every compile must produce
-/// byte-identical ISA to a single-threaded reference with exactly the
-/// reference's counter table: trace sessions are per-thread, so eight
-/// concurrent detail-traced compiles may not bleed a single increment
-/// into each other. Release builds only.
+/// Concurrency stress: the 1024-atom QAOA workload compiled 8× at once
+/// from 8 plain OS threads. Every compile must produce byte-identical
+/// ISA to a reference compile with exactly the reference's counter
+/// table: trace sessions are per-thread, so eight concurrent
+/// detail-traced compiles may not bleed a single increment into each
+/// other. Release builds only.
 #[test]
 #[cfg_attr(
     debug_assertions,
     ignore = "slow in debug; CI runs it via cargo test --release"
 )]
 fn concurrent_1024_atom_compiles_are_isolated_and_identical() {
-    use raa_isa::codec;
-
     let [_, b] = scaling_pair("QSim-1024", "QAOA-regu3-1024", 1024);
     let cfg = AtomiqueConfig {
         emit_isa: true,
         verify_isa: true,
         trace: true,
-        threads: 1,
         ..AtomiqueConfig::scaled_to(1024)
     };
     let reference = compile(&b.circuit, &cfg).unwrap_or_else(|e| panic!("{}: {e}", b.name));
@@ -160,16 +159,11 @@ fn concurrent_1024_atom_compiles_are_isolated_and_identical() {
         b.name
     );
 
-    let nested_cfg = AtomiqueConfig {
-        threads: 2,
-        ..cfg.clone()
-    };
     let outputs: Vec<atomique::CompiledProgram> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..8)
             .map(|_| {
-                let circuit = &b.circuit;
-                let nested_cfg = &nested_cfg;
-                scope.spawn(move || compile(circuit, nested_cfg).expect("concurrent compile"))
+                let (circuit, cfg) = (&b.circuit, &cfg);
+                scope.spawn(move || compile(circuit, cfg).expect("concurrent compile"))
             })
             .collect();
         handles
@@ -188,6 +182,51 @@ fn concurrent_1024_atom_compiles_are_isolated_and_identical() {
             out.report.counters(),
             &ref_counters[..],
             "{}: concurrent compile {i} counter cross-talk",
+            b.name
+        );
+    }
+}
+
+/// The whole-suite fan-out: every small-suite benchmark compiled
+/// concurrently on one 4-worker pool via `compile_suite_pooled`. Each
+/// job owns its trace session, so each compile's counter table, stage
+/// spans and ISA bytes must equal its sequential compile's exactly —
+/// concurrent sessions may not bleed increments into each other — and
+/// results come back in submission order.
+#[test]
+fn suite_fanout_has_no_counter_cross_talk() {
+    let suite = small_suite();
+    let cfg = AtomiqueConfig {
+        emit_isa: true,
+        verify_isa: true,
+        opt_level: OptLevel::Aggressive,
+        trace: true,
+        ..AtomiqueConfig::default()
+    };
+    let jobs: Vec<(&str, &raa_circuit::Circuit, AtomiqueConfig)> = suite
+        .iter()
+        .map(|b| (b.name, &b.circuit, cfg.clone()))
+        .collect();
+    let pooled = compile_suite_pooled(&jobs, &WorkPool::new(4));
+    assert_eq!(pooled.len(), suite.len());
+    let span_names = |out: &atomique::CompiledProgram| -> Vec<String> {
+        let root = out.report.root().expect("compile span");
+        root.children.iter().map(|s| s.name.clone()).collect()
+    };
+    for (b, fanned) in suite.iter().zip(&pooled) {
+        let seq = compile(&b.circuit, &cfg).unwrap_or_else(|e| panic!("{}: {e}", b.name));
+        assert!(seq.report.counter("route.try_add") > 0, "{}", b.name);
+        assert_eq!(
+            codec::to_bytes(fanned.isa.as_ref().expect("stream attached")),
+            codec::to_bytes(seq.isa.as_ref().expect("stream attached")),
+            "{}: ISA differs",
+            b.name
+        );
+        assert_eq!(span_names(fanned), span_names(&seq), "{}: stages", b.name);
+        assert_eq!(
+            fanned.report.counters(),
+            seq.report.counters(),
+            "{}: counter cross-talk",
             b.name
         );
     }
@@ -237,8 +276,6 @@ const ROUTE_PINS: &[(usize, u64, [u64; 5])] = &[
     ignore = "slow in debug; CI runs it via cargo test --release"
 )]
 fn qaoa_1024_and_2048_route_decisions_are_pinned() {
-    use raa_isa::codec;
-
     let mut actual = Vec::new();
     for n in [1024, 2048] {
         let [_, b] = scaling_pair("QSim", "QAOA-regu3", n);

@@ -9,14 +9,16 @@
 //! values or the visit order, so any divergence here is a correctness
 //! bug.
 //!
-//! Coverage: the full small suite at Naive vs Indexed × `threads` ∈
-//! {1, 4}, plus release-only 1024-atom full-pipeline identity on both
-//! scaling families and the QSim-4096 transpile-stage speedup gate from
-//! the roadmap (indexed ≥ 3× faster, outputs identical).
+//! Coverage: the full small suite at Naive vs Indexed, with the plain
+//! `map_to_arrays` / `transpile` entry points (which take the indexed
+//! path) checked against the naive layer calls, plus release-only
+//! 1024-atom full-pipeline identity on both scaling families and the
+//! QSim-4096 transpile-stage speedup gate from the roadmap (indexed ≥
+//! 3× faster, outputs identical).
 
 use atomique::{
-    compile, map_to_arrays_with, transpile_with, AtomiqueConfig, CompiledProgram, LineMove,
-    OptLevel, TranspileIndex,
+    compile, map_to_arrays, map_to_arrays_with, transpile, transpile_with, AtomiqueConfig,
+    CompiledProgram, LineMove, OptLevel, TranspileIndex,
 };
 use raa_benchmarks::{scaling_pair, small_suite};
 use raa_isa::codec;
@@ -86,36 +88,68 @@ fn assert_observably_identical(ctx: &str, seq: &CompiledProgram, par: &CompiledP
     );
 }
 
-fn traced(index: TranspileIndex, threads: usize) -> AtomiqueConfig {
+fn traced(index: TranspileIndex) -> AtomiqueConfig {
     AtomiqueConfig {
         emit_isa: true,
         verify_isa: true,
         opt_level: OptLevel::Aggressive,
         trace: true,
-        threads,
         transpile_index: index,
         ..AtomiqueConfig::default()
     }
 }
 
+/// The plain `map_to_arrays` / `transpile` entry points against the
+/// explicitly naive layer calls, on the peephole-optimized circuit
+/// `compile` feeds them: same mapping, same transpiled circuit.
+fn assert_plain_layers_match_naive(name: &str, circuit: &raa_circuit::Circuit) {
+    let cfg = AtomiqueConfig::default();
+    let circuit = raa_circuit::optimize(circuit);
+    let pool = WorkPool::new(1);
+    let naive_map = map_to_arrays_with(
+        &circuit,
+        &cfg.hardware,
+        cfg.array_mapper,
+        cfg.gamma,
+        TranspileIndex::Naive,
+        &pool,
+    )
+    .unwrap_or_else(|e| panic!("{name}/naive mapper: {e}"));
+    let plain_map = map_to_arrays(&circuit, &cfg.hardware, cfg.array_mapper, cfg.gamma)
+        .unwrap_or_else(|e| panic!("{name}/plain mapper: {e}"));
+    assert_eq!(plain_map, naive_map, "{name}: plain mapping differs");
+    let naive = transpile_with(
+        &circuit,
+        &naive_map,
+        &cfg.sabre,
+        TranspileIndex::Naive,
+        &pool,
+    )
+    .unwrap_or_else(|e| panic!("{name}/naive transpile: {e}"));
+    let plain = transpile(&circuit, &plain_map, &cfg.sabre)
+        .unwrap_or_else(|e| panic!("{name}/plain transpile: {e}"));
+    assert_eq!(
+        plain.circuit.gates(),
+        naive.circuit.gates(),
+        "{name}: gates"
+    );
+    assert_eq!(plain.slot_array, naive.slot_array, "{name}: slot arrays");
+    assert_eq!(plain.slot_of_qubit, naive.slot_of_qubit, "{name}: slots");
+    assert_eq!(plain.swaps_inserted, naive.swaps_inserted, "{name}: swaps");
+}
+
 /// The core differential: Naive vs Indexed on every small-suite
-/// benchmark, and the indexed path against itself at 4 threads.
+/// benchmark, through `compile` and through the plain layer calls.
 #[test]
 fn indexed_compiles_are_bit_identical_to_naive_on_the_small_suite() {
     let mut swapped = 0usize;
     for b in small_suite() {
-        let naive = compile(&b.circuit, &traced(TranspileIndex::Naive, 1))
+        let naive = compile(&b.circuit, &traced(TranspileIndex::Naive))
             .unwrap_or_else(|e| panic!("{}/naive: {e}", b.name));
-        let indexed = compile(&b.circuit, &traced(TranspileIndex::Indexed, 1))
+        let indexed = compile(&b.circuit, &traced(TranspileIndex::Indexed))
             .unwrap_or_else(|e| panic!("{}/indexed: {e}", b.name));
         assert_observably_identical(&format!("{}/naive-vs-indexed", b.name), &naive, &indexed);
-        let indexed_par = compile(&b.circuit, &traced(TranspileIndex::Indexed, 4))
-            .unwrap_or_else(|e| panic!("{}/indexed/threads=4: {e}", b.name));
-        assert_observably_identical(
-            &format!("{}/indexed-threads-1-vs-4", b.name),
-            &indexed,
-            &indexed_par,
-        );
+        assert_plain_layers_match_naive(b.name, &b.circuit);
         if naive.stats.swaps_inserted > 0 && indexed.stats.swaps_inserted > 0 {
             swapped += 1;
         }
@@ -143,7 +177,6 @@ fn indexed_1024_atom_compiles_match_naive_byte_for_byte() {
             emit_isa: true,
             verify_isa: true,
             trace: true,
-            threads: 1,
             ..AtomiqueConfig::scaled_to(1024)
         };
         let naive = compile(
@@ -154,22 +187,15 @@ fn indexed_1024_atom_compiles_match_naive_byte_for_byte() {
             },
         )
         .unwrap_or_else(|e| panic!("{}/naive: {e}", b.name));
-        for threads in [1usize, 4] {
-            let indexed = compile(
-                &b.circuit,
-                &AtomiqueConfig {
-                    transpile_index: TranspileIndex::Indexed,
-                    threads,
-                    ..base.clone()
-                },
-            )
-            .unwrap_or_else(|e| panic!("{}/indexed/threads={threads}: {e}", b.name));
-            assert_observably_identical(
-                &format!("{}/1024/threads={threads}", b.name),
-                &naive,
-                &indexed,
-            );
-        }
+        let indexed = compile(
+            &b.circuit,
+            &AtomiqueConfig {
+                transpile_index: TranspileIndex::Indexed,
+                ..base.clone()
+            },
+        )
+        .unwrap_or_else(|e| panic!("{}/indexed: {e}", b.name));
+        assert_observably_identical(&format!("{}/1024", b.name), &naive, &indexed);
     }
 }
 
@@ -188,7 +214,7 @@ fn qsim_4096_transpile_is_3x_faster_indexed_and_identical() {
     const INDEXED_GUARD_S: f64 = 60.0;
     let [qsim, _] = scaling_pair("QSim-4096", "QAOA-regu3-4096", 4096);
     let cfg = AtomiqueConfig::scaled_to(4096);
-    let pool = WorkPool::sequential();
+    let pool = WorkPool::new(1);
     let sabre = SabreConfig::default();
 
     let mut outputs = Vec::new();
