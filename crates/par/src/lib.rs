@@ -59,11 +59,6 @@ impl WorkPool {
         }
     }
 
-    /// The fixed worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Runs one wave of *self-contained* jobs, returning results in
     /// submission order. Each job manages its own `raa-trace` session
     /// (the whole-compile fan-out case), so every job runs on a freshly
@@ -156,7 +151,13 @@ mod tests {
 
     #[test]
     fn zero_threads_clamp_to_one() {
-        assert_eq!(WorkPool::new(0).threads(), 1);
+        // A zero-worker pool is the one-worker pool: every job runs on
+        // the calling thread.
+        assert_eq!(WorkPool::new(0), WorkPool::new(1));
+        let caller = std::thread::current().id();
+        let ran_on =
+            WorkPool::new(0).map_isolated("par.test", &[0; 5], |_, _| std::thread::current().id());
+        assert_eq!(ran_on, vec![caller; 5]);
     }
 
     #[test]

@@ -689,10 +689,12 @@ impl Engine {
             }
         }
 
-        // Compile the leaders, fanned out over the worker pool. Each
-        // leader compile owns its trace session, so its counters are
-        // its own; the `serve.*` counters are ticked below, on this
-        // thread, so a caller's session still sees them.
+        // Compile the leaders, fanned out over the worker pool. When
+        // the wave fans out, each leader compile owns its trace
+        // session; with one worker or one leader it runs here and
+        // records into the caller's session. The `serve.*` trace
+        // counters are ticked below, on this thread, so a caller's
+        // session sees them either way.
         let mut lead_guard = LeadGuard {
             engine: self,
             keys: leads.iter().map(|&(_, key)| key).collect(),
@@ -712,13 +714,7 @@ impl Engine {
             .into_iter()
             .map(|(result, tally)| {
                 COMPILE.add(tally.compiles);
-                self.tallies
-                    .compiles
-                    .fetch_add(tally.compiles, Ordering::Relaxed);
                 RETRY.add(tally.retries);
-                self.tallies
-                    .retries
-                    .fetch_add(tally.retries, Ordering::Relaxed);
                 match result {
                     Ok(entry) => {
                         if entry.degraded.is_some() {
@@ -870,8 +866,9 @@ impl Engine {
     /// degradation ladder. Every attempt gets a fresh `deadline_ms`
     /// budget — the ladder exists precisely so a config that cannot
     /// finish in budget can be answered by a cheaper one that can.
-    /// Attempts are counted into `tally`; the submitting thread turns
-    /// them into telemetry.
+    /// Attempts are counted into [`EngineStats`] as they run and into
+    /// `tally`, which the submitting thread turns into `serve.*` trace
+    /// counters.
     fn compile_resilient(
         &self,
         circuit: &Circuit,
@@ -886,7 +883,7 @@ impl Engine {
         };
         if self.degrade {
             for (label, rung) in degradation_ladder(cfg) {
-                tally.compiles += 1;
+                self.count_attempt(tally);
                 match self.compile_once(circuit, &rung, deadline_ms) {
                     Ok(entry) => {
                         let mut entry = Arc::try_unwrap(entry).unwrap_or_else(|arc| (*arc).clone());
@@ -931,11 +928,12 @@ impl Engine {
     ) -> Result<Arc<CacheEntry>, Failure> {
         let mut backoff = self.retry_backoff;
         for attempt in 0..=self.max_retries {
-            tally.compiles += 1;
+            self.count_attempt(tally);
             match self.compile_once(circuit, cfg, deadline_ms) {
                 Ok(entry) => return Ok(entry),
                 Err(Failure::Transient(_)) if attempt < self.max_retries => {
                     tally.retries += 1;
+                    self.tallies.retries.fetch_add(1, Ordering::Relaxed);
                     if !backoff.is_zero() {
                         std::thread::sleep(backoff);
                         backoff *= 2;
@@ -945,6 +943,13 @@ impl Engine {
             }
         }
         unreachable!("retry loop returns on its final attempt")
+    }
+
+    /// Counts one compile attempt, in [`EngineStats`] at once so a
+    /// wave killed later still reports it.
+    fn count_attempt(&self, tally: &mut Attempts) {
+        tally.compiles += 1;
+        self.tallies.compiles.fetch_add(1, Ordering::Relaxed);
     }
 
     /// One compile attempt under one deadline budget, classified.
@@ -1002,7 +1007,7 @@ impl Engine {
 }
 
 /// Compile attempts one leader made, counted on its worker and ticked
-/// into telemetry by the submitting thread.
+/// into the `serve.*` trace counters by the submitting thread.
 #[derive(Default)]
 struct Attempts {
     /// Every attempt: the first, same-config retries and ladder rungs.
