@@ -7,7 +7,7 @@
 //!   (transpile / map / route / lower / opt / verify),
 //! * router compile time with the spatial-grid proximity index vs the
 //!   exhaustive-scan oracle (schedules asserted stage-identical),
-//! * ISA legality checking under `CheckMode::Grid` vs
+//! * ISA legality checking under `CheckMode::Lines` vs
 //!   `CheckMode::Exhaustive` (verdicts asserted identical), and
 //! * the `-O2` optimizer under the incremental re-verify harness vs the
 //!   full-oracle harness (outputs asserted identical), and
@@ -53,7 +53,9 @@
 //! cache they measured (zero on every row). Schema 8 drops the
 //! `threads` column and the thread-sweep rows: every compile runs on
 //! one thread. Every row's `strategy` is `"sequential"`, the one
-//! router strategy. Measured numbers are recorded in EXPERIMENTS.md
+//! router strategy. Schema 9 renames `verifier.grid_s` to
+//! `verifier.lines_s`: the checker's C1 sweeps line pairs and keeps no
+//! spatial grid. Measured numbers are recorded in EXPERIMENTS.md
 //! ("Router scaling", "Verifier scaling", "Counter telemetry",
 //! "Intra-compile parallelism retired", "Batch-compilation service"
 //! and "Transpile indexing").
@@ -180,7 +182,7 @@ struct Measurement {
     router_scan_s: Option<f64>,
     isa_instrs: usize,
     isa_pulses: usize,
-    verify_grid_s: f64,
+    verify_lines_s: f64,
     verify_exhaustive_s: Option<f64>,
     opt_incremental_s: f64,
     opt_full_s: Option<f64>,
@@ -295,7 +297,7 @@ fn json_serve(serve: &Option<ServeRow>) -> String {
 }
 
 fn write_json(measurements: &[Measurement]) {
-    let mut out = String::from("{\n  \"schema\": 8,\n  \"workloads\": [\n");
+    let mut out = String::from("{\n  \"schema\": 9,\n  \"workloads\": [\n");
     for (i, m) in measurements.iter().enumerate() {
         let t = &m.timings;
         let _ = write!(
@@ -308,7 +310,7 @@ fn write_json(measurements: &[Measurement]) {
                 "\"route_s\": {}, \"lower_s\": {}, \"opt_s\": {}, \"verify_s\": {}}},\n",
                 "     \"router\": {{\"grid_compile_s\": {}, \"scan_compile_s\": {}}},\n",
                 "     \"isa\": {{\"instrs\": {}, \"pulses\": {}}},\n",
-                "     \"verifier\": {{\"grid_s\": {}, \"exhaustive_s\": {}}},\n",
+                "     \"verifier\": {{\"lines_s\": {}, \"exhaustive_s\": {}}},\n",
                 "     \"opt_harness\": {{\"incremental_s\": {}, \"full_s\": {}, ",
                 "\"incremental_reverifies\": {}, \"full_fallbacks\": {}}},\n",
                 "     \"counters\": {{\"grid_query\": {}, \"route_try_add\": {}, ",
@@ -331,7 +333,7 @@ fn write_json(measurements: &[Measurement]) {
             json_opt_f(m.router_scan_s),
             m.isa_instrs,
             m.isa_pulses,
-            json_f(m.verify_grid_s),
+            json_f(m.verify_lines_s),
             json_opt_f(m.verify_exhaustive_s),
             json_f(m.opt_incremental_s),
             json_opt_f(m.opt_full_s),
@@ -474,9 +476,9 @@ fn main() {
             let stats = IsaStats::of(&raw);
 
             let t0 = Instant::now();
-            check_legality_mode(&raw, CheckMode::Grid)
-                .unwrap_or_else(|e| panic!("{}-{n}: grid check: {e}", b.name));
-            let verify_grid_s = t0.elapsed().as_secs_f64();
+            check_legality_mode(&raw, CheckMode::Lines)
+                .unwrap_or_else(|e| panic!("{}-{n}: lines check: {e}", b.name));
+            let verify_lines_s = t0.elapsed().as_secs_f64();
             let verify_exhaustive_s = (n <= oracle_max).then(|| {
                 let t0 = Instant::now();
                 check_legality_mode(&raw, CheckMode::Exhaustive)
@@ -506,10 +508,10 @@ fn main() {
                 s
             });
             println!(
-                "  isa verify ({} instrs, {} pulses): grid {:.2}s, exhaustive {}",
+                "  isa verify ({} instrs, {} pulses): lines {:.2}s, exhaustive {}",
                 stats.instructions,
                 stats.pulses,
-                verify_grid_s,
+                verify_lines_s,
                 verify_exhaustive_s.map_or_else(|| "-".into(), |s| format!("{s:.2}s")),
             );
             println!(
@@ -536,7 +538,7 @@ fn main() {
                 router_scan_s: scan_s,
                 isa_instrs: stats.instructions,
                 isa_pulses: stats.pulses,
-                verify_grid_s,
+                verify_lines_s,
                 verify_exhaustive_s,
                 opt_incremental_s,
                 opt_full_s,

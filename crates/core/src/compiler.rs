@@ -135,24 +135,22 @@ pub fn compile_with_limits(
     config: &AtomiqueConfig,
     limits: CompileLimits,
 ) -> Result<CompiledProgram, CompileError> {
-    // Record into the caller's raa-trace session when one is active
-    // (the scaling bench owns one session across a whole suite, so all
-    // its compiles share a clock); otherwise run a session of our own.
-    let owns_session = !raa_trace::active();
-    if owns_session {
-        let level = if config.trace {
-            Level::Detail
-        } else {
-            Level::Stages
-        };
-        raa_trace::begin(level);
-    }
-    let mark = raa_trace::mark();
-    let result = compile_under_trace(circuit, config, &limits);
-    let trace = if owns_session {
-        raa_trace::end()
+    // Record into the caller's raa-trace session when it records at
+    // least what this compile asks for (a bench can own one session
+    // across a whole suite, so all its compiles share a clock).
+    // Otherwise run a session of our own and leave the caller's as it
+    // was: the report never depends on who called.
+    let level = if config.trace {
+        Level::Detail
     } else {
-        raa_trace::report_since(&mark)
+        Level::Stages
+    };
+    let (result, trace) = if raa_trace::level() >= level {
+        let mark = raa_trace::mark();
+        let result = compile_under_trace(circuit, config, &limits);
+        (result, raa_trace::report_since(&mark))
+    } else {
+        raa_trace::isolated(level, || compile_under_trace(circuit, config, &limits))
     };
     let report = CompileReport { trace };
     result.map(|mut out| {
@@ -606,5 +604,25 @@ mod tests {
         // The second window's offsets are relative to the outer session,
         // strictly after the first's.
         assert!(second.report.root().unwrap().start_ns > first.report.root().unwrap().start_ns);
+    }
+
+    #[test]
+    fn compile_below_its_level_records_into_its_own_session() {
+        let c = random_circuit(10, 30, 10);
+        let cfg = AtomiqueConfig {
+            trace: true,
+            ..AtomiqueConfig::default()
+        };
+        let alone = compile(&c, &cfg).unwrap();
+        raa_trace::begin(raa_trace::Level::Stages);
+        let under = compile(&c, &cfg).unwrap();
+        assert_eq!(raa_trace::level(), raa_trace::Level::Stages);
+        let outer = raa_trace::end();
+        // The detail compile kept its counters under a coarser caller...
+        assert!(alone.report.counter("route.try_add") > 0);
+        assert_eq!(under.report.counters(), alone.report.counters());
+        // ...and left the caller's session untouched.
+        assert!(outer.spans.is_empty());
+        assert!(outer.counters.is_empty());
     }
 }

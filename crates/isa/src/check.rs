@@ -25,28 +25,48 @@
 //! re-grabbed atom is carried directly to its partner, which is exactly
 //! the transfer-loss-prone mechanism the paper charges separately.
 //!
-//! # Complexity and check modes
+//! # C1 over lines
 //!
 //! The C1 "nothing else interacts" scan is quadratic if done naively —
-//! O(atoms²) per pulse — which makes verification of 1000+-atom streams
-//! slower than compiling them. [`CheckMode`] selects how proximity
-//! candidates are enumerated:
+//! O(atoms²) per pulse. [`CheckMode::Lines`] (the default) uses the
+//! array geometry instead: every atom sits where one row line of its
+//! array crosses one column line, so two atoms can be within `r_b` only
+//! if their rows are within `r_b` of each other *and* their columns are.
+//! At each C1 evaluation, per axis, the checker
 //!
-//! * [`CheckMode::Grid`] (the default): the checker's machine maintains
-//!   a [`raa_spatial::SpatialGrid`] over the in-field slot positions,
-//!   updated incrementally as moves, parks and unparks replay, so each
-//!   pulse costs O(atoms) grid queries instead of O(atoms²) pair scans.
-//! * [`CheckMode::Exhaustive`]: the original all-pairs scan, kept as the
-//!   oracle that differential tests compare against.
+//! 1. collects the lines that host a slot: SLM lines at their integer
+//!    track positions, lines of every in-field AOD at their replayed
+//!    positions (a parked AOD's lines are skipped);
+//! 2. sorts them by position — explicitly, so the verdict does not lean
+//!    on C2 having held;
+//! 3. sweeps the sorted list for *close* line pairs, at most
+//!    `r_b + EPS` apart;
 //!
-//! Both modes share the same distance predicates and visit candidate
-//! partners in the same (ascending-slot) order, so they return the
-//! *identical* verdict — accept, or the same [`LegalityError`] variant
-//! with the same fields — on every stream. This is property-tested on
-//! random legal and illegal streams (`crates/isa/tests/check_modes.rs`)
-//! and over the full benchmark suites (`tests/verify_differential.rs`).
+//! and then distance-tests only the atoms where a close row pair crosses
+//! a close column pair of the same two arrays, plus the same-array cases
+//! where the two atoms share a line: one row with two close columns, two
+//! close rows with one column, and two slots loaded on one trap site.
+//! Those cases cover every way two atoms can be close, so the sweep
+//! enumerates a superset of the violating pairs.
+//!
+//! The sweep decides nothing: each enumerated pair goes through the same
+//! distance predicate (`dist ≤ r_b`) as [`CheckMode::Exhaustive`], the
+//! all-pairs scan kept as the reference. The per-axis prefilter has
+//! slack because a pair within `r_b` can exceed `r_b` on one axis by a
+//! rounding ulp. The sweep keeps the lexicographically smallest
+//! violating `(x, y)`, which is the pair the ascending all-pairs scan
+//! reports first, so both modes return the *identical* verdict — accept,
+//! or the same [`LegalityError`] variant with the same fields — on every
+//! stream. This is property-tested on random legal and illegal streams
+//! (`crates/isa/tests/check_modes.rs`) and over the benchmark suites,
+//! including relaxed-constraint compiles (`tests/verify_differential.rs`).
+//!
+//! Cost: a move writes one line position and does no per-atom work. A
+//! C1 evaluation costs O(L log L) over the L occupied lines, plus one
+//! test per atom pair at a close crossing. The buffers it uses live in
+//! the machine, so a pulse allocates nothing.
 
-use raa_spatial::SpatialGrid;
+use raa_trace::Counter;
 
 use crate::error::LegalityError;
 use crate::program::{Instr, IsaProgram, SiteSpec};
@@ -54,22 +74,28 @@ use crate::program::{Instr, IsaProgram, SiteSpec};
 /// Slack applied to strict inequalities, matching the router/validator.
 const EPS: f64 = 1e-9;
 
+/// Close line pairs a [`CheckMode::Lines`] C1 evaluation found, both
+/// axes together.
+static C1_LINE_PAIRS: Counter = Counter::new("isa.c1.line_pairs");
+/// Atom pairs a [`CheckMode::Lines`] C1 evaluation distance-tested.
+static C1_TESTED: Counter = Counter::new("isa.c1.tested");
+
 /// How [`check_legality_mode`] enumerates C1 proximity candidates.
 ///
 /// Both modes are proven verdict-identical (same accept/reject, same
-/// error variant and fields); the grid only restricts which atoms a scan
-/// *looks at* — to those that can possibly be within range — never the
-/// distance predicates themselves.
+/// error variant and fields); the line sweep only restricts which atom
+/// pairs a scan *looks at* — to those that can possibly be within range
+/// — never the distance predicate itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CheckMode {
-    /// Incremental spatial-hash index over in-field slot positions
-    /// (cell side = one blockade radius): O(atoms) per pulse. The
-    /// default — required for verification to keep pace with the
-    /// spatial-hash router on 1000+-atom streams.
+    /// Sweep the sorted occupied lines of each axis for close pairs and
+    /// distance-test only the atoms at their crossings: O(L log L) over
+    /// the occupied lines per pulse, plus the close crossings. The
+    /// default.
     #[default]
-    Grid,
+    Lines,
     /// The original exhaustive all-pairs scan: O(atoms²) per pulse.
-    /// Kept as the oracle the differential checker tests compare
+    /// Kept as the reference the differential checker tests compare
     /// against.
     Exhaustive,
 }
@@ -82,24 +108,125 @@ struct AodState {
     parked: bool,
 }
 
+/// Where the loading map put the slots; fixed for the whole stream.
+/// Arrays are numbered as in [`SiteSpec::array`]: 0 is the SLM, `k + 1`
+/// is AOD `k`.
+struct Layout {
+    /// Per array, the row lines that host a slot, ascending.
+    rows_used: Vec<Vec<u32>>,
+    /// Per array, the column lines that host a slot, ascending.
+    cols_used: Vec<Vec<u32>>,
+    /// The occupied trap sites as [`site_key`]s, ascending.
+    site_keys: Vec<u64>,
+    /// `site_slots[site_start[i]..site_start[i + 1]]` are the slots
+    /// loaded on site `i`, ascending.
+    site_start: Vec<u32>,
+    site_slots: Vec<u32>,
+    /// Sites that host more than one slot.
+    shared_sites: Vec<usize>,
+}
+
+/// One trap site as a sortable key (rows and columns are `u16`).
+fn site_key(array: u32, row: u32, col: u32) -> u64 {
+    (u64::from(array) << 32) | (u64::from(row) << 16) | u64::from(col)
+}
+
+impl Layout {
+    fn new(sites: &[SiteSpec], arrays: usize) -> Layout {
+        let mut rows_used = vec![Vec::new(); arrays];
+        let mut cols_used = vec![Vec::new(); arrays];
+        let mut by_site: Vec<(u64, u32)> = Vec::with_capacity(sites.len());
+        for (slot, s) in sites.iter().enumerate() {
+            let array = u32::from(s.array);
+            rows_used[array as usize].push(u32::from(s.row));
+            cols_used[array as usize].push(u32::from(s.col));
+            by_site.push((
+                site_key(array, u32::from(s.row), u32::from(s.col)),
+                slot as u32,
+            ));
+        }
+        for used in rows_used.iter_mut().chain(cols_used.iter_mut()) {
+            used.sort_unstable();
+            used.dedup();
+        }
+        by_site.sort_unstable();
+        let mut layout = Layout {
+            rows_used,
+            cols_used,
+            site_keys: Vec::new(),
+            site_start: Vec::new(),
+            site_slots: by_site.iter().map(|&(_, slot)| slot).collect(),
+            shared_sites: Vec::new(),
+        };
+        for (i, &(key, _)) in by_site.iter().enumerate() {
+            if layout.site_keys.last() == Some(&key) {
+                continue;
+            }
+            layout.site_keys.push(key);
+            layout.site_start.push(i as u32);
+        }
+        layout.site_start.push(by_site.len() as u32);
+        layout.shared_sites = (0..layout.site_keys.len())
+            .filter(|&i| layout.site_start[i + 1] - layout.site_start[i] > 1)
+            .collect();
+        layout
+    }
+
+    fn slots_of(&self, site: usize) -> &[u32] {
+        &self.site_slots[self.site_start[site] as usize..self.site_start[site + 1] as usize]
+    }
+
+    /// The slots loaded on `(array, row, col)`.
+    fn slots_at(&self, (array, row, col): (u32, u32, u32)) -> &[u32] {
+        match self.site_keys.binary_search(&site_key(array, row, col)) {
+            Ok(i) => self.slots_of(i),
+            Err(_) => &[],
+        }
+    }
+}
+
+/// One occupied line of a C1 sweep.
+#[derive(Clone, Copy)]
+struct Line {
+    pos: f64,
+    array: u32,
+    index: u32,
+}
+
+/// Two lines of one axis at most the sweep's reach apart, ordered so
+/// `arrays.0 <= arrays.1`.
+#[derive(Clone, Copy)]
+struct LinePair {
+    arrays: (u32, u32),
+    lines: (u32, u32),
+}
+
+/// The buffers one [`CheckMode::Lines`] C1 evaluation fills.
+#[derive(Default)]
+struct Sweep {
+    lines: Vec<Line>,
+    rows: Vec<LinePair>,
+    cols: Vec<LinePair>,
+}
+
 /// The checker's machine model: replayed AOD line positions and parked
-/// flags, plus (in [`CheckMode::Grid`]) an incrementally maintained
-/// spatial index over the in-field slot positions. Crate-internal so the
-/// optimizer's incremental re-verify harness can replay candidate
-/// streams instruction by instruction.
+/// flags, the static slot layout, and the C1 scratch buffers.
+/// Crate-internal so the optimizer's incremental re-verify harness can
+/// replay candidate streams instruction by instruction.
 pub(crate) struct Machine {
     aods: Vec<AodState>,
     interact_r: f64,
+    /// How far apart two lines of one axis may be and still host a pair
+    /// within `interact_r`. Beyond the `EPS` slack, the relative term
+    /// covers the rounding of `dist` at any radius.
+    reach: f64,
     /// The loading map (slot → trap site), copied out of the program.
     sites: Vec<SiteSpec>,
-    /// Slots hosted by each AOD row: `row_slots[aod][row]`.
-    row_slots: Vec<Vec<Vec<u32>>>,
-    /// Slots hosted by each AOD column: `col_slots[aod][col]`.
-    col_slots: Vec<Vec<Vec<u32>>>,
-    /// All slots of each AOD.
-    aod_slots: Vec<Vec<u32>>,
-    /// In-field slot index ([`CheckMode::Grid`] only).
-    grid: Option<SpatialGrid>,
+    mode: CheckMode,
+    layout: Layout,
+    /// A pulse's scheduled pairs, normalized and sorted.
+    exempt: Vec<(u32, u32)>,
+    sweep: Sweep,
 }
 
 impl Machine {
@@ -117,9 +244,8 @@ impl Machine {
     }
 
     /// Whether two machines replayed to the same observable state: equal
-    /// line positions and parked flags on every AOD. (Sites and physics
-    /// are construction-time constants; the grid is a pure function of
-    /// the rest.)
+    /// line positions and parked flags on every AOD. (Sites, layout and
+    /// physics are construction-time constants.)
     pub(crate) fn state_eq(&self, other: &Machine) -> bool {
         self.aods.len() == other.aods.len()
             && self
@@ -127,59 +253,6 @@ impl Machine {
                 .iter()
                 .zip(&other.aods)
                 .all(|(a, b)| a.parked == b.parked && a.rows == b.rows && a.cols == b.cols)
-    }
-
-    /// Re-buckets every slot on one AOD line at its current position.
-    fn grid_sync_line(&mut self, aod: usize, is_row: bool, line: usize) {
-        let Machine {
-            aods,
-            sites,
-            row_slots,
-            col_slots,
-            grid,
-            ..
-        } = self;
-        let Some(grid) = grid.as_mut() else { return };
-        let slots = if is_row {
-            &row_slots[aod][line]
-        } else {
-            &col_slots[aod][line]
-        };
-        let a = &aods[aod];
-        for &s in slots {
-            let site = sites[s as usize];
-            grid.update(s, (a.rows[site.row as usize], a.cols[site.col as usize]));
-        }
-    }
-
-    /// Re-buckets every slot of one AOD at its current position (used
-    /// when the AOD enters the field or is re-homed in the field).
-    fn grid_sync_aod(&mut self, aod: usize) {
-        let Machine {
-            aods,
-            sites,
-            aod_slots,
-            grid,
-            ..
-        } = self;
-        let Some(grid) = grid.as_mut() else { return };
-        let a = &aods[aod];
-        for &s in &aod_slots[aod] {
-            let site = sites[s as usize];
-            grid.update(s, (a.rows[site.row as usize], a.cols[site.col as usize]));
-        }
-    }
-
-    /// Drops every slot of one AOD from the index (the AOD parked out of
-    /// the interaction field).
-    fn grid_remove_aod(&mut self, aod: usize) {
-        let Machine {
-            aod_slots, grid, ..
-        } = self;
-        let Some(grid) = grid.as_mut() else { return };
-        for &s in &aod_slots[aod] {
-            grid.remove(s);
-        }
     }
 
     /// Applies one non-init instruction: structural (`Malformed`)
@@ -199,10 +272,9 @@ impl Machine {
                 return Err(malformed(pc, "init instruction after start of program"));
             }
             Instr::MoveRow { aod, row, to, .. } => {
-                let k = *aod as usize;
                 let aod_state = self
                     .aods
-                    .get_mut(k)
+                    .get_mut(*aod as usize)
                     .ok_or_else(|| malformed(pc, "move on undeclared AOD"))?;
                 let slot = aod_state
                     .rows
@@ -212,19 +284,12 @@ impl Machine {
                     return Err(malformed(pc, "non-finite move target"));
                 }
                 *slot = *to;
-                let was_parked = aod_state.parked;
                 aod_state.parked = false;
-                if was_parked {
-                    self.grid_sync_aod(k);
-                } else {
-                    self.grid_sync_line(k, true, *row as usize);
-                }
             }
             Instr::MoveCol { aod, col, to, .. } => {
-                let k = *aod as usize;
                 let aod_state = self
                     .aods
-                    .get_mut(k)
+                    .get_mut(*aod as usize)
                     .ok_or_else(|| malformed(pc, "move on undeclared AOD"))?;
                 let slot = aod_state
                     .cols
@@ -234,29 +299,18 @@ impl Machine {
                     return Err(malformed(pc, "non-finite move target"));
                 }
                 *slot = *to;
-                let was_parked = aod_state.parked;
                 aod_state.parked = false;
-                if was_parked {
-                    self.grid_sync_aod(k);
-                } else {
-                    self.grid_sync_line(k, false, *col as usize);
-                }
             }
             Instr::Unpark { aod } => {
-                let k = *aod as usize;
-                let aod_state = self
-                    .aods
-                    .get_mut(k)
-                    .ok_or_else(|| malformed(pc, "unpark of undeclared AOD"))?;
-                if aod_state.parked {
-                    aod_state.parked = false;
-                    self.grid_sync_aod(k);
-                }
+                self.aods
+                    .get_mut(*aod as usize)
+                    .ok_or_else(|| malformed(pc, "unpark of undeclared AOD"))?
+                    .parked = false;
             }
             Instr::RydbergPulse { pairs } => {
                 if check {
                     check_line_constraints(self, pc)?;
-                    check_pulse(self, pc, pairs)?;
+                    self.check_pulse(pc, pairs)?;
                 } else {
                     // Structural half of check_pulse (cheap, no geometry).
                     let n = self.sites.len() as u32;
@@ -295,16 +349,10 @@ impl Machine {
                         return Err(malformed(pc, "park keeps undeclared AOD"));
                     }
                 }
-                for k in 0..self.aods.len() {
-                    let aod = &mut self.aods[k];
+                for (k, aod) in self.aods.iter_mut().enumerate() {
                     aod.rows.clone_from(&aod.home_rows);
                     aod.cols.clone_from(&aod.home_cols);
                     aod.parked = !kept.contains(&(k as u8));
-                    if aod.parked {
-                        self.grid_remove_aod(k);
-                    } else {
-                        self.grid_sync_aod(k);
-                    }
                 }
             }
         }
@@ -314,9 +362,254 @@ impl Machine {
     /// The end-of-stream checks: line constraints hold and no in-field
     /// pair remains within the blockade radius (a further pulse would
     /// re-fire on it).
-    pub(crate) fn end_check(&self, end_pc: usize) -> Result<(), LegalityError> {
+    pub(crate) fn end_check(&mut self, end_pc: usize) -> Result<(), LegalityError> {
         check_line_constraints(self, end_pc)?;
-        check_no_proximity(self, end_pc, &[])
+        self.check_no_proximity(end_pc, &[])
+    }
+
+    /// C1 at a pulse: scheduled pairs touch, nothing else does.
+    fn check_pulse(&mut self, pc: usize, pairs: &[(u32, u32)]) -> Result<(), LegalityError> {
+        let n = self.sites.len() as u32;
+        let mut exempt = std::mem::take(&mut self.exempt);
+        exempt.clear();
+        for &(a, b) in pairs {
+            if a >= n || b >= n {
+                return Err(malformed(
+                    pc,
+                    format!("pulse references unknown slot ({a}, {b})"),
+                ));
+            }
+            for s in [a, b] {
+                if !self.in_field(self.sites[s as usize]) {
+                    return Err(malformed(
+                        pc,
+                        format!("pulse on slot {s} of a parked array"),
+                    ));
+                }
+            }
+            exempt.push((a.min(b), a.max(b)));
+            let pa = self.position(self.sites[a as usize]);
+            let pb = self.position(self.sites[b as usize]);
+            let d = dist(pa, pb);
+            if d > self.interact_r + EPS {
+                return Err(LegalityError::PairTooFar {
+                    pc,
+                    pair: (a, b),
+                    distance: d,
+                });
+            }
+        }
+        // Sorted so the proximity scans can binary-search instead of
+        // linearly scanning the exempt list for every candidate pair.
+        exempt.sort_unstable();
+        let verdict = self.check_no_proximity(pc, &exempt);
+        self.exempt = exempt;
+        verdict
+    }
+
+    /// No in-field pair except the `exempt` (normalized, **sorted**)
+    /// ones may sit within the blockade radius. `exempt` is a pulse's
+    /// scheduled pair set, empty for the end-of-stream check.
+    ///
+    /// Both modes report the lexicographically smallest violating pair,
+    /// with the distance the one shared predicate computed.
+    fn check_no_proximity(
+        &mut self,
+        pc: usize,
+        exempt: &[(u32, u32)],
+    ) -> Result<(), LegalityError> {
+        debug_assert!(exempt.windows(2).all(|w| w[0] <= w[1]), "exempt not sorted");
+        let first = match self.mode {
+            CheckMode::Lines => self.c1_over_lines(exempt),
+            CheckMode::Exhaustive => self.c1_all_pairs(exempt),
+        };
+        match first {
+            Some((pair, distance)) => {
+                Err(LegalityError::UnwantedInteraction { pc, pair, distance })
+            }
+            None => Ok(()),
+        }
+    }
+
+    /// [`CheckMode::Exhaustive`]: every in-field pair, ascending, up to
+    /// the first violation.
+    fn c1_all_pairs(&self, exempt: &[(u32, u32)]) -> Option<((u32, u32), f64)> {
+        let active: Vec<u32> = (0..self.sites.len() as u32)
+            .filter(|&s| self.in_field(self.sites[s as usize]))
+            .collect();
+        for (xi, &x) in active.iter().enumerate() {
+            let px = self.position(self.sites[x as usize]);
+            for &y in &active[xi + 1..] {
+                if exempt.binary_search(&(x, y)).is_ok() {
+                    continue;
+                }
+                let d = dist(px, self.position(self.sites[y as usize]));
+                if d <= self.interact_r {
+                    return Some(((x, y), d));
+                }
+            }
+        }
+        None
+    }
+
+    /// [`CheckMode::Lines`]: sweep each axis for close line pairs, then
+    /// test the atoms where they cross (see the module docs).
+    fn c1_over_lines(&mut self, exempt: &[(u32, u32)]) -> Option<((u32, u32), f64)> {
+        let mut sweep = std::mem::take(&mut self.sweep);
+        for rows in [true, false] {
+            self.occupied_lines(rows, &mut sweep.lines);
+            let pairs = if rows {
+                &mut sweep.rows
+            } else {
+                &mut sweep.cols
+            };
+            close_pairs(&mut sweep.lines, self.reach, pairs);
+        }
+        let mut scan = PairScan {
+            m: self,
+            exempt,
+            tested: 0,
+            first: None,
+        };
+        // Distinct lines on both axes: the arrays of the row pair must be
+        // the arrays of the column pair. Both lists are sorted by arrays.
+        let mut from = 0;
+        for group in sweep.rows.chunk_by(|a, b| a.arrays == b.arrays) {
+            let key = group[0].arrays;
+            from += sweep.cols[from..].partition_point(|c| c.arrays < key);
+            let to = from + sweep.cols[from..].partition_point(|c| c.arrays == key);
+            let (a, b) = key;
+            for r in group {
+                for c in &sweep.cols[from..to] {
+                    scan.sites((a, r.lines.0, c.lines.0), (b, r.lines.1, c.lines.1));
+                    if a == b {
+                        scan.sites((a, r.lines.0, c.lines.1), (a, r.lines.1, c.lines.0));
+                    }
+                }
+            }
+        }
+        let layout = &self.layout;
+        // One row line, two close columns of its array.
+        for c in sweep.cols.iter().filter(|c| c.arrays.0 == c.arrays.1) {
+            let a = c.arrays.0;
+            for &row in &layout.rows_used[a as usize] {
+                scan.sites((a, row, c.lines.0), (a, row, c.lines.1));
+            }
+        }
+        // Two close rows, one column line of their array.
+        for r in sweep.rows.iter().filter(|r| r.arrays.0 == r.arrays.1) {
+            let a = r.arrays.0;
+            for &col in &layout.cols_used[a as usize] {
+                scan.sites((a, r.lines.0, col), (a, r.lines.1, col));
+            }
+        }
+        // Two slots loaded on one in-field trap site.
+        for &site in &layout.shared_sites {
+            let array = (layout.site_keys[site] >> 32) as usize;
+            if array > 0 && self.aods[array - 1].parked {
+                continue;
+            }
+            let slots = layout.slots_of(site);
+            for (i, &x) in slots.iter().enumerate() {
+                for &y in &slots[i + 1..] {
+                    scan.pair(x, y);
+                }
+            }
+        }
+        C1_LINE_PAIRS.add((sweep.rows.len() + sweep.cols.len()) as u64);
+        C1_TESTED.add(scan.tested);
+        let first = scan.first;
+        self.sweep = sweep;
+        first
+    }
+
+    /// Fills `out` with the lines of one axis that host a slot, at their
+    /// current positions; a parked AOD contributes none.
+    fn occupied_lines(&self, rows: bool, out: &mut Vec<Line>) {
+        let used = if rows {
+            &self.layout.rows_used
+        } else {
+            &self.layout.cols_used
+        };
+        out.clear();
+        out.extend(used[0].iter().map(|&index| Line {
+            pos: index as f64,
+            array: 0,
+            index,
+        }));
+        for (k, aod) in self.aods.iter().enumerate() {
+            if aod.parked {
+                continue;
+            }
+            let pos = if rows { &aod.rows } else { &aod.cols };
+            out.extend(used[k + 1].iter().map(|&index| Line {
+                pos: pos[index as usize],
+                array: k as u32 + 1,
+                index,
+            }));
+        }
+    }
+}
+
+/// Sorts `lines` by position and fills `pairs` with every two of them at
+/// most `reach` apart, sorted by their arrays.
+fn close_pairs(lines: &mut [Line], reach: f64, pairs: &mut Vec<LinePair>) {
+    lines.sort_unstable_by(|a, b| a.pos.total_cmp(&b.pos));
+    pairs.clear();
+    for (i, a) in lines.iter().enumerate() {
+        for b in &lines[i + 1..] {
+            if b.pos - a.pos > reach {
+                break;
+            }
+            let (lo, hi) = if a.array <= b.array { (a, b) } else { (b, a) };
+            pairs.push(LinePair {
+                arrays: (lo.array, hi.array),
+                lines: (lo.index, hi.index),
+            });
+        }
+    }
+    pairs.sort_unstable_by_key(|p| p.arrays);
+}
+
+/// The distance tests of one [`CheckMode::Lines`] evaluation, keeping
+/// the lexicographically smallest violating pair.
+struct PairScan<'a> {
+    m: &'a Machine,
+    exempt: &'a [(u32, u32)],
+    tested: u64,
+    first: Option<((u32, u32), f64)>,
+}
+
+impl PairScan<'_> {
+    /// Tests every slot on site `p` against every slot on site `q`.
+    fn sites(&mut self, p: (u32, u32, u32), q: (u32, u32, u32)) {
+        let xs = self.m.layout.slots_at(p);
+        if xs.is_empty() {
+            return;
+        }
+        for &y in self.m.layout.slots_at(q) {
+            for &x in xs {
+                self.pair(x, y);
+            }
+        }
+    }
+
+    /// Distance-tests one pair, unless it is scheduled or cannot come
+    /// before the smallest violation already found.
+    fn pair(&mut self, x: u32, y: u32) {
+        let pair = (x.min(y), x.max(y));
+        if self.first.is_some_and(|(f, _)| f <= pair) || self.exempt.binary_search(&pair).is_ok() {
+            return;
+        }
+        self.tested += 1;
+        let m = self.m;
+        let d = dist(
+            m.position(m.sites[pair.0 as usize]),
+            m.position(m.sites[pair.1 as usize]),
+        );
+        if d <= m.interact_r {
+            self.first = Some((pair, d));
+        }
     }
 }
 
@@ -411,52 +704,22 @@ pub(crate) fn init_machine(
         }
     }
 
-    // --- Slot indexes per AOD line (for incremental grid maintenance). ---
-    let mut row_slots: Vec<Vec<Vec<u32>>> = aods
-        .iter()
-        .map(|a| vec![Vec::new(); a.rows.len()])
-        .collect();
-    let mut col_slots: Vec<Vec<Vec<u32>>> = aods
-        .iter()
-        .map(|a| vec![Vec::new(); a.cols.len()])
-        .collect();
-    let mut aod_slots: Vec<Vec<u32>> = vec![Vec::new(); aods.len()];
-    for (slot, site) in program.sites.iter().enumerate() {
-        if site.array > 0 {
-            let k = site.array as usize - 1;
-            row_slots[k][site.row as usize].push(slot as u32);
-            col_slots[k][site.col as usize].push(slot as u32);
-            aod_slots[k].push(slot as u32);
-        }
-    }
-
-    let mut m = Machine {
+    let layout = Layout::new(&program.sites, aods.len() + 1);
+    let m = Machine {
         aods,
         interact_r,
+        reach: interact_r * (1.0 + 4.0 * f64::EPSILON) + EPS,
         sites: program.sites.clone(),
-        row_slots,
-        col_slots,
-        aod_slots,
-        grid: match mode {
-            // Cell side = the blockade radius, the only radius the
-            // checker ever queries: a query disk overlaps at most 9
-            // cells.
-            CheckMode::Grid => Some(SpatialGrid::new(interact_r)),
-            CheckMode::Exhaustive => None,
-        },
+        mode,
+        layout,
+        exempt: Vec::new(),
+        sweep: Sweep::default(),
     };
-    // Seed the index: every slot starts in the field at its trap site.
-    if let Some(mut grid) = m.grid.take() {
-        for s in 0..m.sites.len() as u32 {
-            grid.insert(s, m.position(m.sites[s as usize]));
-        }
-        m.grid = Some(grid);
-    }
     Ok((m, pc))
 }
 
 /// Verifies that `program`'s stream satisfies the hardware constraints,
-/// using the default [`CheckMode::Grid`] candidate enumeration.
+/// using the default [`CheckMode::Lines`] candidate enumeration.
 ///
 /// # Errors
 ///
@@ -468,7 +731,7 @@ pub fn check_legality(program: &IsaProgram) -> Result<(), LegalityError> {
 
 /// Verifies that `program`'s stream satisfies the hardware constraints,
 /// enumerating C1 proximity candidates per `mode`. Both modes return
-/// identical verdicts; [`CheckMode::Grid`] is asymptotically faster on
+/// identical verdicts; [`CheckMode::Lines`] is asymptotically faster on
 /// large arrays.
 ///
 /// # Errors
@@ -518,112 +781,6 @@ fn check_line_constraints(m: &Machine, pc: usize) -> Result<(), LegalityError> {
                         rows,
                         gap,
                     });
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// C1 at a pulse: scheduled pairs touch, nothing else does.
-fn check_pulse(m: &Machine, pc: usize, pairs: &[(u32, u32)]) -> Result<(), LegalityError> {
-    let n = m.sites.len() as u32;
-    let mut desired: Vec<(u32, u32)> = Vec::with_capacity(pairs.len());
-    for &(a, b) in pairs {
-        if a >= n || b >= n {
-            return Err(LegalityError::Malformed {
-                pc,
-                message: format!("pulse references unknown slot ({a}, {b})"),
-            });
-        }
-        for s in [a, b] {
-            if !m.in_field(m.sites[s as usize]) {
-                return Err(LegalityError::Malformed {
-                    pc,
-                    message: format!("pulse on slot {s} of a parked array"),
-                });
-            }
-        }
-        desired.push((a.min(b), a.max(b)));
-        let pa = m.position(m.sites[a as usize]);
-        let pb = m.position(m.sites[b as usize]);
-        let d = dist(pa, pb);
-        if d > m.interact_r + EPS {
-            return Err(LegalityError::PairTooFar {
-                pc,
-                pair: (a, b),
-                distance: d,
-            });
-        }
-    }
-
-    // Sorted so the hot proximity loop can binary-search instead of
-    // linearly scanning the exempt list for every candidate pair.
-    desired.sort_unstable();
-    check_no_proximity(m, pc, &desired)
-}
-
-/// No in-field pair except the `exempt` (normalized, **sorted**) ones
-/// may sit within the blockade radius. `exempt` is a pulse's scheduled
-/// pair set, empty for the end-of-stream check.
-///
-/// Both enumeration modes visit slot pairs in identical
-/// (lexicographically ascending) order and share the one distance
-/// predicate, so the first violation found — and therefore the returned
-/// error — is the same.
-fn check_no_proximity(m: &Machine, pc: usize, exempt: &[(u32, u32)]) -> Result<(), LegalityError> {
-    debug_assert!(exempt.windows(2).all(|w| w[0] <= w[1]), "exempt not sorted");
-    let n = m.sites.len() as u32;
-    match &m.grid {
-        // The index holds exactly the in-field slots, so a per-slot
-        // neighborhood query enumerates every candidate partner that can
-        // possibly be within the radius.
-        Some(grid) => {
-            let mut cand: Vec<u32> = Vec::new();
-            for x in 0..n {
-                let site = m.sites[x as usize];
-                if !m.in_field(site) {
-                    continue;
-                }
-                let px = m.position(site);
-                cand.clear();
-                grid.candidates_into(px, m.interact_r, &mut cand);
-                cand.sort_unstable();
-                for &y in &cand {
-                    if y <= x || exempt.binary_search(&(x, y)).is_ok() {
-                        continue;
-                    }
-                    let py = m.position(m.sites[y as usize]);
-                    let d = dist(px, py);
-                    if d <= m.interact_r {
-                        return Err(LegalityError::UnwantedInteraction {
-                            pc,
-                            pair: (x, y),
-                            distance: d,
-                        });
-                    }
-                }
-            }
-        }
-        None => {
-            let active: Vec<u32> = (0..n)
-                .filter(|&s| m.in_field(m.sites[s as usize]))
-                .collect();
-            for (xi, &x) in active.iter().enumerate() {
-                let px = m.position(m.sites[x as usize]);
-                for &y in &active[xi + 1..] {
-                    if exempt.binary_search(&(x, y)).is_ok() {
-                        continue;
-                    }
-                    let py = m.position(m.sites[y as usize]);
-                    let d = dist(px, py);
-                    if d <= m.interact_r {
-                        return Err(LegalityError::UnwantedInteraction {
-                            pc,
-                            pair: (x, y),
-                            distance: d,
-                        });
-                    }
                 }
             }
         }
@@ -706,10 +863,10 @@ mod tests {
     /// Runs both check modes and asserts they agree before returning the
     /// (shared) verdict.
     fn check_both(p: &IsaProgram) -> Result<(), LegalityError> {
-        let grid = check_legality_mode(p, CheckMode::Grid);
+        let lines = check_legality_mode(p, CheckMode::Lines);
         let scan = check_legality_mode(p, CheckMode::Exhaustive);
-        assert_eq!(grid, scan, "check modes disagree");
-        grid
+        assert_eq!(lines, scan, "check modes disagree");
+        lines
     }
 
     #[test]
@@ -969,12 +1126,153 @@ mod tests {
             }
         }
         p.reference = c;
-        let grid = check_legality_mode(&p, CheckMode::Grid);
+        let lines = check_legality_mode(&p, CheckMode::Lines);
         let scan = check_legality_mode(&p, CheckMode::Exhaustive);
-        assert_eq!(grid, scan);
-        match grid {
+        assert_eq!(lines, scan);
+        match lines {
             Err(LegalityError::UnwantedInteraction { pair, .. }) => assert_eq!(pair, (5, 29)),
             other => panic!("expected UnwantedInteraction, got {other:?}"),
         }
+    }
+
+    fn slm(row: u16, col: u16) -> SiteSpec {
+        SiteSpec { array: 0, row, col }
+    }
+
+    fn aod0(row: u16, col: u16) -> SiteSpec {
+        SiteSpec { array: 1, row, col }
+    }
+
+    /// `sites` loaded on a 4×4 SLM under a blockade radius of `radius`
+    /// tracks, with no instruction after the SLM declaration: the end of
+    /// stream is its only C1 evaluation.
+    fn static_program(sites: Vec<SiteSpec>, radius: f64) -> IsaProgram {
+        let n = sites.len();
+        IsaProgram {
+            version: FORMAT_VERSION,
+            header: ProgramHeader::new("test", "static").with_physics(1.0, radius),
+            slot_of_qubit: (0..n as u32).collect(),
+            sites,
+            reference: Circuit::new(n),
+            instrs: vec![Instr::InitSlm { rows: 4, cols: 4 }],
+        }
+    }
+
+    /// The pair and distance of the `UnwantedInteraction` both modes
+    /// report for `p`.
+    fn unwanted(p: &IsaProgram) -> ((u32, u32), f64) {
+        match check_both(p) {
+            Err(LegalityError::UnwantedInteraction { pair, distance, .. }) => (pair, distance),
+            other => panic!("expected UnwantedInteraction, got {other:?}"),
+        }
+    }
+
+    /// Under a 1.5-track radius, SLM lines one track apart are close line
+    /// pairs of one array, which C2/C3 never constrain, so each
+    /// same-array case of the sweep is the only one that can see its pair.
+    #[test]
+    fn same_array_pairs_are_found_on_every_branch() {
+        // One row line, two close columns.
+        let p = static_program(vec![slm(0, 0), slm(2, 3), slm(0, 1)], 1.5);
+        assert_eq!(unwanted(&p), ((0, 2), 1.0));
+        // Two close rows, one column line.
+        let p = static_program(vec![slm(3, 3), slm(1, 0), slm(0, 0)], 1.5);
+        assert_eq!(unwanted(&p), ((1, 2), 1.0));
+        // Two close rows and two close columns, on either diagonal.
+        let p = static_program(vec![slm(0, 0), slm(1, 1)], 1.5);
+        assert_eq!(unwanted(&p), ((0, 1), 2f64.sqrt()));
+        let p = static_program(vec![slm(0, 1), slm(1, 0)], 1.5);
+        assert_eq!(unwanted(&p), ((0, 1), 2f64.sqrt()));
+        // Occupied lines two tracks apart are not close.
+        check_both(&static_program(vec![slm(0, 0), slm(2, 0), slm(0, 2)], 1.5)).unwrap();
+    }
+
+    /// Two lines of one AOD exactly one blockade radius apart pass C3,
+    /// so C1 alone decides the two atoms they carry on a shared line.
+    #[test]
+    fn aod_lines_at_the_c3_boundary_are_decided_by_c1() {
+        let r = 2.5 / 15.0;
+        for rows in [false, true] {
+            let (sites, (rows_n, cols_n)) = if rows {
+                (vec![aod0(0, 0), aod0(1, 0)], (2, 1))
+            } else {
+                (vec![aod0(0, 0), aod0(0, 1)], (1, 2))
+            };
+            let mut p = static_program(sites, r);
+            let mv = |line: u16, to: f64| {
+                if rows {
+                    Instr::MoveRow {
+                        aod: 0,
+                        row: line,
+                        from: 0.5 + line as f64,
+                        to,
+                        retract: false,
+                    }
+                } else {
+                    Instr::MoveCol {
+                        aod: 0,
+                        col: line,
+                        from: 0.5 + line as f64,
+                        to,
+                        retract: false,
+                    }
+                }
+            };
+            p.instrs.extend([
+                Instr::InitAod {
+                    aod: 0,
+                    rows: rows_n,
+                    cols: cols_n,
+                    fx: 0.5,
+                    fy: 0.5,
+                },
+                mv(0, 0.0),
+                mv(1, r),
+            ]);
+            assert_eq!(unwanted(&p), ((0, 1), r), "rows: {rows}");
+        }
+    }
+
+    /// Two slots loaded on one trap site sit at distance 0: a violation
+    /// while their array is in the field, none while it is parked.
+    #[test]
+    fn slots_sharing_a_site_interact_unless_parked() {
+        let r = 2.5 / 15.0;
+        let p = static_program(vec![slm(1, 1), slm(2, 2), slm(1, 1)], r);
+        assert_eq!(unwanted(&p), ((0, 2), 0.0));
+
+        let mut p = static_program(vec![slm(1, 1), aod0(0, 0), aod0(0, 0)], r);
+        p.instrs.extend([
+            Instr::InitAod {
+                aod: 0,
+                rows: 1,
+                cols: 1,
+                fx: 0.5,
+                fy: 0.5,
+            },
+            Instr::Park { kept: vec![] },
+        ]);
+        check_both(&p).unwrap();
+        p.instrs.push(Instr::Unpark { aod: 0 });
+        assert_eq!(unwanted(&p), ((1, 2), 0.0));
+    }
+
+    /// The C1 counters add once per evaluation: the pulse of the stream
+    /// without retraction finds the pulsed row and column pair and tests
+    /// nothing (the pair is scheduled); the end check finds both again
+    /// and tests the now unscheduled pair.
+    #[test]
+    fn c1_counters_count_line_pairs_and_tested_atom_pairs() {
+        let mut p = legal_program();
+        p.instrs.truncate(5);
+        raa_trace::begin(raa_trace::Level::Detail);
+        let verdict = check_legality(&p);
+        let report = raa_trace::end();
+        assert!(matches!(
+            verdict,
+            Err(LegalityError::UnwantedInteraction { pair: (0, 1), .. })
+        ));
+        assert_eq!(report.counter("isa.c1.line_pairs"), 4);
+        assert_eq!(report.counter("isa.c1.tested"), 1);
     }
 }

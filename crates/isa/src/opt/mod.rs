@@ -645,13 +645,13 @@ fn verify_incremental(current: &IsaProgram, edit: &PassEdit, kept: &[Instr]) -> 
     // Lockstep legality. The init prefix and loading map are shared with
     // the (verified) input, so both machines start from the same state;
     // edits inside the init prefix cannot be bounded this way.
-    let Ok((mut m_old, start)) = init_machine(current, CheckMode::Exhaustive) else {
+    let Ok((mut m_old, start)) = init_machine(current, CheckMode::Lines) else {
         return None;
     };
     if edits[0] < start {
         return None;
     }
-    let Ok((mut m_new, _)) = init_machine(current, CheckMode::Grid) else {
+    let Ok((mut m_new, _)) = init_machine(current, CheckMode::Lines) else {
         return None;
     };
     let mut diverged = false;

@@ -75,7 +75,7 @@ proptest! {
             IsaStats::of(&out).pulses,
             before_pulses - report.merged_pulses
         );
-        check_legality_mode(&out, CheckMode::Grid)
+        check_legality_mode(&out, CheckMode::Lines)
             .map_err(|e| TestCaseError::fail(e.to_string()))?;
         check_legality_mode(&out, CheckMode::Exhaustive)
             .map_err(|e| TestCaseError::fail(e.to_string()))?;

@@ -692,9 +692,9 @@ impl Engine {
         // Compile the leaders, fanned out over the worker pool. When
         // the wave fans out, each leader compile owns its trace
         // session; with one worker or one leader it runs here and
-        // records into the caller's session. The `serve.*` trace
-        // counters are ticked below, on this thread, so a caller's
-        // session sees them either way.
+        // joins the caller's session only if that one records at
+        // `Detail`. The `serve.*` trace counters are ticked below, on
+        // this thread, so a caller's session sees them either way.
         let mut lead_guard = LeadGuard {
             engine: self,
             keys: leads.iter().map(|&(_, key)| key).collect(),

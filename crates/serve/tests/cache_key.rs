@@ -109,45 +109,56 @@ fn every_override_axis_gets_its_own_entry() {
     }
 }
 
-/// Two distinct leaders in one batch on two workers, submitted from a
-/// thread that holds a `Detail` session: each cached entry reports
-/// exactly its own compile's counter table — neither leader's
-/// increments bleed into the other's entry or arrive through the
-/// caller's session — while the caller's session still counts every
-/// compile attempt the engine ran.
+/// Two distinct leaders in one batch, submitted from a thread that holds
+/// a trace session: each cached entry reports exactly its own compile's
+/// counter table, whoever called. On two workers under a `Detail`
+/// caller, neither leader's increments bleed into the other's entry or
+/// arrive through the caller's session, while the caller's session
+/// still counts every compile attempt the engine ran. On one worker
+/// under a `Stages` caller, the leaders compile on the calling thread,
+/// and their entries still carry their `Detail` counters.
 #[test]
 fn leader_counters_stay_with_their_own_entry() {
-    let engine = Engine::new(ServeConfig {
-        workers: 2,
-        ..ServeConfig::default()
-    });
-    let circuits = [ghz(30), ghz(40)];
-    let jobs: Vec<Job> = circuits
-        .iter()
-        .enumerate()
-        .map(|(i, c)| job(&format!("ghz{i}"), c))
-        .collect();
-    let before = engine.stats().compiles;
+    for (workers, caller_level) in [(2, trace::Level::Detail), (1, trace::Level::Stages)] {
+        let engine = Engine::new(ServeConfig {
+            workers,
+            ..ServeConfig::default()
+        });
+        let circuits = [ghz(30), ghz(40)];
+        let jobs: Vec<Job> = circuits
+            .iter()
+            .enumerate()
+            .map(|(i, c)| job(&format!("ghz{i}"), c))
+            .collect();
+        let before = engine.stats().compiles;
 
-    trace::begin(trace::Level::Detail);
-    let out = engine.submit(engine.base(), &jobs).unwrap();
-    let caller = trace::end();
+        trace::begin(caller_level);
+        let out = engine.submit(engine.base(), &jobs).unwrap();
+        assert_eq!(trace::level(), caller_level);
+        let caller = trace::end();
 
-    for (circuit, outcome) in circuits.iter().zip(&out) {
-        let result = outcome.result.as_ref().unwrap();
-        assert_eq!(result.status, CacheStatus::Miss);
-        let own = direct(circuit, engine.base());
-        assert!(own.report.counter("grid.query") > 0);
-        assert_eq!(
-            result.entry.counters,
-            own.report.counters(),
-            "{}: entry counters differ from its direct compile",
-            outcome.name
-        );
+        for (circuit, outcome) in circuits.iter().zip(&out) {
+            let result = outcome.result.as_ref().unwrap();
+            assert_eq!(result.status, CacheStatus::Miss);
+            let own = direct(circuit, engine.base());
+            assert!(own.report.counter("grid.query") > 0);
+            assert_eq!(
+                result.entry.counters,
+                own.report.counters(),
+                "{} on {workers} worker(s) under a {caller_level:?} caller: entry counters \
+                 differ from its direct compile",
+                outcome.name
+            );
+        }
+        let compiles = engine.stats().compiles - before;
+        assert_eq!(compiles, 2);
+        let expected = if caller_level == trace::Level::Detail {
+            compiles
+        } else {
+            0
+        };
+        assert_eq!(caller.counter("serve.compile"), expected);
     }
-    let compiles = engine.stats().compiles - before;
-    assert_eq!(compiles, 2);
-    assert_eq!(caller.counter("serve.compile"), compiles);
 }
 
 /// Eight identical jobs in one batch over four workers: exactly one

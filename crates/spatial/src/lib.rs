@@ -1,27 +1,27 @@
 //! `raa-spatial` — a uniform spatial-hash index over atom positions,
-//! shared by the Atomique movement router and the `raa-isa` legality
-//! checker.
+//! used by the Atomique movement router, its validator and the
+//! `raa-isa` optimizer's pulse-merge geometry (`opt::cost`). The ISA
+//! legality checker keeps no index: it decides C1 from close line pairs.
 //!
 //! The router's constraint checks (C1 addressing, retraction
-//! clearance), the validator's separation checks and the ISA checker's
-//! proximity scans are all of the form "which atoms lie within radius
-//! *r* of this point?". The exhaustive answer scans every atom —
+//! clearance) and the validator's separation checks are all of the
+//! form "which atoms lie within radius *r* of this point?". The exhaustive answer scans every atom —
 //! O(atoms) per query, O(atoms²) per stage — which caps compilation
 //! well below the 1000+-atom machines of the Atomique paper's Fig. 20
 //! extrapolations. [`SpatialGrid`] buckets atoms into square cells of a
 //! fixed size (each consumer picks the largest radius it ever queries:
-//! the router uses the 2.5 `r_b` addressing band, the ISA checker the
+//! the router uses the 2.5 `r_b` addressing band, `opt::cost` the
 //! blockade radius itself) so a query only visits the handful of cells
 //! overlapping the query disk.
 //!
 //! Two query flavors:
 //!
 //! * [`SpatialGrid::candidates_into`] returns a cheap *superset* of the
-//!   in-radius set (every atom in an overlapping cell). The router and
-//!   the ISA checker use this and apply their own distance predicates,
-//!   so their accept/reject logic stays literally identical to the
-//!   exhaustive scans they replace — restricted to candidates that can
-//!   possibly matter.
+//!   in-radius set (every atom in an overlapping cell). The router
+//!   uses this and applies its own distance predicates, so its
+//!   accept/reject logic stays literally identical to the exhaustive
+//!   scan it replaces — restricted to candidates that can possibly
+//!   matter.
 //! * [`SpatialGrid::neighbors_within`] applies the Euclidean filter and
 //!   returns *exactly* the atoms at distance ≤ `r`, sorted by id.
 //!
@@ -29,9 +29,7 @@
 //! insert/move/remove interleavings in
 //! `crates/core/tests/spatial_properties.rs`; the router's grid mode is
 //! proven schedule- and ISA-byte-identical to the exhaustive oracle by
-//! `tests/router_differential.rs`, and the checker's grid mode
-//! verdict-identical by `crates/isa/tests/check_modes.rs` and
-//! `tests/verify_differential.rs`.
+//! `tests/router_differential.rs`.
 //!
 //! When a `raa-trace` session at [`raa_trace::Level::Detail`] is
 //! active, the grid reports two counters: `grid.query` (one per
@@ -56,7 +54,7 @@ static GRID_REBUCKET: Counter = Counter::new("grid.rebucket");
 
 /// An FxHash-style multiply-xor hasher for the small integer keys
 /// (cell coordinates, atom ids, line keys) that dominate the router's
-/// and checker's hot paths. The std `HashMap` default (SipHash with a
+/// hot paths. The std `HashMap` default (SipHash with a
 /// per-process random seed) is DoS-resistant but ~10× slower on 8-byte
 /// keys, and its per-process seed makes iteration order vary between
 /// runs; this hasher is fast and deterministic. Not collision-resistant

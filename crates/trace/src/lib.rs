@@ -294,6 +294,32 @@ pub fn end() -> TraceReport {
     }
 }
 
+/// Runs `f` in a fresh session at `level` on the calling thread and
+/// returns its result with everything that session recorded. The
+/// caller's session, if any, is set aside meanwhile and restored
+/// afterwards, also when `f` unwinds: nothing `f` records reaches it,
+/// and it records on as before.
+pub fn isolated<R>(level: Level, f: impl FnOnce() -> R) -> (R, TraceReport) {
+    /// Puts the caller's session back on drop.
+    struct Restore {
+        level: u8,
+        session: Option<Session>,
+    }
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            LEVEL.with(|l| l.set(self.level));
+            SESSION.with(|s| *s.borrow_mut() = self.session.take());
+        }
+    }
+    let _restore = Restore {
+        level: LEVEL.with(|l| l.get()),
+        session: SESSION.with(|s| s.borrow_mut().take()),
+    };
+    begin(level);
+    let result = f();
+    (result, end())
+}
+
 /// Whether the calling thread has an active session.
 pub fn active() -> bool {
     LEVEL.with(|l| l.get()) != Level::Off as u8
@@ -555,6 +581,44 @@ mod tests {
             assert_eq!(report.spans[0].name, "stage");
             assert!(report.spans[0].children.is_empty());
             assert!(report.counters.is_empty());
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn isolated_session_sets_the_caller_aside_and_restores_it() {
+        std::thread::spawn(|| {
+            begin(Level::Stages);
+            let _outer = span_at("outer", Level::Stages);
+            let ((), inner) = isolated(Level::Detail, || {
+                let _s = span("inner");
+                TEST_COUNTER_A.add(3);
+            });
+            assert_eq!(inner.counter("test.alpha"), 3);
+            assert_eq!(inner.spans[0].name, "inner");
+            assert_eq!(level(), Level::Stages);
+
+            // A panic inside restores the caller's session too.
+            let unwound = std::panic::catch_unwind(|| {
+                isolated(Level::Detail, || {
+                    let _s = span("doomed");
+                    panic!("injected");
+                })
+            });
+            assert!(unwound.is_err());
+            assert_eq!(level(), Level::Stages);
+            drop(_outer);
+            let caller = end();
+            assert_eq!(caller.spans.len(), 1);
+            assert_eq!(caller.spans[0].name, "outer");
+            assert!(caller.spans[0].children.is_empty());
+            assert!(caller.counters.is_empty());
+
+            // With no caller session, none is left behind.
+            let (_, report) = isolated(Level::Detail, || TEST_COUNTER_B.incr());
+            assert_eq!(report.counter("test.beta"), 1);
+            assert!(!active());
         })
         .join()
         .unwrap();

@@ -1,11 +1,12 @@
 //! Release-mode verifier-scaling smoke (CI's `cargo test -q --release
 //! --test verifier_scale` step): the 1024-atom scaling workloads must be
 //! ISA-verifiable under *both* check modes with identical verdicts, and
-//! the default grid mode must finish well inside a generous wall-clock
-//! guard. The guard is deliberately loose (an order of magnitude above
-//! the measured grid time, far below the exhaustive-scan time at this
-//! size) — its job is to fail the build on an accidental O(atoms²)
-//! regression in the checker, not to pin exact timings.
+//! the default line-sweep mode must finish well inside a generous
+//! wall-clock guard. The guard is deliberately loose (an order of
+//! magnitude above the measured sweep time, far below the
+//! exhaustive-scan time at this size) — its job is to fail the build on
+//! an accidental O(atoms²) regression in the checker, not to pin exact
+//! timings.
 
 use std::time::{Duration, Instant};
 
@@ -13,11 +14,11 @@ use atomique::{compile, emit_isa, AtomiqueConfig};
 use raa_benchmarks::scaling_pair;
 use raa_isa::{check_legality_mode, optimize_with, CheckMode, OptLevel, VerifyStrategy};
 
-/// Generous wall-clock ceiling for grid-mode verification of one
+/// Generous wall-clock ceiling for line-sweep verification of one
 /// 1024-atom stream. Measured ≲1 s in release (EXPERIMENTS.md "Verifier
 /// scaling"); an O(atoms²) checker lands at exhaustive-scan cost, well
 /// above this.
-const GRID_VERIFY_GUARD: Duration = Duration::from_secs(30);
+const LINES_VERIFY_GUARD: Duration = Duration::from_secs(30);
 
 #[test]
 #[cfg_attr(
@@ -34,14 +35,18 @@ fn verifier_handles_1024_atom_streams_in_both_modes() {
         let raw = emit_isa(&out, &cfg.hardware, b.name);
 
         let t0 = Instant::now();
-        let grid = check_legality_mode(&raw, CheckMode::Grid);
-        let grid_t = t0.elapsed();
+        let lines = check_legality_mode(&raw, CheckMode::Lines);
+        let lines_t = t0.elapsed();
         let scan = check_legality_mode(&raw, CheckMode::Exhaustive);
-        assert_eq!(grid, scan, "{}: check modes disagree at 1024 atoms", b.name);
-        grid.unwrap_or_else(|e| panic!("{}: 1024-atom stream illegal: {e}", b.name));
+        assert_eq!(
+            lines, scan,
+            "{}: check modes disagree at 1024 atoms",
+            b.name
+        );
+        lines.unwrap_or_else(|e| panic!("{}: 1024-atom stream illegal: {e}", b.name));
         assert!(
-            grid_t < GRID_VERIFY_GUARD,
-            "{}: grid-mode verification took {grid_t:?} (guard {GRID_VERIFY_GUARD:?}) — \
+            lines_t < LINES_VERIFY_GUARD,
+            "{}: line-sweep verification took {lines_t:?} (guard {LINES_VERIFY_GUARD:?}) — \
              checker complexity regressed",
             b.name
         );
@@ -59,7 +64,7 @@ fn verifier_handles_1024_atom_streams_in_both_modes() {
             "{}: optimizer grew the stream",
             b.name
         );
-        check_legality_mode(&opt, CheckMode::Grid)
+        check_legality_mode(&opt, CheckMode::Lines)
             .unwrap_or_else(|e| panic!("{}: optimized stream illegal: {e}", b.name));
     }
 }
