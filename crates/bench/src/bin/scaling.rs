@@ -9,8 +9,6 @@
 //!   exhaustive-scan oracle (schedules asserted stage-identical),
 //! * ISA legality checking under `CheckMode::Lines` vs
 //!   `CheckMode::Exhaustive` (verdicts asserted identical), and
-//! * the `-O2` optimizer under the incremental re-verify harness vs the
-//!   full-oracle harness (outputs asserted identical), and
 //! * the baseline rows pushed through the `raa-serve`
 //!   batch-compilation engine cold and warm (schema 5 `serve`
 //!   columns): served bytes asserted bit-identical to the direct
@@ -55,7 +53,12 @@
 //! one thread. Every row's `strategy` is `"sequential"`, the one
 //! router strategy. Schema 9 renames `verifier.grid_s` to
 //! `verifier.lines_s`: the checker's C1 sweeps line pairs and keeps no
-//! spatial grid. Measured numbers are recorded in EXPERIMENTS.md
+//! spatial grid. Schema 10 drops the `opt_harness` object and the
+//! `verify_fallback` counter with the per-candidate re-verify harness
+//! they measured: `optimize` now proves its result once and `compile`
+//! reuses that proof, so on these `-O2` rows `compile.verify_s` reads
+//! about 0 and the one oracle run sits inside `compile.opt_s`.
+//! Measured numbers are recorded in EXPERIMENTS.md
 //! ("Router scaling", "Verifier scaling", "Counter telemetry",
 //! "Intra-compile parallelism retired", "Batch-compilation service"
 //! and "Transpile indexing").
@@ -69,7 +72,7 @@ use atomique::{
 };
 use raa_bench::harness::{row, scaling_row, section, serve_probe, SCALING_COLUMNS};
 use raa_benchmarks::scaling_pair;
-use raa_isa::{check_legality_mode, codec, optimize_with, CheckMode, IsaStats, VerifyStrategy};
+use raa_isa::{check_legality_mode, codec, CheckMode, IsaStats};
 
 struct Args {
     oracle_max: usize,
@@ -184,10 +187,6 @@ struct Measurement {
     isa_pulses: usize,
     verify_lines_s: f64,
     verify_exhaustive_s: Option<f64>,
-    opt_incremental_s: f64,
-    opt_full_s: Option<f64>,
-    opt_incremental_reverifies: usize,
-    opt_full_fallbacks: usize,
     counters: CounterRow,
     /// Schema-5 serving columns: the same workload pushed through the
     /// `raa-serve` engine cold (miss) and warm (hit), served bytes
@@ -248,10 +247,8 @@ struct CounterRow {
     grid_query: u64,
     /// `route.try_add` — router gate-admission attempts.
     route_try_add: u64,
-    /// `opt.rejected` — optimizer candidates refused by the harness.
+    /// `opt.rejected` — optimizer candidates refused.
     pass_rejected: u64,
-    /// `opt.verify.full` — incremental-verifier full-oracle fallbacks.
-    verify_fallback: u64,
     /// `transpile.score_recompute` — SABRE swap candidates scored
     /// (schema 6).
     score_recompute: u64,
@@ -266,7 +263,6 @@ impl CounterRow {
             grid_query: report.counter("grid.query"),
             route_try_add: report.counter("route.try_add"),
             pass_rejected: report.counter("opt.rejected"),
-            verify_fallback: report.counter("opt.verify.full"),
             score_recompute: report.counter("transpile.score_recompute"),
             score_dedup: report.counter("transpile.score_dedup"),
         }
@@ -297,7 +293,7 @@ fn json_serve(serve: &Option<ServeRow>) -> String {
 }
 
 fn write_json(measurements: &[Measurement]) {
-    let mut out = String::from("{\n  \"schema\": 9,\n  \"workloads\": [\n");
+    let mut out = String::from("{\n  \"schema\": 10,\n  \"workloads\": [\n");
     for (i, m) in measurements.iter().enumerate() {
         let t = &m.timings;
         let _ = write!(
@@ -311,10 +307,8 @@ fn write_json(measurements: &[Measurement]) {
                 "     \"router\": {{\"grid_compile_s\": {}, \"scan_compile_s\": {}}},\n",
                 "     \"isa\": {{\"instrs\": {}, \"pulses\": {}}},\n",
                 "     \"verifier\": {{\"lines_s\": {}, \"exhaustive_s\": {}}},\n",
-                "     \"opt_harness\": {{\"incremental_s\": {}, \"full_s\": {}, ",
-                "\"incremental_reverifies\": {}, \"full_fallbacks\": {}}},\n",
                 "     \"counters\": {{\"grid_query\": {}, \"route_try_add\": {}, ",
-                "\"pass_rejected\": {}, \"verify_fallback\": {}, ",
+                "\"pass_rejected\": {}, ",
                 "\"score_recompute\": {}, \"score_dedup\": {}}},\n",
                 "     \"serve\": {}}}"
             ),
@@ -335,14 +329,9 @@ fn write_json(measurements: &[Measurement]) {
             m.isa_pulses,
             json_f(m.verify_lines_s),
             json_opt_f(m.verify_exhaustive_s),
-            json_f(m.opt_incremental_s),
-            json_opt_f(m.opt_full_s),
-            m.opt_incremental_reverifies,
-            m.opt_full_fallbacks,
             m.counters.grid_query,
             m.counters.route_try_add,
             m.counters.pass_rejected,
-            m.counters.verify_fallback,
             m.counters.score_recompute,
             m.counters.score_dedup,
             json_serve(&m.serve),
@@ -371,7 +360,7 @@ fn print_counters(report: &atomique::CompileReport) {
 fn main() {
     let args = parse_args();
     let oracle_max = args.oracle_max;
-    section("Compiler + verifier scaling: grid vs exhaustive, incremental vs full");
+    section("Compiler + verifier scaling: grid vs exhaustive, lines vs exhaustive");
     println!("(exhaustive oracles run up to {oracle_max} qubits; results asserted identical)");
 
     let mut measurements = Vec::new();
@@ -471,7 +460,7 @@ fn main() {
             });
 
             // --- Verifier scaling: the raw (unoptimized) stream checked
-            // under both modes, and -O2 re-run under both harnesses.
+            // under both modes.
             let raw = atomique::emit_isa(&grid, &cfg.hardware, b.name);
             let stats = IsaStats::of(&raw);
 
@@ -486,27 +475,6 @@ fn main() {
                 t0.elapsed().as_secs_f64()
             });
 
-            let t0 = Instant::now();
-            let (opt_inc, inc_report) =
-                optimize_with(&raw, OptLevel::Aggressive, VerifyStrategy::Incremental);
-            let opt_incremental_s = t0.elapsed().as_secs_f64();
-            let opt_full_s = (n <= oracle_max).then(|| {
-                let t0 = Instant::now();
-                let (opt_full, full_report) =
-                    optimize_with(&raw, OptLevel::Aggressive, VerifyStrategy::Full);
-                let s = t0.elapsed().as_secs_f64();
-                assert_eq!(
-                    opt_inc, opt_full,
-                    "{}-{n}: harness strategies disagree",
-                    b.name
-                );
-                assert_eq!(
-                    inc_report.rejected_rewrites, full_report.rejected_rewrites,
-                    "{}-{n}: harness strategies rejected different rewrites",
-                    b.name
-                );
-                s
-            });
             println!(
                 "  isa verify ({} instrs, {} pulses): lines {:.2}s, exhaustive {}",
                 stats.instructions,
@@ -514,14 +482,6 @@ fn main() {
                 verify_lines_s,
                 verify_exhaustive_s.map_or_else(|| "-".into(), |s| format!("{s:.2}s")),
             );
-            println!(
-                "  -O2 harness: incremental {:.2}s ({} windowed, {} fallbacks), full {}",
-                opt_incremental_s,
-                inc_report.incremental_reverifies,
-                inc_report.full_reverifies,
-                opt_full_s.map_or_else(|| "-".into(), |s| format!("{s:.2}s")),
-            );
-
             // --- The service probe (schema 5): the same workload
             // through the raa-serve engine cold and warm, served bytes
             // asserted bit-identical to the compile above.
@@ -540,10 +500,6 @@ fn main() {
                 isa_pulses: stats.pulses,
                 verify_lines_s,
                 verify_exhaustive_s,
-                opt_incremental_s,
-                opt_full_s,
-                opt_incremental_reverifies: inc_report.incremental_reverifies,
-                opt_full_fallbacks: inc_report.full_reverifies,
                 counters: CounterRow::of(&grid.report),
                 serve,
             });

@@ -297,21 +297,28 @@ fn compile_under_trace(
             crate::lower::emit_isa(&out, &config.hardware, "")
         };
         stage_gate("lower", limits)?;
+        // Whether `optimize` already proved the stream with the oracle.
+        let mut proven = false;
         // Optimize only when the stream is attached (emit_isa): with
         // verify_isa alone the optimized result would be discarded and
         // the fixpoint run would be pure wasted compile time.
         if config.emit_isa && config.opt_level != raa_isa::OptLevel::None {
-            // The optimizer is verified internally (every pass re-runs
-            // the oracle and unsafe rewrites are refused), so this can
-            // only shrink the stream, never corrupt it.
+            // The optimizer proves its result with the oracle before
+            // returning it, so this can only shrink the stream, never
+            // corrupt it; an input that fails the oracle comes back
+            // untouched and unproven.
             let _s = raa_trace::span_at("opt", Level::Stages);
-            isa = raa_isa::optimize(&isa, config.opt_level).0;
+            let (optimized, report) = raa_isa::optimize(&isa, config.opt_level);
+            isa = optimized;
+            proven = !report.skipped_unverified;
             stage_gate("opt", limits)?;
         }
         if config.verify_isa {
             let _s = raa_trace::span_at("verify", Level::Stages);
-            raa_isa::check_legality(&isa).map_err(CompileError::IsaLegality)?;
-            raa_isa::replay_verify(&isa).map_err(CompileError::IsaReplay)?;
+            if !proven {
+                raa_isa::check_legality(&isa).map_err(CompileError::IsaLegality)?;
+                raa_isa::replay_verify(&isa).map_err(CompileError::IsaReplay)?;
+            }
             drop(_s);
             stage_gate("verify", limits)?;
         }

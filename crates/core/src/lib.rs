@@ -47,7 +47,6 @@ mod program;
 mod render;
 mod router;
 mod transpile;
-mod validate;
 
 pub use array_mapper::{map_to_arrays, map_to_arrays_with, ArrayMapping};
 pub use atom_mapper::{diagonal_spiral_order, map_to_atoms, AtomMapping};
@@ -72,4 +71,3 @@ pub use router::{route_movements, RoutedProgram};
 // of the index before it was extracted into its own crate) keep working.
 pub use raa_spatial::SpatialGrid;
 pub use transpile::{transpile, transpile_with, TranspiledCircuit};
-pub use validate::{validate_program, ValidationError};

@@ -175,9 +175,12 @@ pub struct StageTimings {
     /// (0 unless `emit_isa`/`verify_isa` is set).
     pub lower_s: f64,
     /// ISA optimization (0 unless `opt_level` > `None` with `emit_isa`).
+    /// Includes the one oracle run that proves the optimized stream.
     pub opt_s: f64,
     /// The independent ISA oracle — `check_legality` + `replay_verify`
-    /// (0 unless `verify_isa` is set).
+    /// (0 unless `verify_isa` is set). About 0 when `opt` ran: the
+    /// optimizer already proved the stream, so this stage reuses that
+    /// proof and re-runs the oracle only on a stream `opt` left unproven.
     pub verify_s: f64,
 }
 

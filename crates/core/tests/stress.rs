@@ -1,9 +1,9 @@
 //! Stress and configuration-matrix tests for the Atomique compiler:
 //! multi-AOD machines, varied array sizes, relaxation combinations, and
-//! algorithmic workloads, each cross-checked by the independent stage
-//! validator.
+//! algorithmic workloads, each compiled with `verify_isa` so the ISA
+//! legality + replay oracle checks every stream.
 
-use atomique::{compile, validate_program, AtomiqueConfig, Relaxation};
+use atomique::{compile, AtomiqueConfig, Relaxation};
 use raa_arch::{ArrayDims, RaaConfig};
 use raa_circuit::{Circuit, Gate, Qubit};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
@@ -26,6 +26,15 @@ fn random_circuit(n: usize, gates: usize, seed: u64) -> Circuit {
     c
 }
 
+/// `cfg` with the ISA oracle on: the compile fails unless its stream
+/// passes `check_legality` and `replay_verify`.
+fn verified(cfg: AtomiqueConfig) -> AtomiqueConfig {
+    AtomiqueConfig {
+        verify_isa: true,
+        ..cfg
+    }
+}
+
 /// Every AOD count the paper sweeps (Fig. 20c) compiles and validates.
 #[test]
 fn one_through_seven_aods() {
@@ -33,10 +42,8 @@ fn one_through_seven_aods() {
     let mut prev_swaps = usize::MAX;
     for aods in 1..=7 {
         let hw = RaaConfig::square(8, aods).expect("valid machine");
-        let cfg = AtomiqueConfig::for_hardware(hw);
+        let cfg = verified(AtomiqueConfig::for_hardware(hw));
         let out = compile(&c, &cfg).unwrap_or_else(|e| panic!("{aods} AODs: {e}"));
-        validate_program(&out, &cfg.hardware, &out.mapping.site_of_slot)
-            .unwrap_or_else(|e| panic!("{aods} AODs: {e}"));
         // More partitions can only help the cut (weak monotonicity check
         // against the 1-AOD case).
         if aods >= 2 {
@@ -57,10 +64,9 @@ fn varied_aod_dimensions() {
         vec![ArrayDims::new(8, 8), ArrayDims::new(6, 6)],
     )
     .unwrap();
-    let cfg = AtomiqueConfig::for_hardware(hw);
+    let cfg = verified(AtomiqueConfig::for_hardware(hw));
     let c = random_circuit(40, 150, 2);
     let out = compile(&c, &cfg).unwrap();
-    validate_program(&out, &cfg.hardware, &out.mapping.site_of_slot).unwrap();
     assert!(out.total_fidelity() > 0.0);
 }
 
@@ -69,11 +75,9 @@ fn varied_aod_dimensions() {
 fn extreme_aspect_ratios() {
     for (r, cdim) in [(16, 3), (3, 16), (24, 2)] {
         let hw = RaaConfig::new(ArrayDims::new(r, cdim), vec![ArrayDims::new(r, cdim); 2]).unwrap();
-        let cfg = AtomiqueConfig::for_hardware(hw);
+        let cfg = verified(AtomiqueConfig::for_hardware(hw));
         let c = random_circuit(30, 60, 3);
-        let out = compile(&c, &cfg).unwrap_or_else(|e| panic!("{r}x{cdim}: {e}"));
-        validate_program(&out, &cfg.hardware, &out.mapping.site_of_slot)
-            .unwrap_or_else(|e| panic!("{r}x{cdim}: {e}"));
+        compile(&c, &cfg).unwrap_or_else(|e| panic!("{r}x{cdim}: {e}"));
     }
 }
 
@@ -122,15 +126,13 @@ fn relaxation_matrix() {
 /// these exercise all-to-all, ladder, and chain interaction patterns.
 #[test]
 fn algorithmic_workloads_validate() {
-    let cfg = AtomiqueConfig::default();
+    let cfg = verified(AtomiqueConfig::default());
     for (name, c) in [
         ("qft-12", raa_benchmarks::qft(12)),
         ("grover-8", raa_benchmarks::grover(8, 2)),
         ("wstate-16", raa_benchmarks::w_state(16)),
     ] {
         let out = compile(&c, &cfg).unwrap_or_else(|e| panic!("{name}: {e}"));
-        validate_program(&out, &cfg.hardware, &out.mapping.site_of_slot)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(out.total_fidelity() > 0.0, "{name}");
     }
 }
@@ -143,10 +145,9 @@ fn near_capacity_compiles() {
         vec![ArrayDims::new(6, 6), ArrayDims::new(6, 6)],
     )
     .unwrap();
-    let cfg = AtomiqueConfig::for_hardware(hw);
+    let cfg = verified(AtomiqueConfig::for_hardware(hw));
     let c = random_circuit(100, 200, 5);
     let out = compile(&c, &cfg).unwrap();
-    validate_program(&out, &cfg.hardware, &out.mapping.site_of_slot).unwrap();
     assert_eq!(
         out.stats.two_qubit_gates,
         raa_circuit::optimize(&c).two_qubit_count() + 3 * out.stats.swaps_inserted

@@ -2,9 +2,9 @@
 //!
 //! [`check_legality`] replays atom positions through an instruction
 //! stream and re-verifies the three RAA hardware constraints *purely
-//! from the stream* — it shares no state with the Atomique router, the
-//! baseline compilers, or `atomique::validate_program`, so it catches
-//! serialization and bookkeeping bugs none of them can see.
+//! from the stream* — it shares no state with the Atomique router or the
+//! baseline compilers, so it catches serialization and bookkeeping bugs
+//! neither can see.
 //!
 //! Checks performed:
 //!
@@ -71,7 +71,7 @@ use raa_trace::Counter;
 use crate::error::LegalityError;
 use crate::program::{Instr, IsaProgram, SiteSpec};
 
-/// Slack applied to strict inequalities, matching the router/validator.
+/// Slack applied to strict inequalities, matching the router.
 const EPS: f64 = 1e-9;
 
 /// Close line pairs a [`CheckMode::Lines`] C1 evaluation found, both
@@ -211,9 +211,7 @@ struct Sweep {
 
 /// The checker's machine model: replayed AOD line positions and parked
 /// flags, the static slot layout, and the C1 scratch buffers.
-/// Crate-internal so the optimizer's incremental re-verify harness can
-/// replay candidate streams instruction by instruction.
-pub(crate) struct Machine {
+struct Machine {
     aods: Vec<AodState>,
     interact_r: f64,
     /// How far apart two lines of one axis may be and still host a pair
@@ -243,30 +241,9 @@ impl Machine {
         site.array == 0 || !self.aods[site.array as usize - 1].parked
     }
 
-    /// Whether two machines replayed to the same observable state: equal
-    /// line positions and parked flags on every AOD. (Sites, layout and
-    /// physics are construction-time constants.)
-    pub(crate) fn state_eq(&self, other: &Machine) -> bool {
-        self.aods.len() == other.aods.len()
-            && self
-                .aods
-                .iter()
-                .zip(&other.aods)
-                .all(|(a, b)| a.parked == b.parked && a.rows == b.rows && a.cols == b.cols)
-    }
-
     /// Applies one non-init instruction: structural (`Malformed`)
-    /// validation always runs; the geometric pulse checks (C1/C2/C3)
-    /// run only when `check` is set. The optimizer's incremental
-    /// re-verify harness replays its already-verified reference stream
-    /// with `check` off and pays for geometry only where a candidate
-    /// diverges.
-    pub(crate) fn step(
-        &mut self,
-        pc: usize,
-        instr: &Instr,
-        check: bool,
-    ) -> Result<(), LegalityError> {
+    /// validation, plus the geometric checks (C1/C2/C3) at a pulse.
+    fn step(&mut self, pc: usize, instr: &Instr) -> Result<(), LegalityError> {
         match instr {
             Instr::InitSlm { .. } | Instr::InitAod { .. } => {
                 return Err(malformed(pc, "init instruction after start of program"));
@@ -308,21 +285,8 @@ impl Machine {
                     .parked = false;
             }
             Instr::RydbergPulse { pairs } => {
-                if check {
-                    check_line_constraints(self, pc)?;
-                    self.check_pulse(pc, pairs)?;
-                } else {
-                    // Structural half of check_pulse (cheap, no geometry).
-                    let n = self.sites.len() as u32;
-                    for &(a, b) in pairs {
-                        if a >= n || b >= n {
-                            return Err(malformed(
-                                pc,
-                                format!("pulse references unknown slot ({a}, {b})"),
-                            ));
-                        }
-                    }
-                }
+                check_line_constraints(self, pc)?;
+                self.check_pulse(pc, pairs)?;
             }
             Instr::RamanLayer { gates } => {
                 for g in gates {
@@ -362,7 +326,7 @@ impl Machine {
     /// The end-of-stream checks: line constraints hold and no in-field
     /// pair remains within the blockade radius (a further pulse would
     /// re-fire on it).
-    pub(crate) fn end_check(&mut self, end_pc: usize) -> Result<(), LegalityError> {
+    fn end_check(&mut self, end_pc: usize) -> Result<(), LegalityError> {
         check_line_constraints(self, end_pc)?;
         self.check_no_proximity(end_pc, &[])
     }
@@ -628,10 +592,7 @@ fn malformed(pc: usize, message: impl Into<String>) -> LegalityError {
 
 /// Scans the init prefix and loading map of `program`, returning the
 /// initialized machine and the index of the first non-init instruction.
-pub(crate) fn init_machine(
-    program: &IsaProgram,
-    mode: CheckMode,
-) -> Result<(Machine, usize), LegalityError> {
+fn init_machine(program: &IsaProgram, mode: CheckMode) -> Result<(Machine, usize), LegalityError> {
     let interact_r = program.interaction_radius_tracks();
     if !(interact_r.is_finite() && interact_r > 0.0) {
         return Err(malformed(usize::MAX, "non-positive interaction radius"));
@@ -756,7 +717,7 @@ pub fn check_legality_mode(program: &IsaProgram, mode: CheckMode) -> Result<(), 
     // Rydberg laser fires nowhere else) and once more at the end of the
     // stream, which is where incomplete retraction physically matters.
     for (pc, instr) in program.instrs.iter().enumerate().skip(start) {
-        m.step(pc, instr, true)?;
+        m.step(pc, instr)?;
     }
     m.end_check(program.instrs.len())
 }

@@ -26,8 +26,8 @@
 //!   movement;
 //! * [`opt`] — a verified optimizer: peephole/dataflow passes (move
 //!   coalescing, retract/approach fusion, park elision, dead-move
-//!   elimination) that shave instruction count and line travel, with
-//!   every rewrite re-checked against the oracle before acceptance;
+//!   elimination) that shave instruction count and line travel, whose
+//!   result is proven by the oracle before it is returned;
 //! * [`disassemble`] / [`IsaStats`] — a human-readable listing and
 //!   stream-level statistics (instruction counts, move distance,
 //!   encoded sizes).
@@ -64,11 +64,19 @@
 
 #![deny(missing_docs)]
 
+// Lets the `#[path]`-included test generator name this crate as its
+// integration tests do.
+#[cfg(test)]
+extern crate self as raa_isa;
+
 pub mod codec;
 pub mod json;
 pub mod opt;
 
 mod check;
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod common;
 mod error;
 mod lower;
 mod program;
@@ -78,7 +86,7 @@ mod stats;
 pub use check::{check_legality, check_legality_mode, CheckMode};
 pub use error::{DecodeError, EncodeError, LegalityError, LowerError, ReplayError};
 pub use lower::lower_gate_schedule;
-pub use opt::{flat_gate_events, optimize, optimize_with, OptLevel, OptReport, VerifyStrategy};
+pub use opt::{flat_gate_events, optimize, OptLevel, OptReport};
 pub use program::{disassemble, Instr, IsaProgram, ProgramHeader, SiteSpec, FORMAT_VERSION};
 pub use replay::{replay_verify, ReplayReport};
 pub use stats::IsaStats;

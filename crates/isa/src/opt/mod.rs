@@ -23,40 +23,26 @@
 //! The applicability predicates the passes share live in the
 //! crate-private `cost` module.
 //!
-//! Every pass runs under a harness that refuses unsafe rewrites: after
-//! each pass the candidate stream must (1) keep the *flattened*
-//! sequence of observable gate events — each pulse contributing its
-//! pairs in order, plus Raman layers, transfers and cooling swaps as
-//! whole events — so gates may be regrouped across merged pulses but
-//! never reordered, dropped or duplicated, (2) still pass
-//! [`check_legality`], and (3) still pass [`replay_verify`]. A
-//! candidate failing any of the three is discarded and the input kept,
-//! so a buggy pass can cost performance but never correctness.
+//! # Proving the result once
 //!
-//! # Incremental re-verification
+//! Every candidate rewrite a pass returns must pass three cheap guards:
+//! it shrinks the stream, it adds no line travel, and it keeps the
+//! *flattened* sequence of observable gate events — each pulse
+//! contributing its pairs in order, plus Raman layers, transfers and
+//! cooling swaps as whole events — so gates may be regrouped across
+//! merged pulses but never reordered, dropped or duplicated. A candidate
+//! that fails a guard is discarded and its pass disabled for the rest of
+//! the run.
 //!
-//! Re-running the full oracle on the whole stream for every candidate
-//! makes `-O2` superlinear in stream length. Passes therefore return an
-//! *edit map* (a same-length rewritten copy plus deletion flags — passes
-//! only modify in place or delete, never insert), and the default
-//! [`VerifyStrategy::Incremental`] harness exploits it: it replays the
-//! already-verified input and the candidate in lockstep, runs the
-//! geometric pulse checks only while the two machine states diverge
-//! (from the first edit until line positions and parked flags converge
-//! again), and runs the end-of-stream check only if the divergence
-//! reaches the end. When no edit touches a gate event (every pass
-//! except [mod@parallelize]) the trace is proven untouched
-//! index-by-index, which pins the [`replay_verify`] verdict to the
-//! input's without re-running it; when gate events *are* edited the
-//! harness requires the flattened event sequence to be preserved and
-//! re-proves the replay verdict on the candidate (pulse regrouping can
-//! trip the verifier's slot-reuse and DAG-order rules, so it cannot be
-//! pinned). Whenever the edit map cannot bound a candidate's effect the
-//! harness falls back to [`VerifyStrategy::Full`], the original
-//! whole-stream oracle, so every accepted rewrite is exactly as safe as
-//! before — only cheaper to prove.
-//! `tests/verify_differential.rs` checks that both strategies accept
-//! identical rewrites across the benchmark suites.
+//! The stream oracle ([`check_legality`] + [`replay_verify`]) then runs
+//! once, on the fixpoint's result, and a result that passes is
+//! returned. A result that fails means either the input was already
+//! illegal, in which case [`optimize`] returns the input untouched with
+//! [`OptReport::skipped_unverified`] set, or a pass broke a legal
+//! stream. In the second case the fixpoint re-runs with the oracle on
+//! every candidate, which refuses the broken rewrite and disables its
+//! pass. A buggy pass therefore costs time and its own savings, never
+//! correctness.
 //!
 //! # How to write a safe pass
 //!
@@ -65,13 +51,13 @@
 //! place, a deletion flag per entry, and a rewrite count — or `None`
 //! when it finds nothing (or encounters a stream it does not understand
 //! — returning `None` is always safe). Passes must never *insert*
-//! instructions; the index-preserving edit-map shape is what lets the
-//! harness re-verify only where the candidate diverges. To stay inside
-//! the oracle's notion of equivalence, obey three rules:
+//! instructions, and they may run on an input nothing has checked yet,
+//! so they must not panic on a malformed or illegal stream. To stay
+//! inside the oracle's notion of equivalence, obey three rules:
 //!
 //! 1. **Never reorder, drop or duplicate a gate.** Rydberg pulse
 //!    pairs, Raman layers, transfers and cooling swaps are the program;
-//!    the harness compares their flattened sequence before and after.
+//!    the guards compare their flattened sequence before and after.
 //!    Adjacent pulses may merge (their pair lists concatenate in stream
 //!    order — [mod@parallelize] does this), but a pass that moves a
 //!    gate past another, drops one or fires one twice is rejected.
@@ -134,7 +120,7 @@ pub mod fuse;
 pub mod parallelize;
 pub mod park;
 
-use crate::check::{check_legality, init_machine, CheckMode};
+use crate::check::check_legality;
 use crate::program::{Instr, IsaProgram};
 use crate::replay::replay_verify;
 use crate::stats::IsaStats;
@@ -143,15 +129,11 @@ use raa_trace::Counter;
 
 /// Candidate rewrites produced by passes (accepted + rejected).
 static OPT_CANDIDATES: Counter = Counter::new("opt.candidates");
-/// Candidates that survived re-verification and were committed.
+/// Candidates that passed the guards (and, when proving each, the
+/// oracle) and were committed.
 static OPT_ACCEPTED: Counter = Counter::new("opt.accepted");
-/// Candidates refused by the harness (the pass is then disabled).
+/// Candidates refused (the pass is then disabled).
 static OPT_REJECTED: Counter = Counter::new("opt.rejected");
-/// Candidates proven safe by the incremental harness alone.
-static OPT_VERIFY_INCREMENTAL: Counter = Counter::new("opt.verify.incremental");
-/// Whole-stream oracle runs: incremental fallbacks plus every
-/// [`VerifyStrategy::Full`] candidate.
-static OPT_VERIFY_FULL: Counter = Counter::new("opt.verify.full");
 
 /// How hard [`optimize`] works on a stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -206,10 +188,10 @@ enum PassKind {
     Coalesce,
     ElidePark,
     DeadMove,
+    /// A deliberately broken pass that the fallback must refuse.
+    #[cfg(test)]
+    DropFinalRetraction,
 }
-
-/// Number of [`PassKind`] variants (sizes the per-run disable table).
-const NUM_PASSES: usize = 5;
 
 impl PassKind {
     fn name(self) -> &'static str {
@@ -219,6 +201,8 @@ impl PassKind {
             PassKind::Coalesce => "coalesce-moves",
             PassKind::ElidePark => "elide-parks",
             PassKind::DeadMove => "dead-moves",
+            #[cfg(test)]
+            PassKind::DropFinalRetraction => "drop-final-retraction",
         }
     }
 
@@ -230,6 +214,8 @@ impl PassKind {
             PassKind::Coalesce => "opt.coalesce-moves",
             PassKind::ElidePark => "opt.elide-parks",
             PassKind::DeadMove => "opt.dead-moves",
+            #[cfg(test)]
+            PassKind::DropFinalRetraction => "opt.drop-final-retraction",
         }
     }
 
@@ -240,38 +226,16 @@ impl PassKind {
             PassKind::Coalesce => coalesce::run(&program.instrs),
             PassKind::ElidePark => park::run(&program.instrs),
             PassKind::DeadMove => dead::run(&program.instrs),
+            #[cfg(test)]
+            PassKind::DropFinalRetraction => tests::drop_final_retraction(&program.instrs),
         }
     }
-}
-
-/// How [`optimize_with`] re-proves safety after each candidate rewrite.
-/// Both strategies accept exactly the same rewrites (checked by
-/// `tests/verify_differential.rs`); they differ only in how much of the
-/// stream they re-examine per candidate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum VerifyStrategy {
-    /// Re-verify incrementally from the pass's edit map: lockstep
-    /// replay of input and candidate, geometric pulse checks only while
-    /// the machine states diverge, and the gate trace proven untouched
-    /// index-by-index (pinning the replay verdict without re-running
-    /// it) — or, for pulse-merging edits, the flattened trace proven
-    /// preserved with the replay verdict re-run on the candidate.
-    /// Falls back to [`VerifyStrategy::Full`] whenever the edit map
-    /// cannot bound the candidate's effect.
-    #[default]
-    Incremental,
-    /// Re-run the whole-stream oracle ([`check_legality`] +
-    /// [`replay_verify`] + full gate-trace comparison) on every
-    /// candidate — the original harness, kept as the incremental
-    /// harness's differential baseline and fallback.
-    Full,
 }
 
 /// The edit map a pass returns: a same-length rewritten copy of the
 /// input plus per-entry deletion flags. Passes only modify entries in
 /// place or delete them — never insert — so old index `i` and `out[i]`
-/// always describe the same stream position, which is what lets the
-/// incremental harness re-verify only the indices that changed.
+/// always describe the same stream position.
 pub(crate) struct PassEdit {
     /// Same length as the input; kept entries may be modified in place.
     pub(crate) out: Vec<Instr>,
@@ -324,24 +288,35 @@ pub struct OptReport {
     pub elided_parks: usize,
     /// Moves deleted by [mod@dead].
     pub dead_moves: usize,
-    /// Passes the safety harness refused (a refusal means a pass
-    /// produced a stream that failed the oracle or grew it; the input
-    /// was kept and the pass disabled for the rest of the run, so
-    /// refusals cost performance, never correctness).
+    /// Candidates refused: one failed a guard (it did not shrink the
+    /// stream, added line travel or changed the flattened gate trace)
+    /// or, when the fixpoint re-ran with the oracle on every candidate,
+    /// failed the oracle. The stream before the candidate was kept and
+    /// the pass disabled for the rest of the run, so refusals cost
+    /// performance, never correctness.
     pub rejected_rewrites: usize,
-    /// Candidates whose verdict came from the windowed incremental
-    /// re-verifier (0 under [`VerifyStrategy::Full`]).
-    pub incremental_reverifies: usize,
-    /// Candidates re-verified by the whole-stream oracle — every
-    /// candidate under [`VerifyStrategy::Full`], incremental fallbacks
-    /// otherwise.
-    pub full_reverifies: usize,
-    /// `true` if the *input* already failed the oracle, in which case
-    /// the optimizer returned it untouched.
+    /// `true` if the returned stream was not proven by this call: the
+    /// input failed the oracle and is returned untouched. At every level
+    /// but [`OptLevel::None`], which returns a verbatim copy and proves
+    /// nothing, `false` means the returned stream passed
+    /// [`check_legality`] and [`replay_verify`] inside [`optimize`].
     pub skipped_unverified: bool,
 }
 
 impl OptReport {
+    /// The report of a run that has changed nothing (yet).
+    fn unchanged(program: &IsaProgram, level: OptLevel) -> OptReport {
+        let stats = IsaStats::of(program);
+        OptReport {
+            level,
+            instructions_before: stats.instructions,
+            instructions_after: stats.instructions,
+            line_travel_before: stats.line_travel_tracks,
+            line_travel_after: stats.line_travel_tracks,
+            ..OptReport::default()
+        }
+    }
+
     /// Instructions removed by optimization.
     pub fn instructions_saved(&self) -> usize {
         self.instructions_before - self.instructions_after
@@ -360,14 +335,12 @@ const MAX_ITERATIONS: usize = 64;
 /// Optimizes `program` at `level`, returning the rewritten program and
 /// a report of what changed.
 ///
-/// Safety is enforced, not assumed: the input must pass
-/// [`check_legality`] + [`replay_verify`] (otherwise it is returned
-/// untouched with [`OptReport::skipped_unverified`] set), and after
-/// every pass the candidate stream must keep the exact observable gate
-/// sequence and still pass both oracle halves, or the candidate is
-/// discarded. The result therefore never has more instructions or more
-/// line travel than the input, and passes the oracle whenever the input
-/// does.
+/// Safety is enforced, not assumed. Every candidate rewrite must keep
+/// the exact observable gate sequence and may not add instructions or
+/// line travel, and the result must pass [`check_legality`] +
+/// [`replay_verify`] before it is returned (see the module docs for the
+/// fallback when it does not). An input that fails the oracle is
+/// returned untouched with [`OptReport::skipped_unverified`] set.
 ///
 /// # Examples
 ///
@@ -384,49 +357,68 @@ const MAX_ITERATIONS: usize = 64;
 /// let (optimized, report) = optimize(&program, OptLevel::Aggressive);
 /// assert_eq!(optimized, program);
 /// assert_eq!(report.instructions_saved(), 0);
+/// assert!(!report.skipped_unverified); // proven inside `optimize`
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn optimize(program: &IsaProgram, level: OptLevel) -> (IsaProgram, OptReport) {
-    optimize_with(program, level, VerifyStrategy::default())
+    if level == OptLevel::None {
+        return (program.clone(), OptReport::unchanged(program, level));
+    }
+    prove_once(program, level, level.passes())
 }
 
-/// [`optimize`] with an explicit re-verification strategy. The result is
-/// identical under both strategies; [`VerifyStrategy::Full`] exists as
-/// the differential baseline and costs a whole-stream oracle run per
-/// candidate.
-pub fn optimize_with(
+/// Runs `passes` to a fixpoint under the cheap guards, then proves the
+/// result once; falls back to proving every candidate if that fails on
+/// a legal input.
+fn prove_once(
     program: &IsaProgram,
     level: OptLevel,
-    strategy: VerifyStrategy,
+    passes: &[PassKind],
 ) -> (IsaProgram, OptReport) {
-    let before = IsaStats::of(program);
-    let mut report = OptReport {
-        level,
-        instructions_before: before.instructions,
-        instructions_after: before.instructions,
-        line_travel_before: before.line_travel_tracks,
-        line_travel_after: before.line_travel_tracks,
-        ..OptReport::default()
-    };
-    if level == OptLevel::None {
+    let (out, report) = fixpoint(program, level, passes, false);
+    if passes_oracle(&out) {
+        return (out, report);
+    }
+    // Every accepted candidate shrinks the stream, so an unchanged
+    // length means nothing was accepted and the input itself just failed.
+    if out.instrs.len() == program.instrs.len() || !passes_oracle(program) {
+        let report = OptReport {
+            skipped_unverified: true,
+            ..OptReport::unchanged(program, level)
+        };
         return (program.clone(), report);
     }
-    if check_legality(program).is_err() || replay_verify(program).is_err() {
-        report.skipped_unverified = true;
-        return (program.clone(), report);
-    }
+    fixpoint(program, level, passes, true)
+}
 
+/// Whether `program` passes both halves of the stream oracle.
+fn passes_oracle(program: &IsaProgram) -> bool {
+    check_legality(program).is_ok() && replay_verify(program).is_ok()
+}
+
+/// Runs `passes` over `program` until none of them finds a rewrite. A
+/// candidate is accepted only if it passes the guards and, with
+/// `prove_each`, the oracle; a refused candidate disables its pass.
+/// With `prove_each` on an oracle-clean input, every stream the loop
+/// holds is oracle-clean.
+fn fixpoint(
+    program: &IsaProgram,
+    level: OptLevel,
+    passes: &[PassKind],
+    prove_each: bool,
+) -> (IsaProgram, OptReport) {
+    let mut report = OptReport::unchanged(program, level);
     let reference_trace = flat_trace(&program.instrs);
     let mut current = program.clone();
     // A pass whose candidate is refused is disabled for the rest of the
     // run: re-running it would deterministically rebuild (and re-pay the
-    // oracle cost of) the same unsafe rewrite every iteration.
-    let mut disabled = [false; NUM_PASSES];
+    // checks of) the same unsafe rewrite every iteration.
+    let mut disabled = vec![false; passes.len()];
     while report.iterations < MAX_ITERATIONS {
         report.iterations += 1;
         let mut changed = false;
-        for &pass in level.passes() {
-            if disabled[pass as usize] {
+        for (k, &pass) in passes.iter().enumerate() {
+            if disabled[k] {
                 continue;
             }
             let _pass_span = raa_trace::span(pass.span_name());
@@ -435,39 +427,11 @@ pub fn optimize_with(
             };
             debug_assert!(edit.rewrites > 0, "{}: rewrite without count", pass.name());
             OPT_CANDIDATES.incr();
-            let kept = edit.kept();
-            // The acceptance check enforces the documented guarantees
-            // directly, so a buggy pass cannot break them: exact gate
-            // sequence, oracle-clean, and never more instructions or
-            // line travel than before the pass.
-            let accepted = kept.len() < current.instrs.len()
-                && match strategy {
-                    VerifyStrategy::Incremental => {
-                        let incremental = {
-                            let _s = raa_trace::span("opt.verify.incremental");
-                            verify_incremental(&current, &edit, &kept)
-                        };
-                        match incremental {
-                            Some(verdict) => {
-                                report.incremental_reverifies += 1;
-                                OPT_VERIFY_INCREMENTAL.incr();
-                                verdict
-                            }
-                            None => {
-                                report.full_reverifies += 1;
-                                OPT_VERIFY_FULL.incr();
-                                let _s = raa_trace::span("opt.verify.full");
-                                verify_full(&current, &kept, &reference_trace)
-                            }
-                        }
-                    }
-                    VerifyStrategy::Full => {
-                        report.full_reverifies += 1;
-                        OPT_VERIFY_FULL.incr();
-                        let _s = raa_trace::span("opt.verify.full");
-                        verify_full(&current, &kept, &reference_trace)
-                    }
-                };
+            let previous = std::mem::replace(&mut current.instrs, edit.kept());
+            let accepted = current.instrs.len() < previous.len()
+                && line_travel(&current.instrs) <= line_travel(&previous) + 1e-12
+                && flat_trace(&current.instrs) == reference_trace
+                && (!prove_each || passes_oracle(&current));
             if accepted {
                 OPT_ACCEPTED.incr();
                 match pass {
@@ -476,13 +440,15 @@ pub fn optimize_with(
                     PassKind::Coalesce => report.coalesced_moves += edit.rewrites,
                     PassKind::ElidePark => report.elided_parks += edit.rewrites,
                     PassKind::DeadMove => report.dead_moves += edit.rewrites,
+                    #[cfg(test)]
+                    PassKind::DropFinalRetraction => report.dead_moves += edit.rewrites,
                 }
-                current.instrs = kept;
                 changed = true;
             } else {
+                current.instrs = previous;
                 report.rejected_rewrites += 1;
                 OPT_REJECTED.incr();
-                disabled[pass as usize] = true;
+                disabled[k] = true;
             }
         }
         if !changed {
@@ -497,8 +463,7 @@ pub fn optimize_with(
 }
 
 /// Summed `|to - from|` of all moves — the same accumulation (stream
-/// order, track units) as [`IsaStats::of`], shared by both verify
-/// strategies so their travel comparisons cannot disagree.
+/// order, track units) as [`IsaStats::of`].
 fn line_travel(instrs: &[Instr]) -> f64 {
     instrs
         .iter()
@@ -507,17 +472,6 @@ fn line_travel(instrs: &[Instr]) -> f64 {
             _ => 0.0,
         })
         .sum()
-}
-
-/// Whether `instr` is part of the observable gate-event sequence.
-fn is_gate_event(instr: &Instr) -> bool {
-    matches!(
-        instr,
-        Instr::RydbergPulse { .. }
-            | Instr::RamanLayer { .. }
-            | Instr::Transfer { .. }
-            | Instr::Cool { .. }
-    )
 }
 
 /// One atom of the flattened gate-event sequence: a pulse contributes
@@ -573,7 +527,7 @@ pub fn flat_gate_events(instrs: &[Instr]) -> Vec<Instr> {
 /// Optimization must preserve this sequence exactly — pulses may be
 /// regrouped, but no gate may be reordered, dropped or duplicated.
 /// (The borrowing twin of [`flat_gate_events`], used on the hot
-/// per-candidate harness path.)
+/// per-candidate guard path.)
 fn flat_trace(instrs: &[Instr]) -> Vec<FlatEvent<'_>> {
     let mut out = Vec::new();
     for instr in instrs {
@@ -588,106 +542,6 @@ fn flat_trace(instrs: &[Instr]) -> Vec<FlatEvent<'_>> {
         }
     }
     out
-}
-
-/// The original whole-stream acceptance check: travel non-increasing,
-/// flattened gate trace preserved, and both oracle halves on the full
-/// candidate (the replay half re-proves DAG order and exactly-once
-/// execution under any pulse regrouping).
-fn verify_full(current: &IsaProgram, kept: &[Instr], reference_trace: &[FlatEvent<'_>]) -> bool {
-    let candidate = IsaProgram {
-        instrs: kept.to_vec(),
-        ..current.clone()
-    };
-    line_travel(&candidate.instrs) <= line_travel(&current.instrs) + 1e-12
-        && flat_trace(&candidate.instrs) == reference_trace
-        && check_legality(&candidate).is_ok()
-        && replay_verify(&candidate).is_ok()
-}
-
-/// The incremental acceptance check.
-///
-/// Returns `Some(verdict)` when the edit map bounds the candidate's
-/// effect, `None` when it cannot (the caller falls back to
-/// [`verify_full`]). Soundness rests on `current` being oracle-verified
-/// (an invariant of [`optimize_with`]: the input is checked up front and
-/// every accepted candidate is proven before replacing it) and on the
-/// lockstep argument: once the candidate's machine state re-converges
-/// with the input's and the remaining instructions are identical, every
-/// later check must reproduce the input's passing verdict.
-fn verify_incremental(current: &IsaProgram, edit: &PassEdit, kept: &[Instr]) -> Option<bool> {
-    let old = &current.instrs;
-    if edit.out.len() != old.len() || edit.removed.len() != old.len() {
-        return None; // malformed edit map: effect unbounded
-    }
-    let edits: Vec<usize> = (0..old.len())
-        .filter(|&i| edit.removed[i] || edit.out[i] != old[i])
-        .collect();
-    if edits.is_empty() {
-        return Some(false); // claimed a rewrite but changed nothing
-    }
-    // Gate-trace preservation. When no edit touches a gate event the
-    // trace is untouched index-for-index, which also pins the replay
-    // verdict to the input's. When gate events are edited (pulse
-    // merging) the flattened sequence must be preserved and the replay
-    // verdict re-proven on the candidate below — regrouping can trip
-    // the verifier's slot-reuse and DAG-order rules.
-    let events_edited = edits
-        .iter()
-        .any(|&i| is_gate_event(&old[i]) || (!edit.removed[i] && is_gate_event(&edit.out[i])));
-    if events_edited && flat_trace(kept) != flat_trace(old) {
-        return Some(false);
-    }
-    // Line travel: the same comparison as the full harness.
-    if line_travel(kept) > line_travel(old) + 1e-12 {
-        return Some(false);
-    }
-    // Lockstep legality. The init prefix and loading map are shared with
-    // the (verified) input, so both machines start from the same state;
-    // edits inside the init prefix cannot be bounded this way.
-    let Ok((mut m_old, start)) = init_machine(current, CheckMode::Lines) else {
-        return None;
-    };
-    if edits[0] < start {
-        return None;
-    }
-    let Ok((mut m_new, _)) = init_machine(current, CheckMode::Lines) else {
-        return None;
-    };
-    let mut diverged = false;
-    let mut next_edit = 0usize;
-    for (i, instr) in old.iter().enumerate().skip(start) {
-        if next_edit < edits.len() && edits[next_edit] == i {
-            diverged = true;
-            next_edit += 1;
-        }
-        if m_old.step(i, instr, false).is_err() {
-            return None; // the verified input failed to replay: bail out
-        }
-        if !edit.removed[i] && m_new.step(i, &edit.out[i], diverged).is_err() {
-            return Some(false);
-        }
-        if diverged && m_new.state_eq(&m_old) {
-            diverged = false;
-        }
-    }
-    // Converged before the end: the end-of-stream checks replay the
-    // input's passing verdict. Still diverged: run them on the candidate.
-    if diverged && m_new.end_check(kept.len()).is_err() {
-        return Some(false);
-    }
-    // Edited gate events: legality is proven by the lockstep replay
-    // above, but the replay verdict cannot be pinned — re-prove it.
-    if events_edited {
-        let candidate = IsaProgram {
-            instrs: kept.to_vec(),
-            ..current.clone()
-        };
-        if replay_verify(&candidate).is_err() {
-            return Some(false);
-        }
-    }
-    Some(true)
 }
 
 // ---------------------------------------------------------------------
@@ -976,6 +830,70 @@ mod tests {
         assert_eq!(out, p);
         assert!(report.skipped_unverified);
         assert_eq!(report.instructions_saved(), 0);
+    }
+
+    /// A deliberately broken pass: deletes every move after the last
+    /// pulse, so the final retraction never happens and the last pulsed
+    /// pair ends the stream within the blockade radius. It shrinks the
+    /// stream, cuts travel and keeps the gate trace, so only the oracle
+    /// can refuse it.
+    pub(super) fn drop_final_retraction(instrs: &[Instr]) -> Option<PassEdit> {
+        let last_pulse = instrs
+            .iter()
+            .rposition(|i| matches!(i, Instr::RydbergPulse { .. }))?;
+        let removed: Vec<bool> = instrs
+            .iter()
+            .enumerate()
+            .map(|(i, instr)| i > last_pulse && move_key(instr).is_some())
+            .collect();
+        let rewrites = removed.iter().filter(|&&r| r).count();
+        (rewrites > 0).then(|| PassEdit {
+            out: instrs.to_vec(),
+            removed,
+            rewrites,
+        })
+    }
+
+    #[test]
+    fn a_broken_pass_is_refused_by_the_fallback() {
+        let p = movement_program(3, 2);
+        let mut passes = vec![PassKind::DropFinalRetraction];
+        passes.extend_from_slice(OptLevel::Aggressive.passes());
+        // Under the guards alone the broken rewrite is accepted...
+        let (unproven, _) = fixpoint(&p, OptLevel::Aggressive, &passes, false);
+        assert!(check_legality(&unproven).is_err());
+        // ...so the proof fails, and the fallback refuses it.
+        let (out, report) = prove_once(&p, OptLevel::Aggressive, &passes);
+        let (each, each_report) = fixpoint(&p, OptLevel::Aggressive, &passes, true);
+        assert_eq!(out, each);
+        assert_eq!(report, each_report);
+        assert_eq!(report.rejected_rewrites, 1);
+        assert!(!report.skipped_unverified);
+        check_legality(&out).unwrap();
+        replay_verify(&out).unwrap();
+        // The sound passes keep their savings.
+        assert_eq!(out, optimize(&p, OptLevel::Aggressive).0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// Proving the result once equals proving every candidate on the
+        /// generated legal and inflated programs: the same stream, the
+        /// same refusals and the same fixpoint iterations.
+        #[test]
+        fn prove_once_equals_prove_each((clean, inflated) in crate::common::programs()) {
+            for p in [&clean, &inflated] {
+                for level in [OptLevel::Basic, OptLevel::Aggressive] {
+                    let (once, once_report) = optimize(p, level);
+                    let (each, each_report) = fixpoint(p, level, level.passes(), true);
+                    proptest::prop_assert_eq!(&once, &each);
+                    proptest::prop_assert_eq!(once_report.rejected_rewrites, each_report.rejected_rewrites);
+                    proptest::prop_assert_eq!(once_report.iterations, each_report.iterations);
+                    proptest::prop_assert!(!once_report.skipped_unverified);
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //!
 //! Legal streams come from the shared inflate generator
 //! (`common/mod.rs`); illegal streams are derived from them by targeted
-//! mutations, each designed to trip a specific constraint:
+//! mutations, also in `common/mod.rs` so that `opt_properties.rs` can
+//! run the optimizer on the same streams. Each is designed to trip a
+//! specific constraint:
 //!
 //! * truncating directly after a pulse (no retraction) — C1
 //!   `UnwantedInteraction`;
@@ -27,9 +29,12 @@
 
 mod common;
 
-use common::programs;
+use common::{
+    first_pulse, first_pulse_pairs, idle_atom_at_radius, missing_approach, missing_retraction,
+    parked_pulse, programs, runaway_move, two_slots_on_one_site, unscheduled_pulse, with_third_aod,
+};
 use proptest::prelude::*;
-use raa_isa::{check_legality_mode, CheckMode, Instr, IsaProgram, LegalityError, SiteSpec};
+use raa_isa::{check_legality_mode, CheckMode, Instr, IsaProgram, LegalityError};
 
 /// Asserts both modes agree and returns the shared verdict.
 fn modes_agree(p: &IsaProgram) -> Result<bool, TestCaseError> {
@@ -42,23 +47,6 @@ fn shared_verdict(p: &IsaProgram) -> Result<Result<(), LegalityError>, TestCaseE
     let scan = check_legality_mode(p, CheckMode::Exhaustive);
     prop_assert_eq!(&lines, &scan);
     Ok(lines)
-}
-
-/// The pulsed pairs of the first pulse.
-fn first_pulse_pairs(p: &mut IsaProgram) -> &mut Vec<(u32, u32)> {
-    let pulse = first_pulse(p);
-    match &mut p.instrs[pulse] {
-        Instr::RydbergPulse { pairs } => pairs,
-        _ => unreachable!(),
-    }
-}
-
-/// Index of the first Rydberg pulse of the stream.
-fn first_pulse(p: &IsaProgram) -> usize {
-    p.instrs
-        .iter()
-        .position(|i| matches!(i, Instr::RydbergPulse { .. }))
-        .expect("generated programs always pulse")
 }
 
 proptest! {
@@ -75,60 +63,36 @@ proptest! {
     /// Missing retraction: the stream ends with the pulsed pair still
     /// touching. Both modes must reject, with the identical error.
     #[test]
-    fn modes_agree_on_missing_retraction((_, mut p) in programs()) {
-        p.instrs.truncate(first_pulse(&p) + 1);
-        prop_assert!(!modes_agree(&p)?);
+    fn modes_agree_on_missing_retraction((_, p) in programs()) {
+        prop_assert!(!modes_agree(&missing_retraction(p))?);
     }
 
     /// Deleted approach: the pulsed pair never comes within the radius.
     #[test]
-    fn modes_agree_on_missing_approach((_, mut p) in programs()) {
-        let pulse = first_pulse(&p);
-        // Remove every move before the first pulse: the pair is pulsed
-        // at home, far outside the blockade radius.
-        p.instrs = p
-            .instrs
-            .iter()
-            .enumerate()
-            .filter(|(i, instr)| {
-                *i >= pulse || !matches!(instr, Instr::MoveRow { .. } | Instr::MoveCol { .. })
-            })
-            .map(|(_, instr)| instr.clone())
-            .collect();
-        prop_assert!(!modes_agree(&p)?);
+    fn modes_agree_on_missing_approach((_, p) in programs()) {
+        prop_assert!(!modes_agree(&missing_approach(p))?);
     }
 
     /// A runaway approach 5 tracks long: the pair is pulsed far apart
     /// (and the atom may land near an unrelated trap site).
     #[test]
-    fn modes_agree_on_runaway_move((_, mut p) in programs(), bump in 1.0f64..5.0) {
-        let pulse = first_pulse(&p);
-        let target = p.instrs[..pulse]
-            .iter()
-            .rposition(|i| matches!(i, Instr::MoveRow { .. } | Instr::MoveCol { .. }))
-            .expect("an approach precedes the first pulse");
-        match &mut p.instrs[target] {
-            Instr::MoveRow { to, .. } | Instr::MoveCol { to, .. } => *to += bump,
-            _ => unreachable!(),
-        }
-        prop_assert!(!modes_agree(&p)?);
+    fn modes_agree_on_runaway_move((_, p) in programs(), bump in 1.0f64..5.0) {
+        prop_assert!(!modes_agree(&runaway_move(p, bump))?);
     }
 
     /// Parking everything right before a pulse: the pulse addresses a
     /// parked array, which is malformed in both modes.
     #[test]
-    fn modes_agree_on_parked_pulse((_, mut p) in programs()) {
-        let pulse = first_pulse(&p);
-        p.instrs.insert(pulse, Instr::Park { kept: vec![] });
-        prop_assert!(!modes_agree(&p)?);
+    fn modes_agree_on_parked_pulse((_, p) in programs()) {
+        prop_assert!(!modes_agree(&parked_pulse(p))?);
     }
 
     /// An unscheduled diagonal near miss: the first pulse fires with no
     /// scheduled pair while its flying atom sits off its partner on both
     /// axes, within the blockade radius.
     #[test]
-    fn modes_agree_on_unscheduled_diagonal_near_miss((_, mut p) in programs()) {
-        first_pulse_pairs(&mut p).clear();
+    fn modes_agree_on_unscheduled_diagonal_near_miss((_, p) in programs()) {
+        let p = unscheduled_pulse(p);
         match shared_verdict(&p)? {
             Err(LegalityError::UnwantedInteraction { distance, .. }) => {
                 prop_assert!(distance > 0.0 && distance < p.interaction_radius_tracks());
@@ -144,19 +108,8 @@ proptest! {
     #[test]
     fn modes_agree_on_non_partner_pair_at_the_radius((_, mut p) in programs()) {
         let r = p.interaction_radius_tracks();
-        let (partner, flying) = first_pulse_pairs(&mut p)[0];
-        let idle = if partner == 0 { 1 } else { 0 };
-        let pulse = first_pulse(&p);
-        for (i, instr) in [
-            Instr::MoveRow { aod: idle, row: 0, from: 0.0, to: r, retract: false },
-            Instr::MoveCol { aod: idle, col: 0, from: 0.0, to: 0.0, retract: false },
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            p.instrs.insert(pulse + i, instr);
-        }
-        let idle_slot = 1 + u32::from(idle);
+        let (_, flying) = first_pulse_pairs(&mut p)[0];
+        let (p, idle_slot) = idle_atom_at_radius(p);
         prop_assert_ne!(idle_slot, flying);
         match shared_verdict(&p)? {
             Err(LegalityError::UnwantedInteraction { pair, distance, .. }) => {
@@ -171,9 +124,8 @@ proptest! {
     /// `dup` sits, and the first pulse must reject a pair with it (the
     /// pair with its site-mate at distance 0, or a smaller violating one).
     #[test]
-    fn modes_agree_on_two_slots_on_one_site((_, mut p) in programs(), dup in 0usize..4) {
-        p.sites.push(p.sites[dup]);
-        match shared_verdict(&p)? {
+    fn modes_agree_on_two_slots_on_one_site((_, p) in programs(), dup in 0usize..4) {
+        match shared_verdict(&two_slots_on_one_site(p, dup))? {
             Err(LegalityError::UnwantedInteraction { pair, .. }) => prop_assert_eq!(pair.1, 4),
             other => prop_assert!(false, "expected UnwantedInteraction, got {:?}", other),
         }
@@ -187,11 +139,6 @@ proptest! {
     /// pulse.
     #[test]
     fn modes_agree_on_parked_aod_on_slm_lines((clean, inflated) in programs()) {
-        let with_third_aod = |mut p: IsaProgram| {
-            p.instrs.insert(3, Instr::InitAod { aod: 2, rows: 1, cols: 1, fx: 0.0, fy: 0.0 });
-            p.sites.push(SiteSpec { array: 3, row: 0, col: 0 });
-            p
-        };
         let mut parked = with_third_aod(inflated);
         parked.instrs.insert(4, Instr::Park { kept: vec![0, 1] });
         prop_assert!(modes_agree(&parked)?);

@@ -1,11 +1,14 @@
 //! Shared randomized-program generator for the ISA integration tests
-//! (`opt_properties.rs`, `check_modes.rs`).
+//! (`opt_properties.rs`, `check_modes.rs`) and, through a `#[path]`
+//! module, the `raa-isa` unit tests.
 //!
 //! The generator builds legal two-AOD movement programs (approach,
 //! pulse, retract per stage, with Raman layers mixed in) and then
 //! *inflates* them with redundancy the optimizer passes are supposed to
 //! remove: split moves, zero-length moves, redundant unparks,
-//! retract/approach round trips, and no-op parks.
+//! retract/approach round trips, and no-op parks. Targeted mutations
+//! then turn a generated program into an illegal one, each designed to
+//! trip one constraint ([`illegal_streams`] lists them all).
 
 // Each test binary includes this module separately and uses a different
 // subset of it.
@@ -222,4 +225,160 @@ pub fn gate_events(p: &IsaProgram) -> Vec<Instr> {
         })
         .cloned()
         .collect()
+}
+
+/// Index of the first Rydberg pulse of the stream.
+pub fn first_pulse(p: &IsaProgram) -> usize {
+    p.instrs
+        .iter()
+        .position(|i| matches!(i, Instr::RydbergPulse { .. }))
+        .expect("generated programs always pulse")
+}
+
+/// The pulsed pairs of the first pulse.
+pub fn first_pulse_pairs(p: &mut IsaProgram) -> &mut Vec<(u32, u32)> {
+    let pulse = first_pulse(p);
+    match &mut p.instrs[pulse] {
+        Instr::RydbergPulse { pairs } => pairs,
+        _ => unreachable!(),
+    }
+}
+
+/// Truncated directly after the first pulse: with no retraction, the
+/// pulsed pair ends the stream touching (C1 `UnwantedInteraction`).
+pub fn missing_retraction(mut p: IsaProgram) -> IsaProgram {
+    p.instrs.truncate(first_pulse(&p) + 1);
+    p
+}
+
+/// Every move before the first pulse deleted: the pair is pulsed at
+/// home, far outside the blockade radius (C1 `PairTooFar`).
+pub fn missing_approach(mut p: IsaProgram) -> IsaProgram {
+    let pulse = first_pulse(&p);
+    p.instrs = p
+        .instrs
+        .iter()
+        .enumerate()
+        .filter(|(i, instr)| {
+            *i >= pulse || !matches!(instr, Instr::MoveRow { .. } | Instr::MoveCol { .. })
+        })
+        .map(|(_, instr)| instr.clone())
+        .collect();
+    p
+}
+
+/// The last approach before the first pulse overshoots by `bump`
+/// tracks: the pair is pulsed far apart, and the atom may land near an
+/// unrelated trap site.
+pub fn runaway_move(mut p: IsaProgram, bump: f64) -> IsaProgram {
+    let pulse = first_pulse(&p);
+    let target = p.instrs[..pulse]
+        .iter()
+        .rposition(|i| matches!(i, Instr::MoveRow { .. } | Instr::MoveCol { .. }))
+        .expect("an approach precedes the first pulse");
+    match &mut p.instrs[target] {
+        Instr::MoveRow { to, .. } | Instr::MoveCol { to, .. } => *to += bump,
+        _ => unreachable!(),
+    }
+    p
+}
+
+/// Every AOD parked right before the first pulse: the pulse addresses a
+/// parked array (`Malformed`).
+pub fn parked_pulse(mut p: IsaProgram) -> IsaProgram {
+    let pulse = first_pulse(&p);
+    p.instrs.insert(pulse, Instr::Park { kept: vec![] });
+    p
+}
+
+/// The first pulse fires with no scheduled pair while its flying atom
+/// sits off its partner on both axes, within the blockade radius (C1
+/// `UnwantedInteraction` on a diagonal near miss).
+pub fn unscheduled_pulse(mut p: IsaProgram) -> IsaProgram {
+    first_pulse_pairs(&mut p).clear();
+    p
+}
+
+/// Right before the first pulse the idle AOD's atom moves to `(r_b, 0)`,
+/// one radius below SLM slot 0: a non-partner pair at exactly `r_b` on
+/// one axis (C1 `UnwantedInteraction` at `d = r_b`). Returns the stream
+/// and the idle atom's slot.
+pub fn idle_atom_at_radius(mut p: IsaProgram) -> (IsaProgram, u32) {
+    let r = p.interaction_radius_tracks();
+    let (partner, _) = first_pulse_pairs(&mut p)[0];
+    let idle = if partner == 0 { 1 } else { 0 };
+    let pulse = first_pulse(&p);
+    for (i, instr) in [
+        Instr::MoveRow {
+            aod: idle,
+            row: 0,
+            from: 0.0,
+            to: r,
+            retract: false,
+        },
+        Instr::MoveCol {
+            aod: idle,
+            col: 0,
+            from: 0.0,
+            to: 0.0,
+            retract: false,
+        },
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        p.instrs.insert(pulse + i, instr);
+    }
+    (p, 1 + u32::from(idle))
+}
+
+/// A fifth slot loaded on the trap site of slot `dup` (C1
+/// `UnwantedInteraction` at distance 0, or a smaller violating pair).
+pub fn two_slots_on_one_site(mut p: IsaProgram, dup: usize) -> IsaProgram {
+    p.sites.push(p.sites[dup]);
+    p
+}
+
+/// A third AOD homed at offset 0, so its slot 4 sits exactly on slot
+/// 0's trap: illegal while the AOD stays in the field up to a pulse,
+/// legal when it is parked right after the init prefix.
+pub fn with_third_aod(mut p: IsaProgram) -> IsaProgram {
+    p.instrs.insert(
+        3,
+        Instr::InitAod {
+            aod: 2,
+            rows: 1,
+            cols: 1,
+            fx: 0.0,
+            fy: 0.0,
+        },
+    );
+    p.sites.push(SiteSpec {
+        array: 3,
+        row: 0,
+        col: 0,
+    });
+    p
+}
+
+/// One stream of every illegal mutation class above, derived from a
+/// generated `(clean, inflated)` pair as `check_modes.rs` derives them:
+/// the third-AOD class from the clean program, which parks nothing
+/// before its first pulse, every other class from the inflated one.
+pub fn illegal_streams(
+    clean: &IsaProgram,
+    inflated: &IsaProgram,
+    bump: f64,
+    dup: usize,
+) -> Vec<IsaProgram> {
+    vec![
+        missing_retraction(inflated.clone()),
+        missing_approach(inflated.clone()),
+        runaway_move(inflated.clone(), bump),
+        parked_pulse(inflated.clone()),
+        unscheduled_pulse(inflated.clone()),
+        idle_atom_at_radius(inflated.clone()).0,
+        two_slots_on_one_site(inflated.clone(), dup),
+        with_third_aod(clean.clone()),
+    ]
 }

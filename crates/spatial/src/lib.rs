@@ -1,18 +1,18 @@
 //! `raa-spatial` — a uniform spatial-hash index over atom positions,
-//! used by the Atomique movement router, its validator and the
-//! `raa-isa` optimizer's pulse-merge geometry (`opt::cost`). The ISA
-//! legality checker keeps no index: it decides C1 from close line pairs.
+//! used by the Atomique movement router and the `raa-isa` optimizer's
+//! pulse-merge geometry (`opt::cost`). The ISA legality checker keeps no
+//! index: it decides C1 from close line pairs.
 //!
 //! The router's constraint checks (C1 addressing, retraction
-//! clearance) and the validator's separation checks are all of the
-//! form "which atoms lie within radius *r* of this point?". The exhaustive answer scans every atom —
-//! O(atoms) per query, O(atoms²) per stage — which caps compilation
-//! well below the 1000+-atom machines of the Atomique paper's Fig. 20
-//! extrapolations. [`SpatialGrid`] buckets atoms into square cells of a
-//! fixed size (each consumer picks the largest radius it ever queries:
-//! the router uses the 2.5 `r_b` addressing band, `opt::cost` the
-//! blockade radius itself) so a query only visits the handful of cells
-//! overlapping the query disk.
+//! clearance) and the pulse-merge test are all of the form "which atoms
+//! lie within radius *r* of this point?". The exhaustive answer scans
+//! every atom — O(atoms) per query, O(atoms²) per stage — which caps
+//! compilation well below the 1000+-atom machines of the Atomique
+//! paper's Fig. 20 extrapolations. [`SpatialGrid`] buckets atoms into
+//! square cells of a fixed size (each consumer picks the largest radius
+//! it ever queries: the router uses the 2.5 `r_b` addressing band,
+//! `opt::cost` the blockade radius itself) so a query only visits the
+//! handful of cells overlapping the query disk.
 //!
 //! Two query flavors:
 //!

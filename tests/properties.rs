@@ -46,13 +46,12 @@ proptest! {
         prop_assert!(f > 0.0 && f <= 1.0);
     }
 
-    /// Every compiled program passes the independent stage validator.
+    /// Every compiled stream passes the ISA legality + replay oracle
+    /// (`verify_isa` fails the compile otherwise).
     #[test]
     fn compiled_programs_validate(c in circuits()) {
-        let cfg = AtomiqueConfig::default();
-        let out = compile(&c, &cfg).unwrap();
-        atomique::validate_program(&out, &cfg.hardware, &out.mapping.site_of_slot)
-            .map_err(|e| TestCaseError::fail(e.to_string()))?;
+        let cfg = AtomiqueConfig { verify_isa: true, ..AtomiqueConfig::default() };
+        compile(&c, &cfg).map_err(|e| TestCaseError::fail(e.to_string()))?;
     }
 
     /// Depth is bounded below by the dependency structure and above by

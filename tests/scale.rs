@@ -1,11 +1,10 @@
 //! Large-array scale smoke tests (ROADMAP "Router performance", paper
 //! Fig. 20's 1000+-qubit extrapolations): generated 512- and 1024-atom
-//! workloads must compile through the full pipeline, pass the
-//! independent stage validator and the ISA legality + replay oracle, and
-//! stay within generous *stage-count* bounds. Only the 1024-atom oracle
-//! test adds a wall-clock guard, an order of magnitude above a healthy
-//! compile, so the tests guard scalability without becoming
-//! timing-flaky.
+//! workloads must compile through the full pipeline, pass the ISA
+//! legality + replay oracle, and stay within generous *stage-count*
+//! bounds. Only the 1024-atom oracle test adds a wall-clock guard, an
+//! order of magnitude above a healthy compile, so the tests guard
+//! scalability without becoming timing-flaky.
 //!
 //! The 1024-atom tests and the 1024/2048-atom route-decision pins are
 //! ignored in debug builds (the tier-1 `cargo test -q` run) and
@@ -14,7 +13,7 @@
 //! threads at 1024 atoms, or a bench suite fanned out over a pool —
 //! never share telemetry.
 
-use atomique::{compile, validate_program, AtomiqueConfig, CompiledProgram, LineMove, OptLevel};
+use atomique::{compile, AtomiqueConfig, CompiledProgram, LineMove, OptLevel};
 use raa_bench::harness::compile_suite_pooled;
 use raa_benchmarks::{scaling_pair, small_suite, Benchmark};
 use raa_isa::codec;
@@ -27,8 +26,6 @@ fn compile_and_verify(b: &Benchmark, qubits: usize) -> atomique::CompiledProgram
         ..AtomiqueConfig::scaled_to(qubits)
     };
     let out = compile(&b.circuit, &cfg).unwrap_or_else(|e| panic!("{}: {e}", b.name));
-    validate_program(&out, &cfg.hardware, &out.mapping.site_of_slot)
-        .unwrap_or_else(|e| panic!("{}: validator: {e}", b.name));
     assert!(out.isa.is_some(), "{}: stream not attached", b.name);
     assert_disabled_tracing_is_coarse(b, &out);
     out
@@ -92,7 +89,7 @@ fn assert_stage_bounds(b: &Benchmark, out: &atomique::CompiledProgram) {
     );
 }
 
-/// 512 atoms route, validate and verify in every build profile.
+/// 512 atoms route and verify in every build profile.
 #[test]
 fn routes_512_atom_workloads() {
     for b in scaling_pair("QSim-512", "QAOA-regu3-512", 512) {

@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 
 use atomique::{compile, emit_isa, AtomiqueConfig};
 use raa_benchmarks::scaling_pair;
-use raa_isa::{check_legality_mode, optimize_with, CheckMode, OptLevel, VerifyStrategy};
+use raa_isa::{check_legality_mode, optimize, CheckMode, OptLevel};
 
 /// Generous wall-clock ceiling for line-sweep verification of one
 /// 1024-atom stream. Measured ≲1 s in release (EXPERIMENTS.md "Verifier
@@ -51,12 +51,12 @@ fn verifier_handles_1024_atom_streams_in_both_modes() {
             b.name
         );
 
-        // The incremental -O2 harness must also stay tractable at this
-        // size and keep the stream oracle-clean.
-        let (opt, report) = optimize_with(&raw, OptLevel::Aggressive, VerifyStrategy::Incremental);
+        // -O2 must also stay tractable at this size and prove the
+        // stream it returns.
+        let (opt, report) = optimize(&raw, OptLevel::Aggressive);
         assert!(
             !report.skipped_unverified,
-            "{}: raw stream unverified",
+            "{}: optimized stream unproven",
             b.name
         );
         assert!(
