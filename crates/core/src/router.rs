@@ -576,14 +576,20 @@ impl<'a> RouterState<'a> {
 
     /// Marks the atoms on line `j` of the attempt's `i`-th re-solved
     /// axis dirty and moved when its solved value differs from the
-    /// accepted one.
+    /// accepted one by more than 1e-12. A line within 1e-12 counts as
+    /// unmoved, and `commit` emits no move for it, so its solved value is
+    /// reset to the accepted one bit for bit: C1's virtual positions,
+    /// `eff_*` and the stream then agree on it. [`RouterState::decide`]
+    /// visits every line of every re-solved axis before C1 runs.
     fn mark_line_if_moved(&self, s: &mut Scratch, i: usize, j: u16) {
         let (k, axis) = s.axes[i];
         let old = match axis {
             Axis::Row => self.eff_row[k as usize][j as usize],
             Axis::Col => self.eff_col[k as usize][j as usize],
         };
-        if (s.vals[i][j as usize] - old).abs() <= 1e-12 {
+        let solved = &mut s.vals[i][j as usize];
+        if (*solved - old).abs() <= 1e-12 {
+            *solved = old;
             return;
         }
         if let Some(atoms) = self.atoms_on_line.get(&(k, axis, j)) {
@@ -2163,6 +2169,21 @@ mod tests {
                 assert_eq!(snapshot(&state, &plan), before, "{index:?}: {want:?}");
             }
         }
+    }
+
+    /// A `serve-mix` fresh instance (workload seed 23, instance 1 257) on
+    /// which a re-solved line used to drift by less than 1e-12: C1
+    /// skipped the line as unmoved, `eff_*` stored the drifted value and
+    /// the stream kept the old one, leaving an unscheduled pair
+    /// 0.16666666666666607 tracks apart, inside `r_b`.
+    #[test]
+    fn sub_threshold_resolves_keep_the_accepted_position() {
+        let c = raa_benchmarks::qaoa_regular(100, 3, 23 * 1_000_003 + 1_257);
+        let cfg = crate::AtomiqueConfig {
+            verify_isa: true,
+            ..crate::AtomiqueConfig::default()
+        };
+        crate::compile(&c, &cfg).unwrap();
     }
 
     #[test]

@@ -302,10 +302,10 @@ const DECISION_COUNTERS: [&str; 5] = [
 /// and the [`DECISION_COUNTERS`]. Any change to an admission decision
 /// moves at least one of them.
 const ROUTE_PINS: &[(usize, u64, [u64; 5])] = &[
-    (1024, 0xb4e2f2ea48cca1cb, [1593, 7521, 27298, 43912, 2213]),
+    (1024, 0x1b8415f8d561f181, [1593, 7521, 27298, 43912, 2213]),
     (
         2048,
-        0xb844b2ec354326b7,
+        0xcb887b824850b4ad,
         [3109, 21627, 106191, 171526, 9216],
     ),
 ];
