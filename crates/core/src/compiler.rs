@@ -495,6 +495,31 @@ mod tests {
         assert_eq!(after.one_qubit_gates, before.one_qubit_gates);
     }
 
+    /// With every constraint relaxed the router emits streams the oracle
+    /// rejects. At `-O2` `optimize` hands such a stream back unproven,
+    /// and the `verify` stage must still run the oracle and fail.
+    #[test]
+    fn an_unproven_stream_fails_verification_at_every_level() {
+        let c = random_circuit(20, 80, 13);
+        for opt_level in [raa_isa::OptLevel::None, raa_isa::OptLevel::Aggressive] {
+            let cfg = AtomiqueConfig {
+                emit_isa: true,
+                verify_isa: true,
+                opt_level,
+                relaxation: crate::config::Relaxation {
+                    individual_addressing: true,
+                    allow_order_violation: true,
+                    allow_overlap: true,
+                },
+                ..AtomiqueConfig::default()
+            };
+            assert!(
+                matches!(compile(&c, &cfg), Err(CompileError::IsaLegality(_))),
+                "{opt_level:?}"
+            );
+        }
+    }
+
     #[test]
     fn empty_circuit_compiles() {
         let c = Circuit::new(5);

@@ -23,11 +23,11 @@ use raa_benchmarks::small_suite;
 
 /// The gated columns, in order: spatial-grid queries (the router's and
 /// `opt::cost`'s), router admission attempts, optimizer candidate
-/// rewrites, optimizer rejections, the two SABRE columns (candidates scored, duplicate
-/// candidate enumerations skipped), the router's admissions and its four
-/// rejection kinds (together they pin every admission decision),
-/// spatial-grid re-buckets, and the atom pairs the ISA checker's C1
-/// distance-tested.
+/// rewrites, optimizer rejections, the two SABRE columns (candidates
+/// scored, duplicate candidate enumerations skipped), the router's
+/// admissions and its four rejection kinds (together they pin every
+/// admission decision), spatial-grid re-buckets, and the atom pairs the
+/// ISA checker's C1 distance-tested.
 const COLUMNS: [&str; 13] = [
     "grid.query",
     "route.try_add",
