@@ -1,97 +1,84 @@
 //! Compiler + verifier scaling study (ROADMAP "Router performance" and
 //! the PR 4 verifier work, paper Fig. 20's compilation-scalability
-//! regime): sparse QSim and 3-regular QAOA workloads from 64 to 1024
+//! regime): sparse QSim and 3-regular QAOA workloads from 64 to 4096
 //! qubits, compiled at `-O2` with ISA verification, reporting
 //!
 //! * a per-stage wall-clock breakdown
 //!   (transpile / map / route / lower / opt / verify),
-//! * router compile time with the spatial-grid proximity index vs the
-//!   exhaustive-scan oracle (schedules asserted stage-identical),
+//! * router compile time with the line-sweep proximity enumeration vs
+//!   the exhaustive-scan oracle (schedules asserted stage-identical),
 //! * ISA legality checking under `CheckMode::Lines` vs
 //!   `CheckMode::Exhaustive` (verdicts asserted identical), and
-//! * the baseline rows pushed through the `raa-serve`
-//!   batch-compilation engine cold and warm (schema 5 `serve`
-//!   columns): served bytes asserted bit-identical to the direct
-//!   compile, cache hit/miss and queue-depth counters recorded, and
-//! * every baseline row re-compiled with `TranspileIndex::Naive`
-//!   (schema 6): ISA bytes asserted bit-identical across index modes,
-//!   the naive transpile-stage wall clock recorded next to the indexed
-//!   one (`compile.transpile_naive_s`), and the SABRE counters
-//!   (`transpile.score_recompute` / `score_dedup`) added to the counter
-//!   columns.
+//! * work counters from the same compile: router admissions, atom pairs
+//!   the router's C1 distance-tested, optimizer rejections and SABRE
+//!   candidates.
 //!
 //! Run with `cargo run --release -p raa-bench --bin scaling
-//! [-- --oracle-max=N] [--serve-max=N] [--naive-max=N] [--sizes=N,N,…]
-//! [--trace <path>] [--counters]`.
+//! [-- --oracle-max=N] [--sizes=N,N,…] [--trace <path>] [--counters]`.
 //! The exhaustive paths are O(atoms²) per stage/pulse, so they only run
 //! up to `--oracle-max` qubits (default 1024 — pass a smaller value for
-//! a quick look). `--naive-max` likewise bounds the naive-transpile
-//! twin compile (default unbounded — the naive path is quadratic in
-//! atoms at graph construction, so cap it for quick sweeps). `--sizes`
-//! restricts the size sweep (default 64,128,256,512,1024,2048,4096; entries
-//! must be 2..=65536). `--trace` writes every
-//! workload's compile span tree to one Chrome trace-event file — each
-//! compile its own named process, loadable in Perfetto — and
-//! `--counters` prints the per-compile telemetry counter tables (see
-//! `docs/OBSERVABILITY.md`).
+//! a quick look). `--sizes` restricts the size sweep (default
+//! 64,128,256,512,1024,2048,4096; entries must be 2..=65536). `--trace`
+//! writes every workload's compile span tree to one Chrome trace-event
+//! file — each compile its own named process, loadable in Perfetto —
+//! and `--counters` prints the per-compile telemetry counter tables
+//! (see `docs/OBSERVABILITY.md`).
 //!
 //! The whole study is also emitted as `BENCH_scaling.json` in the
 //! working directory, so the perf trajectory stays machine-readable
-//! from PR 4 onward. Schema 3 added a `counters` object per row —
-//! grid queries, router admissions, optimizer rejections and
-//! incremental-verifier fallbacks — recorded from the same compile the
-//! timings came from. Schema 4 added a `threads` column and
-//! per-thread-count rows. Schema 5 adds a `serve` object (cold/warm
-//! service round trips, cache hit/miss counts, queue high-water mark;
-//! `null` above `--serve-max`). Schema 6 adds the `transpile_index`
-//! column, `compile.transpile_naive_s` (the naive-twin transpile wall
-//! clock; `null` above `--naive-max`) and the SABRE counter columns,
-//! plus the 4096-qubit default rows. Schema 7 drops the
-//! `score_cache_hit` and `extset_incremental` columns with the score
-//! cache they measured (zero on every row). Schema 8 drops the
-//! `threads` column and the thread-sweep rows: every compile runs on
-//! one thread. Every row's `strategy` is `"sequential"`, the one
-//! router strategy. Schema 9 renames `verifier.grid_s` to
-//! `verifier.lines_s`: the checker's C1 sweeps line pairs and keeps no
-//! spatial grid. Schema 10 drops the `opt_harness` object and the
-//! `verify_fallback` counter with the per-candidate re-verify harness
-//! they measured: `optimize` now proves its result once and `compile`
-//! reuses that proof, so on these `-O2` rows `compile.verify_s` reads
-//! about 0 and the one oracle run sits inside `compile.opt_s`.
+//! from PR 4 onward. Schema 3 added a `counters` object per row,
+//! recorded from the same compile the timings came from. Schema 4 added
+//! a `threads` column and per-thread-count rows. Schema 5 added a
+//! `serve` object (cold/warm service round trips). Schema 6 added the
+//! `transpile_index` column, `compile.transpile_naive_s` (the
+//! naive-twin transpile wall clock) and the SABRE counter columns, plus
+//! the 4096-qubit default rows. Schema 7 dropped the `score_cache_hit`
+//! and `extset_incremental` columns with the score cache they measured
+//! (zero on every row). Schema 8 dropped the `threads` column and the
+//! thread-sweep rows: every compile runs on one thread. Every row's
+//! `strategy` is `"sequential"`, the one router strategy. Schema 9
+//! renamed `verifier.grid_s` to `verifier.lines_s`: the checker's C1
+//! sweeps line pairs and keeps no spatial grid. Schema 10 dropped the
+//! `opt_harness` object and the `verify_fallback` counter with the
+//! per-candidate re-verify harness they measured: `optimize` now proves
+//! its result once and `compile` reuses that proof, so on these `-O2`
+//! rows `compile.verify_s` reads about 0 and the one oracle run sits
+//! inside `compile.opt_s`. Schema 11 renames `router.grid_compile_s` to
+//! `router.lines_compile_s` and `counters.grid_query` to
+//! `counters.route_c1_tested`: the router's C1 sweeps line pairs too,
+//! and the spatial grid is gone. It drops the `serve` object and
+//! `compile.transpile_naive_s` with their `--serve-max` and
+//! `--naive-max` flags: the `serve-mix` benchmark measures served
+//! latency through real HTTP, `tests/serve_http.rs` asserts served bytes
+//! equal direct ones, and `tests/transpile_differential.rs` gates the
+//! naive transpile's byte identity.
 //! Measured numbers are recorded in EXPERIMENTS.md
 //! ("Router scaling", "Verifier scaling", "Counter telemetry",
-//! "Intra-compile parallelism retired", "Batch-compilation service"
-//! and "Transpile indexing").
+//! "Intra-compile parallelism retired" and "Router C1 over lines").
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use atomique::trace::{export, TraceReport};
-use atomique::{
-    compile, AtomiqueConfig, CompiledProgram, OptLevel, ProximityIndex, StageKind, TranspileIndex,
-};
-use raa_bench::harness::{row, scaling_row, section, serve_probe, SCALING_COLUMNS};
+use atomique::{compile, AtomiqueConfig, CompiledProgram, OptLevel, ProximityIndex, StageKind};
+use raa_bench::harness::{row, scaling_row, section, SCALING_COLUMNS};
 use raa_benchmarks::scaling_pair;
-use raa_isa::{check_legality_mode, codec, CheckMode, IsaStats};
+use raa_isa::{check_legality_mode, CheckMode, IsaStats};
 
 struct Args {
     oracle_max: usize,
-    serve_max: usize,
-    naive_max: usize,
     sizes: Vec<usize>,
     trace_path: Option<String>,
     counters: bool,
 }
 
-/// Largest `--sizes` entry accepted: past 65536 qubits a single naive
-/// row would run for hours, which is always a typo, not a study.
+/// Largest `--sizes` entry accepted: past 65536 qubits a single row
+/// would run for hours, which is always a typo, not a study.
 const MAX_SIZE: usize = 65536;
 
 fn parse_args() -> Args {
     let mut parsed = Args {
         oracle_max: 1024,
-        serve_max: 1024,
-        naive_max: usize::MAX,
         sizes: vec![64, 128, 256, 512, 1024, 2048, 4096],
         trace_path: None,
         counters: false,
@@ -106,14 +93,6 @@ fn parse_args() -> Args {
             parsed.oracle_max = v
                 .parse()
                 .unwrap_or_else(|_| die(format!("invalid --oracle-max value `{v}`")));
-        } else if let Some(v) = arg.strip_prefix("--serve-max=") {
-            parsed.serve_max = v
-                .parse()
-                .unwrap_or_else(|_| die(format!("invalid --serve-max value `{v}`")));
-        } else if let Some(v) = arg.strip_prefix("--naive-max=") {
-            parsed.naive_max = v
-                .parse()
-                .unwrap_or_else(|_| die(format!("invalid --naive-max value `{v}`")));
         } else if let Some(v) = arg.strip_prefix("--sizes=") {
             parsed.sizes = v
                 .split(',')
@@ -146,13 +125,13 @@ fn parse_args() -> Args {
 }
 
 /// The two compiles must agree stage for stage — kind, gates and moves.
-fn assert_stage_identical(name: &str, grid: &CompiledProgram, scan: &CompiledProgram) {
+fn assert_stage_identical(name: &str, lines: &CompiledProgram, scan: &CompiledProgram) {
     assert_eq!(
-        grid.stages.len(),
+        lines.stages.len(),
         scan.stages.len(),
         "{name}: stage counts differ"
     );
-    for (i, (g, s)) in grid.stages.iter().zip(scan.stages.iter()).enumerate() {
+    for (i, (g, s)) in lines.stages.iter().zip(scan.stages.iter()).enumerate() {
         assert_eq!(g.kind, s.kind, "{name}: stage {i} kind differs");
         assert_eq!(g.gate_pairs, s.gate_pairs, "{name}: stage {i} gates differ");
         assert_eq!(
@@ -169,17 +148,11 @@ struct Measurement {
     qubits: usize,
     timings: atomique::StageTimings,
     /// The `AtomiqueConfig::transpile_index` mode the row compiled
-    /// under (schema 6). Every row runs the `Indexed` default; the
-    /// naive path appears as the `transpile_naive_s` twin column, not
-    /// as rows of its own.
+    /// under (schema 6); every row runs the `Indexed` default.
     transpile_index: &'static str,
-    /// Transpile-stage wall clock of the same workload re-compiled
-    /// with `TranspileIndex::Naive`, ISA bytes asserted bit-identical
-    /// first (schema 6). `None` above `--naive-max`.
-    transpile_naive_s: Option<f64>,
-    /// End-to-end compile wall clock with the grid proximity index
-    /// (`compile.total_s` = `router.grid_compile_s` in the JSON; the
-    /// pure router stage is `timings.route_s`).
+    /// End-to-end compile wall clock with the line-sweep proximity
+    /// enumeration (`compile.total_s` = `router.lines_compile_s` in the
+    /// JSON; the pure router stage is `timings.route_s`).
     compile_total_s: f64,
     /// End-to-end compile wall clock with the exhaustive index.
     router_scan_s: Option<f64>,
@@ -188,63 +161,15 @@ struct Measurement {
     verify_lines_s: f64,
     verify_exhaustive_s: Option<f64>,
     counters: CounterRow,
-    /// Schema-5 serving columns: the same workload pushed through the
-    /// `raa-serve` engine cold (miss) and warm (hit), served bytes
-    /// asserted bit-identical to this row's direct compile. `None`
-    /// above `--serve-max`.
-    serve: Option<ServeRow>,
-}
-
-/// The `serve` object of one schema-5 row.
-struct ServeRow {
-    cold_s: f64,
-    warm_s: f64,
-    cache_hits: u64,
-    cache_misses: u64,
-    max_queue_depth: u64,
-}
-
-impl ServeRow {
-    /// Probes the service with this row's workload and asserts the
-    /// served bytes match the direct compile's attached stream.
-    fn probed(
-        name: &str,
-        qubits: usize,
-        circuit: &raa_circuit::Circuit,
-        cfg: &AtomiqueConfig,
-        direct: &CompiledProgram,
-    ) -> ServeRow {
-        let probe = serve_probe(name, circuit, cfg);
-        let direct_bytes = codec::to_bytes(direct.isa.as_ref().expect("emit_isa attached"));
-        assert_eq!(
-            probe.isa_bytes, direct_bytes,
-            "{name}-{qubits}: served bytes diverge from direct compile"
-        );
-        assert_eq!(
-            (probe.cache_misses, probe.cache_hits),
-            (1, 1),
-            "{name}-{qubits}: serve probe cache counters off"
-        );
-        println!(
-            "  serve: cold {:.2}s, warm {:.4}s (hit; bytes bit-identical), queue depth {}",
-            probe.cold_s, probe.warm_s, probe.max_queue_depth
-        );
-        ServeRow {
-            cold_s: probe.cold_s,
-            warm_s: probe.warm_s,
-            cache_hits: probe.cache_hits,
-            cache_misses: probe.cache_misses,
-            max_queue_depth: probe.max_queue_depth,
-        }
-    }
 }
 
 /// The schema-3 counter columns, recorded from the same traced compile
 /// the stage timings came from (see `docs/OBSERVABILITY.md` for the
-/// full glossary — these four are the regression-gated headline set).
+/// full glossary).
 struct CounterRow {
-    /// `grid.query` — spatial-index proximity queries.
-    grid_query: u64,
+    /// `route.c1.tested` — atom pairs the router's C1 distance-tested
+    /// (schema 11).
+    route_c1_tested: u64,
     /// `route.try_add` — router gate-admission attempts.
     route_try_add: u64,
     /// `opt.rejected` — optimizer candidates refused.
@@ -260,7 +185,7 @@ struct CounterRow {
 impl CounterRow {
     fn of(report: &atomique::CompileReport) -> CounterRow {
         CounterRow {
-            grid_query: report.counter("grid.query"),
+            route_c1_tested: report.counter("route.c1.tested"),
             route_try_add: report.counter("route.try_add"),
             pass_rejected: report.counter("opt.rejected"),
             score_recompute: report.counter("transpile.score_recompute"),
@@ -277,23 +202,8 @@ fn json_opt_f(v: Option<f64>) -> String {
     v.map_or_else(|| "null".into(), json_f)
 }
 
-fn json_serve(serve: &Option<ServeRow>) -> String {
-    match serve {
-        None => "null".into(),
-        Some(s) => format!(
-            "{{\"cold_s\": {}, \"warm_s\": {}, \"cache_hit\": {}, \"cache_miss\": {}, \
-             \"queue_depth\": {}}}",
-            json_f(s.cold_s),
-            json_f(s.warm_s),
-            s.cache_hits,
-            s.cache_misses,
-            s.max_queue_depth,
-        ),
-    }
-}
-
 fn write_json(measurements: &[Measurement]) {
-    let mut out = String::from("{\n  \"schema\": 10,\n  \"workloads\": [\n");
+    let mut out = String::from("{\n  \"schema\": 11,\n  \"workloads\": [\n");
     for (i, m) in measurements.iter().enumerate() {
         let t = &m.timings;
         let _ = write!(
@@ -302,22 +212,20 @@ fn write_json(measurements: &[Measurement]) {
                 "    {{\"name\": \"{}\", \"qubits\": {}, \"strategy\": \"sequential\", ",
                 "\"transpile_index\": \"{}\",\n",
                 "     \"compile\": {{\"total_s\": {}, \"transpile_s\": {}, ",
-                "\"transpile_naive_s\": {}, \"map_s\": {}, ",
+                "\"map_s\": {}, ",
                 "\"route_s\": {}, \"lower_s\": {}, \"opt_s\": {}, \"verify_s\": {}}},\n",
-                "     \"router\": {{\"grid_compile_s\": {}, \"scan_compile_s\": {}}},\n",
+                "     \"router\": {{\"lines_compile_s\": {}, \"scan_compile_s\": {}}},\n",
                 "     \"isa\": {{\"instrs\": {}, \"pulses\": {}}},\n",
                 "     \"verifier\": {{\"lines_s\": {}, \"exhaustive_s\": {}}},\n",
-                "     \"counters\": {{\"grid_query\": {}, \"route_try_add\": {}, ",
+                "     \"counters\": {{\"route_c1_tested\": {}, \"route_try_add\": {}, ",
                 "\"pass_rejected\": {}, ",
-                "\"score_recompute\": {}, \"score_dedup\": {}}},\n",
-                "     \"serve\": {}}}"
+                "\"score_recompute\": {}, \"score_dedup\": {}}}}}"
             ),
             m.name,
             m.qubits,
             m.transpile_index,
             json_f(m.compile_total_s),
             json_f(t.transpile_s),
-            json_opt_f(m.transpile_naive_s),
             json_f(t.map_s),
             json_f(t.route_s),
             json_f(t.lower_s),
@@ -329,12 +237,11 @@ fn write_json(measurements: &[Measurement]) {
             m.isa_pulses,
             json_f(m.verify_lines_s),
             json_opt_f(m.verify_exhaustive_s),
-            m.counters.grid_query,
+            m.counters.route_c1_tested,
             m.counters.route_try_add,
             m.counters.pass_rejected,
             m.counters.score_recompute,
             m.counters.score_dedup,
-            json_serve(&m.serve),
         );
         out.push_str(if i + 1 < measurements.len() {
             ",\n"
@@ -360,7 +267,7 @@ fn print_counters(report: &atomique::CompileReport) {
 fn main() {
     let args = parse_args();
     let oracle_max = args.oracle_max;
-    section("Compiler + verifier scaling: grid vs exhaustive, lines vs exhaustive");
+    section("Compiler + verifier scaling: lines vs exhaustive, router and checker");
     println!("(exhaustive oracles run up to {oracle_max} qubits; results asserted identical)");
 
     let mut measurements = Vec::new();
@@ -391,8 +298,8 @@ fn main() {
                 ..AtomiqueConfig::scaled_to(n)
             };
             let t0 = Instant::now();
-            let grid = compile(&b.circuit, &cfg).unwrap_or_else(|e| panic!("{}-{n}: {e}", b.name));
-            let grid_s = t0.elapsed().as_secs_f64();
+            let lines = compile(&b.circuit, &cfg).unwrap_or_else(|e| panic!("{}-{n}: {e}", b.name));
+            let lines_s = t0.elapsed().as_secs_f64();
 
             let scan_s = (n <= oracle_max).then(|| {
                 let cfg = AtomiqueConfig {
@@ -403,18 +310,18 @@ fn main() {
                 let scan =
                     compile(&b.circuit, &cfg).unwrap_or_else(|e| panic!("{}-{n}: {e}", b.name));
                 let s = t0.elapsed().as_secs_f64();
-                assert_stage_identical(b.name, &grid, &scan);
+                assert_stage_identical(b.name, &lines, &scan);
                 s
             });
-            row(b.name, &scaling_row(&grid, grid_s, scan_s));
-            let resets = grid
+            row(b.name, &scaling_row(&lines, lines_s, scan_s));
+            let resets = lines
                 .stages
                 .iter()
                 .filter(|s| s.kind == StageKind::Reset)
                 .count();
             println!("  (ISA legality + replay verified; {resets} reset stages)");
 
-            let t = grid.timings;
+            let t = lines.timings;
             println!(
                 "  stage breakdown: transpile {:.2}s  map {:.2}s  route {:.2}s  \
                  lower {:.2}s  opt {:.2}s  verify {:.2}s",
@@ -422,46 +329,15 @@ fn main() {
             );
             if args.counters {
                 println!("  counters:");
-                print_counters(&grid.report);
+                print_counters(&lines.report);
             }
             if args.trace_path.is_some() {
-                traces.push((format!("{}-{n}", b.name), grid.report.trace.clone()));
+                traces.push((format!("{}-{n}", b.name), lines.report.trace.clone()));
             }
-
-            // --- The naive-transpile twin (schema 6): the same
-            // workload with `TranspileIndex::Naive` — BFS-built
-            // coupling graph, rescanned k-Cut degrees — must
-            // produce byte-identical ISA; only the transpile wall
-            // clock may differ. Verification and tracing are off for
-            // the twin (they burn identical time on both paths and the
-            // bytes are what the assertion needs).
-            let transpile_naive_s = (n <= args.naive_max).then(|| {
-                let naive_cfg = AtomiqueConfig {
-                    transpile_index: TranspileIndex::Naive,
-                    verify_isa: false,
-                    trace: false,
-                    ..cfg.clone()
-                };
-                let naive = compile(&b.circuit, &naive_cfg)
-                    .unwrap_or_else(|e| panic!("{}-{n} (naive transpile): {e}", b.name));
-                assert_eq!(
-                    codec::to_bytes(naive.isa.as_ref().expect("emit_isa attached")),
-                    codec::to_bytes(grid.isa.as_ref().expect("emit_isa attached")),
-                    "{}-{n}: ISA bytes differ across transpile-index modes",
-                    b.name
-                );
-                let s = naive.timings.transpile_s;
-                println!(
-                    "  transpile: indexed {:.2}s, naive {s:.2}s ({:.1}x; ISA bit-identical)",
-                    t.transpile_s,
-                    s / t.transpile_s.max(1e-9),
-                );
-                s
-            });
 
             // --- Verifier scaling: the raw (unoptimized) stream checked
             // under both modes.
-            let raw = atomique::emit_isa(&grid, &cfg.hardware, b.name);
+            let raw = atomique::emit_isa(&lines, &cfg.hardware, b.name);
             let stats = IsaStats::of(&raw);
 
             let t0 = Instant::now();
@@ -482,26 +358,18 @@ fn main() {
                 verify_lines_s,
                 verify_exhaustive_s.map_or_else(|| "-".into(), |s| format!("{s:.2}s")),
             );
-            // --- The service probe (schema 5): the same workload
-            // through the raa-serve engine cold and warm, served bytes
-            // asserted bit-identical to the compile above.
-            let serve =
-                (n <= args.serve_max).then(|| ServeRow::probed(b.name, n, &b.circuit, &cfg, &grid));
-
             measurements.push(Measurement {
                 name: b.name.to_string(),
                 qubits: n,
                 timings: t,
                 transpile_index: "indexed",
-                transpile_naive_s,
-                compile_total_s: grid_s,
+                compile_total_s: lines_s,
                 router_scan_s: scan_s,
                 isa_instrs: stats.instructions,
                 isa_pulses: stats.pulses,
                 verify_lines_s,
                 verify_exhaustive_s,
-                counters: CounterRow::of(&grid.report),
-                serve,
+                counters: CounterRow::of(&lines.report),
             });
         }
     }

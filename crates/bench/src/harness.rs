@@ -189,101 +189,25 @@ pub const SCALING_COLUMNS: [&str; 7] = [
     "2q-gates",
     "stages",
     "transfers",
-    "grid(s)",
+    "lines(s)",
     "scan(s)",
     "speedup",
 ];
 
 /// One row of the router-scaling study (`isa_stats`-style): circuit
 /// size, routed stage count, and wall-clock compile time with the
-/// spatial-grid index vs. the exhaustive-scan oracle (`scan_s` is `None`
-/// when the oracle run was skipped).
-pub fn scaling_row(out: &CompiledProgram, grid_s: f64, scan_s: Option<f64>) -> Vec<String> {
+/// line-sweep proximity enumeration vs. the exhaustive-scan oracle
+/// (`scan_s` is `None` when the oracle run was skipped).
+pub fn scaling_row(out: &CompiledProgram, lines_s: f64, scan_s: Option<f64>) -> Vec<String> {
     vec![
         out.stats.num_qubits.to_string(),
         out.stats.two_qubit_gates.to_string(),
         out.stats.depth.to_string(),
         out.stats.transfers.to_string(),
-        format!("{grid_s:.2}"),
+        format!("{lines_s:.2}"),
         scan_s.map_or_else(|| "-".into(), |s| format!("{s:.2}")),
-        scan_s.map_or_else(|| "-".into(), |s| format!("{:.1}x", s / grid_s.max(1e-9))),
+        scan_s.map_or_else(|| "-".into(), |s| format!("{:.1}x", s / lines_s.max(1e-9))),
     ]
-}
-
-/// One workload pushed through the batch-compilation service twice:
-/// a cold submission (cache miss, full compile) and an identical warm
-/// one (cache hit, no compile). The schema-5 `serve` columns of
-/// `BENCH_scaling.json` come from this probe.
-#[derive(Debug)]
-pub struct ServeProbe {
-    /// Wall-clock of the cold (miss) submission, seconds.
-    pub cold_s: f64,
-    /// Wall-clock of the warm (hit) submission, seconds.
-    pub warm_s: f64,
-    /// Engine cache hits after both submissions (expected 1).
-    pub cache_hits: u64,
-    /// Engine cache misses after both submissions (expected 1).
-    pub cache_misses: u64,
-    /// High-water mark of the engine's admission queue.
-    pub max_queue_depth: u64,
-    /// The served binary-codec ISA bytes — callers assert these
-    /// bit-identical to the direct in-process compile.
-    pub isa_bytes: Vec<u8>,
-}
-
-/// Drives one circuit through a fresh [`raa_serve::engine::Engine`]
-/// cold and warm under `cfg`, returning the served bytes and the
-/// cache/queue counters.
-///
-/// # Panics
-///
-/// Panics if either submission fails, if the warm pass is not a pure
-/// cache hit, or if the warm bytes differ from the cold bytes.
-pub fn serve_probe(name: &str, circuit: &Circuit, cfg: &AtomiqueConfig) -> ServeProbe {
-    use raa_serve::engine::{CacheStatus, Engine, Job, ServeConfig};
-
-    let engine = Engine::new(ServeConfig {
-        base: cfg.clone(),
-        ..ServeConfig::default()
-    });
-    let jobs = [Job {
-        name: name.to_string(),
-        circuit: circuit.clone(),
-    }];
-    let submit = |label: &str| {
-        let t0 = std::time::Instant::now();
-        let out = engine
-            .submit(engine.base(), &jobs)
-            .unwrap_or_else(|e| panic!("{name}: serve {label} submission: {e}"));
-        let s = t0.elapsed().as_secs_f64();
-        let result = out[0]
-            .result
-            .as_ref()
-            .unwrap_or_else(|e| panic!("{name}: serve {label} job: {e}"))
-            .clone();
-        (s, result)
-    };
-    let (cold_s, cold) = submit("cold");
-    let (warm_s, warm) = submit("warm");
-    assert_eq!(
-        cold.status,
-        CacheStatus::Miss,
-        "{name}: cold pass not a miss"
-    );
-    assert_eq!(warm.status, CacheStatus::Hit, "{name}: warm pass not a hit");
-    assert_eq!(
-        cold.entry.isa_bytes, warm.entry.isa_bytes,
-        "{name}: warm bytes diverge from cold"
-    );
-    let stats = engine.stats();
-    ServeProbe {
-        cold_s,
-        warm_s,
-        cache_hits: stats.hits,
-        cache_misses: stats.misses,
-        max_queue_depth: stats.max_queue_depth,
-        isa_bytes: warm.entry.isa_bytes.clone(),
-    }
 }
 
 #[cfg(test)]

@@ -572,9 +572,8 @@ mod tests {
             },
         )
         .unwrap();
-        // The default router runs on the spatial grid, so detail mode
-        // must have seen queries.
-        assert!(traced.report.counter("grid.query") > 0);
+        // Detail mode must have counted the router's admission attempts.
+        assert!(traced.report.counter("route.try_add") > 0);
         // Stage-level (default) mode records spans but no counters.
         let plain = compile(&c, &AtomiqueConfig::default()).unwrap();
         assert!(plain.report.counters().is_empty());
@@ -621,17 +620,17 @@ mod tests {
         let second = compile(&c, &AtomiqueConfig::default()).unwrap();
         let outer = raa_trace::end();
         // Each call extracted only its own window...
-        assert!(first.report.counter("grid.query") > 0);
+        assert!(first.report.counter("route.try_add") > 0);
         assert_eq!(
-            first.report.counter("grid.query"),
-            second.report.counter("grid.query"),
+            first.report.counter("route.try_add"),
+            second.report.counter("route.try_add"),
             "deterministic compile, identical windows"
         );
         // ...while the enclosing session kept both compiles on one clock.
         assert_eq!(outer.spans.len(), 2);
         assert_eq!(
-            outer.counter("grid.query"),
-            first.report.counter("grid.query") + second.report.counter("grid.query")
+            outer.counter("route.try_add"),
+            first.report.counter("route.try_add") + second.report.counter("route.try_add")
         );
         // The second window's offsets are relative to the outer session,
         // strictly after the first's.

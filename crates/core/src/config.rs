@@ -55,17 +55,17 @@ pub enum RouterStrategy {
 /// How the router's constraint checks enumerate proximity candidates.
 ///
 /// Both modes produce bit-identical schedules and ISA streams (proven by
-/// `tests/router_differential.rs`): the grid only restricts which atoms a
-/// check *looks at* — to those that can possibly be within range — never
-/// the accept/reject predicates themselves.
+/// `tests/router_differential.rs`): the line sweep only restricts which
+/// atom pairs a check *looks at* — to those that can possibly be within
+/// range — never the accept/reject predicates themselves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ProximityIndex {
-    /// Spatial-hash neighbor index ([`SpatialGrid`](crate::SpatialGrid)),
-    /// maintained incrementally as lines move: O(neighbors) per check.
-    /// The default — required for interactive compile times on
-    /// 1000+-atom machines (paper Fig. 20 extrapolations).
+    /// Sweep the sorted line positions of each axis for close line pairs
+    /// and test only the atoms where they cross: every atom sits where a
+    /// row line crosses a column line, so two atoms can be close only if
+    /// both their rows and their columns are. The default.
     #[default]
-    Grid,
+    Lines,
     /// The original exhaustive all-atoms scan: O(atoms) per check. Kept
     /// as the oracle the differential router tests compare against.
     Exhaustive,
@@ -146,7 +146,7 @@ pub struct AtomiqueConfig {
     /// [`RouterStrategy::Sequential`], one stage per group.
     pub router_strategy: RouterStrategy,
     /// Proximity-candidate enumeration used by the router's constraint
-    /// checks; [`ProximityIndex::Grid`] unless you are running the
+    /// checks; [`ProximityIndex::Lines`] unless you are running the
     /// differential oracle.
     pub proximity_index: ProximityIndex,
     /// Transpile-stage graph construction and k-Cut degree evaluation:
@@ -172,12 +172,12 @@ pub struct AtomiqueConfig {
     /// when [`AtomiqueConfig::emit_isa`] is also set.
     pub verify_isa: bool,
     /// ISA optimization level applied to the lowered stream
-    /// (`raa_isa::opt`): move coalescing, retract/approach fusion, park
-    /// elision and dead-move elimination, each rewrite re-verified by
-    /// the stream oracle before acceptance. Applied (and then verified,
-    /// when [`AtomiqueConfig::verify_isa`] is also set) only when
-    /// [`AtomiqueConfig::emit_isa`] attaches the stream; default
-    /// [`OptLevel::None`].
+    /// (`raa_isa::opt`): pulse parallelization, retract/approach fusion,
+    /// move coalescing, park elision and dead-move elimination. The
+    /// passes run to a fixpoint under cheap guards, and `optimize` then
+    /// proves its result once with the stream oracle; the `verify` stage
+    /// reuses that proof. Applied only when [`AtomiqueConfig::emit_isa`]
+    /// attaches the stream; default [`OptLevel::None`].
     pub opt_level: OptLevel,
     /// Has no effect: every compile runs on its calling thread. Kept
     /// (default 1) only because the benchmark adapter still names it,
@@ -371,7 +371,7 @@ impl AtomiqueConfig {
             RouterStrategy::Sequential => 0,
         });
         h.put(match proximity_index {
-            ProximityIndex::Grid => 0,
+            ProximityIndex::Lines => 0,
             ProximityIndex::Exhaustive => 1,
         });
         h.put(match transpile_index {
@@ -439,7 +439,7 @@ mod tests {
         assert_eq!(c.atom_mapper, AtomMapperKind::LoadBalance);
         assert_eq!(c.router_mode, RouterMode::Parallel);
         assert_eq!(c.router_strategy, RouterStrategy::Sequential);
-        assert_eq!(c.proximity_index, ProximityIndex::Grid);
+        assert_eq!(c.proximity_index, ProximityIndex::Lines);
         assert_eq!(c.transpile_index, TranspileIndex::Indexed);
         assert_eq!(c.relaxation, Relaxation::NONE);
         assert_eq!(c.opt_level, OptLevel::None);

@@ -67,7 +67,4 @@ pub use raa_isa::{OptLevel, OptReport};
 pub use raa_trace as trace;
 pub use render::{render_schedule, summarize};
 pub use router::{route_movements, RoutedProgram};
-// Re-exported so downstream users of `atomique::SpatialGrid` (the home
-// of the index before it was extracted into its own crate) keep working.
-pub use raa_spatial::SpatialGrid;
 pub use transpile::{transpile, transpile_with, TranspiledCircuit};

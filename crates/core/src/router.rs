@@ -30,6 +30,28 @@
 //!   metric).
 //!
 //! Each constraint can be individually relaxed (Fig. 22).
+//!
+//! # C1 over lines
+//!
+//! Every atom sits where one row line of its array crosses one column
+//! line, SLM lines at integer track positions and AOD lines wherever the
+//! plan puts them. Two atoms can be within `r_b` only if their rows are
+//! that close and their columns are too, so C1 enumerates close *line*
+//! pairs instead of querying each atom's neighborhood
+//! ([`RouterState::c1_clear`]). Per axis it sorts the occupied lines of
+//! every in-field AOD at the attempt's virtual positions, sweeps them for
+//! pairs at most `r_b` apart, and distance-tests only the atoms where a
+//! close row pair crosses a close column pair of the same two arrays,
+//! plus the same-array cases where the two atoms share a line. An AOD
+//! line's only SLM partner within `r_b` is the nearest integer line, so
+//! SLM lines never enter the sweep. The 2.5 `r_b` band involves a gate
+//! participant, and since 5/12 < 1/2 an AOD participant can be that close
+//! only to the single SLM site nearest it: the band tests that site and
+//! every other participant. Retraction enumerates its blockers the same
+//! way. The line sweep only chooses which pairs to test; the predicates
+//! are those of [`ProximityIndex::Exhaustive`], the all-slots scan kept
+//! as the reference, and `tests/router_differential.rs` asserts that both
+//! produce identical schedules.
 
 use std::collections::{HashMap, HashSet};
 
@@ -42,7 +64,6 @@ use crate::config::{ProximityIndex, Relaxation, RouterMode, RouterStrategy};
 use crate::error::CompileError;
 use crate::program::{LineMove, RouterStats, Stage};
 use crate::transpile::TranspiledCircuit;
-use raa_spatial::{FastMap, FastSet, SpatialGrid};
 use raa_trace::Counter;
 
 // Detail-level telemetry (see docs/OBSERVABILITY.md). `route.try_add`
@@ -56,9 +77,8 @@ static REJECT_ADDRESSING: Counter = Counter::new("route.reject.addressing");
 static REJECT_ORDER: Counter = Counter::new("route.reject.order");
 static REJECT_OVERLAP: Counter = Counter::new("route.reject.overlap");
 static C1_CALLS: Counter = Counter::new("route.c1.calls");
-static C1_DIRTY: Counter = Counter::new("route.c1.dirty");
+static C1_TESTED: Counter = Counter::new("route.c1.tested");
 static RETRACT_LINES: Counter = Counter::new("route.retract.lines");
-static RETRACT_MEMO_SCANS: Counter = Counter::new("route.retract.memo_scan");
 static RETRACT_UNRESOLVED: Counter = Counter::new("route.retract.unresolved");
 static RESET_STAGES: Counter = Counter::new("route.reset_stages");
 static TRANSFER_FALLBACKS: Counter = Counter::new("route.transfer_fallbacks");
@@ -67,24 +87,37 @@ static TRANSFER_FALLBACKS: Counter = Counter::new("route.transfer_fallbacks");
 const INTERACT_R: f64 = 1.0 / 6.0;
 /// Safety band in track units (2.5 `r_b`).
 const BAND_R: f64 = 5.0 / 12.0;
+/// How far apart two lines of one axis may be and still host a pair
+/// within [`INTERACT_R`]: a pair that close can exceed it on one axis by
+/// a rounding ulp.
+const REACH: f64 = INTERACT_R + 1e-9;
+/// The same slack around [`BAND_R`].
+const BAND_REACH: f64 = BAND_R + 1e-9;
 /// Row offset of a parked interacting atom relative to its partner.
 const DELTA_ROW: f64 = 0.05;
 /// Column offset of a parked interacting atom relative to its partner.
 const DELTA_COL: f64 = 0.08;
 /// Distance (in tracks) charged for parking or unparking one array.
 const PARK_TRAVEL: f64 = 2.0;
+/// Marks an empty trap site in [`RouterState::slot_at`].
+const NO_SLOT: u32 = u32::MAX;
 
 /// Identifies one movable line: `(aod index 0-based, axis, line index)`.
 type LineKey = (u8, Axis, u16);
 
-/// A moved atom in the C1 pass over moved pairs: its grid cell, slot and
-/// virtual position.
-type CellEntry = ((i64, i64), u32, (f64, f64));
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Axis {
     Row,
     Col,
+}
+
+impl Axis {
+    fn other(self) -> Axis {
+        match self {
+            Axis::Row => Axis::Col,
+            Axis::Col => Axis::Row,
+        }
+    }
 }
 
 /// Why a candidate gate was rejected from the current stage.
@@ -111,11 +144,10 @@ pub struct RoutedProgram {
 
 /// The router's machine state during planning.
 ///
-/// Invariant: between gate-admission attempts, `eff_row`/`eff_col` and
-/// `grid` hold exactly the committed positions plus the plan accepted so
-/// far. An attempt decides on virtual positions computed from the axes
-/// it solved into `scratch`, and writes `eff_*` and the grid only when
-/// its gate is accepted.
+/// Invariant: between gate-admission attempts, `eff_row`/`eff_col` hold
+/// exactly the committed positions plus the plan accepted so far. An
+/// attempt decides on virtual positions computed from the axes it solved
+/// into `scratch`, and writes `eff_*` only when its gate is accepted.
 struct RouterState<'a> {
     hw: &'a RaaConfig,
     relax: Relaxation,
@@ -129,14 +161,19 @@ struct RouterState<'a> {
     eff_col: Vec<Vec<f64>>,
     parked: Vec<bool>,
     site_of_slot: Vec<TrapSite>,
-    /// Atoms grouped by (aod, axis, line) for dirty-set computation.
-    atoms_on_line: FastMap<LineKey, Vec<u32>>,
+    /// `line_base[2k]` / `line_base[2k + 1]` is the line id of AOD `k`'s
+    /// row 0 / column 0: ids number every AOD line, AODs × 2 axes × lines.
+    line_base: Vec<usize>,
+    /// Atoms per line id.
+    atoms_on_line: Vec<Vec<u32>>,
+    /// Per AOD and axis (index `2k + axis`), the lines that host an atom,
+    /// ascending.
+    occupied: Vec<Vec<u16>>,
+    /// Per array (0 = SLM, `k + 1` = AOD `k`), the slot on each trap site,
+    /// row-major, [`NO_SLOT`] where the site is empty.
+    slot_at: Vec<Vec<u32>>,
     /// Atoms per AOD array (for parking/cooling).
     atoms_in_aod: Vec<Vec<u32>>,
-    /// Spatial index over every slot's *effective* position, kept in sync
-    /// with `eff_row`/`eff_col` by the axis-mutation helpers. Cell size is
-    /// [`BAND_R`], the largest radius any constraint check queries.
-    grid: SpatialGrid,
     /// Per-attempt buffers of [`RouterState::try_add`].
     scratch: Scratch,
 }
@@ -149,15 +186,17 @@ struct RouterState<'a> {
 /// modelling the physical ability of an AOD to compress or shift its
 /// un-involved rows/columns within the same movement. Only accepted
 /// gates leave entries here: a rejected attempt removes what it inserted.
-#[derive(Default)]
 struct Plan {
-    /// Explicit line targets required by the planned gates.
-    targets: FastMap<LineKey, f64>,
-    /// Arrays being unparked this stage.
-    unparked: FastSet<u8>,
+    /// Explicit line targets required by the planned gates, by line id.
+    targets: Vec<Option<f64>>,
+    /// Per AOD: unparked this stage.
+    unparked: Vec<bool>,
     gates: Vec<(GateIdx, u32, u32)>,
-    participants: FastSet<u32>,
-    desired: FastSet<(u32, u32)>,
+    /// The gate atoms, each once; `is_participant` flags them per slot.
+    participants: Vec<u32>,
+    is_participant: Vec<bool>,
+    /// The gates' atom pairs, normalized.
+    desired: Vec<(u32, u32)>,
 }
 
 /// Per-attempt buffers of [`RouterState::try_add`], reused across
@@ -169,70 +208,71 @@ struct Scratch {
     /// spares).
     axes: Vec<(u8, Axis)>,
     vals: Vec<Vec<f64>>,
-    /// The attempt's dirty atoms, in the order C1 visits them.
-    dirty: Vec<u32>,
-    /// `mark[slot] == epoch` iff `slot` is dirty in this attempt;
-    /// `moved[slot] == epoch` iff it is dirty because a line under it
-    /// moved, so the grid does not hold it at its virtual position.
-    mark: Vec<u32>,
+    /// The attempt's gate atoms.
+    gate: (u32, u32),
+    /// `moved[line id] == epoch` iff this attempt moves the line by more
+    /// than 1e-12.
     moved: Vec<u32>,
     epoch: u32,
-    /// Non-parked moved atoms with their virtual positions, sorted by
-    /// grid cell: the grid's stand-in for the moved×moved pass of C1.
-    by_cell: Vec<CellEntry>,
-    /// Grid candidate buffer.
-    buf: Vec<u32>,
+    /// Buffers of the C1 line sweep.
+    sweep: Sweep,
     /// What this attempt inserted into the plan, removed again on
     /// rejection.
     new_targets: Vec<LineKey>,
     new_unparked: Vec<u8>,
-    new_participants: Vec<u32>,
-    new_desired: Option<(u32, u32)>,
+    new_participants: usize,
+    new_desired: bool,
+}
+
+/// One occupied AOD line at its position in a sweep.
+#[derive(Clone, Copy)]
+struct Line {
+    pos: f64,
+    aod: u8,
+    index: u16,
+}
+
+/// Two AOD lines of one axis at most [`REACH`] apart, ordered so
+/// `aods.0 <= aods.1`.
+#[derive(Clone, Copy)]
+struct LinePair {
+    aods: (u8, u8),
+    lines: (u16, u16),
+}
+
+/// The buffers one C1 line sweep fills, per axis (`[rows, cols]`).
+#[derive(Default)]
+struct Sweep {
+    lines: Vec<Line>,
+    pairs: [Vec<LinePair>; 2],
+    /// `(aod, line, slm line)`: AOD lines within [`REACH`] of their
+    /// nearest SLM line.
+    near_slm: [Vec<(u8, u16, u16)>; 2],
 }
 
 impl Scratch {
-    fn new(slots: usize) -> Self {
+    fn new(lines: usize) -> Self {
         Scratch {
-            mark: vec![0; slots],
-            moved: vec![0; slots],
+            moved: vec![0; lines],
             ..Scratch::default()
         }
     }
 
-    /// Starts an attempt: clears the per-attempt lists and advances the
-    /// epoch, which un-marks every slot at once.
-    fn begin(&mut self) {
+    /// Starts an attempt on the gate between `a` and `b`: clears the
+    /// per-attempt lists and advances the epoch, which un-marks every
+    /// line at once.
+    fn begin(&mut self, a: u32, b: u32) {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
-            self.mark.fill(0);
             self.moved.fill(0);
             self.epoch = 1;
         }
+        self.gate = (a, b);
         self.axes.clear();
-        self.dirty.clear();
         self.new_targets.clear();
         self.new_unparked.clear();
-        self.new_participants.clear();
-        self.new_desired = None;
-    }
-
-    fn is_dirty(&self, slot: u32) -> bool {
-        self.mark[slot as usize] == self.epoch
-    }
-
-    fn is_moved(&self, slot: u32) -> bool {
-        self.moved[slot as usize] == self.epoch
-    }
-
-    /// Marks `slot` dirty, and also moved when `moved` is set.
-    fn mark_dirty(&mut self, slot: u32, moved: bool) {
-        if moved {
-            self.moved[slot as usize] = self.epoch;
-        }
-        if !self.is_dirty(slot) {
-            self.mark[slot as usize] = self.epoch;
-            self.dirty.push(slot);
-        }
+        self.new_participants = 0;
+        self.new_desired = false;
     }
 
     /// The solved positions of axis `(k, axis)`, when this attempt
@@ -243,20 +283,23 @@ impl Scratch {
             .position(|&a| a == (k, axis))
             .map(|i| &self.vals[i][..])
     }
+}
 
-    /// Removes from `plan` exactly what this attempt inserted.
-    fn undo(&self, plan: &mut Plan) {
-        for key in &self.new_targets {
-            plan.targets.remove(key);
+impl Plan {
+    /// Removes from the plan exactly what attempt `s` inserted.
+    fn undo(&mut self, s: &Scratch, line_id: impl Fn(LineKey) -> usize) {
+        for &key in &s.new_targets {
+            self.targets[line_id(key)] = None;
         }
-        for k in &self.new_unparked {
-            plan.unparked.remove(k);
+        for &k in &s.new_unparked {
+            self.unparked[k as usize] = false;
         }
-        for p in &self.new_participants {
-            plan.participants.remove(p);
+        for _ in 0..s.new_participants {
+            let p = self.participants.pop().expect("inserted participant");
+            self.is_participant[p as usize] = false;
         }
-        if let Some(key) = self.new_desired {
-            plan.desired.remove(&key);
+        if s.new_desired {
+            self.desired.pop();
         }
     }
 }
@@ -298,25 +341,26 @@ fn fallback_amounts() -> impl Iterator<Item = f64> {
 
 /// Repositions the untargeted lines of one axis around the pinned targets.
 ///
-/// Writes the full position vector into `out`, or returns the violated
-/// constraint. Pinned lines must be strictly increasing in index order
-/// (C2); untargeted lines
-/// in between are squeezed into the gap with at least [`LINE_GAP`]
-/// separation (C3), preferring half-cell offsets that keep their atoms
-/// away from the SLM lattice; lines outside the pinned range walk outward
-/// at one-cell pitch on half-cell offsets.
+/// `targets[i]` is line `i`'s pinned position, if any. Writes the full
+/// position vector into `out`, or returns the violated constraint.
+/// Pinned lines must be strictly increasing in index order (C2);
+/// untargeted lines in between are squeezed into the gap with at least
+/// [`LINE_GAP`] separation (C3), preferring half-cell offsets that keep
+/// their atoms away from the SLM lattice; lines outside the pinned range
+/// walk outward at one-cell pitch on half-cell offsets.
 fn solve_axis(
     cur: &[f64],
-    targets: &FastMap<LineKey, f64>,
-    key_of: impl Fn(u16) -> LineKey,
+    targets: &[Option<f64>],
     relax: Relaxation,
     out: &mut Vec<f64>,
 ) -> Result<(), Reject> {
     let n = cur.len();
     out.clear();
     out.extend_from_slice(cur);
-    let pinned: Vec<(usize, f64)> = (0..n)
-        .filter_map(|i| targets.get(&key_of(i as u16)).map(|&t| (i, t)))
+    let pinned: Vec<(usize, f64)> = targets
+        .iter()
+        .enumerate()
+        .filter_map(|(i, t)| t.map(|t| (i, t)))
         .collect();
     if pinned.is_empty() {
         return Ok(());
@@ -402,14 +446,11 @@ fn solve_axis(
     Ok(())
 }
 
-/// One hypothetical retraction position being tested for clearance:
-/// `atom` (at `site`, on line `key`) moved to `p`.
-#[derive(Clone, Copy)]
-struct RetractionProbe {
-    key: LineKey,
-    site: TrapSite,
-    p: (f64, f64),
-    atom: u32,
+/// The integer line nearest `pos` among `0..n`, when it is within
+/// `reach`.
+fn nearest_line(pos: f64, reach: f64, n: usize) -> Option<u16> {
+    let i = pos.round();
+    ((pos - i).abs() <= reach && i >= 0.0 && i < n as f64).then_some(i as u16)
 }
 
 impl<'a> RouterState<'a> {
@@ -422,30 +463,46 @@ impl<'a> RouterState<'a> {
         let num_aods = hw.num_aods();
         let mut cur_row = Vec::with_capacity(num_aods);
         let mut cur_col = Vec::with_capacity(num_aods);
+        let mut line_base = vec![0];
         for k in 0..num_aods {
             let dims = hw.dims(ArrayIndex::aod(k));
             let fy = hw.home_y(ArrayIndex::aod(k), 0) / hw.spacing_um;
             let fx = hw.home_x(ArrayIndex::aod(k), 0) / hw.spacing_um;
             cur_row.push((0..dims.rows).map(|r| r as f64 + fy).collect());
             cur_col.push((0..dims.cols).map(|c| c as f64 + fx).collect());
+            line_base.push(line_base[2 * k] + dims.rows);
+            line_base.push(line_base[2 * k + 1] + dims.cols);
         }
-        let mut atoms_on_line: FastMap<LineKey, Vec<u32>> = FastMap::default();
+        let mut slot_at: Vec<Vec<u32>> = hw
+            .arrays()
+            .map(|a| vec![NO_SLOT; hw.dims(a).capacity()])
+            .collect();
+        let mut atoms_on_line: Vec<Vec<u32>> = vec![Vec::new(); line_base[2 * num_aods]];
         let mut atoms_in_aod: Vec<Vec<u32>> = vec![Vec::new(); num_aods];
         for (slot, site) in mapping.site_of_slot.iter().enumerate() {
+            let slot = slot as u32;
+            let cols = hw.dims(site.array).cols;
+            let cell =
+                &mut slot_at[site.array.0 as usize][site.row as usize * cols + site.col as usize];
+            assert_eq!(*cell, NO_SLOT, "two slots loaded on trap site {site:?}");
+            *cell = slot;
             if !site.array.is_slm() {
-                let k = site.array.aod_number() as u8;
-                atoms_on_line
-                    .entry((k, Axis::Row, site.row))
-                    .or_default()
-                    .push(slot as u32);
-                atoms_on_line
-                    .entry((k, Axis::Col, site.col))
-                    .or_default()
-                    .push(slot as u32);
-                atoms_in_aod[k as usize].push(slot as u32);
+                let k = site.array.aod_number();
+                atoms_on_line[line_base[2 * k] + site.row as usize].push(slot);
+                atoms_on_line[line_base[2 * k + 1] + site.col as usize].push(slot);
+                atoms_in_aod[k].push(slot);
             }
         }
-        let mut state = RouterState {
+        let occupied = line_base
+            .windows(2)
+            .map(|w| {
+                (w[0]..w[1])
+                    .filter(|&id| !atoms_on_line[id].is_empty())
+                    .map(|id| (id - w[0]) as u16)
+                    .collect()
+            })
+            .collect();
+        RouterState {
             hw,
             relax,
             index,
@@ -455,16 +512,46 @@ impl<'a> RouterState<'a> {
             cur_col,
             parked: vec![false; num_aods],
             site_of_slot: mapping.site_of_slot.clone(),
+            scratch: Scratch::new(atoms_on_line.len()),
+            line_base,
             atoms_on_line,
+            occupied,
+            slot_at,
             atoms_in_aod,
-            grid: SpatialGrid::new(BAND_R),
-            scratch: Scratch::new(mapping.site_of_slot.len()),
-        };
-        for slot in 0..state.site_of_slot.len() as u32 {
-            let p = state.pos(slot);
-            state.grid.insert(slot, p);
         }
-        state
+    }
+
+    /// An empty plan for a new stage.
+    fn new_plan(&self) -> Plan {
+        Plan {
+            targets: vec![None; self.atoms_on_line.len()],
+            unparked: vec![false; self.parked.len()],
+            gates: Vec::new(),
+            participants: Vec::new(),
+            is_participant: vec![false; self.site_of_slot.len()],
+            desired: Vec::new(),
+        }
+    }
+
+    /// The dense id of line `key`.
+    fn line_id(&self, (k, axis, j): LineKey) -> usize {
+        self.line_base[2 * k as usize + axis as usize] + j as usize
+    }
+
+    /// The slot on trap site `(row, col)` of `array` (0 = SLM, `k + 1` =
+    /// AOD `k`), if one is loaded there.
+    fn slot_at(&self, array: usize, row: u16, col: u16) -> Option<u32> {
+        let cols = self.hw.dims(ArrayIndex(array as u8)).cols;
+        let slot = self.slot_at[array][row as usize * cols + col as usize];
+        (slot != NO_SLOT).then_some(slot)
+    }
+
+    /// The effective positions of one axis of AOD `k`.
+    fn eff(&self, k: usize, axis: Axis) -> &[f64] {
+        match axis {
+            Axis::Row => &self.eff_row[k],
+            Axis::Col => &self.eff_col[k],
+        }
     }
 
     /// Effective position (track units) of a slot under the current plan.
@@ -489,71 +576,24 @@ impl<'a> RouterState<'a> {
         c as f64 + self.hw.home_x(ArrayIndex::aod(k), 0) / self.hw.spacing_um
     }
 
+    /// Whether AOD `k` is in the interaction field under `plan`.
+    fn in_field(&self, k: usize, plan: &Plan) -> bool {
+        !self.parked[k] || plan.unparked[k]
+    }
+
     fn is_parked_slot(&self, slot: u32, plan: &Plan) -> bool {
         let site = self.site_of_slot[slot as usize];
-        if site.array.is_slm() {
-            return false;
-        }
-        let k = site.array.aod_number();
-        self.parked[k] && !plan.unparked.contains(&(k as u8))
+        !site.array.is_slm() && !self.in_field(site.array.aod_number(), plan)
     }
 
-    /// Refreshes the spatial index for every atom on line `key` after
-    /// the line's effective position changed.
-    fn sync_line_grid(&mut self, key: LineKey) {
-        let Some(atoms) = self.atoms_on_line.get(&key) else {
-            return;
-        };
-        let grid = &mut self.grid;
-        let (eff_row, eff_col) = (&self.eff_row, &self.eff_col);
-        let sites = &self.site_of_slot;
-        for &atom in atoms {
-            let site = sites[atom as usize];
-            let k = site.array.aod_number();
-            grid.update(
-                atom,
-                (eff_row[k][site.row as usize], eff_col[k][site.col as usize]),
-            );
-        }
-    }
-
-    /// Replaces one axis's effective positions with `vals`, keeping the
-    /// spatial index in sync for every atom whose line actually moved.
-    /// The old positions are swapped out into `vals`.
+    /// Replaces one axis's effective positions with `vals`; the old
+    /// positions are swapped out into `vals`.
     fn set_eff_axis(&mut self, k: u8, axis: Axis, vals: &mut Vec<f64>) {
         let eff = match axis {
             Axis::Row => &mut self.eff_row[k as usize],
             Axis::Col => &mut self.eff_col[k as usize],
         };
         std::mem::swap(eff, vals);
-        for (i, &old) in vals.iter().enumerate() {
-            let new = match axis {
-                Axis::Row => self.eff_row[k as usize][i],
-                Axis::Col => self.eff_col[k as usize][i],
-            };
-            if (old - new).abs() > 1e-12 {
-                self.sync_line_grid((k, axis, i as u16));
-            }
-        }
-    }
-
-    /// Refreshes the spatial index for every atom of AOD `k` (used by the
-    /// whole-array re-homing of [`RouterState::reset`]).
-    fn resync_aod_grid(&mut self, k: usize) {
-        let grid = &mut self.grid;
-        let (eff_row, eff_col) = (&self.eff_row, &self.eff_col);
-        let sites = &self.site_of_slot;
-        for &atom in &self.atoms_in_aod[k] {
-            let site = sites[atom as usize];
-            let kk = site.array.aod_number();
-            grid.update(
-                atom,
-                (
-                    eff_row[kk][site.row as usize],
-                    eff_col[kk][site.col as usize],
-                ),
-            );
-        }
     }
 
     /// The position of `slot` if the attempt in `s` were accepted: its
@@ -574,38 +614,49 @@ impl<'a> RouterState<'a> {
         )
     }
 
-    /// Marks the atoms on line `j` of the attempt's `i`-th re-solved
-    /// axis dirty and moved when its solved value differs from the
-    /// accepted one by more than 1e-12. A line within 1e-12 counts as
-    /// unmoved, and `commit` emits no move for it, so its solved value is
-    /// reset to the accepted one bit for bit: C1's virtual positions,
-    /// `eff_*` and the stream then agree on it. [`RouterState::decide`]
-    /// visits every line of every re-solved axis before C1 runs.
+    /// Flags line `j` of the attempt's `i`-th re-solved axis as moved
+    /// when its solved value differs from the accepted one by more than
+    /// 1e-12. A line within 1e-12 counts as unmoved, and `commit` emits
+    /// no move for it, so its solved value is reset to the accepted one
+    /// bit for bit: C1's virtual positions, `eff_*` and the stream then
+    /// agree on it. [`RouterState::decide`] visits every line of every
+    /// re-solved axis before C1 runs.
     fn mark_line_if_moved(&self, s: &mut Scratch, i: usize, j: u16) {
         let (k, axis) = s.axes[i];
-        let old = match axis {
-            Axis::Row => self.eff_row[k as usize][j as usize],
-            Axis::Col => self.eff_col[k as usize][j as usize],
-        };
+        let old = self.eff(k as usize, axis)[j as usize];
         let solved = &mut s.vals[i][j as usize];
         if (*solved - old).abs() <= 1e-12 {
             *solved = old;
             return;
         }
-        if let Some(atoms) = self.atoms_on_line.get(&(k, axis, j)) {
-            for &atom in atoms {
-                s.mark_dirty(atom, true);
-            }
+        s.moved[self.line_id((k, axis, j))] = s.epoch;
+    }
+
+    /// Whether C1 tests the pairs of `slot` in attempt `s`: it is a gate
+    /// atom, sits on a line the attempt moves, or belongs to an array
+    /// unparked this stage. A pair of clean atoms was decided when the
+    /// plan accepted their positions.
+    fn is_dirty(&self, plan: &Plan, s: &Scratch, slot: u32) -> bool {
+        if slot == s.gate.0 || slot == s.gate.1 {
+            return true;
         }
+        let site = self.site_of_slot[slot as usize];
+        if site.array.is_slm() {
+            return false;
+        }
+        let k = site.array.aod_number();
+        plan.unparked[k]
+            || s.moved[self.line_id((k as u8, Axis::Row, site.row))] == s.epoch
+            || s.moved[self.line_id((k as u8, Axis::Col, site.col))] == s.epoch
     }
 
     /// Attempts to add gate `g` between slots `a` and `b` to the plan.
     ///
     /// Decides before it writes: [`RouterState::decide`] runs every
     /// check on virtual positions, and only an accepted gate writes its
-    /// solved axes into `eff_*` and the grid. A rejected gate removes
-    /// from the plan exactly what it inserted, so `eff_*`, the grid and
-    /// the plan are untouched by it.
+    /// solved axes into `eff_*`. A rejected gate removes from the plan
+    /// exactly what it inserted, so `eff_*` and the plan are untouched by
+    /// it.
     fn try_add(&mut self, plan: &mut Plan, g: GateIdx, a: u32, b: u32) -> Result<(), Reject> {
         let mut s = std::mem::take(&mut self.scratch);
         let verdict = self.decide(plan, &mut s, a, b);
@@ -617,7 +668,7 @@ impl<'a> RouterState<'a> {
                 }
                 plan.gates.push((g, a, b));
             }
-            Err(_) => s.undo(plan),
+            Err(_) => plan.undo(&s, |key| self.line_id(key)),
         }
         self.scratch = s;
         verdict
@@ -627,9 +678,9 @@ impl<'a> RouterState<'a> {
     /// in the order target conflict, C2/C3 per affected axis (sorted, the
     /// first failure wins), C1, desired pairs. Inserts the gate's targets,
     /// unparks, participants and desired pair into `plan`, recording them
-    /// in `s` for [`Scratch::undo`]; never writes `eff_*` or the grid.
+    /// in `s` for [`Plan::undo`]; never writes `eff_*`.
     fn decide(&self, plan: &mut Plan, s: &mut Scratch, a: u32, b: u32) -> Result<(), Reject> {
-        s.begin();
+        s.begin(a, b);
         let site_a = self.site_of_slot[a as usize];
         let site_b = self.site_of_slot[b as usize];
         debug_assert_ne!(
@@ -640,20 +691,24 @@ impl<'a> RouterState<'a> {
         // Unpark any parked participant arrays.
         for site in [site_a, site_b] {
             if !site.array.is_slm() {
-                let k = site.array.aod_number() as u8;
-                if self.parked[k as usize] && plan.unparked.insert(k) {
-                    s.new_unparked.push(k);
+                let k = site.array.aod_number();
+                if !self.in_field(k, plan) {
+                    plan.unparked[k] = true;
+                    s.new_unparked.push(k as u8);
                 }
             }
         }
 
         // Compute explicit movement targets.
-        let mut set_target = |key: LineKey, value: f64| match plan.targets.get(&key) {
-            Some(&t) => (t - value).abs() < 1e-9,
-            None => {
-                plan.targets.insert(key, value);
-                s.new_targets.push(key);
-                true
+        let mut set_target = |key: LineKey, value: f64| {
+            let target = &mut plan.targets[self.line_id(key)];
+            match *target {
+                Some(t) => (t - value).abs() < 1e-9,
+                None => {
+                    *target = Some(value);
+                    s.new_targets.push(key);
+                    true
+                }
             }
         };
         let ok = if site_a.array.is_slm() || site_b.array.is_slm() {
@@ -690,20 +745,23 @@ impl<'a> RouterState<'a> {
         }
 
         let key = norm_pair(a, b);
-        if plan.desired.insert(key) {
-            s.new_desired = Some(key);
+        if !plan.desired.contains(&key) {
+            plan.desired.push(key);
+            s.new_desired = true;
         }
         for p in [a, b] {
-            if plan.participants.insert(p) {
-                s.new_participants.push(p);
+            if !plan.is_participant[p as usize] {
+                plan.is_participant[p as usize] = true;
+                plan.participants.push(p);
+                s.new_participants += 1;
             }
         }
 
         // Re-solve every axis touched by the new targets into scratch:
-        // C2/C3 plus the repositioning of untargeted lines. Sorted, not
-        // hashed: the first unsolvable axis decides the rejection, so a
-        // seeded hash order would make the rejection returned (and the
-        // work telemetry records) vary run to run.
+        // C2/C3 plus the repositioning of untargeted lines. Sorted: the
+        // first unsolvable axis decides the rejection, so the rejection
+        // returned (and the work telemetry records) must not depend on
+        // the order targets were inserted in.
         s.axes
             .extend(s.new_targets.iter().map(|&(k, axis, _)| (k, axis)));
         s.axes.sort_unstable();
@@ -713,50 +771,24 @@ impl<'a> RouterState<'a> {
         }
         for i in 0..s.axes.len() {
             let (k, axis) = s.axes[i];
-            let cur = match axis {
-                Axis::Row => &self.eff_row[k as usize],
-                Axis::Col => &self.eff_col[k as usize],
-            };
+            let cur = self.eff(k as usize, axis);
+            let base = self.line_id((k, axis, 0));
             solve_axis(
                 cur,
-                &plan.targets,
-                |j| (k, axis, j),
+                &plan.targets[base..base + cur.len()],
                 self.relax,
                 &mut s.vals[i],
             )?;
-        }
-
-        // Dirty atoms, in the order C1 visits them: the gate's atoms, the
-        // atoms on the gate's own target lines that moved (where most
-        // violations are), the atoms on every other line that moved, and
-        // the atoms of every unparked array.
-        s.mark_dirty(a, false);
-        s.mark_dirty(b, false);
-        for t in 0..s.new_targets.len() {
-            let (k, axis, j) = s.new_targets[t];
-            let i = s
-                .axes
-                .binary_search(&(k, axis))
-                .expect("targeted axis is re-solved");
-            self.mark_line_if_moved(s, i, j);
         }
         for i in 0..s.axes.len() {
             for j in 0..s.vals[i].len() {
                 self.mark_line_if_moved(s, i, j as u16);
             }
         }
-        for (k, atoms) in self.atoms_in_aod.iter().enumerate() {
-            if plan.unparked.contains(&(k as u8)) {
-                for &atom in atoms {
-                    s.mark_dirty(atom, false);
-                }
-            }
-        }
 
         // C1: exact interaction set plus participant safety bands.
         if !self.relax.individual_addressing {
             C1_CALLS.incr();
-            C1_DIRTY.add(s.dirty.len() as u64);
             if !self.c1_clear(plan, s) {
                 return Err(Reject::Addressing);
             }
@@ -774,95 +806,91 @@ impl<'a> RouterState<'a> {
         Ok(())
     }
 
-    /// C1 over the attempt's dirty atoms at their virtual positions:
-    /// exact interaction set plus participant safety bands. `true` when
-    /// clear.
+    /// C1 at the attempt's virtual positions: exact interaction set plus
+    /// participant safety bands. `true` when clear.
     ///
-    /// Every unordered pair with at least one dirty, non-parked atom and
-    /// a non-parked partner is tested by [`RouterState::c1_pair_ok`].
-    /// [`ProximityIndex::Exhaustive`] scans every slot for every dirty
-    /// atom. [`ProximityIndex::Grid`] splits the same pairs in two
-    /// passes. First, each dirty atom against the grid hits that have not
-    /// moved: the grid holds the accepted plan, which is exact for every
-    /// atom the attempt does not move. Then, only if that passes, the
-    /// pairs of moved atoms through `by_cell`, a list sorted by grid
-    /// cell that enumerates the same cells the grid would. The predicate
-    /// is symmetric and passes every pair farther apart than [`BAND_R`],
-    /// and every failure is [`Reject::Addressing`], so both modes return
-    /// the same verdict.
+    /// The pairs that decide are the unordered pairs of in-field atoms
+    /// with at least one dirty atom ([`RouterState::is_dirty`]), judged by
+    /// [`RouterState::c1_pair_ok`]. [`ProximityIndex::Exhaustive`] scans
+    /// every slot for every dirty atom. [`ProximityIndex::Lines`]
+    /// enumerates only the pairs the predicate can fail (module docs,
+    /// "C1 over lines"): within `r_b`, the atoms where close AOD line
+    /// pairs cross and where AOD lines close to their nearest SLM lines
+    /// cross; within the band, the participants' pairs and each AOD
+    /// participant with its nearest SLM site. Every failure is
+    /// [`Reject::Addressing`], so both modes return the same verdict.
     fn c1_clear(&self, plan: &Plan, s: &mut Scratch) -> bool {
-        let n = self.site_of_slot.len() as u32;
-        for i in 0..s.dirty.len() {
-            let x = s.dirty[i];
-            if self.is_parked_slot(x, plan) {
-                continue;
+        let mut sweep = std::mem::take(&mut s.sweep);
+        let mut test = C1Test {
+            state: self,
+            plan,
+            s,
+            tested: 0,
+        };
+        let clear = match self.index {
+            ProximityIndex::Exhaustive => test.all_slots(),
+            ProximityIndex::Lines => {
+                self.sweep_lines(plan, s, &mut sweep);
+                test.lines(&sweep)
             }
-            let px = self.virtual_pos(s, x);
-            match self.index {
-                ProximityIndex::Exhaustive => {
-                    for y in 0..n {
-                        // Dirty pairs are tested once, from the lower slot.
-                        if y == x || (s.is_dirty(y) && y < x) || self.is_parked_slot(y, plan) {
-                            continue;
-                        }
-                        if !self.c1_pair_ok(plan, x, px, y, self.virtual_pos(s, y)) {
-                            return false;
-                        }
-                    }
-                }
-                ProximityIndex::Grid => {
-                    // A moved `x` tests every unmoved dirty hit; pairs of
-                    // unmoved dirty atoms are tested once, from the lower
-                    // slot.
-                    let x_moved = s.is_moved(x);
-                    s.buf.clear();
-                    self.grid.candidates_into(px, BAND_R, &mut s.buf);
-                    for &y in &s.buf {
-                        if y == x
-                            || s.is_moved(y)
-                            || (!x_moved && y < x && s.is_dirty(y))
-                            || self.is_parked_slot(y, plan)
-                        {
-                            continue;
-                        }
-                        if !self.c1_pair_ok(plan, x, px, y, self.virtual_pos(s, y)) {
-                            return false;
-                        }
-                    }
-                }
-            }
-        }
-        if self.index == ProximityIndex::Exhaustive {
-            return true;
-        }
-        let mut by_cell = std::mem::take(&mut s.by_cell);
-        by_cell.clear();
-        for &x in &s.dirty {
-            if s.is_moved(x) && !self.is_parked_slot(x, plan) {
-                let p = self.virtual_pos(s, x);
-                by_cell.push((self.grid.cell_of(p), x, p));
-            }
-        }
-        by_cell.sort_unstable_by_key(|&(c, x, _)| (c, x));
-        let clear = by_cell.iter().all(|&(_, x, px)| {
-            let ((x0, y0), (x1, y1)) = self.grid.cell_span(px, BAND_R);
-            (x0..=x1).all(|cx| {
-                let lo = by_cell.partition_point(|&(c, _, _)| c < (cx, y0));
-                by_cell[lo..]
-                    .iter()
-                    .take_while(|&&(c, _, _)| c <= (cx, y1))
-                    // Each moved pair once, from the lower slot.
-                    .all(|&(_, y, py)| y <= x || self.c1_pair_ok(plan, x, px, y, py))
-            })
-        });
-        s.by_cell = by_cell;
+        };
+        C1_TESTED.add(test.tested);
+        s.sweep = sweep;
         clear
+    }
+
+    /// Fills `sw` for attempt `s`: per axis, the pairs of occupied lines
+    /// of in-field AODs at most [`REACH`] apart at their virtual
+    /// positions, sorted by their AODs, and the lines within [`REACH`] of
+    /// their nearest SLM line.
+    fn sweep_lines(&self, plan: &Plan, s: &Scratch, sw: &mut Sweep) {
+        let slm = self.hw.dims(ArrayIndex::SLM);
+        for (a, axis, slm_lines) in [(0, Axis::Row, slm.rows), (1, Axis::Col, slm.cols)] {
+            sw.lines.clear();
+            sw.near_slm[a].clear();
+            for k in 0..self.parked.len() {
+                if !self.in_field(k, plan) {
+                    continue;
+                }
+                let pos = s.solved(k as u8, axis).unwrap_or(self.eff(k, axis));
+                for &j in &self.occupied[2 * k + a] {
+                    let p = pos[j as usize];
+                    sw.lines.push(Line {
+                        pos: p,
+                        aod: k as u8,
+                        index: j,
+                    });
+                    if let Some(i) = nearest_line(p, REACH, slm_lines) {
+                        sw.near_slm[a].push((k as u8, j, i));
+                    }
+                }
+            }
+            // Stable: each AOD's lines arrive in index order, which C2
+            // keeps increasing, so the sort merges presorted runs.
+            sw.lines.sort_by(|x, y| x.pos.total_cmp(&y.pos));
+            let pairs = &mut sw.pairs[a];
+            pairs.clear();
+            for (i, x) in sw.lines.iter().enumerate() {
+                for y in &sw.lines[i + 1..] {
+                    if y.pos - x.pos > REACH {
+                        break;
+                    }
+                    let (lo, hi) = if x.aod <= y.aod { (x, y) } else { (y, x) };
+                    pairs.push(LinePair {
+                        aods: (lo.aod, hi.aod),
+                        lines: (lo.index, hi.index),
+                    });
+                }
+            }
+            pairs.sort_by_key(|p| p.aods);
+        }
     }
 
     /// The C1 predicate for one pair at the attempt's virtual positions:
     /// `false` on an unwanted interaction or a safety-band violation.
     /// Symmetric in its two atoms, and every pair farther apart than
-    /// [`BAND_R`] passes — which is what makes the grid enumeration in
+    /// [`BAND_R`] passes; a pair within it fails only within `r_b` or
+    /// with a participant — which is what makes the line enumeration in
     /// [`RouterState::c1_clear`] exact.
     #[inline]
     fn c1_pair_ok(&self, plan: &Plan, x: u32, px: (f64, f64), y: u32, py: (f64, f64)) -> bool {
@@ -873,8 +901,8 @@ impl<'a> RouterState<'a> {
         if d <= INTERACT_R {
             return false; // unwanted gate
         }
-        let x_part = plan.participants.contains(&x);
-        let y_part = plan.participants.contains(&y);
+        let x_part = plan.is_participant[x as usize];
+        let y_part = plan.is_participant[y as usize];
         let y_slm = self.site_of_slot[y as usize].array.is_slm();
         let x_slm = self.site_of_slot[x as usize].array.is_slm();
         !((x_part && (y_part || y_slm)) || (y_part && x_slm))
@@ -888,18 +916,19 @@ impl<'a> RouterState<'a> {
         let mut row_delta: HashMap<u32, f64> = HashMap::new();
         let mut col_delta: HashMap<u32, f64> = HashMap::new();
 
-        // Unparked arrays travel from the parking zone. Sorted so the
-        // emitted move list (and thus the serialized stream) is
+        // Unparked arrays travel from the parking zone, in array order so
+        // the emitted move list (and thus the serialized stream) is
         // deterministic.
-        let mut unparked: Vec<u8> = plan.unparked.iter().copied().collect();
-        unparked.sort_unstable();
-        for k in unparked {
-            self.parked[k as usize] = false;
-            for &atom in &self.atoms_in_aod[k as usize] {
+        for k in 0..self.parked.len() {
+            if !plan.unparked[k] {
+                continue;
+            }
+            self.parked[k] = false;
+            for &atom in &self.atoms_in_aod[k] {
                 row_delta.insert(atom, PARK_TRAVEL);
             }
             moves.push(LineMove {
-                aod: k,
+                aod: k as u8,
                 axis_row: true,
                 line: u16::MAX,
                 from_track: f64::NAN,
@@ -911,6 +940,7 @@ impl<'a> RouterState<'a> {
         // moves (explicit targets and repositioned lines alike).
         for k in 0..self.hw.num_aods() {
             for axis in [Axis::Row, Axis::Col] {
+                let base = self.line_base[2 * k + axis as usize];
                 let (cur, eff) = match axis {
                     Axis::Row => (&mut self.cur_row[k], &self.eff_row[k]),
                     Axis::Col => (&mut self.cur_col[k], &self.eff_col[k]),
@@ -929,12 +959,10 @@ impl<'a> RouterState<'a> {
                         to_track: new,
                     });
                     let delta = (new - old).abs();
-                    if let Some(atoms) = self.atoms_on_line.get(&(k as u8, axis, idx as u16)) {
-                        for &atom in atoms {
-                            match axis {
-                                Axis::Row => *row_delta.entry(atom).or_insert(0.0) += delta,
-                                Axis::Col => *col_delta.entry(atom).or_insert(0.0) += delta,
-                            }
+                    for &atom in &self.atoms_on_line[base + idx] {
+                        match axis {
+                            Axis::Row => *row_delta.entry(atom).or_insert(0.0) += delta,
+                            Axis::Col => *col_delta.entry(atom).or_insert(0.0) += delta,
                         }
                     }
                     cur[idx] = new;
@@ -980,75 +1008,46 @@ impl<'a> RouterState<'a> {
                 }
             }
         }
-        // Lines queued for retraction after the current one: their atoms
-        // will still move, so proximity to them is checked on their turn.
-        let mut pending: FastSet<LineKey> = lines.iter().copied().collect();
+        // Lines queued for retraction after the current one, by line id:
+        // their atoms will still move, so proximity to them is checked on
+        // their turn.
+        let mut pending = vec![false; self.atoms_on_line.len()];
+        for &key in &lines {
+            pending[self.line_id(key)] = true;
+        }
         let mut moves = Vec::new();
         RETRACT_LINES.add(lines.len() as u64);
         for key in lines {
             let (k, axis, idx) = key;
-            pending.remove(&key);
+            let id = self.line_id(key);
+            pending[id] = false;
             let i = idx as usize;
-            let pos = match axis {
-                Axis::Row => self.cur_row[k as usize][i],
-                Axis::Col => self.cur_col[k as usize][i],
+            let arr = match axis {
+                Axis::Row => &self.cur_row[k as usize],
+                Axis::Col => &self.cur_col[k as usize],
             };
-            let (upper, lower) = {
-                let arr = match axis {
-                    Axis::Row => &self.cur_row[k as usize],
-                    Axis::Col => &self.cur_col[k as usize],
-                };
-                (
-                    arr.get(i + 1).copied().unwrap_or(f64::INFINITY),
-                    if i > 0 { arr[i - 1] } else { f64::NEG_INFINITY },
-                )
-            };
-            let mut chosen = None;
-            match self.index {
-                ProximityIndex::Exhaustive => {
-                    for amount in AMOUNTS.into_iter().chain(fallback_amounts()) {
-                        let new = pos + amount;
-                        if new >= upper - LINE_GAP || new <= lower + LINE_GAP {
-                            continue;
-                        }
-                        if self.retraction_clear(key, new, plan, &pending) {
-                            chosen = Some(amount);
-                            break;
-                        }
+            let pos = arr[i];
+            let upper = arr.get(i + 1).copied().unwrap_or(f64::INFINITY);
+            let lower = if i > 0 { arr[i - 1] } else { f64::NEG_INFINITY };
+            // Each atom's possible blockers are collected once, then the
+            // exact clearance predicate is tested per amount against them.
+            let blockers = self.retraction_blockers(key, plan, &pending);
+            let chosen = AMOUNTS
+                .into_iter()
+                .chain(fallback_amounts())
+                .find(|&amount| {
+                    let new = pos + amount;
+                    if new >= upper - LINE_GAP || new <= lower + LINE_GAP {
+                        return false;
                     }
-                }
-                ProximityIndex::Grid => {
-                    // Memoized probe scan: collect each atom's possible
-                    // blockers once (one wide grid query per atom instead
-                    // of one per atom × candidate amount), then test the
-                    // exact clearance predicate per amount against those
-                    // few positions. Decisions are identical to the
-                    // per-probe enumeration — the wide query is a
-                    // superset of anything any probe can see, and the
-                    // predicate is unchanged.
-                    let blockers = self.collect_retraction_blockers(key, plan, &pending);
-                    'amounts: for amount in AMOUNTS.into_iter().chain(fallback_amounts()) {
-                        let new = pos + amount;
-                        if new >= upper - LINE_GAP || new <= lower + LINE_GAP {
-                            continue;
-                        }
-                        for (site, atom_blockers) in &blockers {
-                            let p = match axis {
-                                Axis::Row => (new, self.eff_col[k as usize][site.col as usize]),
-                                Axis::Col => (self.eff_row[k as usize][site.row as usize], new),
-                            };
-                            if atom_blockers
-                                .iter()
-                                .any(|&b| dist(p, b) <= INTERACT_R + 1e-9)
-                            {
-                                continue 'amounts;
-                            }
-                        }
-                        chosen = Some(amount);
-                        break;
-                    }
-                }
-            }
+                    blockers.iter().all(|(site, near)| {
+                        let p = match axis {
+                            Axis::Row => (new, self.eff_col[k as usize][site.col as usize]),
+                            Axis::Col => (self.eff_row[k as usize][site.row as usize], new),
+                        };
+                        !near.iter().any(|&b| dist(p, b) <= INTERACT_R + 1e-9)
+                    })
+                });
             let Some(amount) = chosen else {
                 RETRACT_UNRESOLVED.incr();
                 continue;
@@ -1064,7 +1063,6 @@ impl<'a> RouterState<'a> {
                     self.eff_col[k as usize][i] = new;
                 }
             }
-            self.sync_line_grid(key);
             moves.push(LineMove {
                 aod: k,
                 axis_row: axis == Axis::Row,
@@ -1072,14 +1070,12 @@ impl<'a> RouterState<'a> {
                 from_track: pos,
                 to_track: new,
             });
-            if let Some(atoms) = self.atoms_on_line.get(&key) {
-                for &atom in atoms {
-                    let map = match axis {
-                        Axis::Row => &mut *row_delta,
-                        Axis::Col => &mut *col_delta,
-                    };
-                    *map.entry(atom).or_insert(0.0) += amount.abs();
-                }
+            let map = match axis {
+                Axis::Row => &mut *row_delta,
+                Axis::Col => &mut *col_delta,
+            };
+            for &atom in &self.atoms_on_line[id] {
+                *map.entry(atom).or_insert(0.0) += amount.abs();
             }
         }
         // Did every pulsed pair actually separate? A pair is clear when at
@@ -1091,49 +1087,116 @@ impl<'a> RouterState<'a> {
         (moves, separated)
     }
 
-    /// Whether moving `key` to `new_pos` keeps every atom on the line out
-    /// of the Rydberg radius of every other active atom (atoms on lines
-    /// still pending retraction are exempt — they are checked when their
-    /// own line retracts).
-    fn retraction_clear(
+    /// For every atom on the retracting line `key`: its site, and the
+    /// positions of the atoms that could block one of its retractions,
+    /// leaving out the exempt ones ([`RouterState::retraction_exempt`]).
+    /// An atom blocks a retraction when it lies within `r_b + 1e-9` of
+    /// the retracted position.
+    ///
+    /// [`ProximityIndex::Exhaustive`] lists every other atom.
+    /// [`ProximityIndex::Lines`] lists the atoms where a line parallel to
+    /// `key` within [`RETRACT_MAX`]` + r_b` of it crosses a line within
+    /// `r_b` of the atom's other coordinate. No retraction moves a line
+    /// farther than [`RETRACT_MAX`], so that misses no blocker, and the
+    /// caller tests the same predicate against either list.
+    fn retraction_blockers(
         &self,
         key: LineKey,
-        new_pos: f64,
         plan: &Plan,
-        pending: &FastSet<LineKey>,
-    ) -> bool {
-        let (k, axis, _) = key;
-        let Some(atoms) = self.atoms_on_line.get(&key) else {
-            return true;
+        pending: &[bool],
+    ) -> Vec<(TrapSite, Vec<(f64, f64)>)> {
+        let (k, axis, idx) = key;
+        let atoms = &self.atoms_on_line[self.line_id(key)];
+        let exempt = |atom: u32, site: TrapSite, y: u32| {
+            self.retraction_exempt(key, site, atom, plan, pending, y)
         };
-        let mut buf: Vec<u32> = Vec::new();
-        for &atom in atoms {
-            let site = self.site_of_slot[atom as usize];
-            let p = match axis {
-                Axis::Row => (new_pos, self.eff_col[k as usize][site.col as usize]),
-                Axis::Col => (self.eff_row[k as usize][site.row as usize], new_pos),
-            };
-            let probe = RetractionProbe { key, site, p, atom };
-            match self.index {
-                ProximityIndex::Exhaustive => {
-                    for y in 0..self.site_of_slot.len() as u32 {
-                        if self.retraction_blocked_by(&probe, plan, pending, y) {
-                            return false;
-                        }
-                    }
-                }
-                ProximityIndex::Grid => {
-                    buf.clear();
-                    self.grid.candidates_into(p, INTERACT_R + 1e-9, &mut buf);
-                    for &y in &buf {
-                        if self.retraction_blocked_by(&probe, plan, pending, y) {
-                            return false;
-                        }
-                    }
-                }
-            }
+        if self.index == ProximityIndex::Exhaustive {
+            return atoms
+                .iter()
+                .map(|&atom| {
+                    let site = self.site_of_slot[atom as usize];
+                    let near = (0..self.site_of_slot.len() as u32)
+                        .filter(|&y| !exempt(atom, site, y))
+                        .map(|y| self.pos(y))
+                        .collect();
+                    (site, near)
+                })
+                .collect();
         }
-        true
+        // The blocking predicate allows 1e-9 over r_b, and `REACH` adds
+        // the same again for rounding.
+        let reach = REACH + 1e-9;
+        let slm = self.hw.dims(ArrayIndex::SLM);
+        let (slm_along, slm_across) = match axis {
+            Axis::Row => (slm.rows, slm.cols),
+            Axis::Col => (slm.cols, slm.rows),
+        };
+        let pos = self.eff(k as usize, axis)[idx as usize];
+        let window = RETRACT_MAX + reach;
+        // `(array, line)`: the lines parallel to `key` that a retraction
+        // can bring within `r_b` of.
+        let mut parallel: Vec<(usize, u16)> = (0..slm_along)
+            .filter(|&i| (i as f64 - pos).abs() <= window)
+            .map(|i| (0, i as u16))
+            .collect();
+        // The lines across `key`, by position.
+        let mut across: Vec<Line> = Vec::new();
+        for kk in (0..self.parked.len()).filter(|&kk| self.in_field(kk, plan)) {
+            let along = self.eff(kk, axis);
+            parallel.extend(
+                self.occupied[2 * kk + axis as usize]
+                    .iter()
+                    .filter(|&&j| (along[j as usize] - pos).abs() <= window)
+                    .map(|&j| (kk + 1, j)),
+            );
+            let other = self.eff(kk, axis.other());
+            across.extend(
+                self.occupied[2 * kk + axis.other() as usize]
+                    .iter()
+                    .map(|&j| Line {
+                        pos: other[j as usize],
+                        aod: kk as u8,
+                        index: j,
+                    }),
+            );
+        }
+        across.sort_by(|x, y| x.pos.total_cmp(&y.pos));
+        atoms
+            .iter()
+            .map(|&atom| {
+                let site = self.site_of_slot[atom as usize];
+                let p = self.pos(atom);
+                let x = match axis {
+                    Axis::Row => p.1,
+                    Axis::Col => p.0,
+                };
+                let mut near = Vec::new();
+                let mut cross = |array: usize, along: u16, across: u16| {
+                    let (row, col) = match axis {
+                        Axis::Row => (along, across),
+                        Axis::Col => (across, along),
+                    };
+                    if let Some(y) = self.slot_at(array, row, col) {
+                        if !exempt(atom, site, y) {
+                            near.push(self.pos(y));
+                        }
+                    }
+                };
+                if let Some(j) = nearest_line(x, reach, slm_across) {
+                    for &(_, i) in parallel.iter().filter(|p| p.0 == 0) {
+                        cross(0, i, j);
+                    }
+                }
+                let from = across.partition_point(|l| l.pos < x - reach);
+                for l in across[from..].iter().take_while(|l| l.pos <= x + reach) {
+                    let array = l.aod as usize + 1;
+                    for &(_, i) in parallel.iter().filter(|p| p.0 == array) {
+                        cross(array, i, l.index);
+                    }
+                }
+                (site, near)
+            })
+            .collect()
     }
 
     /// Whether atom `y` is exempt from blocking any retraction of
@@ -1148,7 +1211,7 @@ impl<'a> RouterState<'a> {
         site: TrapSite,
         atom: u32,
         plan: &Plan,
-        pending: &FastSet<LineKey>,
+        pending: &[bool],
         y: u32,
     ) -> bool {
         let (k, axis, _) = key;
@@ -1158,8 +1221,8 @@ impl<'a> RouterState<'a> {
         let ysite = self.site_of_slot[y as usize];
         if !ysite.array.is_slm() {
             let yk = ysite.array.aod_number() as u8;
-            if pending.contains(&(yk, Axis::Row, ysite.row))
-                || pending.contains(&(yk, Axis::Col, ysite.col))
+            if pending[self.line_id((yk, Axis::Row, ysite.row))]
+                || pending[self.line_id((yk, Axis::Col, ysite.col))]
             {
                 return true;
             }
@@ -1172,61 +1235,6 @@ impl<'a> RouterState<'a> {
             }
         }
         false
-    }
-
-    /// Whether active atom `y` blocks the retraction candidate `probe`.
-    /// Atoms farther than `INTERACT_R + 1e-9` from the probed position
-    /// never block, so enumerating only the grid candidates within that
-    /// radius is exact.
-    #[inline]
-    fn retraction_blocked_by(
-        &self,
-        probe: &RetractionProbe,
-        plan: &Plan,
-        pending: &FastSet<LineKey>,
-        y: u32,
-    ) -> bool {
-        let RetractionProbe { key, site, p, atom } = *probe;
-        !self.retraction_exempt(key, site, atom, plan, pending, y)
-            && dist(p, self.pos(y)) <= INTERACT_R + 1e-9
-    }
-
-    /// Memoization for the grid-mode retraction scan: for every atom on
-    /// the retracting line, the positions of every non-exempt atom that
-    /// *any* candidate amount could collide with — one grid query of
-    /// radius [`RETRACT_MAX`]` + `[`INTERACT_R`] around the atom's
-    /// current position per atom, instead of one query per atom ×
-    /// candidate probe. A blocker of any probe lies within
-    /// `INTERACT_R + 1e-9` of a position at most [`RETRACT_MAX`] from
-    /// the atom's current one, so the wide query is a strict superset
-    /// and the per-amount exact predicate keeps accept/reject identical
-    /// to the unmemoized enumeration.
-    fn collect_retraction_blockers(
-        &self,
-        key: LineKey,
-        plan: &Plan,
-        pending: &FastSet<LineKey>,
-    ) -> Vec<(TrapSite, Vec<(f64, f64)>)> {
-        let Some(atoms) = self.atoms_on_line.get(&key) else {
-            return Vec::new();
-        };
-        RETRACT_MEMO_SCANS.add(atoms.len() as u64);
-        let mut out = Vec::with_capacity(atoms.len());
-        let mut buf: Vec<u32> = Vec::new();
-        for &atom in atoms {
-            let site = self.site_of_slot[atom as usize];
-            let base = self.pos(atom);
-            buf.clear();
-            self.grid
-                .candidates_into(base, RETRACT_MAX + INTERACT_R + 1e-9, &mut buf);
-            let blockers: Vec<(f64, f64)> = buf
-                .iter()
-                .filter(|&&y| !self.retraction_exempt(key, site, atom, plan, pending, y))
-                .map(|&y| self.pos(y))
-                .collect();
-            out.push((site, blockers));
-        }
-        out
     }
 
     /// Parks every AOD array except those in `keep`, and homes the kept
@@ -1264,9 +1272,6 @@ impl<'a> RouterState<'a> {
             } else {
                 !self.parked[k]
             };
-            if displaced {
-                self.resync_aod_grid(k);
-            }
             if displaced || park_transition {
                 for &atom in &self.atoms_in_aod[k] {
                     moved.push((atom, PARK_TRAVEL * spacing * 1e-6));
@@ -1277,6 +1282,147 @@ impl<'a> RouterState<'a> {
         moved.sort_by_key(|&(a, _)| a);
         ledger.record_move(&moved, params.t_move_s, num_qubits);
         moved.len() as f64 * PARK_TRAVEL * spacing
+    }
+}
+
+/// The distance tests of one C1 evaluation.
+struct C1Test<'r, 'a> {
+    state: &'r RouterState<'a>,
+    plan: &'r Plan,
+    s: &'r Scratch,
+    /// Pairs handed to [`RouterState::c1_pair_ok`].
+    tested: u64,
+}
+
+impl C1Test<'_, '_> {
+    /// Whether the pair `(x, y)` passes C1; a pair of clean atoms passes
+    /// untested.
+    fn pair(&mut self, x: u32, y: u32) -> bool {
+        let (st, plan, s) = (self.state, self.plan, self.s);
+        if !st.is_dirty(plan, s, x) && !st.is_dirty(plan, s, y) {
+            return true;
+        }
+        self.tested += 1;
+        st.c1_pair_ok(plan, x, st.virtual_pos(s, x), y, st.virtual_pos(s, y))
+    }
+
+    /// [`C1Test::pair`] for the slots on two trap sites, each
+    /// `(array, row, col)` as in [`RouterState::slot_at`]; an empty site
+    /// passes.
+    fn sites(&mut self, p: (usize, u16, u16), q: (usize, u16, u16)) -> bool {
+        match (
+            self.state.slot_at(p.0, p.1, p.2),
+            self.state.slot_at(q.0, q.1, q.2),
+        ) {
+            (Some(x), Some(y)) => self.pair(x, y),
+            _ => true,
+        }
+    }
+
+    /// [`ProximityIndex::Exhaustive`]: every dirty in-field atom against
+    /// every other in-field slot.
+    fn all_slots(&mut self) -> bool {
+        let (st, plan, s) = (self.state, self.plan, self.s);
+        let n = st.site_of_slot.len() as u32;
+        let dirty: Vec<bool> = (0..n).map(|x| st.is_dirty(plan, s, x)).collect();
+        for x in (0..n).filter(|&x| dirty[x as usize] && !st.is_parked_slot(x, plan)) {
+            let px = st.virtual_pos(s, x);
+            for y in 0..n {
+                // Dirty pairs are tested once, from the lower slot.
+                if y == x || (y < x && dirty[y as usize]) || st.is_parked_slot(y, plan) {
+                    continue;
+                }
+                self.tested += 1;
+                if !st.c1_pair_ok(plan, x, px, y, st.virtual_pos(s, y)) {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// [`ProximityIndex::Lines`] over the close line pairs in `sw`.
+    fn lines(&mut self, sw: &Sweep) -> bool {
+        let (st, plan) = (self.state, self.plan);
+        let [rows, cols] = &sw.pairs;
+        // Distinct lines on both axes: the AODs of the row pair must be
+        // those of the column pair. Both lists are sorted by AODs.
+        let mut from = 0;
+        for group in rows.chunk_by(|x, y| x.aods == y.aods) {
+            let key = group[0].aods;
+            from += cols[from..].partition_point(|c| c.aods < key);
+            let to = from + cols[from..].partition_point(|c| c.aods == key);
+            let (a, b) = (key.0 as usize + 1, key.1 as usize + 1);
+            for r in group {
+                for c in &cols[from..to] {
+                    if !self.sites((a, r.lines.0, c.lines.0), (b, r.lines.1, c.lines.1))
+                        || (a == b
+                            && !self.sites((a, r.lines.0, c.lines.1), (a, r.lines.1, c.lines.0)))
+                    {
+                        return false;
+                    }
+                }
+            }
+        }
+        // Two close lines of one AOD, and an atom of each on one line
+        // across them.
+        for (axis, pairs) in [(Axis::Row, rows), (Axis::Col, cols)] {
+            for p in pairs.iter().filter(|p| p.aods.0 == p.aods.1) {
+                let k = p.aods.0;
+                for &x in &st.atoms_on_line[st.line_id((k, axis, p.lines.0))] {
+                    let site = st.site_of_slot[x as usize];
+                    let (row, col) = match axis {
+                        Axis::Row => (p.lines.1, site.col),
+                        Axis::Col => (site.row, p.lines.1),
+                    };
+                    if let Some(y) = st.slot_at(k as usize + 1, row, col) {
+                        if !self.pair(x, y) {
+                            return false;
+                        }
+                    }
+                }
+            }
+        }
+        // An AOD atom where a row and a column close to their nearest SLM
+        // lines cross, against the SLM atom there.
+        for &(k, r, i) in &sw.near_slm[0] {
+            for &(_, c, j) in sw.near_slm[1].iter().filter(|n| n.0 == k) {
+                if !self.sites((k as usize + 1, r, c), (0, i, j)) {
+                    return false;
+                }
+            }
+        }
+        // The band: the participants' pairs, and each AOD participant
+        // against the SLM site nearest it.
+        let slm = st.hw.dims(ArrayIndex::SLM);
+        let parts = &plan.participants;
+        for (i, &x) in parts.iter().enumerate() {
+            let px = st.virtual_pos(self.s, x);
+            for &y in &parts[i + 1..] {
+                let py = st.virtual_pos(self.s, y);
+                if (px.0 - py.0).abs() <= BAND_REACH
+                    && (px.1 - py.1).abs() <= BAND_REACH
+                    && !self.pair(x, y)
+                {
+                    return false;
+                }
+            }
+            if st.site_of_slot[x as usize].array.is_slm() {
+                continue;
+            }
+            let site = (
+                nearest_line(px.0, BAND_REACH, slm.rows),
+                nearest_line(px.1, BAND_REACH, slm.cols),
+            );
+            if let (Some(i), Some(j)) = site {
+                if let Some(y) = st.slot_at(0, i, j) {
+                    if !self.pair(x, y) {
+                        return false;
+                    }
+                }
+            }
+        }
+        true
     }
 }
 
@@ -1308,13 +1454,21 @@ fn norm_pair(a: u32, b: u32) -> (u32, u32) {
 /// `strategy` is [`RouterStrategy::Sequential`], the only strategy.
 ///
 /// `index` selects how the constraint checks enumerate proximity
-/// candidates: [`ProximityIndex::Grid`] (the default in
-/// [`AtomiqueConfig`](crate::AtomiqueConfig)) maintains a spatial-hash
-/// index and queries only neighboring cells;
-/// [`ProximityIndex::Exhaustive`] is the original all-atoms scan, kept as
-/// the oracle for the differential router tests. Both produce identical
-/// schedules — the grid only restricts candidate enumeration, never the
+/// candidates: [`ProximityIndex::Lines`] (the default in
+/// [`AtomiqueConfig`](crate::AtomiqueConfig)) sweeps the sorted line
+/// positions of each axis for close line pairs and tests only the atoms
+/// where they cross (module docs, "C1 over lines");
+/// [`ProximityIndex::Exhaustive`] is the all-atoms scan, kept as the
+/// oracle for the differential router tests. Both produce identical
+/// schedules — the sweep only restricts candidate enumeration, never the
 /// accept/reject predicates.
+///
+/// `mapping` must load at most one slot per trap site, as
+/// [`map_to_atoms`](crate::map_to_atoms) does.
+///
+/// # Panics
+///
+/// Panics if `mapping` loads two slots on one trap site.
 ///
 /// # Errors
 ///
@@ -1377,7 +1531,7 @@ pub fn route_movements(
 
         // --- two-qubit frontier: greedy maximal legal set ---
         let front: Vec<GateIdx> = sched.front().to_vec();
-        let mut plan = Plan::default();
+        let mut plan = state.new_plan();
         {
             let _planning = raa_trace::span("route.plan");
             for &g in &front {
@@ -1570,7 +1724,7 @@ mod tests {
             Relaxation::NONE,
             RouterMode::Parallel,
             RouterStrategy::Sequential,
-            ProximityIndex::Grid,
+            ProximityIndex::Lines,
         )
         .unwrap()
     }
@@ -1620,7 +1774,7 @@ mod tests {
             Relaxation::NONE,
             RouterMode::Serial,
             RouterStrategy::Sequential,
-            ProximityIndex::Grid,
+            ProximityIndex::Lines,
         )
         .unwrap();
         assert_eq!(out.stats.two_qubit_gates, 4);
@@ -1694,7 +1848,7 @@ mod tests {
             Relaxation::NONE,
             RouterMode::Parallel,
             RouterStrategy::Sequential,
-            ProximityIndex::Grid,
+            ProximityIndex::Lines,
         )
         .unwrap();
         assert_eq!(out.stats.two_qubit_gates, 2);
@@ -1736,7 +1890,7 @@ mod tests {
             Relaxation::NONE,
             RouterMode::Parallel,
             RouterStrategy::Sequential,
-            ProximityIndex::Grid,
+            ProximityIndex::Lines,
         )
         .unwrap();
         // Both gates still execute (correctness), but not in one stage.
@@ -1769,7 +1923,7 @@ mod tests {
             Relaxation::NONE,
             RouterMode::Parallel,
             RouterStrategy::Sequential,
-            ProximityIndex::Grid,
+            ProximityIndex::Lines,
         )
         .unwrap();
         let relaxed = Relaxation {
@@ -1785,7 +1939,7 @@ mod tests {
             relaxed,
             RouterMode::Parallel,
             RouterStrategy::Sequential,
-            ProximityIndex::Grid,
+            ProximityIndex::Lines,
         )
         .unwrap();
         assert_eq!(strict.stats.two_qubit_gates, free.stats.two_qubit_gates);
@@ -1844,36 +1998,22 @@ mod tests {
             site_of_slot: sites,
         };
         let mut results = Vec::new();
-        for index in [ProximityIndex::Grid, ProximityIndex::Exhaustive] {
+        for index in MODES {
             let mut state = RouterState::new(&hw, &am, Relaxation::NONE, index);
             // The movable atom sits at the gate position next to its SLM
             // partner (5, 5).
-            state.cur_row[0][0] = 5.0 + DELTA_ROW;
-            state.eff_row[0][0] = 5.0 + DELTA_ROW;
-            state.cur_col[0][0] = 5.0 + DELTA_COL;
-            state.eff_col[0][0] = 5.0 + DELTA_COL;
+            place(&mut state, 0, &[5.0 + DELTA_ROW], &[5.0 + DELTA_COL]);
             // The curtain: AOD1 rows at 0.3-track pitch around the gate
             // row (top blocker at +1.0 ends the blocked band at +1.167),
             // one column exactly aligned with the movable atom's x and
             // the rest at 0.145-track pitch filling ±1.45.
             let row_offsets = [-1.05, -0.75, -0.45, -0.15, 0.15, 0.45, 0.75, 1.00];
-            for (r, o) in row_offsets.iter().enumerate() {
-                state.cur_row[1][r] = 5.0 + DELTA_ROW + o;
-                state.eff_row[1][r] = 5.0 + DELTA_ROW + o;
-            }
-            for j in 0..21 {
-                let x = 5.0 + DELTA_COL - 1.45 + 0.145 * j as f64;
-                state.cur_col[1][j] = x;
-                state.eff_col[1][j] = x;
-            }
-            state.resync_aod_grid(0);
-            state.resync_aod_grid(1);
-
-            let mut plan = Plan::default();
-            plan.gates.push((0, 0, 1));
-            plan.desired.insert(norm_pair(0, 1));
-            plan.participants.insert(0);
-            plan.participants.insert(1);
+            let rows: Vec<f64> = row_offsets.iter().map(|o| 5.0 + DELTA_ROW + o).collect();
+            let cols: Vec<f64> = (0..21)
+                .map(|j| 5.0 + DELTA_COL - 1.45 + 0.145 * j as f64)
+                .collect();
+            place(&mut state, 1, &rows, &cols);
+            let plan = pulsed_plan(&state, &[(0, 1)]);
 
             let mut row_delta = HashMap::new();
             let mut col_delta = HashMap::new();
@@ -1895,20 +2035,58 @@ mod tests {
             );
             let d = dist(state.pos(0), state.pos(1));
             assert!(d > INTERACT_R, "{index:?}: pair still at {d:.3}");
-            results.push(
-                moves
-                    .iter()
-                    .map(|m| (m.aod, m.axis_row, m.line, m.to_track.to_bits()))
-                    .collect::<Vec<_>>(),
-            );
+            results.push(move_bits(&moves));
         }
         assert_eq!(
             results[0], results[1],
-            "grid and exhaustive modes retracted differently"
+            "line and exhaustive modes retracted differently"
         );
     }
 
-    const MODES: [ProximityIndex; 2] = [ProximityIndex::Grid, ProximityIndex::Exhaustive];
+    /// An SLM atom blocks the preferred retraction: the mover of an
+    /// AOD–AOD gate shares its row with a bystander that a +0.3 step
+    /// would bring onto SLM site (5, 8), so the row retracts by −0.3.
+    #[test]
+    fn retraction_steps_around_an_slm_atom() {
+        for with_blocker in [true, false] {
+            let mut sites = vec![
+                TrapSite::new(ArrayIndex::aod(0), 0, 0),
+                TrapSite::new(ArrayIndex::aod(1), 0, 0),
+                TrapSite::new(ArrayIndex::aod(1), 0, 1),
+            ];
+            if with_blocker {
+                sites.push(TrapSite::new(ArrayIndex::SLM, 5, 8));
+            }
+            let (hw, am) = hand_placed(vec![ArrayDims::new(1, 1), ArrayDims::new(1, 2)], sites);
+            let mut results = Vec::new();
+            for index in MODES {
+                let mut state = RouterState::new(&hw, &am, Relaxation::NONE, index);
+                place(&mut state, 0, &[4.70], &[3.50]);
+                place(&mut state, 1, &[2.3], &[1.0, 8.0]);
+                let mut plan = state.new_plan();
+                assert_eq!(state.try_add(&mut plan, 0, 0, 1), Ok(()), "{index:?}");
+                let (_, mut row_delta, mut col_delta) = state.commit(&plan);
+                let (moves, separated) =
+                    state.apply_retraction(&plan, &mut row_delta, &mut col_delta);
+                assert!(separated, "{index:?}");
+                let row = moves
+                    .iter()
+                    .find(|m| m.aod == 1 && m.axis_row)
+                    .expect("mover's row retracted");
+                let want = if with_blocker { -0.3 } else { 0.3 };
+                assert!(
+                    (row.to_track - row.from_track - want).abs() < 1e-9,
+                    "{index:?}: row retracted {} → {}",
+                    row.from_track,
+                    row.to_track
+                );
+                results.push(move_bits(&moves));
+            }
+            assert_eq!(results[0], results[1], "modes retracted differently");
+        }
+    }
+
+    const MODES: [ProximityIndex; 2] = [ProximityIndex::Lines, ProximityIndex::Exhaustive];
 
     /// A hand-placed machine for driving `try_add` directly: a 10×10
     /// SLM plus the given AOD arrays, with the listed sites as slots.
@@ -1928,57 +2106,93 @@ mod tests {
         state.eff_row[k] = rows.to_vec();
         state.cur_col[k] = cols.to_vec();
         state.eff_col[k] = cols.to_vec();
-        state.resync_aod_grid(k);
+    }
+
+    /// A plan whose `gates` were just pulsed at the committed positions.
+    fn pulsed_plan(state: &RouterState<'_>, gates: &[(u32, u32)]) -> Plan {
+        let mut plan = state.new_plan();
+        for (g, &(a, b)) in gates.iter().enumerate() {
+            plan.gates.push((g, a, b));
+            plan.desired.push(norm_pair(a, b));
+            for p in [a, b] {
+                plan.participants.push(p);
+                plan.is_participant[p as usize] = true;
+            }
+        }
+        plan
+    }
+
+    /// Line moves as comparable bits.
+    fn move_bits(moves: &[LineMove]) -> Vec<(u8, bool, u16, u64)> {
+        moves
+            .iter()
+            .map(|m| (m.aod, m.axis_row, m.line, m.to_track.to_bits()))
+            .collect()
+    }
+
+    /// In both modes: admits the `accepted` gates, then returns the
+    /// verdict on `last`, on a fresh state that `prepare` set up.
+    fn verdicts(
+        hw: &RaaConfig,
+        am: &AtomMapping,
+        relax: Relaxation,
+        prepare: impl Fn(&mut RouterState<'_>),
+        accepted: &[(u32, u32)],
+        last: (u32, u32),
+    ) -> [Result<(), Reject>; 2] {
+        MODES.map(|index| {
+            let mut state = RouterState::new(hw, am, relax, index);
+            prepare(&mut state);
+            let mut plan = state.new_plan();
+            for (g, &(a, b)) in accepted.iter().enumerate() {
+                assert_eq!(
+                    state.try_add(&mut plan, g, a, b),
+                    Ok(()),
+                    "{index:?}: {a}-{b}"
+                );
+            }
+            state.try_add(&mut plan, accepted.len(), last.0, last.1)
+        })
     }
 
     /// Everything a rejected attempt must leave untouched, floats as
-    /// bits and hashed collections sorted.
+    /// bits and participant lists sorted.
     #[derive(Debug, PartialEq)]
     struct Snapshot {
         eff_row: Vec<Vec<u64>>,
         eff_col: Vec<Vec<u64>>,
-        grid: Vec<Option<(u64, u64)>>,
-        targets: Vec<(LineKey, u64)>,
-        unparked: Vec<u8>,
+        targets: Vec<Option<u64>>,
+        unparked: Vec<bool>,
         gates: Vec<(GateIdx, u32, u32)>,
         participants: Vec<u32>,
+        is_participant: Vec<bool>,
         desired: Vec<(u32, u32)>,
     }
 
     fn snapshot(state: &RouterState<'_>, plan: &Plan) -> Snapshot {
-        fn sorted<T: Ord>(it: impl Iterator<Item = T>) -> Vec<T> {
-            let mut v: Vec<T> = it.collect();
-            v.sort();
-            v
-        }
         let bits = |v: &Vec<Vec<f64>>| -> Vec<Vec<u64>> {
             v.iter()
                 .map(|axis| axis.iter().map(|x| x.to_bits()).collect())
                 .collect()
         };
+        let mut participants = plan.participants.clone();
+        participants.sort_unstable();
         Snapshot {
             eff_row: bits(&state.eff_row),
             eff_col: bits(&state.eff_col),
-            grid: (0..state.site_of_slot.len() as u32)
-                .map(|s| {
-                    state
-                        .grid
-                        .position(s)
-                        .map(|(r, c)| (r.to_bits(), c.to_bits()))
-                })
-                .collect(),
-            targets: sorted(plan.targets.iter().map(|(&k, v)| (k, v.to_bits()))),
-            unparked: sorted(plan.unparked.iter().copied()),
+            targets: plan.targets.iter().map(|t| t.map(f64::to_bits)).collect(),
+            unparked: plan.unparked.clone(),
             gates: plan.gates.clone(),
-            participants: sorted(plan.participants.iter().copied()),
-            desired: sorted(plan.desired.iter().copied()),
+            participants,
+            is_participant: plan.is_participant.clone(),
+            desired: plan.desired.clone(),
         }
     }
 
-    /// The only C1 violation is between two dirty atoms: the gate's SLM
-    /// atom, which does not move, and an atom on the AOD row the gate
-    /// re-solves. The grid holds the SLM atom exactly, so the moved atom
-    /// must test it in the first pass.
+    /// The only C1 violation is between the gate's SLM atom and an atom
+    /// that the gate moves onto it: the gate moves AOD row 0, whose
+    /// other atom then sits where a row and a column close to their
+    /// nearest SLM lines cross.
     #[test]
     fn c1_catches_a_violation_between_a_moved_and_an_unmoved_dirty_atom() {
         let (hw, am) = hand_placed(
@@ -1998,9 +2212,9 @@ mod tests {
                 let mut state = RouterState::new(&hw, &am, relax, index);
                 // Column 0 sits just left of where column 1 must go.
                 place(&mut state, 0, &[0.6], &[4.90, 6.0]);
-                let mut plan = Plan::default();
+                let mut plan = state.new_plan();
                 let verdict = state.try_add(&mut plan, 0, 0, 1);
-                assert!(state.scratch.is_dirty(0) && state.scratch.is_dirty(2));
+                assert!(state.is_dirty(&plan, &state.scratch, 2));
                 let z = if individual_addressing {
                     state.pos(2)
                 } else {
@@ -2018,9 +2232,8 @@ mod tests {
 
     /// The only C1 violation is between two atoms the attempt moves: with
     /// overlap relaxed, re-solving squeezes six rows between two pinned
-    /// ones closer than the Rydberg radius. The grid holds neither atom at
-    /// its virtual position, so only the second pass, over moved pairs,
-    /// can find it.
+    /// ones closer than the Rydberg radius, and two of them carry an
+    /// atom on one column.
     #[test]
     fn c1_catches_a_violation_between_two_moved_atoms() {
         let (hw, am) = hand_placed(
@@ -2040,16 +2253,176 @@ mod tests {
         };
         for index in MODES {
             let mut state = RouterState::new(&hw, &am, relax, index);
-            let mut plan = Plan::default();
+            let mut plan = state.new_plan();
             assert_eq!(state.try_add(&mut plan, 0, 0, 1), Ok(()), "{index:?}");
             let verdict = state.try_add(&mut plan, 1, 2, 3);
-            assert!(state.scratch.is_moved(4) && state.scratch.is_moved(5));
-            let (z1, z2) = (
-                state.virtual_pos(&state.scratch, 4),
-                state.virtual_pos(&state.scratch, 5),
-            );
+            let s = &state.scratch;
+            for line in [3, 4] {
+                assert_eq!(s.moved[state.line_id((0, Axis::Row, line))], s.epoch);
+            }
+            let (z1, z2) = (state.virtual_pos(s, 4), state.virtual_pos(s, 5));
             assert!(dist(z1, z2) <= INTERACT_R, "{index:?}: {z1:?} {z2:?}");
             assert_eq!(verdict, Err(Reject::Addressing), "{index:?}");
+        }
+    }
+
+    /// The other same-array cases, with overlap relaxed so re-solving
+    /// squeezes lines closer than the Rydberg radius: two close columns
+    /// with an atom of each on one row, and two close rows crossing two
+    /// close columns in either diagonal. The control pair sits two
+    /// squeezed lines apart on each axis.
+    #[test]
+    fn c1_finds_same_array_pairs_on_every_branch() {
+        let relax = Relaxation {
+            allow_overlap: true,
+            ..Relaxation::NONE
+        };
+        let gates =
+            |aod_dims: ArrayDims, far: TrapSite, pinned: TrapSite, pair: [(u16, u16); 2]| {
+                let mut sites = vec![
+                    TrapSite::new(ArrayIndex::SLM, 5, 5),
+                    TrapSite::new(ArrayIndex::aod(0), 0, 0),
+                    far,
+                    pinned,
+                ];
+                sites.extend(pair.map(|(r, c)| TrapSite::new(ArrayIndex::aod(0), r, c)));
+                hand_placed(vec![aod_dims], sites)
+            };
+        let slm = |r, c| TrapSite::new(ArrayIndex::SLM, r, c);
+        let aod0 = |r, c| TrapSite::new(ArrayIndex::aod(0), r, c);
+        let cases = [
+            (
+                "one row, close columns",
+                gates(
+                    ArrayDims::new(2, 8),
+                    slm(7, 6),
+                    aod0(1, 7),
+                    [(1, 3), (1, 4)],
+                ),
+                Err(Reject::Addressing),
+            ),
+            (
+                "crossing, same diagonal",
+                gates(
+                    ArrayDims::new(10, 10),
+                    slm(6, 6),
+                    aod0(9, 9),
+                    [(4, 4), (5, 5)],
+                ),
+                Err(Reject::Addressing),
+            ),
+            (
+                "crossing, other diagonal",
+                gates(
+                    ArrayDims::new(10, 10),
+                    slm(6, 6),
+                    aod0(9, 9),
+                    [(4, 5), (5, 4)],
+                ),
+                Err(Reject::Addressing),
+            ),
+            (
+                "control",
+                gates(
+                    ArrayDims::new(10, 10),
+                    slm(6, 6),
+                    aod0(9, 9),
+                    [(4, 4), (6, 6)],
+                ),
+                Ok(()),
+            ),
+        ];
+        for (name, (hw, am), want) in cases {
+            let got = verdicts(&hw, &am, relax, |_| {}, &[(0, 1)], (2, 3));
+            assert_eq!(got, [want; 2], "{name}");
+        }
+    }
+
+    /// An unwanted pair across two AODs: the gate moves AOD 0's atom
+    /// next to its SLM partner, within `r_b` of a resting AOD 1 atom
+    /// that is more than `r_b` from the SLM atom.
+    #[test]
+    fn c1_catches_an_unwanted_pair_across_two_aods() {
+        for with_blocker in [true, false] {
+            let mut sites = vec![
+                TrapSite::new(ArrayIndex::SLM, 5, 5),
+                TrapSite::new(ArrayIndex::aod(0), 0, 0),
+            ];
+            if with_blocker {
+                sites.push(TrapSite::new(ArrayIndex::aod(1), 0, 0));
+            }
+            let (hw, am) = hand_placed(vec![ArrayDims::new(1, 1), ArrayDims::new(1, 1)], sites);
+            let got = verdicts(
+                &hw,
+                &am,
+                Relaxation::NONE,
+                |state| place(state, 1, &[5.15], &[5.18]),
+                &[],
+                (0, 1),
+            );
+            let want = if with_blocker {
+                Err(Reject::Addressing)
+            } else {
+                Ok(())
+            };
+            assert_eq!(got, [want; 2], "blocker {with_blocker}");
+        }
+    }
+
+    /// The band around an SLM atom: an AOD–AOD gate whose anchor rests
+    /// 0.3 tracks from SLM site (5, 5), outside `r_b` but inside 2.5 `r_b`.
+    #[test]
+    fn c1_keeps_participants_out_of_the_band_of_the_nearest_slm_site() {
+        for with_slm in [true, false] {
+            let mut sites = vec![
+                TrapSite::new(ArrayIndex::aod(0), 0, 0),
+                TrapSite::new(ArrayIndex::aod(1), 0, 0),
+            ];
+            if with_slm {
+                sites.push(TrapSite::new(ArrayIndex::SLM, 5, 5));
+            }
+            let (hw, am) = hand_placed(vec![ArrayDims::new(1, 1), ArrayDims::new(1, 1)], sites);
+            let got = verdicts(
+                &hw,
+                &am,
+                Relaxation::NONE,
+                |state| place(state, 0, &[5.30], &[5.00]),
+                &[],
+                (0, 1),
+            );
+            let want = if with_slm {
+                Err(Reject::Addressing)
+            } else {
+                Ok(())
+            };
+            assert_eq!(got, [want; 2], "SLM atom {with_slm}");
+        }
+    }
+
+    /// The band between participants: the second gate's anchor rests
+    /// 0.39 tracks from the first gate's AOD atom, and no SLM atom is
+    /// within the band of either. The control anchor rests 0.56 away.
+    #[test]
+    fn c1_keeps_participants_out_of_each_others_band() {
+        let (hw, am) = hand_placed(
+            vec![ArrayDims::new(2, 2), ArrayDims::new(1, 1)],
+            vec![
+                TrapSite::new(ArrayIndex::SLM, 5, 5),
+                TrapSite::new(ArrayIndex::aod(0), 0, 0),
+                TrapSite::new(ArrayIndex::aod(0), 1, 1),
+                TrapSite::new(ArrayIndex::aod(1), 0, 0),
+            ],
+        );
+        for (anchor_row, want) in [(5.35, Err(Reject::Addressing)), (5.55, Ok(()))] {
+            let got = verdicts(
+                &hw,
+                &am,
+                Relaxation::NONE,
+                |state| place(state, 0, &[4.6, anchor_row], &[4.7, 5.33]),
+                &[(0, 1)],
+                (2, 3),
+            );
+            assert_eq!(got, [want; 2], "anchor row {anchor_row}");
         }
     }
 
@@ -2071,14 +2444,14 @@ mod tests {
                 let mut state = RouterState::new(&hw, &am, Relaxation::NONE, index);
                 place(&mut state, 0, &[2.05, 3.0], &[2.08, 3.0]);
                 state.parked[0] = true;
-                let mut plan = Plan::default();
+                let mut plan = state.new_plan();
                 let verdict = state.try_add(&mut plan, 0, 0, 1);
                 if with_blocker {
                     assert_eq!(verdict, Err(Reject::Addressing), "{index:?}");
-                    assert!(plan.unparked.is_empty(), "{index:?}: unpark kept");
+                    assert!(!plan.unparked[0], "{index:?}: unpark kept");
                 } else {
                     assert_eq!(verdict, Ok(()), "{index:?}");
-                    assert!(plan.unparked.contains(&0), "{index:?}: unpark lost");
+                    assert!(plan.unparked[0], "{index:?}: unpark lost");
                 }
             }
         }
@@ -2100,7 +2473,7 @@ mod tests {
         );
         for index in MODES {
             let mut state = RouterState::new(&hw, &am, Relaxation::NONE, index);
-            let mut plan = Plan::default();
+            let mut plan = state.new_plan();
             assert_eq!(state.try_add(&mut plan, 0, 0, 1), Ok(()), "{index:?}");
             // Accepting the first gate repositioned AOD 0's column 1.
             let anchor = state.pos(2);
@@ -2114,8 +2487,11 @@ mod tests {
             // Row 0 of AOD 0 was already pinned at the same value.
             assert!(!state.scratch.new_targets.contains(&(0, Axis::Row, 0)));
             assert!(state.scratch.solved(0, Axis::Row).is_none(), "{index:?}");
-            assert_eq!(plan.targets.len(), 5, "{index:?}");
-            assert_eq!(plan.targets[&(0, Axis::Col, 1)], anchor.1);
+            assert_eq!(plan.targets.iter().flatten().count(), 5, "{index:?}");
+            assert_eq!(
+                plan.targets[state.line_id((0, Axis::Col, 1))],
+                Some(anchor.1)
+            );
             assert_eq!(
                 state.pos(3),
                 (anchor.0 + DELTA_ROW, anchor.1 + DELTA_COL),
@@ -2125,8 +2501,7 @@ mod tests {
     }
 
     /// Rejections on a target conflict, while solving an axis and in C1
-    /// leave `eff_*`, the grid and the plan exactly as the accepted plan
-    /// left them.
+    /// leave `eff_*` and the plan exactly as the accepted plan left them.
     #[test]
     fn rejected_attempts_leave_state_and_plan_untouched() {
         let (hw, am) = hand_placed(
@@ -2157,7 +2532,7 @@ mod tests {
             let mut state = RouterState::new(&hw, &am, Relaxation::NONE, index);
             place(&mut state, 1, &[0.3, 8.05], &[0.6, 8.08]);
             state.parked[1] = true;
-            let mut plan = Plan::default();
+            let mut plan = state.new_plan();
             assert_eq!(state.try_add(&mut plan, 0, 0, 1), Ok(()), "{index:?}");
             let before = snapshot(&state, &plan);
             for (g, &(a, b, want)) in attempts.iter().enumerate() {
@@ -2215,7 +2590,7 @@ mod tests {
             Relaxation::NONE,
             RouterMode::Parallel,
             RouterStrategy::Sequential,
-            ProximityIndex::Grid,
+            ProximityIndex::Lines,
         )
         .unwrap();
         assert_eq!(

@@ -74,6 +74,9 @@ use crate::program::{Instr, IsaProgram, SiteSpec};
 /// Slack applied to strict inequalities, matching the router.
 const EPS: f64 = 1e-9;
 
+/// An in-field pair within the blockade radius, and its distance.
+type Violation = ((u32, u32), f64);
+
 /// Close line pairs a [`CheckMode::Lines`] C1 evaluation found, both
 /// axes together.
 static C1_LINE_PAIRS: Counter = Counter::new("isa.c1.line_pairs");
@@ -100,12 +103,15 @@ pub enum CheckMode {
     Exhaustive,
 }
 
-struct AodState {
-    rows: Vec<f64>,
-    cols: Vec<f64>,
-    home_rows: Vec<f64>,
-    home_cols: Vec<f64>,
-    parked: bool,
+/// One AOD's replayed line positions, home positions and parked flag;
+/// the optimizer's `Tracker` replays the same state.
+#[derive(Clone)]
+pub(crate) struct AodState {
+    pub(crate) rows: Vec<f64>,
+    pub(crate) cols: Vec<f64>,
+    pub(crate) home_rows: Vec<f64>,
+    pub(crate) home_cols: Vec<f64>,
+    pub(crate) parked: bool,
 }
 
 /// Where the loading map put the slots; fixed for the whole stream.
@@ -228,6 +234,19 @@ struct Machine {
 }
 
 impl Machine {
+    fn new(interact_r: f64, aods: Vec<AodState>, sites: &[SiteSpec], mode: CheckMode) -> Machine {
+        Machine {
+            layout: Layout::new(sites, aods.len() + 1),
+            aods,
+            interact_r,
+            reach: interact_r * (1.0 + 4.0 * f64::EPSILON) + EPS,
+            sites: sites.to_vec(),
+            mode,
+            exempt: Vec::new(),
+            sweep: Sweep::default(),
+        }
+    }
+
     fn position(&self, site: SiteSpec) -> (f64, f64) {
         if site.array == 0 {
             (site.row as f64, site.col as f64)
@@ -384,7 +403,12 @@ impl Machine {
     ) -> Result<(), LegalityError> {
         debug_assert!(exempt.windows(2).all(|w| w[0] <= w[1]), "exempt not sorted");
         let first = match self.mode {
-            CheckMode::Lines => self.c1_over_lines(exempt),
+            CheckMode::Lines => {
+                let (first, line_pairs, tested) = self.c1_over_lines(exempt);
+                C1_LINE_PAIRS.add(line_pairs);
+                C1_TESTED.add(tested);
+                first
+            }
             CheckMode::Exhaustive => self.c1_all_pairs(exempt),
         };
         match first {
@@ -397,7 +421,7 @@ impl Machine {
 
     /// [`CheckMode::Exhaustive`]: every in-field pair, ascending, up to
     /// the first violation.
-    fn c1_all_pairs(&self, exempt: &[(u32, u32)]) -> Option<((u32, u32), f64)> {
+    fn c1_all_pairs(&self, exempt: &[(u32, u32)]) -> Option<Violation> {
         let active: Vec<u32> = (0..self.sites.len() as u32)
             .filter(|&s| self.in_field(self.sites[s as usize]))
             .collect();
@@ -417,8 +441,10 @@ impl Machine {
     }
 
     /// [`CheckMode::Lines`]: sweep each axis for close line pairs, then
-    /// test the atoms where they cross (see the module docs).
-    fn c1_over_lines(&mut self, exempt: &[(u32, u32)]) -> Option<((u32, u32), f64)> {
+    /// test the atoms where they cross (see the module docs). Returns the
+    /// first violation, the close line pairs found and the atom pairs
+    /// tested.
+    fn c1_over_lines(&mut self, exempt: &[(u32, u32)]) -> (Option<Violation>, u64, u64) {
         let mut sweep = std::mem::take(&mut self.sweep);
         for rows in [true, false] {
             self.occupied_lines(rows, &mut sweep.lines);
@@ -480,11 +506,10 @@ impl Machine {
                 }
             }
         }
-        C1_LINE_PAIRS.add((sweep.rows.len() + sweep.cols.len()) as u64);
-        C1_TESTED.add(scan.tested);
-        let first = scan.first;
+        let line_pairs = (sweep.rows.len() + sweep.cols.len()) as u64;
+        let (first, tested) = (scan.first, scan.tested);
         self.sweep = sweep;
-        first
+        (first, line_pairs, tested)
     }
 
     /// Fills `out` with the lines of one axis that host a slot, at their
@@ -541,7 +566,7 @@ struct PairScan<'a> {
     m: &'a Machine,
     exempt: &'a [(u32, u32)],
     tested: u64,
-    first: Option<((u32, u32), f64)>,
+    first: Option<Violation>,
 }
 
 impl PairScan<'_> {
@@ -665,18 +690,24 @@ fn init_machine(program: &IsaProgram, mode: CheckMode) -> Result<(Machine, usize
         }
     }
 
-    let layout = Layout::new(&program.sites, aods.len() + 1);
-    let m = Machine {
-        aods,
-        interact_r,
-        reach: interact_r * (1.0 + 4.0 * f64::EPSILON) + EPS,
-        sites: program.sites.clone(),
-        mode,
-        layout,
-        exempt: Vec::new(),
-        sweep: Sweep::default(),
-    };
-    Ok((m, pc))
+    Ok((Machine::new(interact_r, aods, &program.sites, mode), pc))
+}
+
+/// The unwanted-interaction test [`check_legality`] runs at a pulse, for
+/// a configuration outside a stream: the lexicographically smallest
+/// in-field pair within `interact_r` other than the `exempt`
+/// (normalized, sorted) ones, found by the [`CheckMode::Lines`] sweep,
+/// with its distance. AOD `k`'s lines sit at `aods[k]`, and `sites` must
+/// all lie on declared traps. Records no `isa.c1.*` counter: those count
+/// checker evaluations.
+pub(crate) fn first_unwanted_pair(
+    interact_r: f64,
+    aods: &[AodState],
+    sites: &[SiteSpec],
+    exempt: &[(u32, u32)],
+) -> Option<Violation> {
+    let mut m = Machine::new(interact_r, aods.to_vec(), sites, CheckMode::Lines);
+    m.c1_over_lines(exempt).0
 }
 
 /// Verifies that `program`'s stream satisfies the hardware constraints,

@@ -11,7 +11,8 @@
 //! [`Instr::MoveRow`](crate::Instr::MoveRow) /
 //! [`Instr::MoveCol`](crate::Instr::MoveCol).
 
-use raa_spatial::SpatialGrid;
+use crate::check::{first_unwanted_pair, AodState};
+use crate::program::SiteSpec;
 
 /// Slack applied to strict inequalities, matching the legality checker.
 const EPS: f64 = 1e-9;
@@ -47,79 +48,70 @@ pub(crate) fn round_trip_cancels(pre_retract_pos: f64, approach_to: f64) -> bool
 ///
 /// * `interact` — the blockade radius in track units; non-positive or
 ///   non-finite values reject the configuration.
-/// * `axes` — every declared AOD's row vector and column vector, in
-///   track units (parked arrays included: they sit at their legal home
-///   spacing). Checked for C2 (strictly increasing) and C3 (adjacent
-///   lines at least one blockade radius apart).
-/// * `in_field` — `(slot, position)` of every atom in the interaction
-///   field, ascending by slot id.
+/// * `aods` — every declared AOD's lines and parked flag. Every AOD is
+///   checked for C2 (strictly increasing) and C3 (adjacent lines at
+///   least one blockade radius apart), parked ones included: they sit
+///   at their legal home spacing.
+/// * `sites` — the loading map; a slot on an undeclared trap rejects the
+///   configuration.
 /// * `desired` — the pulse's scheduled pairs, normalized `(min, max)`
 ///   and sorted. Every desired pair must be in the field and within
-///   the radius; no other in-field pair may be within it.
+///   the radius; no other in-field pair may be within it, which the
+///   checker's own line sweep decides.
 #[must_use]
-pub(crate) fn pulse_configuration_legal<'a>(
+pub(crate) fn pulse_configuration_legal(
     interact: f64,
-    axes: impl IntoIterator<Item = &'a [f64]>,
-    in_field: &[(u32, (f64, f64))],
+    aods: &[AodState],
+    sites: &[SiteSpec],
     desired: &[(u32, u32)],
 ) -> bool {
     if !(interact.is_finite() && interact > 0.0) {
         return false;
     }
     debug_assert!(desired.windows(2).all(|w| w[0] <= w[1]), "desired unsorted");
-    debug_assert!(
-        in_field.windows(2).all(|w| w[0].0 < w[1].0),
-        "in_field not ascending"
-    );
 
     // C2 (strict order) and C3 (blockade-radius separation) per axis.
-    for axis in axes {
-        for w in axis.windows(2) {
-            let gap = w[1] - w[0];
-            if gap <= EPS || gap < interact - EPS {
-                return false;
+    for aod in aods {
+        for axis in [&aod.rows, &aod.cols] {
+            for w in axis.windows(2) {
+                let gap = w[1] - w[0];
+                if gap <= EPS || gap < interact - EPS {
+                    return false;
+                }
             }
         }
     }
 
+    let on_trap = |s: &SiteSpec| {
+        s.array == 0
+            || aods
+                .get(s.array as usize - 1)
+                .is_some_and(|a| (s.row as usize) < a.rows.len() && (s.col as usize) < a.cols.len())
+    };
+    if !sites.iter().all(on_trap) {
+        return false;
+    }
+
     // Scheduled pairs: in the field and touching.
-    let pos_of = |s: u32| {
-        in_field
-            .binary_search_by_key(&s, |&(id, _)| id)
-            .ok()
-            .map(|i| in_field[i].1)
+    let in_field_pos = |slot: u32| {
+        let s = sites.get(slot as usize)?;
+        if s.array == 0 {
+            return Some((s.row as f64, s.col as f64));
+        }
+        let aod = &aods[s.array as usize - 1];
+        (!aod.parked).then(|| (aod.rows[s.row as usize], aod.cols[s.col as usize]))
     };
     for &(a, b) in desired {
-        let (Some(pa), Some(pb)) = (pos_of(a), pos_of(b)) else {
-            return false; // a scheduled atom is parked out of the field
+        let (Some(pa), Some(pb)) = (in_field_pos(a), in_field_pos(b)) else {
+            return false; // unknown, or parked out of the field
         };
         if dist(pa, pb) > interact + EPS {
             return false;
         }
     }
 
-    // Nothing else interacts: no in-field pair outside `desired` within
-    // the blockade radius (grid-accelerated, same predicate as the
-    // checker's proximity scan).
-    let mut grid = SpatialGrid::new(interact);
-    for &(s, p) in in_field {
-        grid.insert(s, p);
-    }
-    let mut cand: Vec<u32> = Vec::new();
-    for &(x, px) in in_field {
-        cand.clear();
-        grid.candidates_into(px, interact, &mut cand);
-        for &y in &cand {
-            if y <= x || desired.binary_search(&(x, y)).is_ok() {
-                continue;
-            }
-            let py = pos_of(y).expect("grid holds in-field slots only");
-            if dist(px, py) <= interact {
-                return false;
-            }
-        }
-    }
-    true
+    // Nothing else interacts.
+    first_unwanted_pair(interact, aods, sites, desired).is_none()
 }
 
 #[inline]
@@ -148,24 +140,36 @@ mod tests {
 
     const R: f64 = 1.0 / 6.0;
 
+    fn aod(rows: &[f64], cols: &[f64], parked: bool) -> AodState {
+        AodState {
+            rows: rows.to_vec(),
+            cols: cols.to_vec(),
+            home_rows: rows.to_vec(),
+            home_cols: cols.to_vec(),
+            parked,
+        }
+    }
+
+    fn site(array: u8, row: u16, col: u16) -> SiteSpec {
+        SiteSpec { array, row, col }
+    }
+
     /// Two SLM atoms at (0,0) and (2,2), one AOD atom parked next to
-    /// each's partner spot.
-    fn base_config() -> Vec<(u32, (f64, f64))> {
-        vec![
-            (0, (0.0, 0.0)),
-            (1, (0.05, 0.08)),
-            (2, (2.0, 2.0)),
-            (3, (2.05, 2.08)),
-        ]
+    /// each's partner spot, at (0.05, 0.08) and (2.05, 2.08).
+    fn base_config() -> (Vec<AodState>, Vec<SiteSpec>) {
+        (
+            vec![aod(&[0.05, 2.05], &[0.08, 2.08], false)],
+            vec![site(0, 0, 0), site(1, 0, 0), site(0, 2, 2), site(1, 1, 1)],
+        )
     }
 
     #[test]
     fn legal_merged_configuration_passes() {
-        let axes: [&[f64]; 2] = [&[0.05], &[0.08]];
+        let (aods, sites) = base_config();
         assert!(pulse_configuration_legal(
             R,
-            axes,
-            &base_config(),
+            &aods,
+            &sites,
             &[(0, 1), (2, 3)],
         ));
     }
@@ -173,37 +177,39 @@ mod tests {
     #[test]
     fn unscheduled_proximity_fails() {
         // Pair (2,3) touches but is not desired.
-        let axes: [&[f64]; 0] = [];
-        assert!(!pulse_configuration_legal(
-            R,
-            axes,
-            &base_config(),
-            &[(0, 1)]
-        ));
+        let (aods, sites) = base_config();
+        assert!(!pulse_configuration_legal(R, &aods, &sites, &[(0, 1)]));
     }
 
     #[test]
     fn parked_desired_atom_fails() {
-        let mut cfg = base_config();
-        cfg.remove(1); // slot 1 out of the field
-        let axes: [&[f64]; 0] = [];
-        assert!(!pulse_configuration_legal(R, axes, &cfg, &[(0, 1), (2, 3)]));
+        // Slot 1 moves to a second AOD, parked out of the field.
+        let (mut aods, mut sites) = base_config();
+        aods.push(aod(&[0.05], &[0.08], true));
+        sites[1] = site(2, 0, 0);
+        assert!(!pulse_configuration_legal(
+            R,
+            &aods,
+            &sites,
+            &[(0, 1), (2, 3)]
+        ));
     }
 
     #[test]
     fn too_far_desired_pair_fails() {
-        let cfg = vec![(0, (0.0, 0.0)), (1, (1.0, 1.0))];
-        let axes: [&[f64]; 0] = [];
-        assert!(!pulse_configuration_legal(R, axes, &cfg, &[(0, 1)]));
+        let aods = [aod(&[1.0], &[1.0], false)];
+        let sites = [site(0, 0, 0), site(1, 0, 0)];
+        assert!(!pulse_configuration_legal(R, &aods, &sites, &[(0, 1)]));
     }
 
     #[test]
     fn order_and_separation_violations_fail() {
-        let empty: &[(u32, (f64, f64))] = &[];
+        let legal =
+            |rows: &[f64]| pulse_configuration_legal(R, &[aod(rows, &[0.5], false)], &[], &[]);
         // C2: not strictly increasing.
-        assert!(!pulse_configuration_legal(R, [&[1.0, 0.5][..]], empty, &[]));
+        assert!(!legal(&[1.0, 0.5]));
         // C3: ordered but closer than one blockade radius.
-        assert!(!pulse_configuration_legal(R, [&[1.0, 1.1][..]], empty, &[]));
-        assert!(pulse_configuration_legal(R, [&[1.0, 2.0][..]], empty, &[]));
+        assert!(!legal(&[1.0, 1.1]));
+        assert!(legal(&[1.0, 2.0]));
     }
 }

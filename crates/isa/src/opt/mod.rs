@@ -120,7 +120,7 @@ pub mod fuse;
 pub mod parallelize;
 pub mod park;
 
-use crate::check::check_legality;
+use crate::check::{check_legality, AodState};
 use crate::program::{Instr, IsaProgram};
 use crate::replay::replay_verify;
 use crate::stats::IsaStats;
@@ -206,7 +206,9 @@ impl PassKind {
         }
     }
 
-    /// Span name for this pass's candidate search + re-verification.
+    /// Span name for one run of this pass: its candidate search and the
+    /// cheap acceptance guards (size, line travel, gate trace), plus the
+    /// oracle only on the fallback's proving re-run.
     fn span_name(self) -> &'static str {
         match self {
             PassKind::Parallelize => "opt.parallelize-pulses",
@@ -585,15 +587,6 @@ pub(crate) fn move_retract(instr: &Instr) -> Option<bool> {
     }
 }
 
-#[derive(Clone)]
-struct AodTrack {
-    rows: Vec<f64>,
-    cols: Vec<f64>,
-    home_rows: Vec<f64>,
-    home_cols: Vec<f64>,
-    parked: bool,
-}
-
 /// Replays line positions and parked flags through a stream, exactly
 /// like the legality checker's machine model. Passes use it to reason
 /// about the *output* stream: apply only the instructions they keep.
@@ -602,7 +595,7 @@ struct AodTrack {
 /// nothing) on a stream it does not understand, rather than panic.
 #[derive(Clone)]
 pub(crate) struct Tracker {
-    aods: Vec<AodTrack>,
+    aods: Vec<AodState>,
 }
 
 impl Tracker {
@@ -632,7 +625,7 @@ impl Tracker {
                     }
                     let home_rows: Vec<f64> = (0..rows).map(|r| r as f64 + fy).collect();
                     let home_cols: Vec<f64> = (0..cols).map(|c| c as f64 + fx).collect();
-                    aods.push(AodTrack {
+                    aods.push(AodState {
                         rows: home_rows.clone(),
                         cols: home_cols.clone(),
                         home_rows,

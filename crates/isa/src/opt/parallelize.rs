@@ -190,24 +190,6 @@ fn pair_lines(sites: &[SiteSpec], pairs: &[(u32, u32)]) -> Vec<(u8, bool, u16)> 
     lines
 }
 
-/// A slot's position under `tracker`, or `None` for out-of-range data.
-fn slot_pos(tracker: &Tracker, site: &SiteSpec) -> Option<(f64, f64)> {
-    if site.array == 0 {
-        Some((site.row as f64, site.col as f64))
-    } else {
-        let aod = site.array - 1;
-        Some((
-            tracker.line(aod, true, site.row)?,
-            tracker.line(aod, false, site.col)?,
-        ))
-    }
-}
-
-/// Whether a slot is in the interaction field under `tracker`.
-fn in_field(tracker: &Tracker, site: &SiteSpec) -> bool {
-    site.array == 0 || tracker.is_parked(site.array - 1) != Some(true)
-}
-
 /// The merged-configuration legality test, delegated to the shared
 /// [`cost::pulse_configuration_legal`] predicate: C2/C3 on every AOD,
 /// every scheduled pair in the field and in range, no other in-field
@@ -219,32 +201,13 @@ fn merged_pulse_legal(
     p2: &[(u32, u32)],
     interact: f64,
 ) -> bool {
-    let axes = merged
-        .aods
-        .iter()
-        .flat_map(|a| [a.rows.as_slice(), a.cols.as_slice()]);
-    let mut in_field_pos: Vec<(u32, (f64, f64))> = Vec::with_capacity(sites.len());
-    for (s, site) in sites.iter().enumerate() {
-        if in_field(merged, site) {
-            let Some(p) = slot_pos(merged, site) else {
-                return false;
-            };
-            in_field_pos.push((s as u32, p));
-        }
-    }
     let mut desired: Vec<(u32, u32)> = p1
         .iter()
         .chain(p2)
         .map(|&(a, b)| (a.min(b), a.max(b)))
         .collect();
     desired.sort_unstable();
-    if desired
-        .iter()
-        .any(|&(a, b)| b as usize >= sites.len() || a as usize >= sites.len())
-    {
-        return false;
-    }
-    cost::pulse_configuration_legal(interact, axes, &in_field_pos, &desired)
+    cost::pulse_configuration_legal(interact, &merged.aods, sites, &desired)
 }
 
 #[cfg(test)]

@@ -141,7 +141,7 @@ fn leader_counters_stay_with_their_own_entry() {
             let result = outcome.result.as_ref().unwrap();
             assert_eq!(result.status, CacheStatus::Miss);
             let own = direct(circuit, engine.base());
-            assert!(own.report.counter("grid.query") > 0);
+            assert!(own.report.counter("route.try_add") > 0);
             assert_eq!(
                 result.entry.counters,
                 own.report.counters(),

@@ -460,7 +460,7 @@ mod tests {
                     children: Vec::new(),
                 },
             ],
-            counters: vec![("grid.query".into(), 42), ("opt.rejected".into(), 3)],
+            counters: vec![("opt.rejected".into(), 3), ("route.try_add".into(), 42)],
         }
     }
 

@@ -50,19 +50,19 @@
 //! ```
 //! use raa_trace::{begin, end, span, Counter, Level};
 //!
-//! static QUERIES: Counter = Counter::new("grid.query");
+//! static ATTEMPTS: Counter = Counter::new("route.try_add");
 //!
 //! begin(Level::Detail);
 //! {
 //!     let _outer = span("route");
 //!     let _inner = span("route.plan");
-//!     QUERIES.add(3);
+//!     ATTEMPTS.add(3);
 //! }
 //! let report = end();
 //! assert_eq!(report.spans.len(), 1);
 //! assert_eq!(report.spans[0].name, "route");
 //! assert_eq!(report.spans[0].children[0].name, "route.plan");
-//! assert_eq!(report.counter("grid.query"), 3);
+//! assert_eq!(report.counter("route.try_add"), 3);
 //! ```
 
 #![deny(missing_docs)]

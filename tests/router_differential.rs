@@ -1,9 +1,9 @@
-//! Differential router harness: the spatial-grid proximity index
-//! (`ProximityIndex::Grid`, the default) must be *observably identical*
-//! to the exhaustive-scan oracle (`ProximityIndex::Exhaustive`) it
-//! replaced. The grid only restricts which candidate atoms the
-//! constraint checks enumerate — never the accept/reject predicates — so
-//! any divergence in the compiled schedule is a bug in the index.
+//! Differential router harness: the line-sweep proximity enumeration
+//! (`ProximityIndex::Lines`, the default) must be *observably identical*
+//! to the exhaustive-scan oracle (`ProximityIndex::Exhaustive`). The
+//! sweep only restricts which candidate atom pairs the constraint checks
+//! enumerate — never the accept/reject predicates — so any divergence in
+//! the compiled schedule is a bug in the enumeration.
 //!
 //! Coverage: the full small suite compiled under five router-relevant
 //! Atomique configurations, asserting stage-for-stage equality (kinds,
@@ -94,31 +94,31 @@ fn assert_stage_eq(ctx: &str, i: usize, g: &Stage, s: &Stage) {
     );
 }
 
-fn assert_programs_identical(ctx: &str, grid: &CompiledProgram, scan: &CompiledProgram) {
+fn assert_programs_identical(ctx: &str, lines: &CompiledProgram, scan: &CompiledProgram) {
     assert_eq!(
-        grid.stages.len(),
+        lines.stages.len(),
         scan.stages.len(),
         "{ctx}: stage counts differ"
     );
-    for (i, (g, s)) in grid.stages.iter().zip(scan.stages.iter()).enumerate() {
+    for (i, (g, s)) in lines.stages.iter().zip(scan.stages.iter()).enumerate() {
         assert_stage_eq(ctx, i, g, s);
     }
-    assert_eq!(grid.mapping, scan.mapping, "{ctx}: atom mappings differ");
+    assert_eq!(lines.mapping, scan.mapping, "{ctx}: atom mappings differ");
     assert_eq!(
-        grid.stats.two_qubit_gates, scan.stats.two_qubit_gates,
+        lines.stats.two_qubit_gates, scan.stats.two_qubit_gates,
         "{ctx}: gate counts differ"
     );
-    assert_eq!(grid.stats.depth, scan.stats.depth, "{ctx}: depths differ");
+    assert_eq!(lines.stats.depth, scan.stats.depth, "{ctx}: depths differ");
     assert_eq!(
-        grid.stats.transfers, scan.stats.transfers,
+        lines.stats.transfers, scan.stats.transfers,
         "{ctx}: transfer counts differ"
     );
     assert!(
-        (grid.stats.total_move_distance_mm - scan.stats.total_move_distance_mm).abs() < 1e-12,
+        (lines.stats.total_move_distance_mm - scan.stats.total_move_distance_mm).abs() < 1e-12,
         "{ctx}: move distances differ"
     );
     // The lowered instruction streams must be byte-identical.
-    let gb = codec::to_bytes(grid.isa.as_ref().expect("emit_isa set"));
+    let gb = codec::to_bytes(lines.isa.as_ref().expect("emit_isa set"));
     let sb = codec::to_bytes(scan.isa.as_ref().expect("emit_isa set"));
     assert_eq!(gb, sb, "{ctx}: ISA streams differ");
 }
@@ -128,14 +128,14 @@ fn grid_router_matches_exhaustive_oracle_on_the_small_suite() {
     for b in small_suite() {
         for (cfg_name, cfg) in configs() {
             let ctx = format!("{}/{cfg_name}", b.name);
-            let grid = compile(
+            let lines = compile(
                 &b.circuit,
                 &AtomiqueConfig {
-                    proximity_index: ProximityIndex::Grid,
+                    proximity_index: ProximityIndex::Lines,
                     ..cfg.clone()
                 },
             )
-            .unwrap_or_else(|e| panic!("{ctx} (grid): {e}"));
+            .unwrap_or_else(|e| panic!("{ctx} (lines): {e}"));
             let scan = compile(
                 &b.circuit,
                 &AtomiqueConfig {
@@ -144,7 +144,7 @@ fn grid_router_matches_exhaustive_oracle_on_the_small_suite() {
                 },
             )
             .unwrap_or_else(|e| panic!("{ctx} (exhaustive): {e}"));
-            assert_programs_identical(&ctx, &grid, &scan);
+            assert_programs_identical(&ctx, &lines, &scan);
         }
     }
 }
@@ -152,7 +152,7 @@ fn grid_router_matches_exhaustive_oracle_on_the_small_suite() {
 /// Tracing is pure observation: compiling with detail tracing enabled
 /// (`trace: true`) must produce output bit-identical to a compile with
 /// it disabled — same stages, same line moves, byte-identical lowered
-/// ISA — across all four router configurations. Counters and spans may
+/// ISA — across all five router configurations. Counters and spans may
 /// only ever *read* pipeline state; a divergence here means an
 /// instrumentation site leaked into a scheduling decision.
 #[test]

@@ -4,8 +4,8 @@
 //! wall-clock-dependent decisions), so the committed per-benchmark
 //! baselines below must match to the last increment on every machine
 //! and build profile. A drift means the pipeline's work profile changed
-//! (more grid queries, a pass suddenly rejected, more atom pairs tested
-//! by the ISA checker) — exactly the class of silent regression
+//! (more atom pairs tested by the router's C1 or the ISA checker, a pass
+//! suddenly rejected) — exactly the class of silent regression
 //! wall-clock benchmarks cannot catch. The same compiles pin that the
 //! stream oracle runs once per compile: one `isa.check` and one
 //! `isa.replay` span.
@@ -21,15 +21,13 @@
 use atomique::{compile, AtomiqueConfig, OptLevel};
 use raa_benchmarks::small_suite;
 
-/// The gated columns, in order: spatial-grid queries (the router's and
-/// `opt::cost`'s), router admission attempts, optimizer candidate
-/// rewrites, optimizer rejections, the two SABRE columns (candidates
-/// scored, duplicate candidate enumerations skipped), the router's
-/// admissions and its four rejection kinds (together they pin every
-/// admission decision), spatial-grid re-buckets, and the atom pairs the
-/// ISA checker's C1 distance-tested.
-const COLUMNS: [&str; 13] = [
-    "grid.query",
+/// The gated columns, in order: router admission attempts, optimizer
+/// candidate rewrites, optimizer rejections, the two SABRE columns
+/// (candidates scored, duplicate candidate enumerations skipped), the
+/// router's admissions and its four rejection kinds (together they pin
+/// every admission decision), the atom pairs the router's C1
+/// distance-tested, and those the ISA checker's C1 distance-tested.
+const COLUMNS: [&str; 12] = [
     "route.try_add",
     "opt.candidates",
     "opt.rejected",
@@ -40,7 +38,7 @@ const COLUMNS: [&str; 13] = [
     "route.reject.addressing",
     "route.reject.order",
     "route.reject.overlap",
-    "grid.rebucket",
+    "route.c1.tested",
     "isa.c1.tested",
 ];
 
@@ -48,60 +46,60 @@ const COLUMNS: [&str; 13] = [
 /// suite, plus the FNV-1a-64 hash of each benchmark's encoded ISA
 /// stream. Regenerate by running this test and pasting the printed
 /// rows.
-const BASELINES: &[(&str, [u64; 13], u64)] = &[
+const BASELINES: &[(&str, [u64; 12], u64)] = &[
     (
         "Mermin-Bell-5",
-        [162, 30, 3, 0, 18, 0, 27, 1, 2, 0, 0, 76, 0],
+        [30, 3, 0, 18, 0, 27, 1, 2, 0, 0, 83, 0],
         0x099d2c85b752a705,
     ),
     (
         "VQE-10",
-        [62, 10, 3, 0, 0, 0, 9, 0, 1, 0, 0, 50, 0],
+        [10, 3, 0, 0, 0, 9, 0, 1, 0, 0, 30, 0],
         0x59c8e2ec6be68e6e,
     ),
     (
         "VQE-20",
-        [120, 23, 3, 0, 0, 0, 19, 0, 4, 0, 0, 113, 0],
+        [23, 3, 0, 0, 0, 19, 0, 4, 0, 0, 60, 0],
         0x27af8fb30e5d765e,
     ),
     (
         "Adder-10",
-        [522, 83, 3, 0, 0, 0, 65, 8, 10, 0, 0, 413, 0],
+        [83, 3, 0, 0, 0, 65, 8, 10, 0, 0, 206, 0],
         0x665d762795a20ece,
     ),
     (
         "BV-14",
-        [160, 15, 1, 0, 0, 0, 13, 0, 2, 0, 0, 124, 0],
+        [15, 1, 0, 0, 0, 13, 0, 2, 0, 0, 41, 0],
         0x468ee47f0ebfbb99,
     ),
     (
         "QSim-rand-5",
-        [199, 39, 3, 0, 6, 0, 35, 3, 1, 0, 0, 143, 0],
+        [39, 3, 0, 6, 0, 35, 3, 1, 0, 0, 102, 0],
         0x3e36f40e260839c4,
     ),
     (
         "QSim-rand-10",
-        [687, 103, 3, 0, 24, 0, 88, 8, 6, 1, 0, 496, 0],
+        [103, 3, 0, 24, 0, 88, 8, 6, 1, 0, 266, 0],
         0x281db4f5d4ea3cee,
     ),
     (
         "H2-4",
-        [168, 42, 2, 0, 0, 0, 42, 0, 0, 0, 0, 92, 0],
+        [42, 2, 0, 0, 0, 42, 0, 0, 0, 0, 126, 0],
         0x96c01c13eac651a0,
     ),
     (
         "QAOA-rand-5",
-        [12, 3, 0, 0, 0, 0, 3, 0, 0, 0, 0, 7, 0],
+        [3, 0, 0, 0, 0, 3, 0, 0, 0, 0, 9, 0],
         0x32de1f71cf415ed2,
     ),
     (
         "QAOA-regu3-20",
-        [278, 60, 3, 0, 24, 0, 33, 5, 10, 12, 0, 277, 2],
+        [60, 3, 0, 24, 0, 33, 5, 10, 12, 0, 109, 2],
         0xca6abdbec10d023b,
     ),
     (
         "QAOA-regu4-10",
-        [168, 30, 2, 0, 14, 0, 23, 2, 3, 2, 0, 139, 0],
+        [30, 2, 0, 14, 0, 23, 2, 3, 2, 0, 69, 0],
         0x2d6d81b0da85b4d5,
     ),
 ];
@@ -126,7 +124,7 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     })
 }
 
-type Row = (String, [u64; 13], u64);
+type Row = (String, [u64; 12], u64);
 
 fn render_rows(rows: &[Row]) -> String {
     let mut s = String::new();
@@ -161,7 +159,7 @@ fn counters_match_committed_baselines_exactly() {
                 b.name
             );
         }
-        let mut vals = [0u64; 13];
+        let mut vals = [0u64; 12];
         for (v, col) in vals.iter_mut().zip(COLUMNS) {
             *v = out.report.counter(col);
         }
