@@ -286,7 +286,9 @@ impl Scratch {
 }
 
 impl Plan {
-    /// Removes from the plan exactly what attempt `s` inserted.
+    /// Removes from the plan exactly what attempt `s` inserted. The
+    /// attempt pushed its participants and desired pair last, so they
+    /// pop off the end.
     fn undo(&mut self, s: &Scratch, line_id: impl Fn(LineKey) -> usize) {
         for &key in &s.new_targets {
             self.targets[line_id(key)] = None;
