@@ -44,7 +44,7 @@ pub enum CompileError {
     },
     /// A deterministic fault schedule (`raa-fault`) injected a failure
     /// at the named fault point. Only ever produced while a schedule is
-    /// armed; callers classify it as transient and may retry.
+    /// armed; `raa-serve` reports it as that job's `compile` error.
     Injected {
         /// The fault point that fired.
         point: &'static str,

@@ -53,7 +53,7 @@
 //! as the reference, and `tests/router_differential.rs` asserts that both
 //! produce identical schedules.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use raa_arch::{ArrayIndex, RaaConfig, TrapSite};
 use raa_circuit::{DagSchedule, Gate, GateIdx};
@@ -176,6 +176,62 @@ struct RouterState<'a> {
     atoms_in_aod: Vec<Vec<u32>>,
     /// Per-attempt buffers of [`RouterState::try_add`].
     scratch: Scratch,
+    /// The travel of the stage being committed.
+    travel: Travel,
+}
+
+/// Per-slot track travel of the stage being committed, along each
+/// axis. `touched` lists the slots [`Travel::add`] reached; only those
+/// are read and reset, in slot order, so the stage's sum does not
+/// depend on any hash order. Every travel added is positive, so a slot
+/// reads zero on both axes exactly until its first add of the stage.
+struct Travel {
+    row: Vec<f64>,
+    col: Vec<f64>,
+    touched: Vec<u32>,
+}
+
+impl Travel {
+    fn new(slots: usize) -> Self {
+        Travel {
+            row: vec![0.0; slots],
+            col: vec![0.0; slots],
+            touched: Vec::with_capacity(slots),
+        }
+    }
+
+    /// Adds `tracks` of travel along `axis` to `slot`.
+    fn add(&mut self, axis: Axis, slot: u32, tracks: f64) {
+        debug_assert!(tracks > 0.0, "slot {slot} travels {tracks} tracks");
+        let s = slot as usize;
+        if self.row[s] == 0.0 && self.col[s] == 0.0 {
+            self.touched.push(slot);
+        }
+        match axis {
+            Axis::Row => self.row[s] += tracks,
+            Axis::Col => self.col[s] += tracks,
+        }
+    }
+
+    /// The stage's `(slot, distance)` pairs in slot order, for the slots
+    /// that moved, with distances in µm at `spacing_um` per track; the
+    /// touched slots are reset for the next stage.
+    fn take(&mut self, spacing_um: f64) -> Vec<(u32, f64)> {
+        self.touched.sort_unstable();
+        let mut moved = Vec::with_capacity(self.touched.len());
+        for &slot in &self.touched {
+            let s = slot as usize;
+            let (dr, dc) = (self.row[s], self.col[s]);
+            self.row[s] = 0.0;
+            self.col[s] = 0.0;
+            let d_um = (dr * dr + dc * dc).sqrt() * spacing_um;
+            if d_um > 0.0 {
+                moved.push((slot, d_um));
+            }
+        }
+        self.touched.clear();
+        moved
+    }
 }
 
 /// The stage plan accepted so far.
@@ -515,6 +571,7 @@ impl<'a> RouterState<'a> {
             parked: vec![false; num_aods],
             site_of_slot: mapping.site_of_slot.clone(),
             scratch: Scratch::new(atoms_on_line.len()),
+            travel: Travel::new(mapping.site_of_slot.len()),
             line_base,
             atoms_on_line,
             occupied,
@@ -910,13 +967,12 @@ impl<'a> RouterState<'a> {
         !((x_part && (y_part || y_slm)) || (y_part && x_slm))
     }
 
-    /// Commits the plan: updates committed positions and returns the
-    /// per-line moves plus per-atom row/column track deltas (the ledger is
-    /// fed once by the caller, after retraction is folded in).
-    fn commit(&mut self, plan: &Plan) -> (Vec<LineMove>, HashMap<u32, f64>, HashMap<u32, f64>) {
+    /// Commits the plan: updates committed positions, adds every atom's
+    /// travel to [`RouterState::travel`] and returns the per-line moves
+    /// (the ledger is fed once by the caller, after retraction is folded
+    /// in).
+    fn commit(&mut self, plan: &Plan) -> Vec<LineMove> {
         let mut moves = Vec::new();
-        let mut row_delta: HashMap<u32, f64> = HashMap::new();
-        let mut col_delta: HashMap<u32, f64> = HashMap::new();
 
         // Unparked arrays travel from the parking zone, in array order so
         // the emitted move list (and thus the serialized stream) is
@@ -927,7 +983,7 @@ impl<'a> RouterState<'a> {
             }
             self.parked[k] = false;
             for &atom in &self.atoms_in_aod[k] {
-                row_delta.insert(atom, PARK_TRAVEL);
+                self.travel.add(Axis::Row, atom, PARK_TRAVEL);
             }
             moves.push(LineMove {
                 aod: k as u8,
@@ -962,33 +1018,25 @@ impl<'a> RouterState<'a> {
                     });
                     let delta = (new - old).abs();
                     for &atom in &self.atoms_on_line[base + idx] {
-                        match axis {
-                            Axis::Row => *row_delta.entry(atom).or_insert(0.0) += delta,
-                            Axis::Col => *col_delta.entry(atom).or_insert(0.0) += delta,
-                        }
+                        self.travel.add(axis, atom, delta);
                     }
                     cur[idx] = new;
                 }
             }
         }
 
-        (moves, row_delta, col_delta)
+        moves
     }
 
     /// Retracts the movable atom of each executed gate out of the Rydberg
     /// radius (move-in, pulse, move-out: the pulse must not re-fire on the
     /// next stage). Retraction distances are clamped so line order and the
-    /// minimum separation survive. Returns the retraction moves plus
-    /// whether every executed pair actually separated beyond the Rydberg
-    /// radius — when dense neighborhoods leave no clear retraction slot,
-    /// the caller must restore separation (reset fallback) before the
-    /// next pulse.
-    fn apply_retraction(
-        &mut self,
-        plan: &Plan,
-        row_delta: &mut HashMap<u32, f64>,
-        col_delta: &mut HashMap<u32, f64>,
-    ) -> (Vec<LineMove>, bool) {
+    /// minimum separation survive, and added to [`RouterState::travel`].
+    /// Returns the retraction moves plus whether every executed pair
+    /// actually separated beyond the Rydberg radius — when dense
+    /// neighborhoods leave no clear retraction slot, the caller must
+    /// restore separation (reset fallback) before the next pulse.
+    fn apply_retraction(&mut self, plan: &Plan) -> (Vec<LineMove>, bool) {
         /// Preferred retraction offsets; a finer ± scan follows when all
         /// of these are blocked by neighboring lines or resting atoms.
         const AMOUNTS: [f64; 8] = [0.3, -0.3, 0.45, -0.45, 0.2, -0.2, 0.6, -0.6];
@@ -1072,12 +1120,8 @@ impl<'a> RouterState<'a> {
                 from_track: pos,
                 to_track: new,
             });
-            let map = match axis {
-                Axis::Row => &mut *row_delta,
-                Axis::Col => &mut *col_delta,
-            };
             for &atom in &self.atoms_on_line[id] {
-                *map.entry(atom).or_insert(0.0) += amount.abs();
+                self.travel.add(axis, atom, amount.abs());
             }
         }
         // Did every pulsed pair actually separate? A pair is clear when at
@@ -1601,27 +1645,19 @@ pub fn route_movements(
         last_was_reset = false;
 
         // Commit: move in, fire the Rydberg laser, retract.
-        let (moves, mut row_delta, mut col_delta) = {
+        let moves = {
             let _committing = raa_trace::span("route.commit");
             state.commit(&plan)
         };
         let (retract_moves, separated) = {
             let _retracting = raa_trace::span("route.retract");
-            state.apply_retraction(&plan, &mut row_delta, &mut col_delta)
+            state.apply_retraction(&plan)
         };
-        let spacing = state.hw.spacing_um;
-        let mut moved: Vec<(u32, f64)> = Vec::new();
-        let all_atoms: HashSet<u32> = row_delta.keys().chain(col_delta.keys()).copied().collect();
-        for atom in all_atoms {
-            let dr = row_delta.get(&atom).copied().unwrap_or(0.0);
-            let dc = col_delta.get(&atom).copied().unwrap_or(0.0);
-            let d_um = (dr * dr + dc * dc).sqrt() * spacing;
-            if d_um > 0.0 {
-                moved.push((atom, d_um * 1e-6));
-                total_move_um += d_um;
-            }
+        let mut moved = state.travel.take(state.hw.spacing_um);
+        for (_, d) in &mut moved {
+            total_move_um += *d;
+            *d *= 1e-6;
         }
-        moved.sort_by_key(|&(a, _)| a);
         ledger.record_move(&moved, params.t_move_s, num_qubits);
         exec_time += params.t_move_s + params.two_qubit_time_s;
         two_q_stages += 1;
@@ -2017,9 +2053,7 @@ mod tests {
             place(&mut state, 1, &rows, &cols);
             let plan = pulsed_plan(&state, &[(0, 1)]);
 
-            let mut row_delta = HashMap::new();
-            let mut col_delta = HashMap::new();
-            let (moves, separated) = state.apply_retraction(&plan, &mut row_delta, &mut col_delta);
+            let (moves, separated) = state.apply_retraction(&plan);
             assert!(separated, "{index:?}: pulsed pair failed to separate");
             let row_move = moves
                 .iter()
@@ -2067,9 +2101,8 @@ mod tests {
                 place(&mut state, 1, &[2.3], &[1.0, 8.0]);
                 let mut plan = state.new_plan();
                 assert_eq!(state.try_add(&mut plan, 0, 0, 1), Ok(()), "{index:?}");
-                let (_, mut row_delta, mut col_delta) = state.commit(&plan);
-                let (moves, separated) =
-                    state.apply_retraction(&plan, &mut row_delta, &mut col_delta);
+                state.commit(&plan);
+                let (moves, separated) = state.apply_retraction(&plan);
                 assert!(separated, "{index:?}");
                 let row = moves
                     .iter()

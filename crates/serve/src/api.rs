@@ -95,8 +95,8 @@ pub struct ParsedJob {
 pub struct Request {
     /// The `config` override block (defaults when absent).
     pub overrides: Overrides,
-    /// Per-attempt compile deadline, milliseconds (JSON `deadline_ms`);
-    /// `None` uses the engine default.
+    /// Compile deadline of each job, milliseconds (JSON
+    /// `deadline_ms`); `None` uses the engine default.
     pub deadline_ms: Option<u64>,
     /// The jobs, in request order.
     pub jobs: Vec<ParsedJob>,
@@ -169,8 +169,12 @@ fn parse_circuit_source(job: &Value) -> Result<Circuit, ServeError> {
 ///
 /// # Errors
 ///
-/// Batch-level failures only ([`ServeError::QueueFull`], malformed
-/// request); per-job failures are rendered inside the `Ok` body.
+/// Batch-level failures only: [`ServeError::Decode`] or
+/// [`ServeError::BadRequest`] for a malformed request, and
+/// [`ServeError::QueueFull`], [`ServeError::BreakerOpen`] or
+/// [`ServeError::Draining`] when the engine does not admit the batch.
+/// Per-job failures, compile errors and deadline overruns included,
+/// are rendered inside the `Ok` body.
 pub fn run(engine: &Engine, body: &str) -> Result<String, ServeError> {
     let request = parse_request(body)?;
     let cfg = request.overrides.apply(engine.base());
@@ -248,13 +252,6 @@ fn render_result(out: &mut String, result: &JobResult) {
         quote(&b64::encode(&e.isa_bytes)),
         num(e.fidelity),
     ));
-    match &e.degraded {
-        Some(label) => out.push_str(&format!(
-            ",\"degraded\":true,\"degraded_config\":{}",
-            quote(label)
-        )),
-        None => out.push_str(",\"degraded\":false"),
-    }
     let t = &e.timings;
     out.push_str(&format!(
         ",\"timings\":{{\"transpile_s\":{},\"map_s\":{},\"route_s\":{},\"lower_s\":{},\"opt_s\":{},\"verify_s\":{},\"sum_s\":{}}}",
@@ -331,9 +328,8 @@ fn render_error_obj(e: &ServeError) -> String {
 pub fn render_stats(s: &EngineStats) -> String {
     format!(
         "{{\"hits\":{},\"misses\":{},\"coalesced\":{},\"compiles\":{},\"rejected\":{},\
-         \"evictions\":{},\"max_queue_depth\":{},\"retries\":{},\"degraded\":{},\
-         \"deadline_exceeded\":{},\"breaker_opens\":{},\"shed\":{},\"breaker_state\":{},\
-         \"draining\":{},\"cache_entries\":{},\"queue_depth\":{}}}",
+         \"evictions\":{},\"max_queue_depth\":{},\"deadline_exceeded\":{},\"breaker_opens\":{},\
+         \"shed\":{},\"breaker_state\":{},\"draining\":{},\"cache_entries\":{},\"queue_depth\":{}}}",
         s.hits,
         s.misses,
         s.coalesced,
@@ -341,8 +337,6 @@ pub fn render_stats(s: &EngineStats) -> String {
         s.rejected,
         s.evictions,
         s.max_queue_depth,
-        s.retries,
-        s.degraded,
         s.deadline_exceeded,
         s.breaker_opens,
         s.shed,

@@ -9,19 +9,17 @@
 //!
 //! # Resilience
 //!
-//! Every leader compile runs through a resilience ladder
-//! (`docs/ROBUSTNESS.md`): a per-attempt wall-clock deadline enforced
-//! at stage boundaries, bounded retry-with-backoff for transient
-//! failures (panics and `raa-fault` injections), then a degradation
-//! ladder that retries on progressively cheaper configs
-//! (`-O2`→`-O1`→`-O0`) and labels the result degraded. Degraded
-//! results are served and shared with coalesced followers but never
-//! cached, so later identical requests retry the primary config. A
-//! circuit breaker sheds whole batches after repeated terminal
-//! failures that say something about compile health — an error the
-//! request's own input decided (an oversized circuit, say) is not one
-//! — and [`Engine::begin_drain`] rejects new batches while in-flight
-//! ones finish.
+//! A batch passes admission (drain, circuit breaker, queue bound), then
+//! the single-flight cache. Each leader job compiles exactly once,
+//! inside a `catch_unwind` barrier and under the job's wall-clock
+//! deadline, enforced at stage boundaries; that result, success or
+//! error, is the job's answer (`docs/ROBUSTNESS.md`). The pipeline is
+//! deterministic, so compiling a failed job again on the same config
+//! would repeat the failure. A circuit breaker sheds whole batches
+//! after repeated leader failures that say something about compile
+//! health — an error the request's own input decided (an oversized
+//! circuit, say) is not one — and [`Engine::begin_drain`] rejects new
+//! batches while in-flight ones finish.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -43,8 +41,6 @@ static COALESCED: Counter = Counter::new("serve.cache.coalesced");
 static COMPILE: Counter = Counter::new("serve.compile");
 static REJECT: Counter = Counter::new("serve.queue.reject");
 static EVICT: Counter = Counter::new("serve.cache.evict");
-static RETRY: Counter = Counter::new("serve.retry");
-static DEGRADED: Counter = Counter::new("serve.degraded");
 static DEADLINE: Counter = Counter::new("serve.deadline_exceeded");
 static BREAKER_OPEN: Counter = Counter::new("serve.breaker.open");
 static SHED: Counter = Counter::new("serve.breaker.shed");
@@ -68,23 +64,13 @@ pub struct ServeConfig {
     /// are applied on top. `emit_isa` and `verify_isa` are forced on —
     /// the service only ever returns verified ISA streams.
     pub base: AtomiqueConfig,
-    /// Extra attempts after a transient compile failure (a caught
-    /// panic or an injected fault) before the degradation ladder is
-    /// consulted. `0` disables retries.
-    pub max_retries: u32,
-    /// Backoff before the first retry, milliseconds; doubles per
-    /// attempt.
-    pub retry_backoff_ms: u64,
-    /// Whether exhausted/timed-out compiles fall down the degradation
-    /// ladder (lower opt levels) instead of failing outright.
-    pub degrade: bool,
-    /// Per-attempt compile deadline applied when a request does not
-    /// carry its own `deadline_ms`. `None` means unlimited.
+    /// Compile deadline applied when a request does not carry its own
+    /// `deadline_ms`. `None` means unlimited.
     pub default_deadline_ms: Option<u64>,
-    /// Consecutive terminal leader failures that open the circuit
-    /// breaker. Errors the request's own input decided (capacity,
-    /// circuit, architecture, routing, a stuck router) do not count.
-    /// `0` disables the breaker.
+    /// Consecutive leader failures that open the circuit breaker.
+    /// Errors the request's own input decided (capacity, circuit,
+    /// architecture, routing, a stuck router) do not count. `0`
+    /// disables the breaker.
     pub breaker_threshold: u32,
     /// How long an open breaker sheds load before letting one probe
     /// batch through, milliseconds.
@@ -99,9 +85,6 @@ impl Default for ServeConfig {
             cache_capacity: 256,
             max_body_bytes: 16 << 20,
             base: AtomiqueConfig::default(),
-            max_retries: 2,
-            retry_backoff_ms: 10,
-            degrade: true,
             default_deadline_ms: None,
             breaker_threshold: 8,
             breaker_cooldown_ms: 1_000,
@@ -148,11 +131,6 @@ pub struct CacheEntry {
     /// Every telemetry counter the compile incremented (detail tracing
     /// is forced on for served compiles), sorted by name.
     pub counters: Vec<(String, u64)>,
-    /// `None` for a primary-config result; `Some(label)` when the
-    /// result came from a degradation-ladder rung, naming the
-    /// cumulative config diff (e.g. `"opt=0"`).
-    /// Degraded entries are served but never cached.
-    pub degraded: Option<String>,
 }
 
 /// One named compilation job.
@@ -193,8 +171,9 @@ pub struct EngineStats {
     pub misses: u64,
     /// Jobs that waited on an identical in-flight compile.
     pub coalesced: u64,
-    /// Compile attempts actually executed (first attempts plus retries
-    /// plus ladder rungs; equals `misses` when nothing fails).
+    /// Leader compiles run, one per miss: equals `misses` unless a
+    /// worker wave died before it started a leader (an injected
+    /// `par.worker` fault).
     pub compiles: u64,
     /// Jobs rejected by queue backpressure.
     pub rejected: u64,
@@ -202,11 +181,7 @@ pub struct EngineStats {
     pub evictions: u64,
     /// High-water mark of concurrently admitted jobs.
     pub max_queue_depth: u64,
-    /// Same-config retry attempts after transient failures.
-    pub retries: u64,
-    /// Jobs answered from a degradation-ladder rung.
-    pub degraded: u64,
-    /// Jobs that exhausted every rung within their deadline budget.
+    /// Leader compiles that overran their deadline.
     pub deadline_exceeded: u64,
     /// Times the circuit breaker tripped open.
     pub breaker_opens: u64,
@@ -297,18 +272,16 @@ struct Tallies {
     rejected: AtomicU64,
     evictions: AtomicU64,
     max_depth: AtomicU64,
-    retries: AtomicU64,
-    degraded: AtomicU64,
     deadline_exceeded: AtomicU64,
     breaker_opens: AtomicU64,
     shed: AtomicU64,
 }
 
-/// The circuit breaker: counts consecutive terminal leader failures
-/// and sheds whole batches once they pass the threshold. Classic
-/// three-state machine — Closed (healthy), Open (shedding until the
-/// cooldown elapses), HalfOpen (exactly one probe batch in flight;
-/// its outcome closes or re-opens the breaker).
+/// The circuit breaker: counts consecutive leader failures and sheds
+/// whole batches once they pass the threshold. Classic three-state
+/// machine — Closed (healthy), Open (shedding until the cooldown
+/// elapses), HalfOpen (exactly one probe batch in flight; its outcome
+/// closes or re-opens the breaker).
 enum BreakerInner {
     Closed {
         consecutive: u32,
@@ -328,10 +301,12 @@ struct Breaker {
     cooldown: Duration,
 }
 
-/// What the breaker decided about an arriving batch.
+/// What the breaker decided about an arriving batch, under its lock.
+#[derive(Debug, PartialEq)]
 enum BreakerAdmit {
-    /// Proceed normally.
-    Allow,
+    /// Proceed; `probe` is whether this batch holds the half-open
+    /// breaker's single probe slot.
+    Allow { probe: bool },
     /// Shed: the breaker is open (or a probe is already in flight);
     /// retry after the given delay.
     Shed { retry_after_ms: u64 },
@@ -353,19 +328,22 @@ impl Breaker {
         self.inner.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Gate for an arriving batch.
+    /// Gate for an arriving batch. Whether the batch is the probe is
+    /// decided here, under the lock that grants the slot: reading the
+    /// state again later could see a half-open breaker whose probe
+    /// another batch holds.
     fn admit(&self) -> BreakerAdmit {
         if self.threshold == 0 {
-            return BreakerAdmit::Allow;
+            return BreakerAdmit::Allow { probe: false };
         }
         let mut inner = self.lock();
         match *inner {
-            BreakerInner::Closed { .. } => BreakerAdmit::Allow,
+            BreakerInner::Closed { .. } => BreakerAdmit::Allow { probe: false },
             BreakerInner::Open { since } => {
                 let elapsed = since.elapsed();
                 if elapsed >= self.cooldown {
                     *inner = BreakerInner::HalfOpen { probing: true };
-                    BreakerAdmit::Allow
+                    BreakerAdmit::Allow { probe: true }
                 } else {
                     BreakerAdmit::Shed {
                         retry_after_ms: (self.cooldown - elapsed).as_millis().max(1) as u64,
@@ -374,7 +352,7 @@ impl Breaker {
             }
             BreakerInner::HalfOpen { probing: false } => {
                 *inner = BreakerInner::HalfOpen { probing: true };
-                BreakerAdmit::Allow
+                BreakerAdmit::Allow { probe: true }
             }
             BreakerInner::HalfOpen { probing: true } => BreakerAdmit::Shed {
                 retry_after_ms: self.cooldown.as_millis().max(1) as u64,
@@ -382,7 +360,7 @@ impl Breaker {
         }
     }
 
-    /// Records one terminal leader success; closes a half-open breaker.
+    /// Records one leader success; closes a half-open breaker.
     fn record_success(&self) {
         if self.threshold == 0 {
             return;
@@ -397,8 +375,8 @@ impl Breaker {
         }
     }
 
-    /// Records one terminal leader failure. Returns `true` when this
-    /// transition tripped the breaker open.
+    /// Records one leader failure. Returns `true` when this transition
+    /// tripped the breaker open.
     fn record_failure(&self) -> bool {
         if self.threshold == 0 {
             return false;
@@ -428,9 +406,7 @@ impl Breaker {
     }
 
     /// Releases the probe slot when a probe batch ends without evidence
-    /// either way — only hits, coalesced followers, or leaders whose
-    /// errors their own input decided — so the next batch probes
-    /// again.
+    /// either way ([`ProbeSlot`]), so the next batch probes again.
     fn release_probe(&self) {
         if self.threshold == 0 {
             return;
@@ -449,6 +425,32 @@ impl Breaker {
             BreakerInner::Closed { .. } => BreakerState::Closed,
             BreakerInner::Open { .. } => BreakerState::Open,
             BreakerInner::HalfOpen { .. } => BreakerState::HalfOpen,
+        }
+    }
+}
+
+/// The half-open breaker's probe slot, when a batch holds it. A probe
+/// batch that leaves without evidence about compile health — bounced
+/// by the queue, answered only by hits, followers or errors its input
+/// decided, or unwound by a panic — frees the slot on drop, so the next
+/// batch probes instead of being shed for good.
+struct ProbeSlot<'a> {
+    breaker: &'a Breaker,
+    held: bool,
+}
+
+impl ProbeSlot<'_> {
+    /// Ends the probe once its leaders have reported: evidence has
+    /// already moved the breaker on, and without any the slot is freed.
+    fn settle(mut self, evidence: bool) {
+        self.held &= !evidence;
+    }
+}
+
+impl Drop for ProbeSlot<'_> {
+    fn drop(&mut self) {
+        if self.held {
+            self.breaker.release_probe();
         }
     }
 }
@@ -518,9 +520,6 @@ pub struct Engine {
     depth: AtomicUsize,
     tallies: Tallies,
     max_body_bytes: usize,
-    max_retries: u32,
-    retry_backoff: Duration,
-    degrade: bool,
     default_deadline_ms: Option<u64>,
     breaker: Breaker,
     draining: AtomicBool,
@@ -544,9 +543,6 @@ impl Engine {
             depth: AtomicUsize::new(0),
             tallies: Tallies::default(),
             max_body_bytes: config.max_body_bytes,
-            max_retries: config.max_retries,
-            retry_backoff: Duration::from_millis(config.retry_backoff_ms),
-            degrade: config.degrade,
             default_deadline_ms: config.default_deadline_ms,
             breaker: Breaker::new(
                 config.breaker_threshold,
@@ -616,16 +612,15 @@ impl Engine {
         self.submit_with(config, jobs, None)
     }
 
-    /// [`Engine::submit`] with an explicit per-attempt compile deadline
+    /// [`Engine::submit`] with an explicit compile deadline
     /// (milliseconds); `None` falls back to the engine's configured
-    /// default. Each compile attempt — the primary and every
-    /// retry/ladder rung — gets a fresh budget of `deadline_ms`,
+    /// default. Each leader compile gets one budget of `deadline_ms`,
     /// checked at stage boundaries.
     ///
     /// # Errors
     ///
-    /// As [`Engine::submit`]; jobs that overrun every rung report
-    /// [`ServeError::DeadlineExceeded`] in their outcome.
+    /// As [`Engine::submit`]; jobs whose compile overruns the budget
+    /// report [`ServeError::DeadlineExceeded`] in their outcome.
     pub fn submit_with(
         &self,
         config: &AtomiqueConfig,
@@ -637,7 +632,10 @@ impl Engine {
             return Err(ServeError::Draining);
         }
         let probe = match self.breaker.admit() {
-            BreakerAdmit::Allow => matches!(self.breaker.state(), BreakerState::HalfOpen),
+            BreakerAdmit::Allow { probe } => ProbeSlot {
+                breaker: &self.breaker,
+                held: probe,
+            },
             BreakerAdmit::Shed { retry_after_ms } => {
                 SHED.add(n as u64);
                 self.tallies.shed.fetch_add(n as u64, Ordering::Relaxed);
@@ -645,17 +643,7 @@ impl Engine {
             }
         };
         let deadline_ms = deadline_ms.or(self.default_deadline_ms);
-        let _guard = match self.admit(n) {
-            Ok(guard) => guard,
-            Err(e) => {
-                // A probe batch bounced by the queue is no evidence
-                // about compile health — free the slot for the next one.
-                if probe {
-                    self.breaker.release_probe();
-                }
-                return Err(e);
-            }
-        };
+        let _guard = self.admit(n)?;
 
         let cfg = force_serving_flags(config.clone());
         let fp = cfg.fingerprint();
@@ -700,27 +688,20 @@ impl Engine {
             keys: leads.iter().map(|&(_, key)| key).collect(),
             armed: true,
         };
-        let attempts = self.pool.map_isolated("par.serve", &leads, |_, &(i, _)| {
-            let mut tally = Attempts::default();
-            let result = self.compile_resilient(&jobs[i].circuit, &cfg, deadline_ms, &mut tally);
-            (result, tally)
+        let compiled = self.pool.map_isolated("par.serve", &leads, |_, &(i, _)| {
+            self.compile_once(&jobs[i].circuit, &cfg, deadline_ms)
         });
 
-        // Tally every attempt and feed the breaker from terminal leader
-        // outcomes (followers and hits carry no new evidence about
-        // compile health, and neither do errors the input decided).
+        // Feed the breaker from leader outcomes (followers and hits
+        // carry no new evidence about compile health, and neither do
+        // errors the input decided).
         let mut evidence = false;
-        let results: Vec<Result<Arc<CacheEntry>, ServeError>> = attempts
+        let results: Vec<Result<Arc<CacheEntry>, ServeError>> = compiled
             .into_iter()
-            .map(|(result, tally)| {
-                COMPILE.add(tally.compiles);
-                RETRY.add(tally.retries);
+            .map(|result| {
+                COMPILE.incr();
                 match result {
                     Ok(entry) => {
-                        if entry.degraded.is_some() {
-                            DEGRADED.incr();
-                            self.tallies.degraded.fetch_add(1, Ordering::Relaxed);
-                        }
                         evidence = true;
                         self.breaker.record_success();
                         Ok(entry)
@@ -733,14 +714,12 @@ impl Engine {
                                 self.tallies.breaker_opens.fetch_add(1, Ordering::Relaxed);
                             }
                         }
-                        Err(self.terminal_error(failure))
+                        Err(self.job_error(failure))
                     }
                 }
             })
             .collect();
-        if probe && !evidence {
-            self.breaker.release_probe();
-        }
+        probe.settle(evidence);
 
         // The publish seam: a panic here (fault-injected or real) lands
         // *before* the state lock, so LeadGuard can still recover and
@@ -754,14 +733,11 @@ impl Engine {
         }
 
         // Publish: fill caches, resolve flights, wake followers.
-        // Degraded results are shared with this key's followers but
-        // never cached — a later identical request should retry the
-        // primary config.
         {
             let mut st = self.state();
             for (&(_, key), result) in leads.iter().zip(results) {
                 if let Ok(entry) = &result {
-                    if self.cache_capacity > 0 && entry.degraded.is_none() {
+                    if self.cache_capacity > 0 {
                         st.cache.insert(key, entry.clone());
                         st.lru.push(key);
                         while st.cache.len() > self.cache_capacity {
@@ -818,8 +794,6 @@ impl Engine {
             rejected: self.tallies.rejected.load(Ordering::Relaxed),
             evictions: self.tallies.evictions.load(Ordering::Relaxed),
             max_queue_depth: self.tallies.max_depth.load(Ordering::Relaxed),
-            retries: self.tallies.retries.load(Ordering::Relaxed),
-            degraded: self.tallies.degraded.load(Ordering::Relaxed),
             deadline_exceeded: self.tallies.deadline_exceeded.load(Ordering::Relaxed),
             breaker_opens: self.tallies.breaker_opens.load(Ordering::Relaxed),
             shed: self.tallies.shed.load(Ordering::Relaxed),
@@ -861,48 +835,9 @@ impl Engine {
         })
     }
 
-    /// One leader job, end to end: the primary config with bounded
-    /// retries for transient failures, then (when enabled) the
-    /// degradation ladder. Every attempt gets a fresh `deadline_ms`
-    /// budget — the ladder exists precisely so a config that cannot
-    /// finish in budget can be answered by a cheaper one that can.
-    /// Attempts are counted into [`EngineStats`] as they run and into
-    /// `tally`, which the submitting thread turns into `serve.*` trace
-    /// counters.
-    fn compile_resilient(
-        &self,
-        circuit: &Circuit,
-        cfg: &AtomiqueConfig,
-        deadline_ms: Option<u64>,
-        tally: &mut Attempts,
-    ) -> Result<Arc<CacheEntry>, Failure> {
-        let mut last = match self.compile_retrying(circuit, cfg, deadline_ms, tally) {
-            Ok(entry) => return Ok(entry),
-            Err(f @ (Failure::Input(_) | Failure::Permanent(_))) => return Err(f),
-            Err(f) => f,
-        };
-        if self.degrade {
-            for (label, rung) in degradation_ladder(cfg) {
-                self.count_attempt(tally);
-                match self.compile_once(circuit, &rung, deadline_ms) {
-                    Ok(entry) => {
-                        let mut entry = Arc::try_unwrap(entry).unwrap_or_else(|arc| (*arc).clone());
-                        entry.degraded = Some(label);
-                        return Ok(Arc::new(entry));
-                    }
-                    // A deterministic error on a rung (e.g. capacity)
-                    // will not improve further down: fail now.
-                    Err(f @ (Failure::Input(_) | Failure::Permanent(_))) => return Err(f),
-                    Err(f) => last = f,
-                }
-            }
-        }
-        Err(last)
-    }
-
-    /// A leader's terminal failure as the error its flight publishes;
-    /// a deadline overrun is counted here.
-    fn terminal_error(&self, failure: Failure) -> ServeError {
+    /// A leader's failure as the error its flight publishes; a deadline
+    /// overrun is counted here.
+    fn job_error(&self, failure: Failure) -> ServeError {
         match failure {
             Failure::Deadline { stage } => {
                 DEADLINE.incr();
@@ -911,54 +846,20 @@ impl Engine {
                     .fetch_add(1, Ordering::Relaxed);
                 ServeError::DeadlineExceeded { stage }
             }
-            Failure::Transient(e) | Failure::Input(e) | Failure::Permanent(e) => e,
+            Failure::Input(e) | Failure::Other(e) => e,
         }
     }
 
-    /// The primary config with up to `max_retries` extra attempts after
-    /// transient failures, doubling the backoff each time. Deadline
-    /// overruns are not retried on the same config — the same budget
-    /// would blow the same way — and fall through to the ladder.
-    fn compile_retrying(
-        &self,
-        circuit: &Circuit,
-        cfg: &AtomiqueConfig,
-        deadline_ms: Option<u64>,
-        tally: &mut Attempts,
-    ) -> Result<Arc<CacheEntry>, Failure> {
-        let mut backoff = self.retry_backoff;
-        for attempt in 0..=self.max_retries {
-            self.count_attempt(tally);
-            match self.compile_once(circuit, cfg, deadline_ms) {
-                Ok(entry) => return Ok(entry),
-                Err(Failure::Transient(_)) if attempt < self.max_retries => {
-                    tally.retries += 1;
-                    self.tallies.retries.fetch_add(1, Ordering::Relaxed);
-                    if !backoff.is_zero() {
-                        std::thread::sleep(backoff);
-                        backoff *= 2;
-                    }
-                }
-                Err(f) => return Err(f),
-            }
-        }
-        unreachable!("retry loop returns on its final attempt")
-    }
-
-    /// Counts one compile attempt, in [`EngineStats`] at once so a
-    /// wave killed later still reports it.
-    fn count_attempt(&self, tally: &mut Attempts) {
-        tally.compiles += 1;
-        self.tallies.compiles.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One compile attempt under one deadline budget, classified.
+    /// A leader job's one compile, under one deadline budget,
+    /// classified. Counted in [`EngineStats`] as it starts, so a wave
+    /// killed later still reports it.
     fn compile_once(
         &self,
         circuit: &Circuit,
         cfg: &AtomiqueConfig,
         deadline_ms: Option<u64>,
     ) -> Result<Arc<CacheEntry>, Failure> {
+        self.tallies.compiles.fetch_add(1, Ordering::Relaxed);
         let limits = CompileLimits {
             deadline: deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms)),
         };
@@ -985,13 +886,13 @@ impl Engine {
             atomique::compile_with_limits(circuit, cfg, limits)
         }))
         .map_err(|payload| {
-            Failure::Transient(ServeError::Compile {
+            Failure::Other(ServeError::Compile {
                 message: format!("compiler panicked: {}", panic_message(payload.as_ref())),
             })
         })?
         .map_err(classify)?;
         let isa = out.isa.as_ref().ok_or_else(|| {
-            Failure::Permanent(ServeError::Compile {
+            Failure::Other(ServeError::Compile {
                 message: "compiler did not attach an ISA stream".into(),
             })
         })?;
@@ -1001,42 +902,25 @@ impl Engine {
             fidelity: out.total_fidelity(),
             stats: out.stats,
             counters: out.report.counters().to_vec(),
-            degraded: None,
         }))
     }
 }
 
-/// Compile attempts one leader made, counted on its worker and ticked
-/// into the `serve.*` trace counters by the submitting thread.
-#[derive(Default)]
-struct Attempts {
-    /// Every attempt: the first, same-config retries and ladder rungs.
-    compiles: u64,
-    /// Same-config retries after transient failures.
-    retries: u64,
-}
-
-/// How one compile attempt failed, for the retry/ladder and breaker
-/// policies.
+/// How a leader compile failed, for the breaker and the deadline
+/// tally.
 enum Failure {
-    /// Worth retrying on the same config (caught panic, injected
-    /// fault).
-    Transient(ServeError),
-    /// The attempt overran its deadline budget; retrying the same
-    /// config is pointless but a cheaper rung may fit.
+    /// The compile overran its deadline budget.
     Deadline {
         /// Stage boundary where the overrun was observed.
         stage: String,
     },
     /// Decided by the request's own input (capacity, circuit,
-    /// architecture, routing, a stuck router): retries and cheaper
-    /// configs cannot help, and the failure says nothing about the
-    /// compiler's health, so it never feeds the breaker.
+    /// architecture, routing, a stuck router): it says nothing about
+    /// the compiler's health, so it never feeds the breaker.
     Input(ServeError),
-    /// Deterministic rejection by the compiler's own checks (ISA
-    /// legality or replay, a missing stream): retries and cheaper
-    /// configs cannot help, but it is a compiler fault.
-    Permanent(ServeError),
+    /// Any other error: a caught panic, an injected fault, a stream
+    /// the compiler's own checks rejected, a missing stream.
+    Other(ServeError),
 }
 
 fn classify(e: CompileError) -> Failure {
@@ -1044,7 +928,6 @@ fn classify(e: CompileError) -> Failure {
         message: e.to_string(),
     };
     match e {
-        CompileError::Injected { .. } => Failure::Transient(error(e)),
         CompileError::Deadline { stage } => Failure::Deadline {
             stage: stage.to_string(),
         },
@@ -1053,40 +936,10 @@ fn classify(e: CompileError) -> Failure {
         | CompileError::Arch(_)
         | CompileError::Routing(_)
         | CompileError::RouterStuck { .. } => Failure::Input(error(e)),
-        CompileError::IsaLegality(_) | CompileError::IsaReplay(_) => Failure::Permanent(error(e)),
+        CompileError::Injected { .. }
+        | CompileError::IsaLegality(_)
+        | CompileError::IsaReplay(_) => Failure::Other(error(e)),
     }
-}
-
-/// The degradation ladder for `cfg`: cumulative downgrades, cheapest
-/// last. Each rung's label names the *full* diff from the primary
-/// config, so a `degraded` response is self-describing.
-fn degradation_ladder(cfg: &AtomiqueConfig) -> Vec<(String, AtomiqueConfig)> {
-    let mut rungs = Vec::new();
-    let mut cur = cfg.clone();
-    while cur.opt_level != raa_isa::OptLevel::None {
-        cur.opt_level = match cur.opt_level {
-            raa_isa::OptLevel::Aggressive => raa_isa::OptLevel::Basic,
-            _ => raa_isa::OptLevel::None,
-        };
-        rungs.push((diff_label(cfg, &cur), cur.clone()));
-    }
-    rungs
-}
-
-/// The config fields a ladder rung changed, as `key=value` pairs.
-fn diff_label(base: &AtomiqueConfig, cur: &AtomiqueConfig) -> String {
-    let mut parts: Vec<String> = Vec::new();
-    if cur.opt_level != base.opt_level {
-        parts.push(format!(
-            "opt={}",
-            match cur.opt_level {
-                raa_isa::OptLevel::None => 0,
-                raa_isa::OptLevel::Basic => 1,
-                raa_isa::OptLevel::Aggressive => 2,
-            }
-        ));
-    }
-    parts.join(",")
 }
 
 /// Extracts the human-readable message from a caught panic payload
@@ -1253,12 +1106,10 @@ mod tests {
         let engine = Engine::new(ServeConfig {
             breaker_threshold: 2,
             breaker_cooldown_ms: 50,
-            max_retries: 0,
-            degrade: false,
             ..ServeConfig::default()
         });
         let cfg = engine.base().clone();
-        // Two consecutive terminal failures (a 0 ms deadline overruns
+        // Two consecutive leader failures (a 0 ms deadline overruns
         // at the first stage boundary) trip the breaker.
         for n in [3, 4] {
             let out = engine
@@ -1310,8 +1161,6 @@ mod tests {
         let engine = Engine::new(ServeConfig {
             breaker_threshold: 1,
             breaker_cooldown_ms: 20,
-            max_retries: 0,
-            degrade: false,
             ..ServeConfig::default()
         });
         let cfg = engine.base().clone();
@@ -1346,12 +1195,14 @@ mod tests {
 
     #[test]
     fn exhausted_deadline_is_reported_after_the_ladder() {
-        // A deadline of 0 ms expires at every stage boundary of every
-        // rung, deterministically: the default config has no cheaper
-        // rungs (it is already -O0), so exactly one attempt runs and
-        // the job reports `deadline`.
+        // A deadline of 0 ms expires at the first stage boundary,
+        // deterministically. At -O2 the job still compiles once and
+        // reports `deadline`: nothing recompiles it at a lower level.
         let engine = Engine::new(ServeConfig::default());
-        let cfg = engine.base().clone();
+        let cfg = AtomiqueConfig {
+            opt_level: raa_isa::OptLevel::Aggressive,
+            ..engine.base().clone()
+        };
         let out = engine
             .submit_with(&cfg, &[job("slow", ghz(4))], Some(0))
             .unwrap();
@@ -1360,24 +1211,38 @@ mod tests {
             other => panic!("expected DeadlineExceeded, got {other:?}"),
         }
         let stats = engine.stats();
-        assert_eq!(stats.deadline_exceeded, 1);
-        assert_eq!(stats.compiles, 1);
+        assert_eq!((stats.compiles, stats.deadline_exceeded), (1, 1));
         assert_eq!(stats.cache_entries, 0);
     }
 
     #[test]
-    fn ladder_rungs_are_cumulative_with_self_describing_labels() {
-        let cfg = AtomiqueConfig {
-            opt_level: raa_isa::OptLevel::Aggressive,
-            ..AtomiqueConfig::default()
-        };
-        let rungs = degradation_ladder(&cfg);
-        let labels: Vec<&str> = rungs.iter().map(|(l, _)| l.as_str()).collect();
-        assert_eq!(labels, ["opt=1", "opt=0"]);
-        let last = &rungs.last().unwrap().1;
-        assert_eq!(last.opt_level, raa_isa::OptLevel::None);
-        // Nothing to shed for an already-minimal config.
-        assert!(degradation_ladder(&AtomiqueConfig::default()).is_empty());
+    fn breaker_grants_one_probe_per_half_open_window() {
+        let breaker = Breaker::new(1, Duration::from_millis(20));
+        // Closed: every batch flows, none is a probe.
+        assert_eq!(breaker.admit(), BreakerAdmit::Allow { probe: false });
+        assert!(breaker.record_failure(), "threshold 1 trips at once");
+        // Open: shed until the cooldown elapses.
+        assert!(matches!(breaker.admit(), BreakerAdmit::Shed { .. }));
+        std::thread::sleep(Duration::from_millis(30));
+        // The first batch after the cooldown takes the only probe slot;
+        // the next is shed while it is held.
+        assert_eq!(breaker.admit(), BreakerAdmit::Allow { probe: true });
+        assert_eq!(breaker.state(), BreakerState::HalfOpen);
+        assert!(matches!(breaker.admit(), BreakerAdmit::Shed { .. }));
+        // A probe that ends without evidence frees the slot once.
+        breaker.release_probe();
+        assert_eq!(breaker.admit(), BreakerAdmit::Allow { probe: true });
+        assert!(matches!(breaker.admit(), BreakerAdmit::Shed { .. }));
+        // Success closes the breaker; a release then changes nothing.
+        breaker.record_success();
+        breaker.release_probe();
+        assert_eq!(breaker.state(), BreakerState::Closed);
+        assert_eq!(breaker.admit(), BreakerAdmit::Allow { probe: false });
+        // Threshold 0 disables the breaker.
+        let off = Breaker::new(0, Duration::from_millis(20));
+        assert!(!off.record_failure());
+        assert_eq!(off.admit(), BreakerAdmit::Allow { probe: false });
+        assert_eq!(off.state(), BreakerState::Closed);
     }
 
     #[test]

@@ -32,15 +32,16 @@ pub enum ServeError {
     /// The request body (or an embedded gate list) failed to decode;
     /// carries the byte offset via [`DecodeError`].
     Decode(DecodeError),
-    /// The compiler itself rejected the job.
+    /// The compiler rejected the job, or panicked on it. Reported per
+    /// job, inside an HTTP 200.
     Compile {
         /// The rendered [`atomique::CompileError`].
         message: String,
     },
-    /// The job blew its per-attempt compile deadline on the primary
-    /// config and on every degradation-ladder rung (HTTP 504).
+    /// The job's compile overran its deadline. Reported per job,
+    /// inside an HTTP 200.
     DeadlineExceeded {
-        /// The stage boundary where the final attempt overran.
+        /// The stage boundary where the compile overran.
         stage: String,
     },
     /// The circuit breaker is open after repeated compile failures; the

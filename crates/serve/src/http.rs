@@ -11,9 +11,11 @@
 //! | GET    | `/v1/stats`   | engine counter snapshot                |
 //! | POST   | `/v1/compile` | batch request → per-job results        |
 //!
-//! Error statuses: 400 (malformed body), 404, 405, 413 (body over
-//! [`Engine::max_body_bytes`]), 429 (queue full), 500, 503 (breaker
-//! open — with `Retry-After` — or draining), 504 (deadline exceeded).
+//! Error statuses: 400 (malformed body), 404, 405, 411 (no
+//! `Content-Length`), 413 (body over [`Engine::max_body_bytes`]), 429
+//! (queue full), 500 (the handler panicked), 503 (breaker open — with
+//! `Retry-After` — or draining). A job's compile error or deadline
+//! overrun is reported inside its own result of a 200 response.
 //!
 //! Each connection thread is an unwind barrier: a panic while handling
 //! a request (fault-injected via the `serve.http` point, or real) is
@@ -312,14 +314,15 @@ fn handle_connection(engine: &Engine, stream: TcpStream) -> std::io::Result<()> 
     }
 }
 
-/// The HTTP status for a batch-level failure.
+/// The HTTP status for a batch-level failure of [`api::run`]. Compile
+/// errors and deadline overruns are per job and never fail a batch;
+/// should one arrive here, it is a 500.
 fn status_of(e: &ServeError) -> u16 {
     match e {
         ServeError::QueueFull { .. } => 429,
         ServeError::BadRequest { .. } | ServeError::Qasm(_) | ServeError::Circuit(_) => 400,
         ServeError::Decode(_) => 400,
-        ServeError::Compile { .. } => 500,
-        ServeError::DeadlineExceeded { .. } => 504,
+        ServeError::Compile { .. } | ServeError::DeadlineExceeded { .. } => 500,
         ServeError::BreakerOpen { .. } | ServeError::Draining => 503,
     }
 }
@@ -345,7 +348,6 @@ fn reason(status: u16) -> &'static str {
         413 => "Payload Too Large",
         429 => "Too Many Requests",
         503 => "Service Unavailable",
-        504 => "Gateway Timeout",
         _ => "Internal Server Error",
     }
 }

@@ -114,7 +114,7 @@ fn every_override_axis_gets_its_own_entry() {
 /// counter table, whoever called. On two workers under a `Detail`
 /// caller, neither leader's increments bleed into the other's entry or
 /// arrive through the caller's session, while the caller's session
-/// still counts every compile attempt the engine ran. On one worker
+/// still counts every compile the engine ran. On one worker
 /// under a `Stages` caller, the leaders compile on the calling thread,
 /// and their entries still carry their `Detail` counters.
 #[test]

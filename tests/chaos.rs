@@ -9,8 +9,8 @@
 //!    no follower deadlocks, no wedged flights, no hung connections.
 //! 2. **Bit-identity when healthy** — with faults disabled the served
 //!    ISA bytes are identical to a direct in-process
-//!    `atomique::compile`, and a fault-injected *degraded* result is
-//!    still a verified, legality-checked stream.
+//!    `atomique::compile`, and a leader that failed leaves nothing
+//!    behind: the next identical request compiles fresh.
 //! 3. **Determinism** — the same `RAA_FAULT_SPEC` (same seed)
 //!    reproduces the identical fault sequence, identical per-point
 //!    counter totals, and identical request outcomes across runs.
@@ -23,7 +23,7 @@ use std::sync::{Mutex, MutexGuard, Once};
 
 use atomique::{AtomiqueConfig, OptLevel};
 use raa_circuit::{qasm, Circuit, Gate, Qubit};
-use raa_isa::{check_legality, codec, json, replay_verify};
+use raa_isa::{codec, json};
 use raa_serve::engine::{BreakerState, CacheStatus, Engine, Job, ServeConfig};
 use raa_serve::{b64, http, request, ServeError};
 
@@ -89,13 +89,10 @@ fn job(name: &str, circuit: Circuit) -> Job {
 }
 
 /// The engine configuration chaos runs under: single worker (fully
-/// deterministic hit ordering), instant retries, breaker off unless a
-/// test turns it on.
+/// deterministic hit ordering), breaker off unless a test turns it on.
 fn chaos_config() -> ServeConfig {
     ServeConfig {
         workers: 1,
-        max_retries: 2,
-        retry_backoff_ms: 0,
         breaker_threshold: 0,
         ..ServeConfig::default()
     }
@@ -118,13 +115,13 @@ fn direct_bytes(circuit: &Circuit, cfg: &AtomiqueConfig) -> Vec<u8> {
 // ---------------------------------------------------------------------
 
 /// One run's complete observable signature: per-job outcomes (cache
-/// status, degraded label or error kind), the fault registry's
-/// per-point hit/fired totals, and the engine's resilience counters.
+/// status or error kind), the fault registry's per-point hit/fired
+/// totals, and the engine's compile and deadline counters.
 #[derive(Debug, PartialEq)]
 struct RunSignature {
     outcomes: Vec<String>,
     fault_stats: Vec<(String, raa_fault::PointStats)>,
-    engine: (u64, u64, u64, u64),
+    engine: (u64, u64),
 }
 
 /// Runs a fixed mixed workload on a fresh engine under `spec`
@@ -132,8 +129,8 @@ struct RunSignature {
 fn chaos_workload(spec: &str) -> RunSignature {
     raa_fault::configure(spec).expect("valid fault spec");
     let engine = Engine::new(chaos_config());
-    // -O2 gives the degradation ladder real rungs to fall down; one
-    // worker keeps the whole run on one thread end to end.
+    // -O2 runs every stage, `opt` included; one worker keeps the whole
+    // run on one thread end to end.
     let cfg = AtomiqueConfig {
         opt_level: OptLevel::Aggressive,
         ..AtomiqueConfig::default()
@@ -144,12 +141,7 @@ fn chaos_workload(spec: &str) -> RunSignature {
         let out = engine.submit(&cfg, &jobs).expect("batch admitted");
         for o in out {
             outcomes.push(match &o.result {
-                Ok(r) => format!(
-                    "{round}/{}:{}:{}",
-                    o.name,
-                    r.status.as_str(),
-                    r.entry.degraded.clone().unwrap_or_default()
-                ),
+                Ok(r) => format!("{round}/{}:{}", o.name, r.status.as_str()),
                 Err(e) => format!("{round}/{}:err:{}", o.name, e.kind()),
             });
         }
@@ -158,7 +150,7 @@ fn chaos_workload(spec: &str) -> RunSignature {
     RunSignature {
         outcomes,
         fault_stats: raa_fault::stats(),
-        engine: (s.compiles, s.retries, s.degraded, s.deadline_exceeded),
+        engine: (s.compiles, s.deadline_exceeded),
     }
 }
 
@@ -193,35 +185,13 @@ fn same_spec_and_seed_reproduce_identical_fault_sequences() {
 // Single-flight under leader panic (the bugfix-sweep satellite)
 // ---------------------------------------------------------------------
 
-/// A leader panic is caught, retried on the same config, and the retry
-/// compiles fresh — bit-identical to a direct compile, nothing poisoned.
-#[test]
-fn leader_panic_is_retried_and_recompiles_fresh() {
-    let _armed = Armed::new("serve.compile:panic@1;seed=1");
-    let engine = Engine::new(chaos_config());
-    let cfg = engine.base().clone();
-    let out = engine.submit(&cfg, &[job("ghz", ghz(4))]).unwrap();
-    let r = out[0].result.as_ref().expect("retry succeeded");
-    assert_eq!(r.status, CacheStatus::Miss);
-    assert_eq!(r.entry.degraded, None);
-    assert_eq!(r.entry.isa_bytes, direct_bytes(&ghz(4), &cfg));
-    let stats = engine.stats();
-    assert_eq!(stats.retries, 1);
-    assert_eq!(stats.compiles, 2);
-    assert_eq!(raa_fault::fired_at("serve.compile"), 1);
-}
-
-/// With retries disabled the panic surfaces as a per-job error — and
-/// the *next* identical request must not see a poisoned `CacheEntry`
-/// or a wedged flight: it recompiles fresh and succeeds.
+/// A leader panic is caught and surfaces as that job's error after one
+/// compile — and the *next* identical request must not see a poisoned
+/// `CacheEntry` or a wedged flight: it recompiles fresh and succeeds.
 #[test]
 fn failed_leader_leaves_nothing_poisoned_for_the_next_request() {
     let _armed = Armed::new("serve.compile:panic@1;seed=1");
-    let engine = Engine::new(ServeConfig {
-        max_retries: 0,
-        degrade: false,
-        ..chaos_config()
-    });
+    let engine = Engine::new(chaos_config());
     let cfg = engine.base().clone();
     let out = engine.submit(&cfg, &[job("ghz", ghz(4))]).unwrap();
     match out[0].result.as_ref() {
@@ -230,86 +200,41 @@ fn failed_leader_leaves_nothing_poisoned_for_the_next_request() {
         }
         other => panic!("expected caught panic, got {other:?}"),
     }
-    assert_eq!(engine.stats().cache_entries, 0, "failure must not cache");
+    let stats = engine.stats();
+    assert_eq!(stats.compiles, 1, "the failed job compiled once");
+    assert_eq!(stats.cache_entries, 0, "failure must not cache");
     // Hit 2 is clean: the identical request compiles fresh.
     let out = engine.submit(&cfg, &[job("ghz", ghz(4))]).unwrap();
     let r = out[0].result.as_ref().expect("recompiled fresh");
     assert_eq!(r.status, CacheStatus::Miss);
     assert_eq!(r.entry.isa_bytes, direct_bytes(&ghz(4), &cfg));
-}
-
-// ---------------------------------------------------------------------
-// Degradation ladder (acceptance gate)
-// ---------------------------------------------------------------------
-
-/// A request whose primary config is fault-injected to fail returns a
-/// *verified, legality-checked* result from a ladder rung, labeled
-/// `degraded` with the fallback config named — and is never cached, so
-/// the next identical request retries the primary config.
-#[test]
-fn fault_injected_primary_degrades_to_a_verified_fallback() {
-    // Hits 1–2 fail: the primary (-O2) and the first rung (`opt=1`).
-    // Hit 3 — the `opt=0` rung — succeeds.
-    let _armed = Armed::new("serve.compile:error@1-2;seed=1");
-    let engine = Engine::new(ServeConfig {
-        max_retries: 0,
-        ..chaos_config()
-    });
-    let cfg = AtomiqueConfig {
-        opt_level: OptLevel::Aggressive,
-        ..AtomiqueConfig::default()
-    };
-    let out = engine.submit(&cfg, &[job("ghz", ghz(5))]).unwrap();
-    let r = out[0].result.as_ref().expect("ladder served the job");
-    assert_eq!(r.entry.degraded.as_deref(), Some("opt=0"));
-
-    // The degraded stream is a real, independently verified program.
-    let program = codec::from_bytes(&r.entry.isa_bytes).expect("decodable ISA");
-    check_legality(&program).expect("degraded stream is legal");
-    replay_verify(&program).expect("degraded stream replays");
-    // And it is exactly what the named fallback config produces.
-    let fallback = AtomiqueConfig {
-        opt_level: OptLevel::None,
-        ..cfg.clone()
-    };
-    assert_eq!(r.entry.isa_bytes, direct_bytes(&ghz(5), &fallback));
-
-    let stats = engine.stats();
-    assert_eq!((stats.degraded, stats.compiles), (1, 3));
-    assert_eq!(stats.cache_entries, 0, "degraded results are never cached");
-
-    // Hits 4+ are clean: the retry compiles the primary config and
-    // caches it.
-    let out = engine.submit(&cfg, &[job("ghz", ghz(5))]).unwrap();
-    let r = out[0].result.as_ref().unwrap();
-    assert_eq!(r.status, CacheStatus::Miss);
-    assert_eq!(r.entry.degraded, None);
-    assert_eq!(r.entry.isa_bytes, direct_bytes(&ghz(5), &cfg));
-    assert_eq!(engine.stats().cache_entries, 1);
+    assert_eq!(engine.stats().compiles, 2);
 }
 
 // ---------------------------------------------------------------------
 // Counter reconciliation
 // ---------------------------------------------------------------------
 
-/// The engine's resilience counters reconcile exactly with the fault
-/// registry: every injected transient failure is one retry, every
-/// attempt is one compile.
+/// The engine's counters reconcile exactly with the fault registry:
+/// every injected `serve.compile` fault is one failed job, and every
+/// miss is one compile.
 #[test]
 fn engine_stats_reconcile_with_injected_fault_counts() {
     let _armed = Armed::new("serve.compile:error@1-2;seed=1");
-    let engine = Engine::new(ServeConfig {
-        max_retries: 3,
-        ..chaos_config()
-    });
+    let engine = Engine::new(chaos_config());
     let cfg = engine.base().clone();
-    let out = engine.submit(&cfg, &[job("ghz", ghz(4))]).unwrap();
-    assert!(out[0].result.is_ok());
-    let stats = engine.stats();
-    assert_eq!(stats.retries, raa_fault::fired_at("serve.compile"));
-    assert_eq!(stats.retries, 2);
-    assert_eq!(stats.compiles, 3);
+    let jobs: Vec<Job> = (3..6).map(|n| job(&format!("ghz{n}"), ghz(n))).collect();
+    let out = engine.submit(&cfg, &jobs).unwrap();
+    for o in &out[..2] {
+        let err = o.result.as_ref().expect_err("hits 1-2 are injected");
+        assert_eq!(err.kind(), "compile", "{}: {err}", o.name);
+    }
+    assert!(out[2].result.is_ok(), "hit 3 is clean");
+    let failed = out.iter().filter(|o| o.result.is_err()).count() as u64;
+    assert_eq!(failed, raa_fault::fired_at("serve.compile"));
     assert_eq!(raa_fault::fired_total(), 2);
+    let stats = engine.stats();
+    assert_eq!((stats.misses, stats.compiles), (3, 3));
 }
 
 /// The circuit breaker opens on injected consecutive failures, sheds
@@ -318,8 +243,6 @@ fn engine_stats_reconcile_with_injected_fault_counts() {
 fn breaker_opens_and_recovers_under_injected_faults() {
     let _armed = Armed::new("serve.compile:error@1-2;seed=3");
     let engine = Engine::new(ServeConfig {
-        max_retries: 0,
-        degrade: false,
         breaker_threshold: 2,
         breaker_cooldown_ms: 50,
         ..chaos_config()
@@ -345,6 +268,38 @@ fn breaker_opens_and_recovers_under_injected_faults() {
     assert!(out[0].result.is_ok());
     assert_eq!(engine.stats().breaker_state, BreakerState::Closed);
     assert_eq!(raa_fault::fired_at("serve.compile"), 2);
+}
+
+/// A probe batch killed mid-wave by a worker panic frees the probe
+/// slot: the next batch probes and closes the breaker instead of being
+/// shed for good.
+#[test]
+fn probe_batch_killed_mid_wave_frees_the_probe_slot() {
+    let _armed = Armed::new("par.worker:panic@1;seed=1");
+    let engine = Engine::new(ServeConfig {
+        workers: 2,
+        breaker_threshold: 1,
+        breaker_cooldown_ms: 20,
+        ..ServeConfig::default()
+    });
+    let cfg = engine.base().clone();
+    // One job runs on the submitting thread, past the worker seam; its
+    // 0 ms deadline fails it and trips the breaker.
+    let out = engine
+        .submit_with(&cfg, &[job("slow", ghz(3))], Some(0))
+        .unwrap();
+    assert!(out[0].result.is_err());
+    assert_eq!(engine.stats().breaker_state, BreakerState::Open);
+    std::thread::sleep(std::time::Duration::from_millis(30));
+    // The probe batch's two leaders fan out; the first worker dies.
+    let killed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        engine.submit(&cfg, &[job("a", ghz(4)), job("b", ghz(5))])
+    }));
+    assert!(killed.is_err(), "the worker panic resumes on the submitter");
+    assert_eq!(raa_fault::fired_at("par.worker"), 1);
+    let out = engine.submit(&cfg, &[job("next", ghz(6))]).unwrap();
+    assert!(out[0].result.is_ok());
+    assert_eq!(engine.stats().breaker_state, BreakerState::Closed);
 }
 
 // ---------------------------------------------------------------------
@@ -383,8 +338,8 @@ fn every_request_terminates_under_the_pinned_fault_matrix() {
     }
     let matrix = [
         Case {
-            // Leader panics, randomly: caught, retried, sometimes
-            // falling through to a per-job error — always a response.
+            // Leader panics, randomly: each is caught and becomes that
+            // job's `compile` error inside a 200 — always a response.
             spec: "serve.compile:panic@0.5;seed=7",
             workers: 1,
             must_see: &[200],
@@ -404,7 +359,7 @@ fn every_request_terminates_under_the_pinned_fault_matrix() {
             must_see: &[500, 200],
         },
         Case {
-            // Every attempt overruns its (virtual) deadline at the
+            // Every compile overruns its (virtual) deadline at the
             // route stage: per-job `deadline` errors, still HTTP 200.
             spec: "compile.route:deadline;seed=7",
             workers: 1,
@@ -422,8 +377,6 @@ fn every_request_terminates_under_the_pinned_fault_matrix() {
         raa_fault::configure(case.spec).expect("valid fault spec");
         let engine = std::sync::Arc::new(Engine::new(ServeConfig {
             workers: case.workers,
-            max_retries: 1,
-            retry_backoff_ms: 0,
             breaker_threshold: 0,
             ..ServeConfig::default()
         }));
@@ -479,7 +432,6 @@ fn every_request_terminates_under_the_pinned_fault_matrix() {
     let response = json::parse(&text).unwrap();
     let result = &response.field("results").unwrap().arr().unwrap()[0];
     assert_eq!(result.field("ok").unwrap(), &json::Value::Bool(true));
-    assert_eq!(result.field("degraded").unwrap(), &json::Value::Bool(false));
     let bytes = b64::decode(result.field("isa_b64").unwrap().str().unwrap()).unwrap();
     let reference = qasm::from_qasm(&qasm::to_qasm(&ghz(5))).unwrap();
     assert_eq!(bytes, direct_bytes(&reference, &AtomiqueConfig::default()));

@@ -9,7 +9,8 @@
 //! Atomique configurations, asserting stage-for-stage equality (kinds,
 //! gate sets, every line move bit-for-bit) and byte-identical lowered
 //! ISA streams; plus byte-stability of the three baseline backends,
-//! which must not be affected by the proximity-index setting at all.
+//! which must not be affected by the proximity-index setting at all,
+//! and bit-identical statistics across repeated compiles.
 
 use atomique::{
     compile, AtomiqueConfig, CompiledProgram, LineMove, ProximityIndex, Relaxation, Stage,
@@ -19,7 +20,7 @@ use raa_baselines::{
     compile_fixed, geyser_pulses, lower_fixed, lower_geyser, lower_tan, tan_iterp,
     FixedArchitecture,
 };
-use raa_benchmarks::small_suite;
+use raa_benchmarks::{qaoa_regular, small_suite};
 use raa_circuit::NativeGateSet;
 use raa_isa::codec;
 use raa_physics::HardwareParams;
@@ -113,8 +114,9 @@ fn assert_programs_identical(ctx: &str, lines: &CompiledProgram, scan: &Compiled
         lines.stats.transfers, scan.stats.transfers,
         "{ctx}: transfer counts differ"
     );
-    assert!(
-        (lines.stats.total_move_distance_mm - scan.stats.total_move_distance_mm).abs() < 1e-12,
+    assert_eq!(
+        lines.stats.total_move_distance_mm.to_bits(),
+        scan.stats.total_move_distance_mm.to_bits(),
         "{ctx}: move distances differ"
     );
     // The lowered instruction streams must be byte-identical.
@@ -211,5 +213,58 @@ fn baseline_backends_are_byte_stable_across_proximity_modes() {
         // the baselines take no proximity configuration, so two
         // independent evaluations must agree byte for byte.
         assert_eq!(streams(), streams(), "{}: baselines not stable", b.name);
+    }
+}
+
+/// Every figure of `CompileStats` except its wall clock, and every
+/// factor of the `FidelityBreakdown`, as bits.
+fn stats_bits(out: &CompiledProgram) -> Vec<u64> {
+    let s = &out.stats;
+    let f = &out.fidelity;
+    let counts = [
+        s.num_qubits,
+        s.two_qubit_gates,
+        s.one_qubit_gates,
+        s.depth,
+        s.swaps_inserted,
+        s.additional_cnots,
+        s.num_move_stages,
+        s.cooling_events,
+        s.overlap_rejections,
+        s.transfers,
+    ];
+    let floats = [
+        s.execution_time_s,
+        s.total_move_distance_mm,
+        s.avg_move_distance_mm,
+        f.one_qubit,
+        f.two_qubit,
+        f.transfer,
+        f.move_heating,
+        f.move_cooling,
+        f.move_loss,
+        f.move_decoherence,
+    ];
+    counts
+        .iter()
+        .map(|&c| c as u64)
+        .chain(floats.iter().map(|x| x.to_bits()))
+        .collect()
+}
+
+/// Identical compiles report identical statistics to the last bit: the
+/// router sums each stage's move distance in slot order, so no hash
+/// order reaches `total_move_distance_mm`.
+#[test]
+fn repeated_compiles_report_bit_identical_stats() {
+    let circuit = qaoa_regular(100, 3, 7);
+    let runs: Vec<Vec<u64>> = (0..5)
+        .map(|_| {
+            let out = compile(&circuit, &AtomiqueConfig::default()).expect("compiles");
+            stats_bits(&out)
+        })
+        .collect();
+    for (i, run) in runs.iter().enumerate().skip(1) {
+        assert_eq!(run, &runs[0], "compile {i} differs from compile 0");
     }
 }

@@ -82,8 +82,6 @@ fn sustained_mixed_workload_stays_stable() {
         workers: 4,
         queue_capacity: 256,
         cache_capacity: 64, // small: forces steady LRU eviction churn
-        max_retries: 1,
-        retry_backoff_ms: 1,
         ..ServeConfig::default()
     }));
     let server = http::serve(engine.clone(), "127.0.0.1:0").expect("bind");
