@@ -8,7 +8,9 @@
 //! suddenly rejected) — exactly the class of silent regression
 //! wall-clock benchmarks cannot catch. The same compiles pin that the
 //! stream oracle runs once per compile: one `isa.check` and one
-//! `isa.replay` span.
+//! `isa.replay` span. [`figures_match_committed_pins_bit_for_bit`]
+//! pins the float figures (execution time, move distances, fidelity
+//! factors) of the same compiles to their exact bits.
 //!
 //! On intentional pipeline changes, regenerate the table: the failure
 //! message prints the new rows as Rust source ready to paste.
@@ -178,6 +180,75 @@ fn counters_match_committed_baselines_exactly() {
          If the pipeline change is intentional, replace BASELINES in\n\
          tests/trace_counters.rs with:\n{}",
         render_rows(&actual)
+    );
+}
+
+/// Committed FNV-1a-64 hashes of each small-suite benchmark's float
+/// figures under [`traced_config`] (see [`figure_hash`]). The counters
+/// and ISA bytes above cannot see a move distance or a fidelity factor
+/// that drifts in its last bits; these can. Regenerate like
+/// [`BASELINES`].
+const FIGURE_PINS: &[(&str, u64)] = &[
+    ("Mermin-Bell-5", 0xfda212e7cc077cbc),
+    ("VQE-10", 0x3e6769c465800071),
+    ("VQE-20", 0xbd1d9d9d0dedb2dc),
+    ("Adder-10", 0xbaef594f04f22eee),
+    ("BV-14", 0x18c6407f67e649e7),
+    ("QSim-rand-5", 0x32f1a44d9ceee6f7),
+    ("QSim-rand-10", 0xb224f8fb94f3a473),
+    ("H2-4", 0x06fafdfce3dc8c9b),
+    ("QAOA-rand-5", 0xa60fbb6fd8c8e458),
+    ("QAOA-regu3-20", 0xa84591d562d35069),
+    ("QAOA-regu4-10", 0xa493820f11bf7450),
+];
+
+/// FNV-1a-64 over the exact bits of the execution time, the total and
+/// average move distance and the seven fidelity factors, then the
+/// cooling events and movement stages.
+fn figure_hash(out: &atomique::CompiledProgram) -> u64 {
+    let (s, f) = (&out.stats, &out.fidelity);
+    let floats = [
+        s.execution_time_s,
+        s.total_move_distance_mm,
+        s.avg_move_distance_mm,
+        f.one_qubit,
+        f.two_qubit,
+        f.transfer,
+        f.move_heating,
+        f.move_cooling,
+        f.move_loss,
+        f.move_decoherence,
+    ];
+    let words = floats
+        .iter()
+        .map(|v| v.to_bits())
+        .chain([s.cooling_events as u64, s.num_move_stages as u64]);
+    let bytes: Vec<u8> = words.flat_map(u64::to_le_bytes).collect();
+    fnv1a64(&bytes)
+}
+
+#[test]
+fn figures_match_committed_pins_bit_for_bit() {
+    let actual: Vec<(String, u64)> = small_suite()
+        .iter()
+        .map(|b| {
+            let out =
+                compile(&b.circuit, &traced_config()).unwrap_or_else(|e| panic!("{}: {e}", b.name));
+            (b.name.to_string(), figure_hash(&out))
+        })
+        .collect();
+    let expected: Vec<(String, u64)> = FIGURE_PINS
+        .iter()
+        .map(|(n, h)| (n.to_string(), *h))
+        .collect();
+    let rows: String = actual
+        .iter()
+        .map(|(n, h)| format!("    (\"{n}\", {h:#018x}),\n"))
+        .collect();
+    assert_eq!(
+        actual, expected,
+        "\nfigure pins drifted. If the change is intentional, replace\n\
+         FIGURE_PINS in tests/trace_counters.rs with:\n{rows}"
     );
 }
 
