@@ -44,7 +44,6 @@ mod config;
 mod error;
 mod lower;
 mod program;
-mod render;
 mod router;
 mod transpile;
 
@@ -65,6 +64,5 @@ pub use raa_isa::{OptLevel, OptReport};
 // Re-exported so downstream crates can drive sessions and export traces
 // without naming raa-trace themselves.
 pub use raa_trace as trace;
-pub use render::{render_schedule, summarize};
 pub use router::{route_movements, RoutedProgram};
 pub use transpile::{transpile, transpile_with, TranspiledCircuit};

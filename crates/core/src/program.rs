@@ -199,7 +199,7 @@ impl StageTimings {
 /// (or an enclosing caller-owned `raa-trace` session at
 /// [`raa_trace::Level::Detail`]). Span and counter names are catalogued
 /// in `docs/OBSERVABILITY.md`; export with
-/// [`raa_trace::export::to_chrome`] / [`raa_trace::export::to_jsonl`].
+/// [`raa_trace::export::to_chrome`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CompileReport {
     /// The raw trace window of this compile. When the caller owned an

@@ -3,9 +3,10 @@
 //! algorithmic workloads, each compiled with `verify_isa` so the ISA
 //! legality + replay oracle checks every stream.
 
-use atomique::{compile, AtomiqueConfig, Relaxation};
+use atomique::{compile, AtomiqueConfig, OptLevel, Relaxation};
 use raa_arch::{ArrayDims, RaaConfig};
 use raa_circuit::{Circuit, Gate, Qubit};
+use raa_isa::{disassemble, Instr};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 
 fn random_circuit(n: usize, gates: usize, seed: u64) -> Circuit {
@@ -154,17 +155,67 @@ fn near_capacity_compiles() {
     );
 }
 
-/// The schedule renderer covers every stage of a large program.
+/// The verb `disassemble` prints for `instr`.
+fn verb(instr: &Instr) -> &'static str {
+    match instr {
+        Instr::InitSlm { .. } | Instr::InitAod { .. } => "init",
+        Instr::MoveRow { retract, .. } | Instr::MoveCol { retract, .. } => {
+            if *retract {
+                "retract"
+            } else {
+                "move"
+            }
+        }
+        Instr::Unpark { .. } => "unpark",
+        Instr::RydbergPulse { .. } => "pulse",
+        Instr::RamanLayer { .. } => "raman",
+        Instr::Transfer { .. } => "xfer",
+        Instr::Cool { .. } => "cool",
+        Instr::Park { .. } => "park",
+    }
+}
+
+/// The `-O0` stream accounts for every stage of the schedule: each
+/// two-qubit stage is one pulse or transfer and each cooling event one
+/// `cool`, and `disassemble` lists every instruction once, in pc order,
+/// under its own verb. The verb is read after the pc field, which widens
+/// past pc 9999.
 #[test]
-fn schedule_renders_completely() {
-    let c = random_circuit(30, 120, 6);
-    let out = compile(&c, &AtomiqueConfig::default()).unwrap();
-    let text = atomique::render_schedule(&out);
-    assert_eq!(
-        text.matches("PULSE").count() + text.matches("XFER").count(),
-        out.stats.depth
-    );
-    assert!(text.lines().count() >= out.stages.len());
-    let summary = atomique::summarize(&out);
-    assert!(summary.contains("30q"));
+fn stream_listing_covers_every_stage() {
+    let cfg = verified(AtomiqueConfig {
+        emit_isa: true,
+        opt_level: OptLevel::None,
+        ..AtomiqueConfig::default()
+    });
+    let circuits = raa_benchmarks::small_suite()
+        .into_iter()
+        .map(|b| (b.name.to_string(), b.circuit))
+        .chain([("random-30".to_string(), random_circuit(30, 120, 6))]);
+    for (name, c) in circuits {
+        let out = compile(&c, &cfg).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let isa = out.isa.as_ref().expect("emit_isa attaches the stream");
+        let count = |verbs: &[&str]| {
+            isa.instrs
+                .iter()
+                .filter(|i| verbs.contains(&verb(i)))
+                .count()
+        };
+        assert_eq!(count(&["pulse", "xfer"]), out.stats.depth, "{name}");
+        assert_eq!(count(&["cool"]), out.stats.cooling_events, "{name}");
+        let listed: Vec<(usize, String)> = disassemble(isa)
+            .lines()
+            .filter_map(|line| {
+                let (pc, rest) = line.split_once("  ")?;
+                let pc = pc.parse().ok()?;
+                Some((pc, rest.split_whitespace().next()?.to_string()))
+            })
+            .collect();
+        let expected: Vec<(usize, String)> = isa
+            .instrs
+            .iter()
+            .enumerate()
+            .map(|(pc, i)| (pc, verb(i).to_string()))
+            .collect();
+        assert_eq!(listed, expected, "{name}");
+    }
 }

@@ -8,8 +8,7 @@
 //! hand-derived: a *span tree* (nested wall-clock regions with RAII
 //! guards) plus *named monotonic counters* (algorithmic event counts
 //! that are machine-independent), recorded per thread and exportable as
-//! JSONL or Chrome trace-event JSON (loadable in Perfetto) via
-//! [`export`].
+//! Chrome trace-event JSON (loadable in Perfetto) via [`export`].
 //!
 //! # Model
 //!

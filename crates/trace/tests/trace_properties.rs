@@ -1,5 +1,5 @@
 //! Property tests of the tracing runtime under randomized nesting
-//! scripts, plus export round-trip stability.
+//! scripts.
 //!
 //! A script is a sequence of `Open`, `Close` and `Add` operations
 //! executed against a detail-level session on a dedicated thread
@@ -12,12 +12,12 @@
 //! * counter totals equal the sums the script performed, zero-delta
 //!   counters are omitted, and windowed deltas ([`raa_trace::mark`] /
 //!   [`raa_trace::report_since`]) never exceed session totals
-//!   (monotonicity);
-//! * both export formats round-trip byte-stably:
-//!   `parse(render(r))` re-renders to identical bytes.
+//!   (monotonicity).
+//!
+//! The root crate's `tests/trace_export.rs` checks the Chrome export of
+//! the same kind of scripts with an independent JSON reader.
 
 use proptest::prelude::*;
-use raa_trace::export::{from_chrome, from_jsonl, to_chrome, to_jsonl};
 use raa_trace::{Counter, Level, SpanGuard, TraceReport};
 
 /// Span names scripts draw from. Repeats are deliberate: sibling spans
@@ -135,27 +135,5 @@ proptest! {
         prop_assert!(window.counter("prop.count.a") <= expected[0]);
         prop_assert!(window.counter("prop.count.b") <= expected[1]);
         check_nesting(&window.spans);
-    }
-
-    /// `parse(render(r))` re-renders byte-identically in both formats,
-    /// and the parsed report preserves counters exactly.
-    #[test]
-    fn exports_round_trip_byte_stably(script in ops()) {
-        let (report, _, _, _) = run_script(script);
-
-        let jsonl = to_jsonl(&report);
-        let back = from_jsonl(&jsonl).expect("jsonl round-trip");
-        prop_assert_eq!(to_jsonl(&back), jsonl.clone());
-        prop_assert_eq!(&back.counters, &report.counters);
-
-        let chrome = to_chrome(&report);
-        let back = from_chrome(&chrome).expect("chrome round-trip");
-        prop_assert_eq!(to_chrome(&back), chrome);
-        prop_assert_eq!(&back.counters, &report.counters);
-
-        // Cross-format agreement: the Chrome rendering of the
-        // JSONL-parsed report matches the direct Chrome rendering.
-        let via_jsonl = from_jsonl(&jsonl).expect("jsonl reparse");
-        prop_assert_eq!(to_chrome(&via_jsonl), to_chrome(&report));
     }
 }

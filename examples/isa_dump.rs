@@ -6,10 +6,10 @@
 //! [--stage-timings] [--trace <path>] [--counters]`
 //! (default `-O2`; `--stage-timings` prints the per-stage compile
 //! wall-clock breakdown, `--trace` writes the compile's span tree to
-//! `<path>` — Chrome trace-event JSON loadable in Perfetto, or JSONL
-//! when the path ends in `.jsonl` — and `--counters` prints the
-//! telemetry counter table; see `docs/ISA.md` for the instruction set
-//! and `docs/OBSERVABILITY.md` for the tracing surface).
+//! `<path>` as Chrome trace-event JSON loadable in Perfetto, and
+//! `--counters` prints the telemetry counter table; see `docs/ISA.md`
+//! for the instruction set and `docs/OBSERVABILITY.md` for the tracing
+//! surface).
 
 use atomique::{compile, emit_isa, trace, AtomiqueConfig, OptLevel};
 use raa_benchmarks::qaoa_regular;
@@ -126,12 +126,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     if let Some(path) = trace_path {
-        let rendered = if path.ends_with(".jsonl") {
-            trace::export::to_jsonl(&program.report.trace)
-        } else {
-            trace::export::to_chrome(&program.report.trace)
-        };
-        std::fs::write(&path, rendered)?;
+        std::fs::write(&path, trace::export::to_chrome(&program.report.trace))?;
         println!("trace written     : {path} (load in https://ui.perfetto.dev)");
     }
 
