@@ -333,14 +333,6 @@ impl CouplingGraph {
     pub fn max_degree(&self) -> usize {
         self.adj.iter().map(|a| a.len()).max().unwrap_or(0)
     }
-
-    /// Average vertex degree.
-    pub fn avg_degree(&self) -> f64 {
-        if self.n == 0 {
-            return 0.0;
-        }
-        2.0 * self.edges.len() as f64 / self.n as f64
-    }
 }
 
 fn all_pairs_bfs(n: usize, adj: &[Vec<u32>]) -> Vec<u16> {

@@ -102,20 +102,6 @@ pub fn fmt(v: f64) -> String {
     }
 }
 
-/// Prints a paper-vs-measured metric block: one line per series.
-pub fn paper_vs_measured(metric: &str, labels: &[&str], paper: &[f64], measured: &[f64]) {
-    println!("--- {metric} ---");
-    row(
-        "",
-        &labels.iter().map(|l| l.to_string()).collect::<Vec<_>>(),
-    );
-    row("paper", &paper.iter().map(|&v| fmt(v)).collect::<Vec<_>>());
-    row(
-        "measured",
-        &measured.iter().map(|&v| fmt(v)).collect::<Vec<_>>(),
-    );
-}
-
 /// Column labels matching [`isa_row`].
 pub const ISA_COLUMNS: [&str; 7] = [
     "instrs",

@@ -69,11 +69,6 @@ impl CircuitDag {
     pub fn is_empty(&self) -> bool {
         self.num_gates == 0
     }
-
-    /// A topological order (program order is always valid).
-    pub fn topological_order(&self) -> Vec<GateIdx> {
-        (0..self.num_gates).collect()
-    }
 }
 
 /// Mutable scheduling state over a [`CircuitDag`]: tracks which gates have

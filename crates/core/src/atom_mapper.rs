@@ -32,18 +32,6 @@ pub struct AtomMapping {
     pub site_of_slot: Vec<TrapSite>,
 }
 
-impl AtomMapping {
-    /// The slots mapped into `array`, with their sites.
-    pub fn slots_in(&self, array: ArrayIndex) -> Vec<(u32, TrapSite)> {
-        self.site_of_slot
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.array == array)
-            .map(|(i, s)| (i as u32, *s))
-            .collect()
-    }
-}
-
 /// Visit order for placing qubits in one array: main diagonal first, then
 /// increasingly distant off-diagonals (paper Fig. 6's spiral).
 pub fn diagonal_spiral_order(rows: usize, cols: usize) -> Vec<(u16, u16)> {

@@ -100,11 +100,6 @@ impl MovementProfile {
         1.5 * self.distance_m / self.duration_s
     }
 
-    /// Average velocity `D/T`.
-    pub fn avg_velocity(&self) -> f64 {
-        self.distance_m / self.duration_s
-    }
-
     /// Distance travelled by time `t`.
     pub fn position(&self, t: f64) -> f64 {
         let a0 = self.peak_accel();
