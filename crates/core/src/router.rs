@@ -176,62 +176,9 @@ struct RouterState<'a> {
     atoms_in_aod: Vec<Vec<u32>>,
     /// Per-attempt buffers of [`RouterState::try_add`].
     scratch: Scratch,
-    /// The travel of the stage being committed.
-    travel: Travel,
-}
-
-/// Per-slot track travel of the stage being committed, along each
-/// axis. `touched` lists the slots [`Travel::add`] reached; only those
-/// are read and reset, in slot order, so the stage's sum does not
-/// depend on any hash order. Every travel added is positive, so a slot
-/// reads zero on both axes exactly until its first add of the stage.
-struct Travel {
-    row: Vec<f64>,
-    col: Vec<f64>,
-    touched: Vec<u32>,
-}
-
-impl Travel {
-    fn new(slots: usize) -> Self {
-        Travel {
-            row: vec![0.0; slots],
-            col: vec![0.0; slots],
-            touched: Vec::with_capacity(slots),
-        }
-    }
-
-    /// Adds `tracks` of travel along `axis` to `slot`.
-    fn add(&mut self, axis: Axis, slot: u32, tracks: f64) {
-        debug_assert!(tracks > 0.0, "slot {slot} travels {tracks} tracks");
-        let s = slot as usize;
-        if self.row[s] == 0.0 && self.col[s] == 0.0 {
-            self.touched.push(slot);
-        }
-        match axis {
-            Axis::Row => self.row[s] += tracks,
-            Axis::Col => self.col[s] += tracks,
-        }
-    }
-
-    /// The stage's `(slot, distance)` pairs in slot order, for the slots
-    /// that moved, with distances in µm at `spacing_um` per track; the
-    /// touched slots are reset for the next stage.
-    fn take(&mut self, spacing_um: f64) -> Vec<(u32, f64)> {
-        self.touched.sort_unstable();
-        let mut moved = Vec::with_capacity(self.touched.len());
-        for &slot in &self.touched {
-            let s = slot as usize;
-            let (dr, dc) = (self.row[s], self.col[s]);
-            self.row[s] = 0.0;
-            self.col[s] = 0.0;
-            let d_um = (dr * dr + dc * dc).sqrt() * spacing_um;
-            if d_um > 0.0 {
-                moved.push((slot, d_um));
-            }
-        }
-        self.touched.clear();
-        moved
-    }
+    /// Track travel of each line id in the stage being committed. Every
+    /// atom on a line travels with it.
+    line_travel: Vec<f64>,
 }
 
 /// The stage plan accepted so far.
@@ -571,7 +518,7 @@ impl<'a> RouterState<'a> {
             parked: vec![false; num_aods],
             site_of_slot: mapping.site_of_slot.clone(),
             scratch: Scratch::new(atoms_on_line.len()),
-            travel: Travel::new(mapping.site_of_slot.len()),
+            line_travel: vec![0.0; atoms_on_line.len()],
             line_base,
             atoms_on_line,
             occupied,
@@ -967,10 +914,10 @@ impl<'a> RouterState<'a> {
         !((x_part && (y_part || y_slm)) || (y_part && x_slm))
     }
 
-    /// Commits the plan: updates committed positions, adds every atom's
-    /// travel to [`RouterState::travel`] and returns the per-line moves
-    /// (the ledger is fed once by the caller, after retraction is folded
-    /// in).
+    /// Commits the plan: updates committed positions, adds every line's
+    /// travel to [`RouterState::line_travel`] and returns the per-line
+    /// moves (the ledger is fed once by the caller, after retraction is
+    /// folded in).
     fn commit(&mut self, plan: &Plan) -> Vec<LineMove> {
         let mut moves = Vec::new();
 
@@ -982,8 +929,8 @@ impl<'a> RouterState<'a> {
                 continue;
             }
             self.parked[k] = false;
-            for &atom in &self.atoms_in_aod[k] {
-                self.travel.add(Axis::Row, atom, PARK_TRAVEL);
+            for t in &mut self.line_travel[self.line_base[2 * k]..self.line_base[2 * k + 1]] {
+                *t += PARK_TRAVEL;
             }
             moves.push(LineMove {
                 aod: k as u8,
@@ -1016,10 +963,7 @@ impl<'a> RouterState<'a> {
                         from_track: old,
                         to_track: new,
                     });
-                    let delta = (new - old).abs();
-                    for &atom in &self.atoms_on_line[base + idx] {
-                        self.travel.add(axis, atom, delta);
-                    }
+                    self.line_travel[base + idx] += (new - old).abs();
                     cur[idx] = new;
                 }
             }
@@ -1031,7 +975,8 @@ impl<'a> RouterState<'a> {
     /// Retracts the movable atom of each executed gate out of the Rydberg
     /// radius (move-in, pulse, move-out: the pulse must not re-fire on the
     /// next stage). Retraction distances are clamped so line order and the
-    /// minimum separation survive, and added to [`RouterState::travel`].
+    /// minimum separation survive, and added to
+    /// [`RouterState::line_travel`].
     /// Returns the retraction moves plus whether every executed pair
     /// actually separated beyond the Rydberg radius — when dense
     /// neighborhoods leave no clear retraction slot, the caller must
@@ -1120,9 +1065,7 @@ impl<'a> RouterState<'a> {
                 from_track: pos,
                 to_track: new,
             });
-            for &atom in &self.atoms_on_line[id] {
-                self.travel.add(axis, atom, amount.abs());
-            }
+            self.line_travel[id] += amount.abs();
         }
         // Did every pulsed pair actually separate? A pair is clear when at
         // least one of its atoms' lines moved far enough.
@@ -1131,6 +1074,27 @@ impl<'a> RouterState<'a> {
             .iter()
             .all(|&(a, b)| dist(self.pos(a), self.pos(b)) > INTERACT_R + 1e-9);
         (moves, separated)
+    }
+
+    /// The stage's `(slot, distance)` pairs in slot order, for the AOD
+    /// slots that moved, with distances in µm; the line travel is reset
+    /// for the next stage.
+    fn take_travel(&mut self) -> Vec<(u32, f64)> {
+        let mut moved = Vec::new();
+        for (slot, site) in self.site_of_slot.iter().enumerate() {
+            if site.array.is_slm() {
+                continue;
+            }
+            let k = site.array.aod_number();
+            let dr = self.line_travel[self.line_base[2 * k] + site.row as usize];
+            let dc = self.line_travel[self.line_base[2 * k + 1] + site.col as usize];
+            let d_um = (dr * dr + dc * dc).sqrt() * self.hw.spacing_um;
+            if d_um > 0.0 {
+                moved.push((slot as u32, d_um));
+            }
+        }
+        self.line_travel.fill(0.0);
+        moved
     }
 
     /// For every atom on the retracting line `key`: its site, and the
@@ -1653,7 +1617,7 @@ pub fn route_movements(
             let _retracting = raa_trace::span("route.retract");
             state.apply_retraction(&plan)
         };
-        let mut moved = state.travel.take(state.hw.spacing_um);
+        let mut moved = state.take_travel();
         for (_, d) in &mut moved {
             total_move_um += *d;
             *d *= 1e-6;
