@@ -21,8 +21,7 @@ use proptest::prelude::*;
 use raa_trace::{Counter, Level, SpanGuard, TraceReport};
 
 /// Span names scripts draw from. Repeats are deliberate: sibling spans
-/// with equal names exercise `span_total_s`'s outermost-only summation
-/// and the exporters' handling of name collisions.
+/// with equal names exercise `span_total_s`'s outermost-only summation.
 const NAMES: [&str; 4] = ["prop.alpha", "prop.beta", "prop.gamma", "prop.alpha"];
 
 static PROP_A: Counter = Counter::new("prop.count.a");

@@ -10,7 +10,7 @@ use atomique::trace::export::{to_chrome, to_chrome_named};
 use atomique::trace::{Counter, Level, SpanGuard, SpanNode, TraceReport};
 use atomique::{compile, AtomiqueConfig, OptLevel};
 use proptest::prelude::*;
-use raa_isa::json::{parse, Value};
+use raa_isa::json::parse;
 
 /// Span names scripts draw from, including ones the writer must escape.
 const NAMES: [&str; 4] = [
@@ -20,43 +20,24 @@ const NAMES: [&str; 4] = [
     "export.\u{7}bell",
 ];
 
-static COUNT_A: Counter = Counter::new("export.count.a");
-static COUNT_B: Counter = Counter::new("export.count\tb");
+static COUNTERS: [Counter; 2] = [
+    Counter::new("export.count.a"),
+    Counter::new("export.count\tb"),
+];
 
-#[derive(Debug, Clone, Copy)]
-enum Op {
-    /// Open a span with `NAMES[i]`.
-    Open(usize),
-    /// Close the innermost still-open span (no-op when none).
-    Close,
-    /// `COUNT_A` += n when false, `COUNT_B` += n when true.
-    Add(bool, u64),
-}
-
-fn ops() -> impl Strategy<Value = Vec<Op>> {
-    let op = (0usize..8, 0..NAMES.len(), 0u64..100).prop_map(|(sel, name, n)| match sel {
-        0..=2 => Op::Open(name),
-        3..=5 => Op::Close,
-        6 => Op::Add(false, n),
-        _ => Op::Add(true, n),
-    });
-    proptest::collection::vec(op, 0..48)
-}
-
-/// Runs `script` in a fresh detail session on its own thread (sessions
-/// are thread-local) and returns the session's report.
-fn run_script(script: Vec<Op>) -> TraceReport {
+/// Runs a script of `(op, name, amount)` steps in a fresh detail session
+/// on its own thread (sessions are thread-local) and returns its report.
+/// Ops 0–2 open a span named `NAMES[name]`, 3–5 close the innermost
+/// open one, 6 and 7 add `amount` to one of the two counters.
+fn run_script(script: Vec<(usize, usize, u64)>) -> TraceReport {
     std::thread::spawn(move || {
         atomique::trace::begin(Level::Detail);
         let mut open: Vec<SpanGuard> = Vec::new();
-        for op in script {
+        for (op, name, amount) in script {
             match op {
-                Op::Open(i) => open.push(atomique::trace::span(NAMES[i])),
-                Op::Close => {
-                    open.pop();
-                }
-                Op::Add(false, n) => COUNT_A.add(n),
-                Op::Add(true, n) => COUNT_B.add(n),
+                0..=2 => open.push(atomique::trace::span(NAMES[name])),
+                3..=5 => drop(open.pop()),
+                _ => COUNTERS[op - 6].add(amount),
             }
         }
         drop(open);
@@ -74,19 +55,14 @@ fn flatten(spans: &[SpanNode], depth: u64, out: &mut Vec<(String, u64, u64, u64)
     }
 }
 
-/// A microsecond field as whole nanoseconds.
-fn nanos(event: &Value, key: &str) -> u64 {
-    let us = event.field(key).and_then(Value::num).expect(key);
-    (us * 1000.0).round() as u64
-}
-
-/// Asserts that the events of process `pid` in `events` are exactly
-/// `report`'s spans, then its counters.
-fn assert_section(events: &[Value], pid: u64, report: &TraceReport) {
-    let mut spans = Vec::new();
-    let mut counters = Vec::new();
-    for e in events {
+/// Asserts that the events of process `pid` in the Chrome export `text`
+/// are exactly `report`'s spans, then its counters.
+fn assert_section(text: &str, pid: u64, report: &TraceReport) {
+    let doc = parse(text).expect("the export is valid JSON");
+    let (mut spans, mut counters) = (Vec::new(), Vec::new());
+    for e in doc.field("traceEvents").unwrap().arr().unwrap() {
         let field = |key| e.field(key).expect(key);
+        let nanos = |key| (field(key).num().unwrap() * 1000.0).round() as u64;
         if field("pid").uint(u64::MAX).unwrap() != pid {
             continue;
         }
@@ -95,9 +71,9 @@ fn assert_section(events: &[Value], pid: u64, report: &TraceReport) {
         match field("ph").str().unwrap() {
             "X" => {
                 let depth = args.field("depth").unwrap().uint(u64::MAX).unwrap();
-                spans.push((name, nanos(e, "ts"), nanos(e, "dur"), depth));
+                spans.push((name, nanos("ts"), nanos("dur"), depth));
             }
-            "C" => counters.push((name, args.field("value").unwrap().num().unwrap())),
+            "C" => counters.push((name, args.field("value").unwrap().uint(u64::MAX).unwrap())),
             "M" => assert_eq!(name, "process_name"),
             ph => panic!("unexpected event phase {ph}"),
         }
@@ -105,30 +81,18 @@ fn assert_section(events: &[Value], pid: u64, report: &TraceReport) {
     let mut expected = Vec::new();
     flatten(&report.spans, 0, &mut expected);
     assert_eq!(spans, expected);
-    let expected: Vec<(String, f64)> = report
-        .counters
-        .iter()
-        .map(|(name, v)| {
-            assert!(*v < 1 << 53, "{name} = {v} is not exact as a JSON number");
-            (name.clone(), *v as f64)
-        })
-        .collect();
-    assert_eq!(counters, expected);
-}
-
-/// The `traceEvents` array of a Chrome export.
-fn events(text: &str) -> Vec<Value> {
-    let doc = parse(text).expect("the export is valid JSON");
-    doc.field("traceEvents").unwrap().arr().unwrap().to_vec()
+    assert_eq!(counters, report.counters);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn scripted_reports_export_losslessly(script in ops()) {
+    fn scripted_reports_export_losslessly(
+        script in proptest::collection::vec((0usize..8, 0..NAMES.len(), 0u64..100), 0..48)
+    ) {
         let report = run_script(script);
-        assert_section(&events(&to_chrome(&report)), 0, &report);
+        assert_section(&to_chrome(&report), 0, &report);
     }
 }
 
@@ -136,7 +100,6 @@ proptest! {
 fn a_traced_compile_exports_losslessly() {
     let config = AtomiqueConfig {
         emit_isa: true,
-        verify_isa: true,
         opt_level: OptLevel::Aggressive,
         trace: true,
         ..AtomiqueConfig::default()
@@ -144,13 +107,10 @@ fn a_traced_compile_exports_losslessly() {
     let out = compile(&raa_benchmarks::qaoa_regular(10, 3, 7), &config).unwrap();
     let trace = &out.report.trace;
     assert!(trace.find("route.plan").is_some() && !trace.counters.is_empty());
-    assert_section(&events(&to_chrome(trace)), 0, trace);
+    assert_section(&to_chrome(trace), 0, trace);
 
-    let scripted = run_script(vec![Op::Open(1), Op::Add(true, 5), Op::Close]);
-    let named = events(&to_chrome_named(&[
-        ("compile", trace),
-        ("script", &scripted),
-    ]));
+    let scripted = run_script(vec![(0, 1, 0), (7, 0, 5), (3, 0, 0)]);
+    let named = to_chrome_named(&[("compile", trace), ("script", &scripted)]);
     assert_section(&named, 0, trace);
     assert_section(&named, 1, &scripted);
 }
