@@ -66,11 +66,8 @@ pub struct MovementLedger<'p> {
     ln_loss: f64,
     ln_cooling: f64,
     ln_decoherence: f64,
-    total_distance_m: f64,
     num_stages: usize,
-    num_atom_moves: usize,
     cooling_events: usize,
-    total_move_time_s: f64,
 }
 
 impl<'p> MovementLedger<'p> {
@@ -83,11 +80,8 @@ impl<'p> MovementLedger<'p> {
             ln_loss: 0.0,
             ln_cooling: 0.0,
             ln_decoherence: 0.0,
-            total_distance_m: 0.0,
             num_stages: 0,
-            num_atom_moves: 0,
             cooling_events: 0,
-            total_move_time_s: 0.0,
         }
     }
 
@@ -102,7 +96,6 @@ impl<'p> MovementLedger<'p> {
             return;
         }
         self.num_stages += 1;
-        self.total_move_time_s += duration_s;
         for &(atom, dist) in moved {
             if dist <= 0.0 {
                 continue;
@@ -113,8 +106,6 @@ impl<'p> MovementLedger<'p> {
             // Loss is evaluated at the post-move n_vib, per atom per move.
             let p = loss_probability(self.params, *n);
             self.ln_loss += ln_clamped(1.0 - p);
-            self.total_distance_m += dist;
-            self.num_atom_moves += 1;
         }
         self.ln_decoherence -= active_qubits as f64 * duration_s / self.params.coherence_time_s;
     }
@@ -184,29 +175,14 @@ impl<'p> MovementLedger<'p> {
         (self.ln_heating + self.ln_loss + self.ln_cooling + self.ln_decoherence).exp()
     }
 
-    /// Total distance moved by all atoms, metres.
-    pub fn total_distance_m(&self) -> f64 {
-        self.total_distance_m
-    }
-
     /// Number of recorded movement stages.
     pub fn num_stages(&self) -> usize {
         self.num_stages
     }
 
-    /// Number of individual atom moves (atoms × stages they moved in).
-    pub fn num_atom_moves(&self) -> usize {
-        self.num_atom_moves
-    }
-
     /// Number of cooling procedures performed.
     pub fn cooling_events(&self) -> usize {
         self.cooling_events
-    }
-
-    /// Total wall-clock time spent moving, seconds.
-    pub fn total_move_time_s(&self) -> f64 {
-        self.total_move_time_s
     }
 }
 
@@ -253,8 +229,6 @@ mod tests {
         l.record_move(&[(0, 15e-6)], 300e-6, 5);
         assert!((l.n_vib(0) - 2.0 * 0.0054).abs() < 4e-4);
         assert_eq!(l.num_stages(), 2);
-        assert_eq!(l.num_atom_moves(), 2);
-        assert!((l.total_distance_m() - 30e-6).abs() < 1e-12);
     }
 
     #[test]
