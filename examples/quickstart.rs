@@ -1,10 +1,11 @@
 //! Quickstart: compile a GHZ-state circuit for a reconfigurable atom
-//! array and inspect the movement schedule.
+//! array and inspect its instruction stream.
 //!
 //! Run with `cargo run --release --example quickstart`.
 
-use atomique::{compile, AtomiqueConfig, StageKind};
+use atomique::{compile, AtomiqueConfig};
 use raa_benchmarks::ghz;
+use raa_isa::disassemble;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A 12-qubit GHZ state: H + a CX chain.
@@ -15,8 +16,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         circuit.two_qubit_count()
     );
 
-    // The paper's default machine: 10×10 SLM plus two 10×10 AODs.
-    let config = AtomiqueConfig::default();
+    // The paper's default machine: 10×10 SLM plus two 10×10 AODs. The
+    // compile also lowers its schedule to the hardware instruction stream.
+    let config = AtomiqueConfig {
+        emit_isa: true,
+        ..AtomiqueConfig::default()
+    };
     let program = compile(&circuit, &config)?;
 
     println!("\ncompiled program:");
@@ -39,24 +44,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  {source:<18} {v:.5}");
     }
 
-    println!("\nfirst stages of the schedule:");
-    for (i, stage) in program.stages.iter().take(8).enumerate() {
-        match stage.kind {
-            StageKind::OneQubit => {
-                println!(
-                    "  {i}: Raman layer, {} one-qubit gates",
-                    stage.one_qubit_gates.len()
-                )
-            }
-            StageKind::Movement => println!(
-                "  {i}: move {} rows/cols, Rydberg pulse fires {} gates",
-                stage.moves.len(),
-                stage.gate_pairs.len()
-            ),
-            StageKind::Reset => println!("  {i}: reset (AODs re-home)"),
-            StageKind::TransferAssisted => println!("  {i}: transfer-assisted gate"),
-            StageKind::Cooling => println!("  {i}: cooling swap for AOD{:?}", stage.cooled_aod),
-        }
+    println!("\nfirst instructions of the stream:");
+    let listing = disassemble(program.isa.as_ref().expect("emit_isa attaches the stream"));
+    // Instruction lines start with their pc; the header and loads do not.
+    let is_instr = |l: &&str| l.starts_with(|c: char| c.is_ascii_digit());
+    for line in listing.lines().filter(is_instr).take(10) {
+        println!("  {line}");
     }
     Ok(())
 }
