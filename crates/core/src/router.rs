@@ -1088,10 +1088,10 @@ impl<'a> RouterState<'a> {
             let k = site.array.aod_number();
             let dr = self.line_travel[self.line_base[2 * k] + site.row as usize];
             let dc = self.line_travel[self.line_base[2 * k + 1] + site.col as usize];
-            let d_um = (dr * dr + dc * dc).sqrt() * self.hw.spacing_um;
-            if d_um > 0.0 {
-                moved.push((slot as u32, d_um));
+            if dr == 0.0 && dc == 0.0 {
+                continue; // every travel added is positive: this atom stayed
             }
+            moved.push((slot as u32, (dr * dr + dc * dc).sqrt() * self.hw.spacing_um));
         }
         self.line_travel.fill(0.0);
         moved
