@@ -1,7 +1,7 @@
 //! Reconfigurable-atom-array hardware description: one SLM array of fixed
 //! traps plus one or more movable AOD arrays (paper Sec. II).
 //!
-//! Geometry conventions (documented in `DESIGN.md` §5):
+//! Geometry conventions (specified in `docs/ISA.md` §1):
 //!
 //! * SLM trap `(r, c)` sits at `(c·d, r·d)` where `d` is the trap spacing
 //!   (default 15 µm, i.e. 6 Rydberg radii — the paper's setting).
@@ -318,7 +318,7 @@ impl RaaConfig {
 /// Staggered fractional home offsets for up to seven AOD arrays.
 ///
 /// Properties required by the movement router's constraint model (see
-/// `DESIGN.md` §5):
+/// `docs/ISA.md` §1):
 ///
 /// * every coordinate lies in `[0.1875, 0.8125]`, so atoms in a row/column
 ///   that slides onto an SLM line keep a clear Rydberg margin from the SLM

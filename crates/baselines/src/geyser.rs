@@ -8,7 +8,8 @@
 //!
 //! The original Geyser uses dual-annealing resynthesis; this reproduction
 //! blocks greedily over the circuit DAG (documented substitution,
-//! DESIGN.md §3) — the pulse-count *shape* is what Table III consumes.
+//! `EXPERIMENTS.md` "Deviations log") — the pulse-count *shape* is what
+//! Table III consumes.
 
 use std::collections::HashSet;
 

@@ -12,7 +12,7 @@
 //! * [`qpilot`] — the flying-ancilla compiler of Fig. 19.
 //!
 //! Substitutions relative to the original artifacts are documented in
-//! `DESIGN.md` §3.
+//! the "Deviations log" of `EXPERIMENTS.md`.
 
 #![warn(missing_docs)]
 

@@ -6,10 +6,10 @@
 //! AOD, which Atomique's paper criticizes for its transfer-induced atom
 //! loss.
 //!
-//! Substitution (DESIGN.md §3): instead of Z3 we run an exhaustive
-//! branch-and-bound over stage schedules with the same objective
-//! (minimum stage count) and a wall-clock timeout — reproducing both
-//! relevant behaviours: near-optimal schedules on small circuits and
+//! Substitution (`EXPERIMENTS.md` "Deviations log"): instead of Z3 we
+//! run an exhaustive branch-and-bound over stage schedules with the same
+//! objective (minimum stage count) and a wall-clock timeout — reproducing
+//! both relevant behaviours: near-optimal schedules on small circuits and
 //! exponential compile-time blow-up (the paper's 1000× speed-up claim).
 //!
 //! A *stage* executes any set of qubit-disjoint frontier gates (DPQA can

@@ -145,53 +145,84 @@ pub fn fig12() {
     );
 }
 
-/// Fig. 13: depth, two-qubit gates and fidelity on 17 benchmarks × 5
-/// architectures.
-pub fn fig13(quick: bool) {
-    section("Fig. 13: architecture comparison");
+/// Fig. 13's measured numbers: depth, two-qubit gates and fidelity of
+/// each benchmark on each architecture.
+#[derive(Debug, Clone)]
+pub struct Fig13 {
+    /// The compiled benchmarks, in suite order.
+    pub names: Vec<&'static str>,
+    /// Two-qubit depth, one row per [`paper::FIG13_ARCHS`] entry, one
+    /// value per benchmark in [`Fig13::names`] order.
+    pub depth: Vec<Vec<f64>>,
+    /// Two-qubit gate counts, laid out like [`Fig13::depth`].
+    pub two_q: Vec<Vec<f64>>,
+    /// Total fidelities, laid out like [`Fig13::depth`].
+    pub fidelity: Vec<Vec<f64>>,
+}
+
+impl Fig13 {
+    /// The entries of a paper row (e.g. a row of [`paper::FIG13_DEPTH`])
+    /// for the measured benchmarks, in [`Fig13::names`] order.
+    pub fn paper_values(&self, paper_row: &[f64; 18]) -> Vec<f64> {
+        paper::FIG13_LABELS
+            .iter()
+            .zip(paper_row.iter())
+            .filter(|(l, _)| self.names.contains(l))
+            .map(|(_, &v)| v)
+            .collect()
+    }
+}
+
+/// Compiles Fig. 13's 17 benchmarks (15 with `quick`, which skips
+/// QV-32 and LiH-6) on the five architectures and returns the measured
+/// rows.
+pub fn fig13_measure(quick: bool) -> Fig13 {
     let cfg = AtomiqueConfig::default();
-    let suite = large_suite();
-    let mut names: Vec<&str> = Vec::new();
-    // measured[arch][bench]
-    let mut depth = vec![Vec::new(); 5];
-    let mut two_q = vec![Vec::new(); 5];
-    let mut fidelity = vec![Vec::new(); 5];
-    for b in &suite {
+    let mut fig = Fig13 {
+        names: Vec::new(),
+        depth: vec![Vec::new(); 5],
+        two_q: vec![Vec::new(); 5],
+        fidelity: vec![Vec::new(); 5],
+    };
+    for b in &large_suite() {
         if quick && matches!(b.name, "QV-32" | "LiH-6") {
             continue;
         }
         let out = compare_architectures(b.name, &b.circuit, &cfg);
-        names.push(b.name);
+        fig.names.push(b.name);
         for (i, f) in out.fixed.iter().enumerate() {
-            depth[i].push(f.depth as f64);
-            two_q[i].push(f.two_qubit_gates as f64);
-            fidelity[i].push(f.total_fidelity());
+            fig.depth[i].push(f.depth as f64);
+            fig.two_q[i].push(f.two_qubit_gates as f64);
+            fig.fidelity[i].push(f.total_fidelity());
         }
-        depth[4].push(out.atomique.stats.depth as f64);
-        two_q[4].push(out.atomique.stats.two_qubit_gates as f64);
-        fidelity[4].push(out.atomique.total_fidelity());
+        fig.depth[4].push(out.atomique.stats.depth as f64);
+        fig.two_q[4].push(out.atomique.stats.two_qubit_gates as f64);
+        fig.fidelity[4].push(out.atomique.total_fidelity());
     }
+    fig
+}
+
+/// Fig. 13: depth, two-qubit gates and fidelity on 17 benchmarks × 5
+/// architectures, measured by [`fig13_measure`] and printed against the
+/// paper's values.
+pub fn fig13(quick: bool) {
+    section("Fig. 13: architecture comparison");
+    let fig = fig13_measure(quick);
     for (metric, measured, paper_rows) in [
-        ("depth", &depth, &paper::FIG13_DEPTH),
-        ("2Q gates", &two_q, &paper::FIG13_TWO_Q),
-        ("fidelity", &fidelity, &paper::FIG13_FIDELITY),
+        ("depth", &fig.depth, &paper::FIG13_DEPTH),
+        ("2Q gates", &fig.two_q, &paper::FIG13_TWO_Q),
+        ("fidelity", &fig.fidelity, &paper::FIG13_FIDELITY),
     ] {
         println!("--- {metric} ---");
         let mut hdr = vec!["".to_string()];
-        hdr.extend(names.iter().map(|s| s.to_string()));
+        hdr.extend(fig.names.iter().map(|s| s.to_string()));
         hdr.push("GMean".into());
         row(&hdr[0], &hdr[1..]);
         for (i, arch) in paper::FIG13_ARCHS.iter().enumerate() {
             let mut cells: Vec<String> = measured[i].iter().map(|&v| fmt(v)).collect();
             cells.push(fmt(gmean(&measured[i])));
             row(&format!("{arch} (meas)"), &cells);
-            // Paper values for the kept benchmarks.
-            let paper_vals: Vec<f64> = paper::FIG13_LABELS
-                .iter()
-                .zip(paper_rows[i].iter())
-                .filter(|(l, _)| names.contains(l))
-                .map(|(_, &v)| v)
-                .collect();
+            let paper_vals = fig.paper_values(&paper_rows[i]);
             let mut cells: Vec<String> = paper_vals.iter().map(|&v| fmt(v)).collect();
             cells.push(fmt(gmean(&paper_vals)));
             row(&format!("{arch} (paper)"), &cells);
@@ -201,8 +232,8 @@ pub fn fig13(quick: bool) {
     for (i, arch) in paper::FIG13_ARCHS[..4].iter().enumerate() {
         println!(
             "{arch}: measured 2Q x{:.1} / depth x{:.1} vs Atomique (paper: x{:.1} / x{:.1})",
-            gmean(&two_q[i]) / gmean(&two_q[4]),
-            gmean(&depth[i]) / gmean(&depth[4]),
+            gmean(&fig.two_q[i]) / gmean(&fig.two_q[4]),
+            gmean(&fig.depth[i]) / gmean(&fig.depth[4]),
             paper::FIG13_TWO_Q[i][17] / paper::FIG13_TWO_Q[4][17],
             paper::FIG13_DEPTH[i][17] / paper::FIG13_DEPTH[4][17],
         );

@@ -103,24 +103,20 @@ pub fn fmt(v: f64) -> String {
 }
 
 /// Column labels matching [`isa_row`].
-pub const ISA_COLUMNS: [&str; 7] = [
+pub const ISA_COLUMNS: [&str; 6] = [
     "instrs",
     "moves",
     "pulses",
     "xfers",
     "travel(mm)",
-    "json(KB)",
     "bin(KB)",
 ];
 
 /// ISA-level statistics of one instruction stream, formatted for
 /// [`row`]: instruction count, moves, pulses, transfers, summed line
-/// travel, and both encoded stream sizes.
+/// travel, and the encoded stream size.
 pub fn isa_row(program: &raa_isa::IsaProgram) -> Vec<String> {
     let s = raa_isa::IsaStats::of(program);
-    let json_bytes = raa_isa::codec::to_json(program)
-        .unwrap_or_else(|e| panic!("unencodable stream for `{}`: {e}", program.header.name))
-        .len();
     let bin_bytes = raa_isa::codec::to_bytes(program).len();
     vec![
         s.instructions.to_string(),
@@ -128,7 +124,6 @@ pub fn isa_row(program: &raa_isa::IsaProgram) -> Vec<String> {
         s.pulses.to_string(),
         s.transfers.to_string(),
         fmt(s.line_travel_um / 1000.0),
-        fmt(json_bytes as f64 / 1024.0),
         fmt(bin_bytes as f64 / 1024.0),
     ]
 }

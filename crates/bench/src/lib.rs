@@ -15,7 +15,9 @@ pub mod paper;
 mod figs_main;
 mod figs_sweeps;
 
-pub use figs_main::{fig12, fig13, fig14, fig19, fig25, table1, table2, table3};
+pub use figs_main::{
+    fig12, fig13, fig13_measure, fig14, fig19, fig25, table1, table2, table3, Fig13,
+};
 pub use figs_sweeps::{
     fig15, fig16, fig17, fig18, fig20a, fig20b, fig20c, fig21, fig22, fig23, fig24,
 };

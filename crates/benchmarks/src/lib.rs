@@ -13,7 +13,7 @@
 //!
 //! The original benchmarks are Python/QASM artifacts; these generators
 //! rebuild the same circuit structures, matched to Table II's gate counts
-//! (see `DESIGN.md` §3 and `EXPERIMENTS.md`). Named suites used by the
+//! (see the "Deviations log" of `EXPERIMENTS.md`). Named suites used by the
 //! figures live in [`large_suite`], [`small_suite`], [`topology_suite`]
 //! and [`relaxation_suite`]. All generators are deterministic in their
 //! seed.

@@ -21,7 +21,7 @@
 //!   of atom pairs within `r_b` must be *exactly* the scheduled gate set;
 //!   additionally gate participants must keep the paper's 2.5 `r_b` safety
 //!   margin from SLM atoms and from other participants. Resting atoms of
-//!   un-involved arrays are treated as parked (see DESIGN.md §5).
+//!   un-involved arrays are treated as parked (see docs/ISA.md §1).
 //! * **C2 — row/column order** (Fig. 10): within one AOD, row and column
 //!   coordinates must remain strictly increasing.
 //! * **C3 — no overlap** (Fig. 11): adjacent rows/columns of one AOD must

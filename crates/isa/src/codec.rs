@@ -1,628 +1,24 @@
-//! Program codecs: human-readable JSON and a compact binary format.
+//! The program codec: a compact, versioned binary format.
 //!
-//! Both codecs are *lossless*: decoding an encoded program yields an
-//! equal program, and re-encoding a decoded program is byte-identical.
-//! Floating-point fields round-trip exactly — JSON uses Rust's
-//! shortest-round-trip formatting, the binary format stores raw IEEE-754
-//! bits.
+//! [`to_bytes`]/[`from_bytes`] are lossless: decoding an encoded program
+//! yields an equal program, and re-encoding a decoded program is
+//! byte-identical. Floats are stored as raw IEEE-754 bits, so they
+//! round-trip exactly (NaN and −0.0 included). Decoding is total: a
+//! truncated or corrupt stream returns a [`DecodeError`], never a panic,
+//! and a truncation error names the byte offset and the field being read.
 //!
-//! Neither codec depends on external crates (this workspace builds
-//! offline); the JSON subset emitted/accepted is plain RFC 8259.
+//! [`gate_to_json`]/[`gate_from_json`] are the per-gate JSON form of the
+//! serving layer's `circuit` job field (`["cz", 0, 1]`,
+//! `["rz", 3, 0.25]`); documents are parsed with [`crate::json`].
+//!
+//! Nothing here depends on external crates (this workspace builds
+//! offline).
 
 use raa_circuit::{Circuit, Gate, OneQubitKind, Qubit, TwoQubitKind};
 
 use crate::error::{DecodeError, EncodeError};
-use crate::json::{self, structure, Value};
+use crate::json::{structure, Value};
 use crate::program::{Instr, IsaProgram, ProgramHeader, SiteSpec, FORMAT_VERSION};
-
-// ---------------------------------------------------------------------
-// JSON encoding
-// ---------------------------------------------------------------------
-
-/// Encodes `program` as a JSON document.
-///
-/// # Errors
-///
-/// [`EncodeError::NonFiniteNumber`] if any float field is NaN/infinite.
-///
-/// # Examples
-///
-/// ```
-/// use raa_circuit::{Circuit, Gate, Qubit};
-/// use raa_isa::{codec, lower_gate_schedule, ProgramHeader};
-///
-/// let mut c = Circuit::new(2);
-/// c.push(Gate::cz(Qubit(0), Qubit(1)));
-/// let program = lower_gate_schedule(&c, &[vec![0]], ProgramHeader::new("doc", "json"))?;
-///
-/// let json = codec::to_json(&program)?;
-/// assert!(json.starts_with("{\"format\":\"raa-isa\""));
-/// assert_eq!(codec::from_json(&json)?, program); // lossless round-trip
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub fn to_json(program: &IsaProgram) -> Result<String, EncodeError> {
-    let mut w = JsonWriter {
-        out: String::with_capacity(4096),
-    };
-    w.out.push('{');
-    w.key("format");
-    w.string("raa-isa");
-    w.sep();
-    w.key("version");
-    w.uint(program.version as u64);
-    w.sep();
-    w.key("backend");
-    w.string(&program.header.backend);
-    w.sep();
-    w.key("name");
-    w.string(&program.header.name);
-    w.sep();
-    w.key("spacing_um");
-    w.float(program.header.spacing_um, "spacing_um")?;
-    w.sep();
-    w.key("rydberg_radius_um");
-    w.float(program.header.rydberg_radius_um, "rydberg_radius_um")?;
-    w.sep();
-    w.key("slot_of_qubit");
-    w.out.push('[');
-    for (i, &s) in program.slot_of_qubit.iter().enumerate() {
-        if i > 0 {
-            w.sep();
-        }
-        w.uint(s as u64);
-    }
-    w.out.push(']');
-    w.sep();
-    w.key("sites");
-    w.out.push('[');
-    for (i, site) in program.sites.iter().enumerate() {
-        if i > 0 {
-            w.sep();
-        }
-        w.out.push('[');
-        w.uint(site.array as u64);
-        w.sep();
-        w.uint(site.row as u64);
-        w.sep();
-        w.uint(site.col as u64);
-        w.out.push(']');
-    }
-    w.out.push(']');
-    w.sep();
-    w.key("reference");
-    w.out.push('{');
-    w.key("num_slots");
-    w.uint(program.reference.num_qubits() as u64);
-    w.sep();
-    w.key("gates");
-    w.out.push('[');
-    for (i, g) in program.reference.gates().iter().enumerate() {
-        if i > 0 {
-            w.sep();
-        }
-        w.gate(g)?;
-    }
-    w.out.push_str("]}");
-    w.sep();
-    w.key("instrs");
-    w.out.push('[');
-    for (i, instr) in program.instrs.iter().enumerate() {
-        if i > 0 {
-            w.sep();
-        }
-        w.instr(instr)?;
-    }
-    w.out.push_str("]}");
-    Ok(w.out)
-}
-
-struct JsonWriter {
-    out: String,
-}
-
-impl JsonWriter {
-    fn sep(&mut self) {
-        self.out.push(',');
-    }
-
-    fn key(&mut self, k: &str) {
-        self.string(k);
-        self.out.push(':');
-    }
-
-    fn string(&mut self, s: &str) {
-        self.out.push('"');
-        for ch in s.chars() {
-            match ch {
-                '"' => self.out.push_str("\\\""),
-                '\\' => self.out.push_str("\\\\"),
-                '\n' => self.out.push_str("\\n"),
-                '\r' => self.out.push_str("\\r"),
-                '\t' => self.out.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    self.out.push_str(&format!("\\u{:04x}", c as u32));
-                }
-                c => self.out.push(c),
-            }
-        }
-        self.out.push('"');
-    }
-
-    fn uint(&mut self, v: u64) {
-        self.out.push_str(&v.to_string());
-    }
-
-    fn float(&mut self, v: f64, field: &'static str) -> Result<(), EncodeError> {
-        if !v.is_finite() {
-            return Err(EncodeError::NonFiniteNumber { field });
-        }
-        // Rust's shortest-round-trip formatting: parses back bit-exactly.
-        self.out.push_str(&format!("{v}"));
-        Ok(())
-    }
-
-    fn gate(&mut self, g: &Gate) -> Result<(), EncodeError> {
-        self.out.push('[');
-        match *g {
-            Gate::OneQ { kind, qubit } => {
-                let (name, params): (&str, Vec<f64>) = match kind {
-                    OneQubitKind::H => ("h", vec![]),
-                    OneQubitKind::X => ("x", vec![]),
-                    OneQubitKind::Y => ("y", vec![]),
-                    OneQubitKind::Z => ("z", vec![]),
-                    OneQubitKind::S => ("s", vec![]),
-                    OneQubitKind::Sdg => ("sdg", vec![]),
-                    OneQubitKind::T => ("t", vec![]),
-                    OneQubitKind::Tdg => ("tdg", vec![]),
-                    OneQubitKind::Rx(t) => ("rx", vec![t]),
-                    OneQubitKind::Ry(t) => ("ry", vec![t]),
-                    OneQubitKind::Rz(t) => ("rz", vec![t]),
-                    OneQubitKind::U(t, p, l) => ("u", vec![t, p, l]),
-                };
-                self.string(name);
-                self.sep();
-                self.uint(qubit.0 as u64);
-                for p in params {
-                    self.sep();
-                    self.float(p, "gate angle")?;
-                }
-            }
-            Gate::TwoQ { kind, a, b } => {
-                let (name, param): (&str, Option<f64>) = match kind {
-                    TwoQubitKind::Cz => ("cz", None),
-                    TwoQubitKind::Cx => ("cx", None),
-                    TwoQubitKind::Zz(t) => ("zz", Some(t)),
-                    TwoQubitKind::Swap => ("swap", None),
-                };
-                self.string(name);
-                self.sep();
-                self.uint(a.0 as u64);
-                self.sep();
-                self.uint(b.0 as u64);
-                if let Some(t) = param {
-                    self.sep();
-                    self.float(t, "gate angle")?;
-                }
-            }
-        }
-        self.out.push(']');
-        Ok(())
-    }
-
-    fn instr(&mut self, instr: &Instr) -> Result<(), EncodeError> {
-        self.out.push('[');
-        match instr {
-            Instr::InitSlm { rows, cols } => {
-                self.string("islm");
-                self.sep();
-                self.uint(*rows as u64);
-                self.sep();
-                self.uint(*cols as u64);
-            }
-            Instr::InitAod {
-                aod,
-                rows,
-                cols,
-                fx,
-                fy,
-            } => {
-                self.string("iaod");
-                self.sep();
-                self.uint(*aod as u64);
-                self.sep();
-                self.uint(*rows as u64);
-                self.sep();
-                self.uint(*cols as u64);
-                self.sep();
-                self.float(*fx, "aod fx")?;
-                self.sep();
-                self.float(*fy, "aod fy")?;
-            }
-            Instr::MoveRow {
-                aod,
-                row,
-                from,
-                to,
-                retract,
-            } => {
-                self.string("mrow");
-                self.sep();
-                self.uint(*aod as u64);
-                self.sep();
-                self.uint(*row as u64);
-                self.sep();
-                self.float(*from, "move from")?;
-                self.sep();
-                self.float(*to, "move to")?;
-                self.sep();
-                self.uint(*retract as u64);
-            }
-            Instr::MoveCol {
-                aod,
-                col,
-                from,
-                to,
-                retract,
-            } => {
-                self.string("mcol");
-                self.sep();
-                self.uint(*aod as u64);
-                self.sep();
-                self.uint(*col as u64);
-                self.sep();
-                self.float(*from, "move from")?;
-                self.sep();
-                self.float(*to, "move to")?;
-                self.sep();
-                self.uint(*retract as u64);
-            }
-            Instr::Unpark { aod } => {
-                self.string("unpark");
-                self.sep();
-                self.uint(*aod as u64);
-            }
-            Instr::RydbergPulse { pairs } => {
-                self.string("pulse");
-                self.sep();
-                self.out.push('[');
-                for (i, (a, b)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        self.sep();
-                    }
-                    self.out.push('[');
-                    self.uint(*a as u64);
-                    self.sep();
-                    self.uint(*b as u64);
-                    self.out.push(']');
-                }
-                self.out.push(']');
-            }
-            Instr::RamanLayer { gates } => {
-                self.string("raman");
-                self.sep();
-                self.out.push('[');
-                for (i, g) in gates.iter().enumerate() {
-                    if i > 0 {
-                        self.sep();
-                    }
-                    self.gate(g)?;
-                }
-                self.out.push(']');
-            }
-            Instr::Transfer { a, b } => {
-                self.string("xfer");
-                self.sep();
-                self.uint(*a as u64);
-                self.sep();
-                self.uint(*b as u64);
-            }
-            Instr::Cool { aod } => {
-                self.string("cool");
-                self.sep();
-                self.uint(*aod as u64);
-            }
-            Instr::Park { kept } => {
-                self.string("park");
-                self.sep();
-                self.out.push('[');
-                for (i, k) in kept.iter().enumerate() {
-                    if i > 0 {
-                        self.sep();
-                    }
-                    self.uint(*k as u64);
-                }
-                self.out.push(']');
-            }
-        }
-        self.out.push(']');
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------
-// JSON decoding
-// ---------------------------------------------------------------------
-//
-// The JSON reader itself lives in [`crate::json`]; this section maps
-// parsed [`Value`] trees onto programs, gates and instructions.
-
-/// Decodes one gate from its JSON array form (e.g. `["cz", 0, 1]` or
-/// `["rz", 3, 0.25]`) — the same per-gate encoding [`to_json`] emits
-/// inside `reference.gates`, exposed for callers (such as the serving
-/// layer) that accept gate lists from JSON documents.
-///
-/// # Errors
-///
-/// [`DecodeError::Structure`] on unknown names, wrong arity or
-/// non-integer qubit indices.
-pub fn gate_from_json(value: &Value) -> Result<Gate, DecodeError> {
-    gate_from_value(value)
-}
-
-/// Encodes one gate as the JSON array form accepted by
-/// [`gate_from_json`].
-///
-/// # Errors
-///
-/// [`EncodeError::NonFiniteNumber`] if a gate angle is NaN/infinite.
-pub fn gate_to_json(gate: &Gate) -> Result<String, EncodeError> {
-    let mut w = JsonWriter {
-        out: String::with_capacity(32),
-    };
-    w.gate(gate)?;
-    Ok(w.out)
-}
-
-fn gate_from_value(v: &Value) -> Result<Gate, DecodeError> {
-    let items = v.arr()?;
-    let name = items
-        .first()
-        .ok_or_else(|| structure("empty gate"))?
-        .str()?;
-    let q = |i: usize| -> Result<Qubit, DecodeError> {
-        Ok(Qubit(
-            items
-                .get(i)
-                .ok_or_else(|| structure("truncated gate"))?
-                .uint(u32::MAX as u64)? as u32,
-        ))
-    };
-    let f = |i: usize| -> Result<f64, DecodeError> {
-        items
-            .get(i)
-            .ok_or_else(|| structure("truncated gate"))?
-            .num()
-    };
-    let arity_ok = |n: usize| -> Result<(), DecodeError> {
-        if items.len() == n {
-            Ok(())
-        } else {
-            Err(structure(format!(
-                "gate `{name}` expects {} arguments",
-                n - 1
-            )))
-        }
-    };
-    Ok(match name {
-        "h" => {
-            arity_ok(2)?;
-            Gate::h(q(1)?)
-        }
-        "x" => {
-            arity_ok(2)?;
-            Gate::x(q(1)?)
-        }
-        "y" => {
-            arity_ok(2)?;
-            Gate::y(q(1)?)
-        }
-        "z" => {
-            arity_ok(2)?;
-            Gate::z(q(1)?)
-        }
-        "s" => {
-            arity_ok(2)?;
-            Gate::s(q(1)?)
-        }
-        "sdg" => {
-            arity_ok(2)?;
-            Gate::sdg(q(1)?)
-        }
-        "t" => {
-            arity_ok(2)?;
-            Gate::t(q(1)?)
-        }
-        "tdg" => {
-            arity_ok(2)?;
-            Gate::tdg(q(1)?)
-        }
-        "rx" => {
-            arity_ok(3)?;
-            Gate::rx(q(1)?, f(2)?)
-        }
-        "ry" => {
-            arity_ok(3)?;
-            Gate::ry(q(1)?, f(2)?)
-        }
-        "rz" => {
-            arity_ok(3)?;
-            Gate::rz(q(1)?, f(2)?)
-        }
-        "u" => {
-            arity_ok(5)?;
-            Gate::u(q(1)?, f(2)?, f(3)?, f(4)?)
-        }
-        "cz" => {
-            arity_ok(3)?;
-            Gate::cz(q(1)?, q(2)?)
-        }
-        "cx" => {
-            arity_ok(3)?;
-            Gate::cx(q(1)?, q(2)?)
-        }
-        "zz" => {
-            arity_ok(4)?;
-            Gate::zz(q(1)?, q(2)?, f(3)?)
-        }
-        "swap" => {
-            arity_ok(3)?;
-            Gate::swap(q(1)?, q(2)?)
-        }
-        other => return Err(structure(format!("unknown gate tag `{other}`"))),
-    })
-}
-
-fn instr_from_value(v: &Value) -> Result<Instr, DecodeError> {
-    let items = v.arr()?;
-    let name = items
-        .first()
-        .ok_or_else(|| structure("empty instruction"))?
-        .str()?;
-    let get = |i: usize| -> Result<&Value, DecodeError> {
-        items
-            .get(i)
-            .ok_or_else(|| structure("truncated instruction"))
-    };
-    Ok(match name {
-        "islm" => Instr::InitSlm {
-            rows: get(1)?.uint(u16::MAX as u64)? as u16,
-            cols: get(2)?.uint(u16::MAX as u64)? as u16,
-        },
-        "iaod" => Instr::InitAod {
-            aod: get(1)?.uint(u8::MAX as u64)? as u8,
-            rows: get(2)?.uint(u16::MAX as u64)? as u16,
-            cols: get(3)?.uint(u16::MAX as u64)? as u16,
-            fx: get(4)?.num()?,
-            fy: get(5)?.num()?,
-        },
-        "mrow" => Instr::MoveRow {
-            aod: get(1)?.uint(u8::MAX as u64)? as u8,
-            row: get(2)?.uint(u16::MAX as u64)? as u16,
-            from: get(3)?.num()?,
-            to: get(4)?.num()?,
-            retract: get(5)?.uint(1)? == 1,
-        },
-        "mcol" => Instr::MoveCol {
-            aod: get(1)?.uint(u8::MAX as u64)? as u8,
-            col: get(2)?.uint(u16::MAX as u64)? as u16,
-            from: get(3)?.num()?,
-            to: get(4)?.num()?,
-            retract: get(5)?.uint(1)? == 1,
-        },
-        "unpark" => Instr::Unpark {
-            aod: get(1)?.uint(u8::MAX as u64)? as u8,
-        },
-        "pulse" => {
-            let mut pairs = Vec::new();
-            for p in get(1)?.arr()? {
-                let xs = p.arr()?;
-                if xs.len() != 2 {
-                    return Err(structure("pulse pair must have two slots"));
-                }
-                pairs.push((
-                    xs[0].uint(u32::MAX as u64)? as u32,
-                    xs[1].uint(u32::MAX as u64)? as u32,
-                ));
-            }
-            Instr::RydbergPulse { pairs }
-        }
-        "raman" => {
-            let gates = get(1)?
-                .arr()?
-                .iter()
-                .map(gate_from_value)
-                .collect::<Result<Vec<_>, _>>()?;
-            Instr::RamanLayer { gates }
-        }
-        "xfer" => Instr::Transfer {
-            a: get(1)?.uint(u32::MAX as u64)? as u32,
-            b: get(2)?.uint(u32::MAX as u64)? as u32,
-        },
-        "cool" => Instr::Cool {
-            aod: get(1)?.uint(u8::MAX as u64)? as u8,
-        },
-        "park" => Instr::Park {
-            kept: get(1)?
-                .arr()?
-                .iter()
-                .map(|k| Ok(k.uint(u8::MAX as u64)? as u8))
-                .collect::<Result<Vec<_>, DecodeError>>()?,
-        },
-        other => return Err(structure(format!("unknown instruction tag `{other}`"))),
-    })
-}
-
-/// Decodes a JSON document produced by [`to_json`].
-///
-/// # Errors
-///
-/// [`DecodeError`] on syntax, tag or structure problems.
-pub fn from_json(text: &str) -> Result<IsaProgram, DecodeError> {
-    let root = json::parse(text)?;
-
-    if root.field("format")?.str()? != "raa-isa" {
-        return Err(DecodeError::BadMagic);
-    }
-    let version = root.field("version")?.uint(u32::MAX as u64)? as u32;
-    if version != FORMAT_VERSION {
-        return Err(DecodeError::UnsupportedVersion { found: version });
-    }
-
-    let slot_of_qubit = root
-        .field("slot_of_qubit")?
-        .arr()?
-        .iter()
-        .map(|v| Ok(v.uint(u32::MAX as u64)? as u32))
-        .collect::<Result<Vec<_>, DecodeError>>()?;
-    let sites = root
-        .field("sites")?
-        .arr()?
-        .iter()
-        .map(|v| {
-            let xs = v.arr()?;
-            if xs.len() != 3 {
-                return Err(structure("site must be [array, row, col]"));
-            }
-            Ok(SiteSpec {
-                array: xs[0].uint(u8::MAX as u64)? as u8,
-                row: xs[1].uint(u16::MAX as u64)? as u16,
-                col: xs[2].uint(u16::MAX as u64)? as u16,
-            })
-        })
-        .collect::<Result<Vec<_>, DecodeError>>()?;
-
-    let reference_v = root.field("reference")?;
-    let num_slots = reference_v.field("num_slots")?.uint(u32::MAX as u64)? as usize;
-    let gates = reference_v
-        .field("gates")?
-        .arr()?
-        .iter()
-        .map(gate_from_value)
-        .collect::<Result<Vec<_>, DecodeError>>()?;
-    let reference = Circuit::with_gates(num_slots, gates)
-        .map_err(|e| structure(format!("invalid reference circuit: {e}")))?;
-
-    let instrs = root
-        .field("instrs")?
-        .arr()?
-        .iter()
-        .map(instr_from_value)
-        .collect::<Result<Vec<_>, DecodeError>>()?;
-
-    Ok(IsaProgram {
-        version,
-        header: ProgramHeader {
-            backend: root.field("backend")?.str()?.to_string(),
-            name: root.field("name")?.str()?.to_string(),
-            spacing_um: root.field("spacing_um")?.num()?,
-            rydberg_radius_um: root.field("rydberg_radius_um")?.num()?,
-        },
-        slot_of_qubit,
-        sites,
-        reference,
-        instrs,
-    })
-}
 
 // ---------------------------------------------------------------------
 // Binary encoding
@@ -1056,6 +452,110 @@ pub fn from_bytes(bytes: &[u8]) -> Result<IsaProgram, DecodeError> {
     })
 }
 
+// ---------------------------------------------------------------------
+// Per-gate JSON
+// ---------------------------------------------------------------------
+
+/// Encodes one gate as the JSON array form accepted by
+/// [`gate_from_json`]. Angles use Rust's shortest-round-trip float
+/// formatting, so they parse back bit-exactly.
+///
+/// # Errors
+///
+/// [`EncodeError::NonFiniteNumber`] if a gate angle is NaN/infinite.
+pub fn gate_to_json(gate: &Gate) -> Result<String, EncodeError> {
+    let (name, qubits, angles) = match *gate {
+        Gate::OneQ { kind, qubit } => {
+            let (name, angles) = match kind {
+                OneQubitKind::H => ("h", vec![]),
+                OneQubitKind::X => ("x", vec![]),
+                OneQubitKind::Y => ("y", vec![]),
+                OneQubitKind::Z => ("z", vec![]),
+                OneQubitKind::S => ("s", vec![]),
+                OneQubitKind::Sdg => ("sdg", vec![]),
+                OneQubitKind::T => ("t", vec![]),
+                OneQubitKind::Tdg => ("tdg", vec![]),
+                OneQubitKind::Rx(t) => ("rx", vec![t]),
+                OneQubitKind::Ry(t) => ("ry", vec![t]),
+                OneQubitKind::Rz(t) => ("rz", vec![t]),
+                OneQubitKind::U(t, p, l) => ("u", vec![t, p, l]),
+            };
+            (name, vec![qubit.0], angles)
+        }
+        Gate::TwoQ { kind, a, b } => {
+            let (name, angles) = match kind {
+                TwoQubitKind::Cz => ("cz", vec![]),
+                TwoQubitKind::Cx => ("cx", vec![]),
+                TwoQubitKind::Zz(t) => ("zz", vec![t]),
+                TwoQubitKind::Swap => ("swap", vec![]),
+            };
+            (name, vec![a.0, b.0], angles)
+        }
+    };
+    let mut fields = vec![format!("\"{name}\"")];
+    fields.extend(qubits.iter().map(u32::to_string));
+    for t in angles {
+        if !t.is_finite() {
+            return Err(EncodeError::NonFiniteNumber {
+                field: "gate angle",
+            });
+        }
+        fields.push(t.to_string());
+    }
+    Ok(format!("[{}]", fields.join(",")))
+}
+
+/// Decodes one gate from its JSON array form (e.g. `["cz", 0, 1]` or
+/// `["rz", 3, 0.25]`), for callers (such as the serving layer) that
+/// accept gate lists from JSON documents.
+///
+/// # Errors
+///
+/// [`DecodeError::Structure`] on unknown names, wrong arity or
+/// non-integer qubit indices.
+pub fn gate_from_json(value: &Value) -> Result<Gate, DecodeError> {
+    let items = value.arr()?;
+    let name = items
+        .first()
+        .ok_or_else(|| structure("empty gate"))?
+        .str()?;
+    let arguments = match name {
+        "h" | "x" | "y" | "z" | "s" | "sdg" | "t" | "tdg" => 1,
+        "rx" | "ry" | "rz" | "cz" | "cx" | "swap" => 2,
+        "zz" => 3,
+        "u" => 4,
+        other => return Err(structure(format!("unknown gate tag `{other}`"))),
+    };
+    if items.len() != 1 + arguments {
+        return Err(structure(format!(
+            "gate `{name}` expects {arguments} arguments"
+        )));
+    }
+    let q = |i: usize| -> Result<Qubit, DecodeError> {
+        Ok(Qubit(items[i].uint(u32::MAX as u64)? as u32))
+    };
+    let f = |i: usize| items[i].num();
+    Ok(match name {
+        "h" => Gate::h(q(1)?),
+        "x" => Gate::x(q(1)?),
+        "y" => Gate::y(q(1)?),
+        "z" => Gate::z(q(1)?),
+        "s" => Gate::s(q(1)?),
+        "sdg" => Gate::sdg(q(1)?),
+        "t" => Gate::t(q(1)?),
+        "tdg" => Gate::tdg(q(1)?),
+        "rx" => Gate::rx(q(1)?, f(2)?),
+        "ry" => Gate::ry(q(1)?, f(2)?),
+        "rz" => Gate::rz(q(1)?, f(2)?),
+        "u" => Gate::u(q(1)?, f(2)?, f(3)?, f(4)?),
+        "cz" => Gate::cz(q(1)?, q(2)?),
+        "cx" => Gate::cx(q(1)?, q(2)?),
+        "zz" => Gate::zz(q(1)?, q(2)?, f(3)?),
+        // "swap", the one name left that the arity table admits.
+        _ => Gate::swap(q(1)?, q(2)?),
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1141,36 +641,12 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip_is_lossless_and_stable() {
-        let p = sample_program();
-        let json = to_json(&p).unwrap();
-        let decoded = from_json(&json).unwrap();
-        assert_eq!(decoded, p);
-        // Re-encoding is byte-identical.
-        assert_eq!(to_json(&decoded).unwrap(), json);
-    }
-
-    #[test]
     fn binary_roundtrip_is_lossless_and_stable() {
         let p = sample_program();
         let bytes = to_bytes(&p);
         let decoded = from_bytes(&bytes).unwrap();
         assert_eq!(decoded, p);
         assert_eq!(to_bytes(&decoded), bytes);
-    }
-
-    #[test]
-    fn binary_is_smaller_than_json() {
-        let p = sample_program();
-        assert!(to_bytes(&p).len() < to_json(&p).unwrap().len());
-    }
-
-    #[test]
-    fn json_accepts_whitespace() {
-        let p = sample_program();
-        let json = to_json(&p).unwrap();
-        let spaced = json.replace(',', ", ").replace(':', ": ");
-        assert_eq!(from_json(&spaced).unwrap(), p);
     }
 
     #[test]
@@ -1203,28 +679,26 @@ mod tests {
             from_bytes(&extended),
             Err(DecodeError::TrailingData { bytes: 1 })
         );
-
-        // JSON: wrong format tag, bad version, trailing data.
-        let json = to_json(&p).unwrap();
-        assert!(from_json(&json.replace("raa-isa", "nope")).is_err());
-        assert!(from_json(&json.replace("\"version\":1", "\"version\":9")).is_err());
-        assert!(from_json(&format!("{json} ,")).is_err());
-        assert!(from_json("{").is_err());
     }
 
     #[test]
-    fn malformed_surrogate_escapes_error_not_panic() {
-        let p = sample_program();
-        let json = to_json(&p).unwrap();
-        // High surrogate followed by a non-low-surrogate escape.
-        let bad = json.replacen("atomique", "\\ud800\\u0041", 1);
-        assert!(matches!(from_json(&bad), Err(DecodeError::Json { .. })));
-        // Lone high surrogate at end of string.
-        let bad = json.replacen("atomique", "\\ud800", 1);
-        assert!(matches!(from_json(&bad), Err(DecodeError::Json { .. })));
-        // A valid pair still decodes (U+1F600).
-        let good = json.replacen("atomique", "\\ud83d\\ude00", 1);
-        assert_eq!(from_json(&good).unwrap().header.backend, "😀");
+    fn malformed_json_gates_are_structure_errors() {
+        for (doc, message) in [
+            ("[]", "empty gate"),
+            (r#"["ccx", 0, 1, 2]"#, "unknown gate tag `ccx`"),
+            (r#"["rz", 0]"#, "gate `rz` expects 2 arguments"),
+            (r#"["cz", 0, 1, 2]"#, "gate `cz` expects 2 arguments"),
+            (r#"["h", 1.5]"#, "expected integer in [0, 4294967295]"),
+            (r#"["rx", 0, "pi"]"#, "expected number"),
+        ] {
+            let gate = crate::json::parse(doc).unwrap();
+            let message = message.to_string();
+            assert_eq!(
+                gate_from_json(&gate),
+                Err(DecodeError::Structure { message }),
+                "{doc}"
+            );
+        }
     }
 
     #[test]
@@ -1237,7 +711,7 @@ mod tests {
             to: f64::MIN_POSITIVE,
             retract: false,
         }];
-        let decoded = from_json(&to_json(&p).unwrap()).unwrap();
+        let decoded = from_bytes(&to_bytes(&p)).unwrap();
         match decoded.instrs[0] {
             Instr::MoveRow { from, to, .. } => {
                 assert_eq!(from.to_bits(), (-0.0_f64).to_bits());
@@ -1245,7 +719,7 @@ mod tests {
             }
             _ => unreachable!(),
         }
-        // NaN is encodable in binary, rejected by JSON.
+        // NaN survives too: the binary format stores raw bits.
         p.instrs = vec![Instr::MoveRow {
             aod: 0,
             row: 0,
@@ -1253,7 +727,6 @@ mod tests {
             to: 0.0,
             retract: false,
         }];
-        assert!(to_json(&p).is_err());
         let decoded = from_bytes(&to_bytes(&p)).unwrap();
         match decoded.instrs[0] {
             Instr::MoveRow { from, .. } => assert!(from.is_nan()),

@@ -2,11 +2,12 @@
 
 use std::fmt;
 
-/// A program could not be encoded.
+/// A gate could not be encoded as JSON
+/// ([`codec::gate_to_json`](crate::codec::gate_to_json)). The binary
+/// codec stores raw bits and never fails.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EncodeError {
     /// A float field is NaN or infinite, which JSON cannot represent.
-    /// (The binary codec encodes raw bits and never fails.)
     NonFiniteNumber {
         /// Which field held the value.
         field: &'static str,
@@ -25,7 +26,7 @@ impl fmt::Display for EncodeError {
 
 impl std::error::Error for EncodeError {}
 
-/// A byte stream or JSON document could not be decoded into a program.
+/// A byte stream or JSON document could not be decoded.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DecodeError {
     /// The binary magic bytes did not match.

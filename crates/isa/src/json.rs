@@ -1,11 +1,10 @@
-//! A minimal RFC 8259 JSON reader shared by the codecs and the
-//! serving layer.
+//! A minimal RFC 8259 JSON reader for the serving layer's requests.
 //!
-//! This is the parser half of the dependency-free JSON support that
-//! [`codec`](crate::codec) has always used internally; it is public so
-//! other workspace crates (notably `raa-serve`, whose HTTP front
-//! accepts JSON requests from untrusted clients) can parse documents
-//! without growing their own parser or an external dependency.
+//! `raa-serve`'s HTTP front accepts JSON request bodies from untrusted
+//! clients and parses them here, with the per-gate form of a `circuit`
+//! job decoded by [`codec::gate_from_json`](crate::codec::gate_from_json).
+//! Programs themselves never travel as JSON: their one wire format is
+//! the binary [`codec`](crate::codec).
 //!
 //! Errors are [`DecodeError`] values carrying the byte offset of the
 //! problem — [`DecodeError::Json`] for syntax errors,
@@ -166,8 +165,7 @@ pub fn parse(text: &str) -> Result<Value, DecodeError> {
 /// Parsing recurses per level, and the serving layer feeds this parser
 /// untrusted multi-megabyte bodies — without a bound, a document of
 /// nothing but `[` would overflow the connection thread's stack. 128
-/// is far beyond any legitimate document of ours (the codec's streams
-/// nest fewer than 10 deep).
+/// is far beyond any legitimate request (those nest 4 deep).
 const MAX_DEPTH: usize = 128;
 
 struct JsonParser<'a> {
@@ -436,6 +434,67 @@ mod tests {
         for doc in ["[".repeat(1 << 20), "{\"a\":".repeat(200_000)] {
             assert!(matches!(parse(&doc), Err(DecodeError::Json { .. })));
         }
+    }
+
+    #[test]
+    fn malformed_surrogate_escapes_error_not_panic() {
+        // High surrogate followed by a non-low-surrogate escape.
+        assert!(matches!(
+            parse(r#""\ud800\u0041""#),
+            Err(DecodeError::Json { .. })
+        ));
+        // Lone high surrogate at the end of a string.
+        assert!(matches!(
+            parse(r#""\ud800""#),
+            Err(DecodeError::Json { .. })
+        ));
+        // A valid pair still decodes (U+1F600).
+        assert_eq!(
+            parse(r#""\ud83d\ude00""#).unwrap(),
+            Value::Str("\u{1F600}".into())
+        );
+    }
+
+    #[test]
+    fn every_prefix_of_a_document_errors() {
+        // Every value kind, escapes (a surrogate pair included),
+        // exponents, nesting and a multi-byte character.
+        let doc = r#"{"jobs": [{"qasm": "h q[0];\r\n\"x\"\t\b\f\\\/\u00e9\ud83d\ude00 é"},
+            {"circuit": [["rz", 3, -2.5e-3], ["cz", 0, 1]], "ok": true, "no": false}],
+            "config": {"opt_level": 2, "e": 2.5E+0, "none": null, "empty": [], "obj": {}}}"#;
+        for cut in (0..doc.len()).filter(|&i| doc.is_char_boundary(i)) {
+            assert!(
+                parse(&doc[..cut]).is_err(),
+                "prefix of {cut}/{} bytes parsed",
+                doc.len()
+            );
+        }
+        let v = parse(doc).unwrap();
+        let qasm = v.field("jobs").unwrap().arr().unwrap()[0].field("qasm");
+        assert_eq!(
+            qasm.unwrap().str().unwrap(),
+            "h q[0];\r\n\"x\"\t\u{8}\u{c}\\/é\u{1F600} é"
+        );
+        let e = v.field("config").unwrap().field("e").unwrap().num();
+        assert_eq!(e.unwrap(), 2.5);
+    }
+
+    #[test]
+    fn gate_angles_round_trip_bit_exactly() {
+        use crate::codec::{gate_from_json, gate_to_json};
+        use raa_circuit::{Gate, OneQubitKind, Qubit};
+
+        for angle in [-0.0, f64::MIN_POSITIVE, 0.1234567890123] {
+            let text = gate_to_json(&Gate::rz(Qubit(1), angle)).unwrap();
+            match gate_from_json(&parse(&text).unwrap()).unwrap() {
+                Gate::OneQ {
+                    kind: OneQubitKind::Rz(t),
+                    qubit: Qubit(1),
+                } => assert_eq!(t.to_bits(), angle.to_bits(), "{text}"),
+                other => panic!("{text} decoded as {other:?}"),
+            }
+        }
+        assert!(gate_to_json(&Gate::rz(Qubit(0), f64::NAN)).is_err());
     }
 
     #[test]

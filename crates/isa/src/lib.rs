@@ -10,9 +10,10 @@
 //!   the style of the DPQA compiler family's output: AOD row/column moves
 //!   interleaved with global Rydberg pulses, Raman one-qubit layers,
 //!   SLM↔AOD transfers, cooling swaps and parking;
-//! * [`codec`] — a human-readable JSON codec and a compact binary codec,
-//!   both losslessly round-tripping (re-encoding a decoded program is
-//!   byte-identical);
+//! * [`codec`] — the compact binary wire format, losslessly
+//!   round-tripping (re-encoding a decoded program is byte-identical);
+//! * [`json`] — the dependency-free JSON reader behind the serving
+//!   layer's requests;
 //! * [`check_legality`] — a standalone legality checker that replays atom
 //!   positions through the stream and re-verifies the three hardware
 //!   constraints (C1 exact-pair Rydberg addressing, C2 row/column order,
@@ -54,9 +55,7 @@
 //! let report = replay_verify(&program)?;
 //! assert_eq!(report.two_qubit_gates, 1);
 //!
-//! // Both codecs round-trip losslessly.
-//! let json = codec::to_json(&program)?;
-//! assert_eq!(codec::from_json(&json)?, program);
+//! // The binary codec round-trips losslessly.
 //! let bytes = codec::to_bytes(&program);
 //! assert_eq!(codec::from_bytes(&bytes)?, program);
 //! # Ok::<(), Box<dyn std::error::Error>>(())

@@ -1,4 +1,4 @@
-//! Truncation/corruption fuzzing of the codecs.
+//! Truncation/corruption fuzzing of the binary codec.
 //!
 //! The binary codec is the wire format the serving layer hands to and
 //! accepts from untrusted clients, so decode must be total: at *every*
@@ -128,34 +128,6 @@ fn assert_every_prefix_errs(bytes: &[u8]) {
 fn every_prefix_of_a_full_coverage_stream_errors_with_offsets() {
     let bytes = codec::to_bytes(&full_coverage_program());
     assert_every_prefix_errs(&bytes);
-}
-
-#[test]
-fn every_prefix_of_the_json_document_errors() {
-    let json = codec::to_json(&full_coverage_program()).unwrap();
-    for cut in (0..json.len()).filter(|&i| json.is_char_boundary(i)) {
-        assert!(
-            codec::from_json(&json[..cut]).is_err(),
-            "JSON prefix of {cut}/{} chars decoded successfully",
-            json.len()
-        );
-    }
-    assert!(codec::from_json(&json).is_ok());
-}
-
-#[test]
-fn deeply_nested_json_errors_instead_of_overflowing_the_stack() {
-    // Nesting depth is an input-edge hazard distinct from truncation:
-    // an unbounded recursive parser turns `[[[[...` into a stack
-    // overflow, which aborts the whole serving process. The parser
-    // bounds depth, so a megabyte of open brackets (and the object
-    // equivalent) must come back as an ordinary decode error.
-    for doc in ["[".repeat(1 << 20), "{\"instrs\":".repeat(300_000)] {
-        assert!(
-            matches!(codec::from_json(&doc), Err(DecodeError::Json { .. })),
-            "deeply nested document must fail with a JSON error"
-        );
-    }
 }
 
 #[test]

@@ -9,7 +9,7 @@
 //! * every `OptLevel` preserves `check_legality` + `replay_verify` and
 //!   the observable gate sequence;
 //! * instruction count and line travel never increase;
-//! * both codecs stay byte-stable on optimized programs;
+//! * the binary codec stays byte-stable on optimized programs;
 //! * `optimize` is idempotent;
 //! * `Aggressive` strips an inflated program back down to (at most) the
 //!   size of the clean program it was inflated from;
@@ -95,10 +95,6 @@ proptest! {
     fn codecs_stay_lossless_on_optimized_programs((_, inflated) in programs()) {
         for level in [OptLevel::Basic, OptLevel::Aggressive] {
             let (out, _) = optimize(&inflated, level);
-            let json = codec::to_json(&out).map_err(|e| TestCaseError::fail(e.to_string()))?;
-            let decoded = codec::from_json(&json).map_err(|e| TestCaseError::fail(e.to_string()))?;
-            prop_assert_eq!(&decoded, &out);
-            prop_assert_eq!(codec::to_json(&decoded).unwrap(), json);
             let bytes = codec::to_bytes(&out);
             let decoded = codec::from_bytes(&bytes).map_err(|e| TestCaseError::fail(e.to_string()))?;
             prop_assert_eq!(&decoded, &out);

@@ -11,11 +11,12 @@
 //! | GET    | `/v1/stats`   | engine counter snapshot                |
 //! | POST   | `/v1/compile` | batch request → per-job results        |
 //!
-//! Error statuses: 400 (malformed body), 404, 405, 411 (no
-//! `Content-Length`), 413 (body over [`Engine::max_body_bytes`]), 429
-//! (queue full), 500 (the handler panicked), 503 (breaker open — with
-//! `Retry-After` — or draining). A job's compile error or deadline
-//! overrun is reported inside its own result of a 200 response.
+//! Error statuses: 400 (malformed head or body, including an invalid or
+//! conflicting `Content-Length`), 404, 405, 411 (no `Content-Length`),
+//! 413 (body over [`Engine::max_body_bytes`]), 429 (queue full), 500
+//! (the handler panicked), 503 (breaker open — with `Retry-After` — or
+//! draining). A job's compile error or deadline overrun is reported
+//! inside its own result of a 200 response.
 //!
 //! Each connection thread is an unwind barrier: a panic while handling
 //! a request (fault-injected via the `serve.http` point, or real) is
@@ -187,36 +188,68 @@ struct RequestHead {
     content_length: Option<usize>,
 }
 
-/// Reads the request line + headers; returns `None` on malformed or
-/// oversized heads (the connection is answered with 400 upstream).
+/// The 400 body for a head that cannot be parsed.
+const MALFORMED_HEAD: &str =
+    "{\"error\":{\"kind\":\"bad_request\",\"message\":\"malformed request head\"}}";
+
+/// The 400 body for a `Content-Length` that is not a decimal number,
+/// or two that disagree: the body's framing is unknown (RFC 9112 §6.3).
+const BAD_CONTENT_LENGTH: &str =
+    "{\"error\":{\"kind\":\"bad_request\",\"message\":\"invalid Content-Length\"}}";
+
+/// Reads the request line + headers; on a malformed or oversized head,
+/// or an invalid `Content-Length`, returns the body of the 400 that
+/// answers it.
 ///
 /// The reader's `take` limit bounds how much a hostile client can make
 /// us buffer: once the limit is exhausted, lines come back without a
 /// trailing newline and the head is rejected — including a single
 /// endless line that never contains `\n` at all.
-fn read_head(reader: &mut Take<BufReader<TcpStream>>) -> Option<RequestHead> {
-    let line = read_head_line(reader)?;
+fn read_head(reader: &mut Take<BufReader<TcpStream>>) -> Result<RequestHead, &'static str> {
+    let line = read_head_line(reader).ok_or(MALFORMED_HEAD)?;
     let mut parts = line.split_whitespace();
-    let method = parts.next()?.to_string();
-    let path = parts.next()?.to_string();
+    let method = parts.next().ok_or(MALFORMED_HEAD)?.to_string();
+    let path = parts.next().ok_or(MALFORMED_HEAD)?.to_string();
     let mut content_length = None;
+    let mut bad_length = false;
     loop {
-        let header = read_head_line(reader)?;
+        let header = read_head_line(reader).ok_or(MALFORMED_HEAD)?;
         let header = header.trim_end();
         if header.is_empty() {
             break;
         }
         if let Some((name, value)) = header.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse::<usize>().ok();
+                match parse_content_length(value) {
+                    Some(len) if content_length.is_none_or(|seen| seen == len) => {
+                        content_length = Some(len);
+                    }
+                    _ => bad_length = true,
+                }
             }
         }
     }
-    Some(RequestHead {
+    // Rejected only once the blank line is read, so the 400 goes out
+    // after the whole head, as every other answer does.
+    if bad_length {
+        return Err(BAD_CONTENT_LENGTH);
+    }
+    Ok(RequestHead {
         method,
         path,
         content_length,
     })
+}
+
+/// A `Content-Length` value: one or more ASCII digits (`str::parse`
+/// alone would also take `+5`). A value too large for `usize`
+/// saturates, so it is answered 413 like any other oversized body.
+fn parse_content_length(value: &str) -> Option<usize> {
+    let digits = value.trim();
+    if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    Some(digits.parse().unwrap_or(usize::MAX))
 }
 
 /// Reads one `\n`-terminated head line within the reader's byte
@@ -246,12 +279,9 @@ fn handle_connection(engine: &Engine, stream: TcpStream) -> std::io::Result<()> 
     let mut head_reader = BufReader::new(stream).take(MAX_HEADER_BYTES as u64);
     let head = read_head(&mut head_reader);
     let mut reader = head_reader.into_inner();
-    let Some(head) = head else {
-        return respond(
-            reader.into_inner(),
-            400,
-            "{\"error\":{\"kind\":\"bad_request\",\"message\":\"malformed request head\"}}",
-        );
+    let head = match head {
+        Ok(head) => head,
+        Err(body) => return respond(reader.into_inner(), 400, body),
     };
 
     match (head.method.as_str(), head.path.as_str()) {
@@ -439,6 +469,78 @@ mod tests {
         assert!(status_line.contains("400"), "{status_line:?}");
 
         server.stop();
+    }
+
+    /// Sends `request` verbatim and returns the status code and the
+    /// response body. The body is read by its `Content-Length`, not to
+    /// EOF: the server closes without reading what it rejected, which
+    /// may reset the connection after the response.
+    fn raw_roundtrip(addr: SocketAddr, request: &str) -> (u16, String) {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(request.as_bytes()).unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let status = line.split_whitespace().nth(1).unwrap().parse().unwrap();
+        let mut len = 0;
+        while !line.trim_end().is_empty() {
+            line.clear();
+            reader.read_line(&mut line).unwrap();
+            if let Some(value) = line.strip_prefix("Content-Length:") {
+                len = value.trim().parse().unwrap();
+            }
+        }
+        let mut body = vec![0; len];
+        reader.read_exact(&mut body).unwrap();
+        (status, String::from_utf8(body).unwrap())
+    }
+
+    #[test]
+    fn content_length_is_required_and_must_be_one_decimal_number() {
+        let engine = Arc::new(Engine::new(ServeConfig {
+            max_body_bytes: 64,
+            ..ServeConfig::default()
+        }));
+        let server = serve(engine, "127.0.0.1:0").unwrap();
+        let body = r#"{"jobs":[]}"#;
+        let post = |headers: &str| {
+            raw_roundtrip(
+                server.addr(),
+                &format!("POST /v1/compile HTTP/1.1\r\n{headers}\r\n{body}"),
+            )
+        };
+
+        let (status, response) = post("");
+        assert_eq!(status, 411, "{response}");
+        assert!(response.contains("Content-Length required"), "{response}");
+
+        let valid = format!("Content-Length: {}\r\n", body.len());
+        assert_eq!(post(&valid).0, 200);
+        // Agreeing duplicates frame the body the same way.
+        assert_eq!(post(&valid.repeat(2)).0, 200);
+
+        for bad in ["abc", "+11", "-11", "11 11", "0x0b", "11,11", ""] {
+            let (status, response) = post(&format!("Content-Length: {bad}\r\n"));
+            assert_eq!(status, 400, "{bad:?}: {response}");
+            assert!(response.contains("invalid Content-Length"), "{response}");
+        }
+        for (first, second) in [(11, 12), (12, 11)] {
+            let (status, response) = post(&format!(
+                "Content-Length: {first}\r\nContent-Length: {second}\r\n"
+            ));
+            assert_eq!(status, 400, "{first} then {second}: {response}");
+            assert!(response.contains("invalid Content-Length"), "{response}");
+        }
+        // The header is checked on every route, not only where a body
+        // is read.
+        let (status, _) = raw_roundtrip(
+            server.addr(),
+            "GET /v1/health HTTP/1.1\r\nContent-Length: x\r\n\r\n",
+        );
+        assert_eq!(status, 400);
+        // All digits but past usize::MAX: a body over the limit.
+        let (status, _) = post("Content-Length: 99999999999999999999999\r\n");
+        assert_eq!(status, 413);
     }
 
     #[test]

@@ -130,11 +130,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("trace written     : {path} (load in https://ui.perfetto.dev)");
     }
 
-    let json = codec::to_json(&isa)?;
     let bytes = codec::to_bytes(&isa);
-    println!("json stream       : {} bytes", json.len());
     println!("binary stream     : {} bytes", bytes.len());
-    assert_eq!(codec::from_json(&json)?, isa);
     assert_eq!(codec::from_bytes(&bytes)?, isa);
     println!("codec round-trip  : lossless");
 

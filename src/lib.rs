@@ -3,7 +3,8 @@
 //! Re-exports the public API of every workspace crate so that examples and
 //! downstream users can depend on a single crate.
 //!
-//! See `README.md` for a quickstart and `DESIGN.md` for the system inventory.
+//! See `README.md` for a quickstart and its "Workspace layout" table for
+//! the system inventory.
 
 pub use atomique;
 pub use raa_arch as arch;

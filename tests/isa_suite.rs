@@ -6,7 +6,7 @@
 //!   stream alone),
 //! * pass the replay verifier (every reference gate exactly once, DAG
 //!   order respected), and
-//! * round-trip through both codecs byte-identically.
+//! * round-trip through the binary codec byte-identically.
 
 use atomique::{compile, emit_isa, AtomiqueConfig};
 use raa_baselines::{
@@ -18,23 +18,9 @@ use raa_circuit::NativeGateSet;
 use raa_isa::{check_legality, codec, replay_verify, IsaProgram, IsaStats};
 use raa_physics::HardwareParams;
 
-/// The codec half of the oracle: both encodings must round-trip
-/// losslessly and re-encode byte-identically.
-fn assert_codecs_lossless(name: &str, backend: &str, program: &IsaProgram) {
-    let json =
-        codec::to_json(program).unwrap_or_else(|e| panic!("{name}/{backend}: json encode: {e}"));
-    let decoded =
-        codec::from_json(&json).unwrap_or_else(|e| panic!("{name}/{backend}: json decode: {e}"));
-    assert_eq!(
-        &decoded, program,
-        "{name}/{backend}: json round-trip changed the program"
-    );
-    assert_eq!(
-        codec::to_json(&decoded).unwrap(),
-        json,
-        "{name}/{backend}: json re-encoding not byte-identical"
-    );
-
+/// The codec half of the oracle: the stream must round-trip losslessly
+/// and re-encode byte-identically.
+fn assert_codec_lossless(name: &str, backend: &str, program: &IsaProgram) {
     let bytes = codec::to_bytes(program);
     let decoded = codec::from_bytes(&bytes)
         .unwrap_or_else(|e| panic!("{name}/{backend}: binary decode: {e}"));
@@ -49,7 +35,7 @@ fn assert_codecs_lossless(name: &str, backend: &str, program: &IsaProgram) {
     );
 }
 
-/// The full oracle: legality + replay + codecs.
+/// The full oracle: legality + replay + codec.
 fn assert_stream_ok(name: &str, backend: &str, program: &IsaProgram) {
     check_legality(program).unwrap_or_else(|e| panic!("{name}/{backend}: illegal stream: {e}"));
     let report = replay_verify(program)
@@ -63,7 +49,7 @@ fn assert_stream_ok(name: &str, backend: &str, program: &IsaProgram) {
         report.one_qubit_gates, stats.one_qubit_gates,
         "{name}/{backend}"
     );
-    assert_codecs_lossless(name, backend, program);
+    assert_codec_lossless(name, backend, program);
 }
 
 fn full_suite() -> Vec<Benchmark> {
