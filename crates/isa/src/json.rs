@@ -165,7 +165,8 @@ pub fn parse(text: &str) -> Result<Value, DecodeError> {
 /// Parsing recurses per level, and the serving layer feeds this parser
 /// untrusted multi-megabyte bodies — without a bound, a document of
 /// nothing but `[` would overflow the connection thread's stack. 128
-/// is far beyond any legitimate request (those nest 4 deep).
+/// is far beyond any legitimate request (a `circuit` job's gates nest 6
+/// deep).
 const MAX_DEPTH: usize = 128;
 
 struct JsonParser<'a> {
