@@ -13,7 +13,7 @@ use std::time::Instant;
 
 use raa_circuit::Circuit;
 use raa_physics::{gate_phase_fidelity, transfer_fidelity, FidelityBreakdown, GatePhaseStats};
-use raa_trace::{Counter, Level};
+use raa_trace::Level;
 
 use crate::array_mapper::map_arrays;
 use crate::atom_mapper::map_to_atoms;
@@ -22,10 +22,6 @@ use crate::error::CompileError;
 use crate::program::{CompileReport, CompileStats, CompiledProgram};
 use crate::router::route_movements;
 use crate::transpile::insert_swaps;
-
-/// Detail-level telemetry: faults injected into compile stage gates by
-/// an armed `raa-fault` schedule (always 0 in production).
-static FAULT_INJECTED: Counter = Counter::new("compile.fault.injected");
 
 /// Caller-imposed resource limits for one compile.
 ///
@@ -50,37 +46,9 @@ impl CompileLimits {
     }
 }
 
-/// Stage-boundary gate: evaluates the stage's `raa-fault` point, then
-/// the caller deadline. With no schedule armed and no deadline set this
-/// is one relaxed atomic load and a `None` check.
+/// Stage-boundary gate: checks the caller deadline once `stage` has
+/// finished. With no deadline set this is one `None` check.
 fn stage_gate(stage: &'static str, limits: &CompileLimits) -> Result<(), CompileError> {
-    let point = match stage {
-        "transpile" => "compile.transpile",
-        "map" => "compile.map",
-        "route" => "compile.route",
-        "lower" => "compile.lower",
-        "opt" => "compile.opt",
-        _ => "compile.verify",
-    };
-    match raa_fault::evaluate(point) {
-        raa_fault::Action::None => {}
-        raa_fault::Action::Delay(d) => {
-            FAULT_INJECTED.incr();
-            std::thread::sleep(d);
-        }
-        raa_fault::Action::Error => {
-            FAULT_INJECTED.incr();
-            return Err(CompileError::Injected { point });
-        }
-        raa_fault::Action::Panic => {
-            FAULT_INJECTED.incr();
-            panic!("injected fault at {point}");
-        }
-        raa_fault::Action::Deadline => {
-            FAULT_INJECTED.incr();
-            return Err(CompileError::Deadline { stage });
-        }
-    }
     if let Some(deadline) = limits.deadline {
         if Instant::now() >= deadline {
             return Err(CompileError::Deadline { stage });
@@ -128,8 +96,7 @@ pub fn compile(
 /// # Errors
 ///
 /// Everything [`compile`] can return, plus [`CompileError::Deadline`]
-/// on overrun and [`CompileError::Injected`] when an armed `raa-fault`
-/// schedule fires at a `compile.<stage>` point.
+/// on overrun.
 pub fn compile_with_limits(
     circuit: &Circuit,
     config: &AtomiqueConfig,

@@ -42,13 +42,6 @@ pub enum CompileError {
         /// Stage boundary at which the overrun was detected.
         stage: &'static str,
     },
-    /// A deterministic fault schedule (`raa-fault`) injected a failure
-    /// at the named fault point. Only ever produced while a schedule is
-    /// armed; `raa-serve` reports it as that job's `compile` error.
-    Injected {
-        /// The fault point that fired.
-        point: &'static str,
-    },
 }
 
 impl fmt::Display for CompileError {
@@ -70,7 +63,6 @@ impl fmt::Display for CompileError {
             CompileError::Deadline { stage } => {
                 write!(f, "compile deadline exceeded at stage `{stage}`")
             }
-            CompileError::Injected { point } => write!(f, "injected fault at {point}"),
         }
     }
 }

@@ -1,5 +1,5 @@
 //! `raa-fault` — deterministic fault injection for the Atomique
-//! serve/compile stack.
+//! compile service.
 //!
 //! A production service must stay correct and available when things
 //! fail *inside* it: a worker panic mid-wave, a compile blowing its
@@ -55,12 +55,11 @@
 //! still are.
 //!
 //! What each action *means* is decided by the seam that evaluates it
-//! (documented per seam in `docs/ROBUSTNESS.md`): the compiler maps
-//! `error` to `CompileError::Injected` and `deadline` to a forced
-//! deadline overrun; a worker seam escalates `error` to a panic; the
-//! HTTP seam turns `error` into a 500. [`apply`] implements the
-//! common interpretation (sleep on delay, panic on panic, `Err` on
-//! error/deadline) for seams without special needs.
+//! (documented per seam in `docs/ROBUSTNESS.md`). The leader-compile
+//! seam (`serve.compile`) turns `error` into the job's compile error
+//! and `deadline` into its deadline overrun; the HTTP, publish and
+//! worker seams have no error channel and escalate `error` to a panic.
+//! The compiler library itself has no fault points.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -87,22 +86,6 @@ pub enum Action {
     /// it, per their documentation).
     Deadline,
 }
-
-/// The typed error [`apply`] returns when a spec injects `error` (or
-/// `deadline`) at a point.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InjectedFault {
-    /// The fault point that fired.
-    pub point: &'static str,
-}
-
-impl std::fmt::Display for InjectedFault {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "injected fault at {}", self.point)
-    }
-}
-
-impl std::error::Error for InjectedFault {}
 
 /// Why a fault spec failed to parse.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -200,7 +183,7 @@ fn schedule_slot() -> &'static RwLock<Option<Arc<Schedule>>> {
 /// # Examples
 ///
 /// ```
-/// raa_fault::configure("compile.route:error@1;seed=9").unwrap();
+/// raa_fault::configure("serve.compile:error@1;seed=9").unwrap();
 /// assert!(raa_fault::active());
 /// raa_fault::disarm();
 /// assert!(!raa_fault::active());
@@ -283,32 +266,6 @@ pub fn evaluate(point: &'static str) -> Action {
         state.fired.fetch_add(1, Ordering::Relaxed);
     }
     action
-}
-
-/// The common seam: evaluates `point` and applies the injected action
-/// inline — sleeps through delays, panics on `panic` (payload
-/// `"injected fault at <point>"`), and returns [`InjectedFault`] for
-/// `error` and `deadline`.
-///
-/// # Errors
-///
-/// [`InjectedFault`] when the armed schedule injects `error` or
-/// `deadline` at this hit.
-///
-/// # Panics
-///
-/// When the armed schedule injects `panic` at this hit — that is the
-/// point of the action.
-pub fn apply(point: &'static str) -> Result<(), InjectedFault> {
-    match evaluate(point) {
-        Action::None => Ok(()),
-        Action::Delay(d) => {
-            std::thread::sleep(d);
-            Ok(())
-        }
-        Action::Error | Action::Deadline => Err(InjectedFault { point }),
-        Action::Panic => panic!("injected fault at {point}"),
-    }
 }
 
 /// Per-point hit/fired counters of the current (or last) schedule,
@@ -547,7 +504,6 @@ mod tests {
         disarm();
         assert!(!active());
         assert_eq!(evaluate("any.point"), Action::None);
-        assert!(apply("any.point").is_ok());
     }
 
     #[test]
@@ -622,22 +578,13 @@ mod tests {
     }
 
     #[test]
-    fn apply_maps_error_and_deadline_to_injected_fault() {
-        let _armed = Armed::new("e.p:error@1;d.p:deadline@1");
-        assert_eq!(apply("e.p"), Err(InjectedFault { point: "e.p" }));
-        assert_eq!(apply("d.p"), Err(InjectedFault { point: "d.p" }));
-        assert!(apply("e.p").is_ok());
-        assert_eq!(
-            InjectedFault { point: "e.p" }.to_string(),
-            "injected fault at e.p"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "injected fault at boom.p")]
-    fn apply_panics_on_panic_action() {
-        let _armed = Armed::new("boom.p:panic");
-        let _ = apply("boom.p");
+    fn each_action_is_returned_for_its_seam_to_read() {
+        let _armed = Armed::new("e.p:error@1;d.p:deadline@1;x.p:panic@1");
+        assert_eq!(evaluate("e.p"), Action::Error);
+        assert_eq!(evaluate("d.p"), Action::Deadline);
+        assert_eq!(evaluate("x.p"), Action::Panic);
+        assert_eq!(evaluate("e.p"), Action::None);
+        assert_eq!(fired_total(), 3);
     }
 
     #[test]

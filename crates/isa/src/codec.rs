@@ -457,8 +457,9 @@ pub fn from_bytes(bytes: &[u8]) -> Result<IsaProgram, DecodeError> {
 // ---------------------------------------------------------------------
 
 /// Encodes one gate as the JSON array form accepted by
-/// [`gate_from_json`]. Angles use Rust's shortest-round-trip float
-/// formatting, so they parse back bit-exactly.
+/// [`gate_from_json`]. Angles use `f64`'s `Debug` form: the shortest
+/// decimal that parses back bit-exactly, with an exponent when that is
+/// shorter (`1e-300`, not 302 digits).
 ///
 /// # Errors
 ///
@@ -500,7 +501,7 @@ pub fn gate_to_json(gate: &Gate) -> Result<String, EncodeError> {
                 field: "gate angle",
             });
         }
-        fields.push(t.to_string());
+        fields.push(format!("{t:?}"));
     }
     Ok(format!("[{}]", fields.join(",")))
 }

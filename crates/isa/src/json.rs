@@ -485,8 +485,9 @@ mod tests {
         use crate::codec::{gate_from_json, gate_to_json};
         use raa_circuit::{Gate, OneQubitKind, Qubit};
 
-        for angle in [-0.0, f64::MIN_POSITIVE, 0.1234567890123] {
+        for angle in [-0.0, f64::MIN_POSITIVE, 1e-300, 0.1234567890123] {
             let text = gate_to_json(&Gate::rz(Qubit(1), angle)).unwrap();
+            assert!(text.len() < 40, "{} bytes: {text}", text.len());
             match gate_from_json(&parse(&text).unwrap()).unwrap() {
                 Gate::OneQ {
                     kind: OneQubitKind::Rz(t),

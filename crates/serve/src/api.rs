@@ -19,11 +19,12 @@
 //! comes from the engine's base config, and any other key is a
 //! `bad_request`.
 //!
-//! Gate arrays use the exact per-gate encoding of the ISA JSON codec
-//! ([`raa_isa::codec::gate_from_json`]). The response carries one
-//! result per job, in order, each either a payload (base64 ISA bytes,
-//! stats, timings, counters, cache status) or an `{kind, message}`
-//! error.
+//! Gate arrays use the per-gate JSON form of
+//! [`raa_isa::codec::gate_from_json`]. The response carries one result
+//! per job, in order, each either a payload (base64 ISA bytes, stats,
+//! timings, counters, cache status) or an `{kind, message}` error. A
+//! batch the engine does not admit fails whole: `queue_full` while the
+//! queue is full, `draining` during shutdown.
 
 use std::sync::Arc;
 
@@ -171,8 +172,8 @@ fn parse_circuit_source(job: &Value) -> Result<Circuit, ServeError> {
 ///
 /// Batch-level failures only: [`ServeError::Decode`] or
 /// [`ServeError::BadRequest`] for a malformed request, and
-/// [`ServeError::QueueFull`], [`ServeError::BreakerOpen`] or
-/// [`ServeError::Draining`] when the engine does not admit the batch.
+/// [`ServeError::QueueFull`] or [`ServeError::Draining`] when the
+/// engine does not admit the batch.
 /// Per-job failures, compile errors and deadline overruns included,
 /// are rendered inside the `Ok` body.
 pub fn run(engine: &Engine, body: &str) -> Result<String, ServeError> {
@@ -328,8 +329,8 @@ fn render_error_obj(e: &ServeError) -> String {
 pub fn render_stats(s: &EngineStats) -> String {
     format!(
         "{{\"hits\":{},\"misses\":{},\"coalesced\":{},\"compiles\":{},\"rejected\":{},\
-         \"evictions\":{},\"max_queue_depth\":{},\"deadline_exceeded\":{},\"breaker_opens\":{},\
-         \"shed\":{},\"breaker_state\":{},\"draining\":{},\"cache_entries\":{},\"queue_depth\":{}}}",
+         \"evictions\":{},\"max_queue_depth\":{},\"deadline_exceeded\":{},\"draining\":{},\
+         \"cache_entries\":{},\"queue_depth\":{}}}",
         s.hits,
         s.misses,
         s.coalesced,
@@ -338,9 +339,6 @@ pub fn render_stats(s: &EngineStats) -> String {
         s.evictions,
         s.max_queue_depth,
         s.deadline_exceeded,
-        s.breaker_opens,
-        s.shed,
-        quote(s.breaker_state.as_str()),
         s.draining,
         s.cache_entries,
         s.queue_depth

@@ -13,11 +13,14 @@
 //! exits 0 on a clean drain. `batch` drives the same engine
 //! in-process: it compiles each OpenQASM file and writes the verified
 //! binary ISA stream next to it (or into `--out DIR`) as `<stem>.isa`.
+//! Two inputs that would write one file are refused before anything
+//! compiles.
 //!
 //! Both commands honor `RAA_FAULT_SPEC` (see `docs/ROBUSTNESS.md`): a
 //! valid spec arms deterministic fault injection before any work runs;
 //! a malformed one is a startup error, not a silent no-op.
 
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -122,6 +125,19 @@ fn cmd_serve(args: Vec<String>) -> Result<(), String> {
     }
 }
 
+/// Where `batch` writes the stream compiled from `file`: next to it as
+/// `<file>.isa`, or as `DIR/<stem>.isa` under `--out DIR`.
+fn batch_target(file: &str, out_dir: &str) -> PathBuf {
+    let file = Path::new(file);
+    if out_dir.is_empty() {
+        return file.with_extension("isa");
+    }
+    let stem = file
+        .file_stem()
+        .map_or_else(|| "out".into(), |s| s.to_string_lossy());
+    Path::new(out_dir).join(format!("{stem}.isa"))
+}
+
 fn cmd_batch(args: Vec<String>) -> Result<(), String> {
     let mut cfg = ServeConfig::default();
     let mut opt = 0usize;
@@ -149,6 +165,17 @@ fn cmd_batch(args: Vec<String>) -> Result<(), String> {
         2 => OptLevel::Aggressive,
         other => return Err(format!("bad --opt {other} (expected 0, 1 or 2)")),
     };
+    let targets: Vec<PathBuf> = files.iter().map(|f| batch_target(f, &out_dir)).collect();
+    for (i, target) in targets.iter().enumerate() {
+        if let Some(j) = targets[..i].iter().position(|t| t == target) {
+            return Err(format!(
+                "{} and {} would both write {}",
+                files[j],
+                files[i],
+                target.display()
+            ));
+        }
+    }
 
     let mut jobs = Vec::new();
     for file in &files {
@@ -165,19 +192,10 @@ fn cmd_batch(args: Vec<String>) -> Result<(), String> {
         .submit(engine.base(), &jobs)
         .map_err(|e| e.to_string())?;
     let mut failed = false;
-    for outcome in &outcomes {
+    for (outcome, target) in outcomes.iter().zip(&targets) {
         match &outcome.result {
             Ok(result) => {
-                let stem = std::path::Path::new(&outcome.name)
-                    .file_stem()
-                    .map(|s| s.to_string_lossy().into_owned())
-                    .unwrap_or_else(|| "out".into());
-                let target = if out_dir.is_empty() {
-                    std::path::Path::new(&outcome.name).with_extension("isa")
-                } else {
-                    std::path::Path::new(&out_dir).join(format!("{stem}.isa"))
-                };
-                std::fs::write(&target, &result.entry.isa_bytes)
+                std::fs::write(target, &result.entry.isa_bytes)
                     .map_err(|e| format!("write {}: {e}", target.display()))?;
                 println!(
                     "{}: {} bytes -> {} ({}, fidelity {:.4}, {:.2}s)",

@@ -9,17 +9,16 @@
 //!
 //! # Resilience
 //!
-//! A batch passes admission (drain, circuit breaker, queue bound), then
-//! the single-flight cache. Each leader job compiles exactly once,
-//! inside a `catch_unwind` barrier and under the job's wall-clock
-//! deadline, enforced at stage boundaries; that result, success or
-//! error, is the job's answer (`docs/ROBUSTNESS.md`). The pipeline is
-//! deterministic, so compiling a failed job again on the same config
-//! would repeat the failure. A circuit breaker sheds whole batches
-//! after repeated leader failures that say something about compile
-//! health — an error the request's own input decided (an oversized
-//! circuit, say) is not one — and [`Engine::begin_drain`] rejects new
-//! batches while in-flight ones finish.
+//! A batch passes admission (drain, queue bound), then the
+//! single-flight cache. Each leader job compiles exactly once, inside a
+//! `catch_unwind` barrier and under the job's wall-clock deadline,
+//! checked at stage boundaries; that result, success or error, is the
+//! job's answer (`docs/ROBUSTNESS.md`). The pipeline is deterministic,
+//! so a failure is decided by the job itself: compiling it again on the
+//! same config would repeat it, and it says nothing about any other
+//! job. The engine therefore keeps no failure history, and
+//! [`Engine::begin_drain`] rejects new batches while in-flight ones
+//! finish.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -42,8 +41,6 @@ static COMPILE: Counter = Counter::new("serve.compile");
 static REJECT: Counter = Counter::new("serve.queue.reject");
 static EVICT: Counter = Counter::new("serve.cache.evict");
 static DEADLINE: Counter = Counter::new("serve.deadline_exceeded");
-static BREAKER_OPEN: Counter = Counter::new("serve.breaker.open");
-static SHED: Counter = Counter::new("serve.breaker.shed");
 
 /// Sizing knobs for an [`Engine`].
 #[derive(Debug, Clone)]
@@ -67,14 +64,6 @@ pub struct ServeConfig {
     /// Compile deadline applied when a request does not carry its own
     /// `deadline_ms`. `None` means unlimited.
     pub default_deadline_ms: Option<u64>,
-    /// Consecutive leader failures that open the circuit breaker.
-    /// Errors the request's own input decided (capacity, circuit,
-    /// architecture, routing, a stuck router) do not count. `0`
-    /// disables the breaker.
-    pub breaker_threshold: u32,
-    /// How long an open breaker sheds load before letting one probe
-    /// batch through, milliseconds.
-    pub breaker_cooldown_ms: u64,
 }
 
 impl Default for ServeConfig {
@@ -86,8 +75,6 @@ impl Default for ServeConfig {
             max_body_bytes: 16 << 20,
             base: AtomiqueConfig::default(),
             default_deadline_ms: None,
-            breaker_threshold: 8,
-            breaker_cooldown_ms: 1_000,
         }
     }
 }
@@ -183,43 +170,12 @@ pub struct EngineStats {
     pub max_queue_depth: u64,
     /// Leader compiles that overran their deadline.
     pub deadline_exceeded: u64,
-    /// Times the circuit breaker tripped open.
-    pub breaker_opens: u64,
-    /// Jobs shed while the breaker was open (or mid-probe).
-    pub shed: u64,
-    /// The breaker's current position.
-    pub breaker_state: BreakerState,
     /// Whether the engine is draining for shutdown.
     pub draining: bool,
     /// Entries currently cached.
     pub cache_entries: usize,
     /// Jobs currently admitted.
     pub queue_depth: usize,
-}
-
-/// A snapshot of the circuit breaker's position.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BreakerState {
-    /// Healthy: batches flow normally.
-    #[default]
-    Closed,
-    /// Tripped: batches are shed until the cooldown elapses.
-    Open,
-    /// Cooldown elapsed: one probe batch is in flight, everything else
-    /// is still shed.
-    HalfOpen,
-}
-
-impl BreakerState {
-    /// The wire name used in `/v1/stats` (`"closed"` / `"open"` /
-    /// `"half_open"`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            BreakerState::Closed => "closed",
-            BreakerState::Open => "open",
-            BreakerState::HalfOpen => "half_open",
-        }
-    }
 }
 
 type Key = (u64, u64);
@@ -273,186 +229,6 @@ struct Tallies {
     evictions: AtomicU64,
     max_depth: AtomicU64,
     deadline_exceeded: AtomicU64,
-    breaker_opens: AtomicU64,
-    shed: AtomicU64,
-}
-
-/// The circuit breaker: counts consecutive leader failures and sheds
-/// whole batches once they pass the threshold. Classic three-state
-/// machine — Closed (healthy), Open (shedding until the cooldown
-/// elapses), HalfOpen (exactly one probe batch in flight; its outcome
-/// closes or re-opens the breaker).
-enum BreakerInner {
-    Closed {
-        consecutive: u32,
-    },
-    Open {
-        since: Instant,
-    },
-    HalfOpen {
-        /// Whether the single probe slot is taken.
-        probing: bool,
-    },
-}
-
-struct Breaker {
-    inner: Mutex<BreakerInner>,
-    threshold: u32,
-    cooldown: Duration,
-}
-
-/// What the breaker decided about an arriving batch, under its lock.
-#[derive(Debug, PartialEq)]
-enum BreakerAdmit {
-    /// Proceed; `probe` is whether this batch holds the half-open
-    /// breaker's single probe slot.
-    Allow { probe: bool },
-    /// Shed: the breaker is open (or a probe is already in flight);
-    /// retry after the given delay.
-    Shed { retry_after_ms: u64 },
-}
-
-impl Breaker {
-    fn new(threshold: u32, cooldown: Duration) -> Breaker {
-        Breaker {
-            inner: Mutex::new(BreakerInner::Closed { consecutive: 0 }),
-            threshold,
-            cooldown,
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, BreakerInner> {
-        // The breaker must keep working even if a panic unwound through
-        // a hold: every transition below restores a coherent state
-        // before releasing, so recovering a poisoned lock is safe.
-        self.inner.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// Gate for an arriving batch. Whether the batch is the probe is
-    /// decided here, under the lock that grants the slot: reading the
-    /// state again later could see a half-open breaker whose probe
-    /// another batch holds.
-    fn admit(&self) -> BreakerAdmit {
-        if self.threshold == 0 {
-            return BreakerAdmit::Allow { probe: false };
-        }
-        let mut inner = self.lock();
-        match *inner {
-            BreakerInner::Closed { .. } => BreakerAdmit::Allow { probe: false },
-            BreakerInner::Open { since } => {
-                let elapsed = since.elapsed();
-                if elapsed >= self.cooldown {
-                    *inner = BreakerInner::HalfOpen { probing: true };
-                    BreakerAdmit::Allow { probe: true }
-                } else {
-                    BreakerAdmit::Shed {
-                        retry_after_ms: (self.cooldown - elapsed).as_millis().max(1) as u64,
-                    }
-                }
-            }
-            BreakerInner::HalfOpen { probing: false } => {
-                *inner = BreakerInner::HalfOpen { probing: true };
-                BreakerAdmit::Allow { probe: true }
-            }
-            BreakerInner::HalfOpen { probing: true } => BreakerAdmit::Shed {
-                retry_after_ms: self.cooldown.as_millis().max(1) as u64,
-            },
-        }
-    }
-
-    /// Records one leader success; closes a half-open breaker.
-    fn record_success(&self) {
-        if self.threshold == 0 {
-            return;
-        }
-        let mut inner = self.lock();
-        match *inner {
-            BreakerInner::Closed {
-                ref mut consecutive,
-            } => *consecutive = 0,
-            BreakerInner::HalfOpen { .. } => *inner = BreakerInner::Closed { consecutive: 0 },
-            BreakerInner::Open { .. } => {}
-        }
-    }
-
-    /// Records one leader failure. Returns `true` when this transition
-    /// tripped the breaker open.
-    fn record_failure(&self) -> bool {
-        if self.threshold == 0 {
-            return false;
-        }
-        let mut inner = self.lock();
-        match *inner {
-            BreakerInner::Closed {
-                ref mut consecutive,
-            } => {
-                *consecutive += 1;
-                if *consecutive >= self.threshold {
-                    *inner = BreakerInner::Open {
-                        since: Instant::now(),
-                    };
-                    return true;
-                }
-                false
-            }
-            BreakerInner::HalfOpen { .. } => {
-                *inner = BreakerInner::Open {
-                    since: Instant::now(),
-                };
-                true
-            }
-            BreakerInner::Open { .. } => false,
-        }
-    }
-
-    /// Releases the probe slot when a probe batch ends without evidence
-    /// either way ([`ProbeSlot`]), so the next batch probes again.
-    fn release_probe(&self) {
-        if self.threshold == 0 {
-            return;
-        }
-        let mut inner = self.lock();
-        if let BreakerInner::HalfOpen { ref mut probing } = *inner {
-            *probing = false;
-        }
-    }
-
-    fn state(&self) -> BreakerState {
-        if self.threshold == 0 {
-            return BreakerState::Closed;
-        }
-        match *self.lock() {
-            BreakerInner::Closed { .. } => BreakerState::Closed,
-            BreakerInner::Open { .. } => BreakerState::Open,
-            BreakerInner::HalfOpen { .. } => BreakerState::HalfOpen,
-        }
-    }
-}
-
-/// The half-open breaker's probe slot, when a batch holds it. A probe
-/// batch that leaves without evidence about compile health — bounced
-/// by the queue, answered only by hits, followers or errors its input
-/// decided, or unwound by a panic — frees the slot on drop, so the next
-/// batch probes instead of being shed for good.
-struct ProbeSlot<'a> {
-    breaker: &'a Breaker,
-    held: bool,
-}
-
-impl ProbeSlot<'_> {
-    /// Ends the probe once its leaders have reported: evidence has
-    /// already moved the breaker on, and without any the slot is freed.
-    fn settle(mut self, evidence: bool) {
-        self.held &= !evidence;
-    }
-}
-
-impl Drop for ProbeSlot<'_> {
-    fn drop(&mut self) {
-        if self.held {
-            self.breaker.release_probe();
-        }
-    }
 }
 
 /// Decrements the admission count when a batch leaves the engine,
@@ -521,7 +297,6 @@ pub struct Engine {
     tallies: Tallies,
     max_body_bytes: usize,
     default_deadline_ms: Option<u64>,
-    breaker: Breaker,
     draining: AtomicBool,
 }
 
@@ -544,10 +319,6 @@ impl Engine {
             tallies: Tallies::default(),
             max_body_bytes: config.max_body_bytes,
             default_deadline_ms: config.default_deadline_ms,
-            breaker: Breaker::new(
-                config.breaker_threshold,
-                Duration::from_millis(config.breaker_cooldown_ms.max(1)),
-            ),
             draining: AtomicBool::new(false),
         }
     }
@@ -600,10 +371,9 @@ impl Engine {
     ///
     /// [`ServeError::QueueFull`] if admitting the whole batch would
     /// exceed the queue bound — no job in the batch runs;
-    /// [`ServeError::Draining`] after [`Engine::begin_drain`];
-    /// [`ServeError::BreakerOpen`] while the circuit breaker sheds
-    /// load. Per-job compile failures are reported inside the returned
-    /// outcomes (and are never cached).
+    /// [`ServeError::Draining`] after [`Engine::begin_drain`]. Per-job
+    /// compile failures are reported inside the returned outcomes (and
+    /// are never cached).
     pub fn submit(
         &self,
         config: &AtomiqueConfig,
@@ -631,17 +401,6 @@ impl Engine {
         if self.draining() {
             return Err(ServeError::Draining);
         }
-        let probe = match self.breaker.admit() {
-            BreakerAdmit::Allow { probe } => ProbeSlot {
-                breaker: &self.breaker,
-                held: probe,
-            },
-            BreakerAdmit::Shed { retry_after_ms } => {
-                SHED.add(n as u64);
-                self.tallies.shed.fetch_add(n as u64, Ordering::Relaxed);
-                return Err(ServeError::BreakerOpen { retry_after_ms });
-            }
-        };
         let deadline_ms = deadline_ms.or(self.default_deadline_ms);
         let _guard = self.admit(n)?;
 
@@ -692,34 +451,15 @@ impl Engine {
             self.compile_once(&jobs[i].circuit, &cfg, deadline_ms)
         });
 
-        // Feed the breaker from leader outcomes (followers and hits
-        // carry no new evidence about compile health, and neither do
-        // errors the input decided).
-        let mut evidence = false;
-        let results: Vec<Result<Arc<CacheEntry>, ServeError>> = compiled
-            .into_iter()
-            .map(|result| {
-                COMPILE.incr();
-                match result {
-                    Ok(entry) => {
-                        evidence = true;
-                        self.breaker.record_success();
-                        Ok(entry)
-                    }
-                    Err(failure) => {
-                        if !matches!(failure, Failure::Input(_)) {
-                            evidence = true;
-                            if self.breaker.record_failure() {
-                                BREAKER_OPEN.incr();
-                                self.tallies.breaker_opens.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        Err(self.job_error(failure))
-                    }
-                }
-            })
-            .collect();
-        probe.settle(evidence);
+        for result in &compiled {
+            COMPILE.incr();
+            if let Err(ServeError::DeadlineExceeded { .. }) = result {
+                DEADLINE.incr();
+                self.tallies
+                    .deadline_exceeded
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+        }
 
         // The publish seam: a panic here (fault-injected or real) lands
         // *before* the state lock, so LeadGuard can still recover and
@@ -735,7 +475,7 @@ impl Engine {
         // Publish: fill caches, resolve flights, wake followers.
         {
             let mut st = self.state();
-            for (&(_, key), result) in leads.iter().zip(results) {
+            for (&(_, key), result) in leads.iter().zip(compiled) {
                 if let Ok(entry) = &result {
                     if self.cache_capacity > 0 {
                         st.cache.insert(key, entry.clone());
@@ -795,9 +535,6 @@ impl Engine {
             evictions: self.tallies.evictions.load(Ordering::Relaxed),
             max_queue_depth: self.tallies.max_depth.load(Ordering::Relaxed),
             deadline_exceeded: self.tallies.deadline_exceeded.load(Ordering::Relaxed),
-            breaker_opens: self.tallies.breaker_opens.load(Ordering::Relaxed),
-            shed: self.tallies.shed.load(Ordering::Relaxed),
-            breaker_state: self.breaker.state(),
             draining: self.draining(),
             cache_entries,
             queue_depth: self.depth.load(Ordering::Acquire),
@@ -835,34 +572,20 @@ impl Engine {
         })
     }
 
-    /// A leader's failure as the error its flight publishes; a deadline
-    /// overrun is counted here.
-    fn job_error(&self, failure: Failure) -> ServeError {
-        match failure {
-            Failure::Deadline { stage } => {
-                DEADLINE.incr();
-                self.tallies
-                    .deadline_exceeded
-                    .fetch_add(1, Ordering::Relaxed);
-                ServeError::DeadlineExceeded { stage }
-            }
-            Failure::Input(e) | Failure::Other(e) => e,
-        }
-    }
-
-    /// A leader job's one compile, under one deadline budget,
-    /// classified. Counted in [`EngineStats`] as it starts, so a wave
-    /// killed later still reports it.
+    /// A leader job's one compile, under one deadline budget. Counted
+    /// in [`EngineStats`] as it starts, so a wave killed later still
+    /// reports it.
     fn compile_once(
         &self,
         circuit: &Circuit,
         cfg: &AtomiqueConfig,
         deadline_ms: Option<u64>,
-    ) -> Result<Arc<CacheEntry>, Failure> {
+    ) -> Result<Arc<CacheEntry>, ServeError> {
         self.tallies.compiles.fetch_add(1, Ordering::Relaxed);
         let limits = CompileLimits {
             deadline: deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms)),
         };
+        let error = |message: String| ServeError::Compile { message };
         // A panic — adversarial circuit or injected fault — must become
         // a per-job error, not unwind through the worker wave and
         // `submit`: an escaped panic would skip the publish step and
@@ -874,28 +597,32 @@ impl Engine {
                 raa_fault::Action::None => {}
                 raa_fault::Action::Delay(d) => std::thread::sleep(d),
                 raa_fault::Action::Error => {
-                    return Err(CompileError::Injected {
-                        point: "serve.compile",
-                    })
+                    return Err(error("injected fault at serve.compile".into()))
                 }
                 raa_fault::Action::Panic => panic!("injected fault at serve.compile"),
                 raa_fault::Action::Deadline => {
-                    return Err(CompileError::Deadline { stage: "serve" })
+                    return Err(ServeError::DeadlineExceeded {
+                        stage: "serve".into(),
+                    })
                 }
             }
-            atomique::compile_with_limits(circuit, cfg, limits)
+            atomique::compile_with_limits(circuit, cfg, limits).map_err(|e| match e {
+                CompileError::Deadline { stage } => ServeError::DeadlineExceeded {
+                    stage: stage.into(),
+                },
+                e => error(e.to_string()),
+            })
         }))
         .map_err(|payload| {
-            Failure::Other(ServeError::Compile {
-                message: format!("compiler panicked: {}", panic_message(payload.as_ref())),
-            })
-        })?
-        .map_err(classify)?;
-        let isa = out.isa.as_ref().ok_or_else(|| {
-            Failure::Other(ServeError::Compile {
-                message: "compiler did not attach an ISA stream".into(),
-            })
-        })?;
+            error(format!(
+                "compiler panicked: {}",
+                panic_message(payload.as_ref())
+            ))
+        })??;
+        let isa = out
+            .isa
+            .as_ref()
+            .ok_or_else(|| error("compiler did not attach an ISA stream".into()))?;
         Ok(Arc::new(CacheEntry {
             isa_bytes: codec::to_bytes(isa),
             timings: out.timings,
@@ -903,42 +630,6 @@ impl Engine {
             stats: out.stats,
             counters: out.report.counters().to_vec(),
         }))
-    }
-}
-
-/// How a leader compile failed, for the breaker and the deadline
-/// tally.
-enum Failure {
-    /// The compile overran its deadline budget.
-    Deadline {
-        /// Stage boundary where the overrun was observed.
-        stage: String,
-    },
-    /// Decided by the request's own input (capacity, circuit,
-    /// architecture, routing, a stuck router): it says nothing about
-    /// the compiler's health, so it never feeds the breaker.
-    Input(ServeError),
-    /// Any other error: a caught panic, an injected fault, a stream
-    /// the compiler's own checks rejected, a missing stream.
-    Other(ServeError),
-}
-
-fn classify(e: CompileError) -> Failure {
-    let error = |e: CompileError| ServeError::Compile {
-        message: e.to_string(),
-    };
-    match e {
-        CompileError::Deadline { stage } => Failure::Deadline {
-            stage: stage.to_string(),
-        },
-        CompileError::Capacity { .. }
-        | CompileError::Circuit(_)
-        | CompileError::Arch(_)
-        | CompileError::Routing(_)
-        | CompileError::RouterStuck { .. } => Failure::Input(error(e)),
-        CompileError::Injected { .. }
-        | CompileError::IsaLegality(_)
-        | CompileError::IsaReplay(_) => Failure::Other(error(e)),
     }
 }
 
@@ -1102,83 +793,29 @@ mod tests {
     }
 
     #[test]
-    fn breaker_opens_sheds_and_recovers_via_probe() {
-        let engine = Engine::new(ServeConfig {
-            breaker_threshold: 2,
-            breaker_cooldown_ms: 50,
-            ..ServeConfig::default()
-        });
-        let cfg = engine.base().clone();
-        // Two consecutive leader failures (a 0 ms deadline overruns
-        // at the first stage boundary) trip the breaker.
-        for n in [3, 4] {
-            let out = engine
-                .submit_with(&cfg, &[job("slow", ghz(n))], Some(0))
-                .unwrap();
-            assert!(out[0].result.is_err());
-        }
-        let stats = engine.stats();
-        assert_eq!(stats.breaker_opens, 1);
-        assert_eq!(stats.breaker_state, BreakerState::Open);
-        // While open, whole batches are shed with a retry hint.
-        match engine.submit(&cfg, &[job("ghz", ghz(3))]) {
-            Err(ServeError::BreakerOpen { retry_after_ms }) => assert!(retry_after_ms >= 1),
-            other => panic!("expected BreakerOpen, got {other:?}"),
-        }
-        assert_eq!(engine.stats().shed, 1);
-        // After the cooldown one probe goes through; success closes.
-        std::thread::sleep(std::time::Duration::from_millis(60));
-        let out = engine.submit(&cfg, &[job("ghz", ghz(3))]).unwrap();
-        assert!(out[0].result.is_ok());
-        assert_eq!(engine.stats().breaker_state, BreakerState::Closed);
-    }
-
-    #[test]
-    fn oversized_jobs_never_open_the_breaker() {
-        // 400 qubits on the default 300-atom machine: `Capacity`, an
-        // error the request's own input decides. Eight of them (the
-        // default threshold) say nothing about compile health, so the
-        // breaker stays closed and the next valid job is served.
+    fn one_clients_failures_never_refuse_anothers_cached_job() {
+        // Client B's job is compiled and cached. Client A then sends
+        // eight distinct jobs whose 0 ms deadline overruns at the first
+        // stage boundary. Each failure is A's answer alone: B's resend
+        // is still served from the cache, byte for byte.
         let engine = Engine::new(ServeConfig::default());
         let cfg = engine.base().clone();
-        for i in 0..8 {
+        let b = [job("b", ghz(5))];
+        let cold = engine.submit(&cfg, &b).unwrap();
+        let cold = cold[0].result.as_ref().unwrap();
+        assert_eq!(cold.status, CacheStatus::Miss);
+        for n in 6..14 {
             let out = engine
-                .submit(&cfg, &[job(&format!("big{i}"), ghz(400))])
+                .submit_with(&cfg, &[job("a", ghz(n))], Some(0))
                 .unwrap();
-            let err = out[0].result.as_ref().unwrap_err();
-            assert!(err.to_string().contains("400"), "{err}");
+            assert_eq!(out[0].result.as_ref().unwrap_err().kind(), "deadline");
         }
-        assert_eq!(engine.stats().breaker_state, BreakerState::Closed);
-        let out = engine.submit(&cfg, &[job("ghz", ghz(5))]).unwrap();
-        assert!(out[0].result.is_ok());
+        let warm = engine.submit(&cfg, &b).unwrap();
+        let warm = warm[0].result.as_ref().unwrap();
+        assert_eq!(warm.status, CacheStatus::Hit);
+        assert_eq!(warm.entry.isa_bytes, cold.entry.isa_bytes);
         let stats = engine.stats();
-        assert_eq!(stats.breaker_state, BreakerState::Closed);
-        assert_eq!((stats.breaker_opens, stats.shed), (0, 0));
-    }
-
-    #[test]
-    fn input_errors_release_a_probe_without_closing_the_breaker() {
-        let engine = Engine::new(ServeConfig {
-            breaker_threshold: 1,
-            breaker_cooldown_ms: 20,
-            ..ServeConfig::default()
-        });
-        let cfg = engine.base().clone();
-        let out = engine
-            .submit_with(&cfg, &[job("slow", ghz(4))], Some(0))
-            .unwrap();
-        assert!(out[0].result.is_err());
-        assert_eq!(engine.stats().breaker_state, BreakerState::Open);
-        std::thread::sleep(std::time::Duration::from_millis(30));
-        // The probe batch's only leader fails on its own input: no
-        // evidence, so the breaker stays half-open and frees the slot
-        // for the next batch, which probes and closes it.
-        let out = engine.submit(&cfg, &[job("big", ghz(400))]).unwrap();
-        assert!(out[0].result.is_err());
-        assert_eq!(engine.stats().breaker_state, BreakerState::HalfOpen);
-        let out = engine.submit(&cfg, &[job("ghz", ghz(5))]).unwrap();
-        assert!(out[0].result.is_ok());
-        assert_eq!(engine.stats().breaker_state, BreakerState::Closed);
+        assert_eq!((stats.compiles, stats.deadline_exceeded), (9, 8));
     }
 
     #[test]
@@ -1213,36 +850,6 @@ mod tests {
         let stats = engine.stats();
         assert_eq!((stats.compiles, stats.deadline_exceeded), (1, 1));
         assert_eq!(stats.cache_entries, 0);
-    }
-
-    #[test]
-    fn breaker_grants_one_probe_per_half_open_window() {
-        let breaker = Breaker::new(1, Duration::from_millis(20));
-        // Closed: every batch flows, none is a probe.
-        assert_eq!(breaker.admit(), BreakerAdmit::Allow { probe: false });
-        assert!(breaker.record_failure(), "threshold 1 trips at once");
-        // Open: shed until the cooldown elapses.
-        assert!(matches!(breaker.admit(), BreakerAdmit::Shed { .. }));
-        std::thread::sleep(Duration::from_millis(30));
-        // The first batch after the cooldown takes the only probe slot;
-        // the next is shed while it is held.
-        assert_eq!(breaker.admit(), BreakerAdmit::Allow { probe: true });
-        assert_eq!(breaker.state(), BreakerState::HalfOpen);
-        assert!(matches!(breaker.admit(), BreakerAdmit::Shed { .. }));
-        // A probe that ends without evidence frees the slot once.
-        breaker.release_probe();
-        assert_eq!(breaker.admit(), BreakerAdmit::Allow { probe: true });
-        assert!(matches!(breaker.admit(), BreakerAdmit::Shed { .. }));
-        // Success closes the breaker; a release then changes nothing.
-        breaker.record_success();
-        breaker.release_probe();
-        assert_eq!(breaker.state(), BreakerState::Closed);
-        assert_eq!(breaker.admit(), BreakerAdmit::Allow { probe: false });
-        // Threshold 0 disables the breaker.
-        let off = Breaker::new(0, Duration::from_millis(20));
-        assert!(!off.record_failure());
-        assert_eq!(off.admit(), BreakerAdmit::Allow { probe: false });
-        assert_eq!(off.state(), BreakerState::Closed);
     }
 
     #[test]

@@ -44,13 +44,6 @@ pub enum ServeError {
         /// The stage boundary where the compile overran.
         stage: String,
     },
-    /// The circuit breaker is open after repeated compile failures; the
-    /// engine is shedding load (HTTP 503 with `Retry-After`).
-    BreakerOpen {
-        /// How long the client should wait before retrying,
-        /// milliseconds (the breaker's remaining cooldown).
-        retry_after_ms: u64,
-    },
     /// The engine is draining for shutdown and no longer admits new
     /// batches (HTTP 503); in-flight jobs still complete.
     Draining,
@@ -68,7 +61,6 @@ impl ServeError {
             ServeError::Decode(_) => "decode",
             ServeError::Compile { .. } => "compile",
             ServeError::DeadlineExceeded { .. } => "deadline",
-            ServeError::BreakerOpen { .. } => "breaker_open",
             ServeError::Draining => "draining",
         }
     }
@@ -92,10 +84,6 @@ impl std::fmt::Display for ServeError {
                     "compile deadline exceeded (last overrun at stage `{stage}`)"
                 )
             }
-            ServeError::BreakerOpen { retry_after_ms } => write!(
-                f,
-                "circuit breaker open after repeated failures; retry in {retry_after_ms} ms"
-            ),
             ServeError::Draining => {
                 write!(f, "service draining for shutdown; not accepting new work")
             }

@@ -14,9 +14,9 @@
 //! Error statuses: 400 (malformed head or body, including an invalid or
 //! conflicting `Content-Length`), 404, 405, 411 (no `Content-Length`),
 //! 413 (body over [`Engine::max_body_bytes`]), 429 (queue full), 500
-//! (the handler panicked), 503 (breaker open — with `Retry-After` — or
-//! draining). A job's compile error or deadline overrun is reported
-//! inside its own result of a 200 response.
+//! (the handler panicked), 503 (draining for shutdown). A job's compile
+//! error or deadline overrun is reported inside its own result of a 200
+//! response.
 //!
 //! Each connection thread is an unwind barrier: a panic while handling
 //! a request (fault-injected via the `serve.http` point, or real) is
@@ -322,12 +322,7 @@ fn handle_connection(engine: &Engine, stream: TcpStream) -> std::io::Result<()> 
             };
             match api::run(engine, &body) {
                 Ok(rendered) => respond(reader.into_inner(), 200, &rendered),
-                Err(e) => respond_with(
-                    reader.into_inner(),
-                    status_of(&e),
-                    &extra_headers(&e),
-                    &api::render_error(&e),
-                ),
+                Err(e) => respond(reader.into_inner(), status_of(&e), &api::render_error(&e)),
             }
         }
         // Known path, wrong method → 405; unknown path → 404.
@@ -353,18 +348,7 @@ fn status_of(e: &ServeError) -> u16 {
         ServeError::BadRequest { .. } | ServeError::Qasm(_) | ServeError::Circuit(_) => 400,
         ServeError::Decode(_) => 400,
         ServeError::Compile { .. } | ServeError::DeadlineExceeded { .. } => 500,
-        ServeError::BreakerOpen { .. } | ServeError::Draining => 503,
-    }
-}
-
-/// Extra response headers a failure carries (each line `\r\n`-
-/// terminated): an open breaker tells the client when to come back.
-fn extra_headers(e: &ServeError) -> String {
-    match e {
-        ServeError::BreakerOpen { retry_after_ms } => {
-            format!("Retry-After: {}\r\n", retry_after_ms.div_ceil(1000).max(1))
-        }
-        _ => String::new(),
+        ServeError::Draining => 503,
     }
 }
 
@@ -382,18 +366,9 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-fn respond(stream: TcpStream, status: u16, body: &str) -> std::io::Result<()> {
-    respond_with(stream, status, "", body)
-}
-
-fn respond_with(
-    mut stream: TcpStream,
-    status: u16,
-    extra_headers: &str,
-    body: &str,
-) -> std::io::Result<()> {
+fn respond(mut stream: TcpStream, status: u16, body: &str) -> std::io::Result<()> {
     let head = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n{extra_headers}Connection: close\r\n\r\n",
+        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         reason(status),
         body.len()
     );

@@ -80,3 +80,49 @@ fn batch_writes_verified_streams_identical_to_direct_compiles() {
 
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Two inputs that map to one output file are refused before anything
+/// compiles: the command names both, exits non-zero and writes nothing.
+#[test]
+fn batch_refuses_inputs_that_would_write_one_file() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("raa-serve-batch-collision");
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = dir.join("out");
+    for sub in ["a", "b", "d", "out"] {
+        std::fs::create_dir_all(dir.join(sub)).unwrap();
+    }
+    let text = qasm::to_qasm(&qaoa_regular(6, 3, 1));
+    for file in ["a/x.qasm", "b/x.qasm", "d/x.qasm", "d/x.txt"] {
+        std::fs::write(dir.join(file), &text).unwrap();
+    }
+
+    // Same stem under `--out`, and the same stem next to the inputs.
+    for (out_args, first, second) in [
+        (vec!["--out".into(), out.clone()], "a/x.qasm", "b/x.qasm"),
+        (vec![], "d/x.qasm", "d/x.txt"),
+    ] {
+        let (first, second) = (dir.join(first), dir.join(second));
+        let run = Command::new(env!("CARGO_BIN_EXE_raa-serve"))
+            .arg("batch")
+            .args(&out_args)
+            .args([&first, &second])
+            .output()
+            .expect("spawn raa-serve batch");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(!run.status.success(), "a shared output must fail: {stderr}");
+        for input in [&first, &second] {
+            assert!(
+                stderr.contains(&*input.to_string_lossy()),
+                "{stderr} does not name {}",
+                input.display()
+            );
+        }
+    }
+    assert!(
+        std::fs::read_dir(&out).unwrap().next().is_none(),
+        "wrote to --out"
+    );
+    assert!(!dir.join("d/x.isa").exists(), "wrote next to the inputs");
+
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -24,7 +24,7 @@ use std::sync::{Mutex, MutexGuard, Once};
 use atomique::{AtomiqueConfig, OptLevel};
 use raa_circuit::{qasm, Circuit, Gate, Qubit};
 use raa_isa::{codec, json};
-use raa_serve::engine::{BreakerState, CacheStatus, Engine, Job, ServeConfig};
+use raa_serve::engine::{CacheStatus, Engine, Job, ServeConfig};
 use raa_serve::{b64, http, request, ServeError};
 
 static FAULTS: Mutex<()> = Mutex::new(());
@@ -88,16 +88,6 @@ fn job(name: &str, circuit: Circuit) -> Job {
     }
 }
 
-/// The engine configuration chaos runs under: single worker (fully
-/// deterministic hit ordering), breaker off unless a test turns it on.
-fn chaos_config() -> ServeConfig {
-    ServeConfig {
-        workers: 1,
-        breaker_threshold: 0,
-        ..ServeConfig::default()
-    }
-}
-
 /// Direct in-process reference compile under the serving flags.
 fn direct_bytes(circuit: &Circuit, cfg: &AtomiqueConfig) -> Vec<u8> {
     let cfg = AtomiqueConfig {
@@ -128,9 +118,9 @@ struct RunSignature {
 /// (re-arming resets the fault counters to zero).
 fn chaos_workload(spec: &str) -> RunSignature {
     raa_fault::configure(spec).expect("valid fault spec");
-    let engine = Engine::new(chaos_config());
-    // -O2 runs every stage, `opt` included; one worker keeps the whole
-    // run on one thread end to end.
+    let engine = Engine::new(ServeConfig::default());
+    // -O2 runs every stage, `opt` included; one worker (the default)
+    // keeps the whole run on one thread end to end.
     let cfg = AtomiqueConfig {
         opt_level: OptLevel::Aggressive,
         ..AtomiqueConfig::default()
@@ -160,7 +150,7 @@ fn chaos_workload(spec: &str) -> RunSignature {
 /// functions of `(seed, point, hit index)`.
 #[test]
 fn same_spec_and_seed_reproduce_identical_fault_sequences() {
-    let spec = "serve.compile:error@0.35;compile.route:error@0.3;seed=20240808";
+    let spec = "serve.compile:error@0.35;seed=20240808";
     let _armed = Armed::new(spec);
     let first = chaos_workload(spec);
     let second = chaos_workload(spec);
@@ -174,7 +164,7 @@ fn same_spec_and_seed_reproduce_identical_fault_sequences() {
         first.fault_stats
     );
     // A different seed produces a different firing pattern.
-    let reseeded = chaos_workload("serve.compile:error@0.35;compile.route:error@0.3;seed=7");
+    let reseeded = chaos_workload("serve.compile:error@0.35;seed=7");
     assert_ne!(
         first.fault_stats, reseeded.fault_stats,
         "reseeding changed nothing — probability triggers are not seeded"
@@ -191,7 +181,7 @@ fn same_spec_and_seed_reproduce_identical_fault_sequences() {
 #[test]
 fn failed_leader_leaves_nothing_poisoned_for_the_next_request() {
     let _armed = Armed::new("serve.compile:panic@1;seed=1");
-    let engine = Engine::new(chaos_config());
+    let engine = Engine::new(ServeConfig::default());
     let cfg = engine.base().clone();
     let out = engine.submit(&cfg, &[job("ghz", ghz(4))]).unwrap();
     match out[0].result.as_ref() {
@@ -221,7 +211,7 @@ fn failed_leader_leaves_nothing_poisoned_for_the_next_request() {
 #[test]
 fn engine_stats_reconcile_with_injected_fault_counts() {
     let _armed = Armed::new("serve.compile:error@1-2;seed=1");
-    let engine = Engine::new(chaos_config());
+    let engine = Engine::new(ServeConfig::default());
     let cfg = engine.base().clone();
     let jobs: Vec<Job> = (3..6).map(|n| job(&format!("ghz{n}"), ghz(n))).collect();
     let out = engine.submit(&cfg, &jobs).unwrap();
@@ -235,71 +225,6 @@ fn engine_stats_reconcile_with_injected_fault_counts() {
     assert_eq!(raa_fault::fired_total(), 2);
     let stats = engine.stats();
     assert_eq!((stats.misses, stats.compiles), (3, 3));
-}
-
-/// The circuit breaker opens on injected consecutive failures, sheds
-/// with a retry hint, and closes again through a clean probe.
-#[test]
-fn breaker_opens_and_recovers_under_injected_faults() {
-    let _armed = Armed::new("serve.compile:error@1-2;seed=3");
-    let engine = Engine::new(ServeConfig {
-        breaker_threshold: 2,
-        breaker_cooldown_ms: 50,
-        ..chaos_config()
-    });
-    let cfg = engine.base().clone();
-    for round in 0..2 {
-        let out = engine
-            .submit(&cfg, &[job(&format!("g{round}"), ghz(3 + round))])
-            .unwrap();
-        assert!(out[0].result.is_err(), "round {round} should be injected");
-    }
-    let stats = engine.stats();
-    assert_eq!(stats.breaker_opens, 1);
-    assert_eq!(stats.breaker_state, BreakerState::Open);
-    match engine.submit(&cfg, &[job("shed", ghz(6))]) {
-        Err(ServeError::BreakerOpen { retry_after_ms }) => assert!(retry_after_ms >= 1),
-        other => panic!("expected BreakerOpen, got {other:?}"),
-    }
-    assert_eq!(engine.stats().shed, 1);
-    // Cooldown elapses; hit 3 is clean, so the probe closes the breaker.
-    std::thread::sleep(std::time::Duration::from_millis(60));
-    let out = engine.submit(&cfg, &[job("probe", ghz(6))]).unwrap();
-    assert!(out[0].result.is_ok());
-    assert_eq!(engine.stats().breaker_state, BreakerState::Closed);
-    assert_eq!(raa_fault::fired_at("serve.compile"), 2);
-}
-
-/// A probe batch killed mid-wave by a worker panic frees the probe
-/// slot: the next batch probes and closes the breaker instead of being
-/// shed for good.
-#[test]
-fn probe_batch_killed_mid_wave_frees_the_probe_slot() {
-    let _armed = Armed::new("par.worker:panic@1;seed=1");
-    let engine = Engine::new(ServeConfig {
-        workers: 2,
-        breaker_threshold: 1,
-        breaker_cooldown_ms: 20,
-        ..ServeConfig::default()
-    });
-    let cfg = engine.base().clone();
-    // One job runs on the submitting thread, past the worker seam; its
-    // 0 ms deadline fails it and trips the breaker.
-    let out = engine
-        .submit_with(&cfg, &[job("slow", ghz(3))], Some(0))
-        .unwrap();
-    assert!(out[0].result.is_err());
-    assert_eq!(engine.stats().breaker_state, BreakerState::Open);
-    std::thread::sleep(std::time::Duration::from_millis(30));
-    // The probe batch's two leaders fan out; the first worker dies.
-    let killed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        engine.submit(&cfg, &[job("a", ghz(4)), job("b", ghz(5))])
-    }));
-    assert!(killed.is_err(), "the worker panic resumes on the submitter");
-    assert_eq!(raa_fault::fired_at("par.worker"), 1);
-    let out = engine.submit(&cfg, &[job("next", ghz(6))]).unwrap();
-    assert!(out[0].result.is_ok());
-    assert_eq!(engine.stats().breaker_state, BreakerState::Closed);
 }
 
 // ---------------------------------------------------------------------
@@ -359,9 +284,9 @@ fn every_request_terminates_under_the_pinned_fault_matrix() {
             must_see: &[500, 200],
         },
         Case {
-            // Every compile overruns its (virtual) deadline at the
-            // route stage: per-job `deadline` errors, still HTTP 200.
-            spec: "compile.route:deadline;seed=7",
+            // Every leader compile reports a (virtual) deadline overrun
+            // at its seam: per-job `deadline` errors, still HTTP 200.
+            spec: "serve.compile:deadline;seed=7",
             workers: 1,
             must_see: &[200],
         },
@@ -377,7 +302,6 @@ fn every_request_terminates_under_the_pinned_fault_matrix() {
         raa_fault::configure(case.spec).expect("valid fault spec");
         let engine = std::sync::Arc::new(Engine::new(ServeConfig {
             workers: case.workers,
-            breaker_threshold: 0,
             ..ServeConfig::default()
         }));
         let server = http::serve(engine, "127.0.0.1:0").expect("bind");
@@ -387,7 +311,7 @@ fn every_request_terminates_under_the_pinned_fault_matrix() {
             let (status, text) =
                 request(server.addr(), "POST", "/v1/compile", Some(&body)).expect("response");
             assert!(
-                [200, 500, 503].contains(&status),
+                [200, 500].contains(&status),
                 "{}: unexpected status {status}: {text}",
                 case.spec
             );

@@ -253,21 +253,21 @@ fn figures_match_committed_pins_bit_for_bit() {
 }
 
 /// The zero-fault case of the chaos work: with no `RAA_FAULT_SPEC`
-/// armed (the only state this binary ever runs in), the fault seams
-/// compiled into the pipeline are completely inert — no fault counter
-/// ticks, no registry state accumulates, and the exact baselines above
-/// hold with the gates compiled in. This pins the "free when off"
-/// claim the tier-1 suites rest on.
+/// armed (the only state this binary ever runs in), fault injection is
+/// completely inert — compiles leave no registry state behind, and the
+/// exact baselines above hold. The compiler has no fault points of its
+/// own (the seams live in `raa-serve` and `raa-par`), so its counters
+/// name none.
 #[test]
 fn fault_instrumentation_is_inert_when_disarmed() {
     assert!(!raa_fault::active(), "no test in this binary arms faults");
     for b in small_suite().into_iter().take(3) {
         let out =
             compile(&b.circuit, &traced_config()).unwrap_or_else(|e| panic!("{}: {e}", b.name));
-        assert_eq!(
-            out.report.counter("compile.fault.injected"),
-            0,
-            "{}: fault injected with no schedule armed",
+        let counters = out.report.counters();
+        assert!(
+            counters.iter().all(|(name, _)| !name.contains("fault")),
+            "{}: fault counter in {counters:?}",
             b.name
         );
     }
