@@ -41,9 +41,9 @@ pub enum RouterMode {
 
 /// How the router turns its planned gate groups into movement stages.
 ///
-/// One strategy remains: one movement stage per planned gate group.
-/// Merging compatible stages is the ISA optimizer's job (`-O2`'s
-/// `parallelize` and `fuse` passes).
+/// One strategy remains: one movement stage per planned gate group. The
+/// ISA optimizer keeps every stage's pulse; it only fuses and deletes
+/// moves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RouterStrategy {
     /// One movement stage (move in, pulse, retract) per planned gate
@@ -172,12 +172,12 @@ pub struct AtomiqueConfig {
     /// when [`AtomiqueConfig::emit_isa`] is also set.
     pub verify_isa: bool,
     /// ISA optimization level applied to the lowered stream
-    /// (`raa_isa::opt`): pulse parallelization, retract/approach fusion,
-    /// move coalescing, park elision and dead-move elimination. The
-    /// passes run to a fixpoint under cheap guards, and `optimize` then
-    /// proves its result once with the stream oracle; the `verify` stage
-    /// reuses that proof. Applied only when [`AtomiqueConfig::emit_isa`]
-    /// attaches the stream; default [`OptLevel::None`].
+    /// (`raa_isa::opt`): move coalescing, park elision and dead-move
+    /// elimination, which never touch a gate event. The passes run to a
+    /// fixpoint under cheap guards, and `optimize` then proves its result
+    /// once with the stream oracle; the `verify` stage reuses that proof.
+    /// Applied only when [`AtomiqueConfig::emit_isa`] attaches the
+    /// stream; default [`OptLevel::None`].
     pub opt_level: OptLevel,
     /// Has no effect: every compile runs on its calling thread. Kept
     /// (default 1) only because the benchmark adapter still names it,

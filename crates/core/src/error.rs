@@ -23,12 +23,6 @@ pub enum CompileError {
     Circuit(CircuitError),
     /// Intra-array SWAP insertion failed.
     Routing(SabreError),
-    /// The movement router could not make progress: some front-layer gate
-    /// is unschedulable even from a fully reset configuration.
-    RouterStuck {
-        /// Gates that remained unscheduled.
-        remaining: usize,
-    },
     /// The emitted instruction stream failed the independent legality
     /// checker (requested via `AtomiqueConfig::verify_isa`).
     IsaLegality(raa_isa::LegalityError),
@@ -47,17 +41,16 @@ pub enum CompileError {
 impl fmt::Display for CompileError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CompileError::Capacity { required, available } => write!(
+            CompileError::Capacity {
+                required,
+                available,
+            } => write!(
                 f,
                 "circuit needs {required} qubits but the machine holds {available} atoms"
             ),
             CompileError::Arch(e) => write!(f, "hardware error: {e}"),
             CompileError::Circuit(e) => write!(f, "circuit error: {e}"),
             CompileError::Routing(e) => write!(f, "swap insertion failed: {e}"),
-            CompileError::RouterStuck { remaining } => write!(
-                f,
-                "movement router stalled with {remaining} gates left (hardware constraints unsatisfiable)"
-            ),
             CompileError::IsaLegality(e) => write!(f, "ISA legality check failed: {e}"),
             CompileError::IsaReplay(e) => write!(f, "ISA replay verification failed: {e}"),
             CompileError::Deadline { stage } => {

@@ -14,10 +14,9 @@
 //!
 //! A `Movement` stage emits exactly one `RydbergPulse` whatever its
 //! size, with its `Unpark` markers where the router listed them in the
-//! move group. Merging stages further is the ISA optimizer's job
-//! (`-O2`'s `parallelize` pass), which can leave an `Unpark` anywhere
-//! in a merged group; the checker's machine model handles them
-//! positionally.
+//! move group. The ISA optimizer keeps every pulse; it fuses and deletes
+//! moves and elides parks, and the checker's machine model handles an
+//! `Unpark` wherever it sits.
 //!
 //! The emitted program embeds the transpiled slot-level circuit as its
 //! reference, so `raa_isa::replay_verify` can prove gate-set

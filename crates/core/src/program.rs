@@ -289,9 +289,9 @@ impl CompiledProgram {
 ///
 /// Depth, execution time, the movement figures and the
 /// [`CompiledProgram::fidelity`] estimate describe the router's stage
-/// schedule before `opt`: the ISA optimizer rewrites only the lowered
-/// stream, so two schedules whose `-O2` streams are byte-identical can
-/// report different depths.
+/// schedule before `opt`. The ISA optimizer rewrites only the moves and
+/// parks of the lowered stream, so its travel savings do not reach
+/// these figures.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompileStats {
     /// Logical qubits in the input circuit.

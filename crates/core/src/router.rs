@@ -1456,10 +1456,10 @@ fn norm_pair(a: u32, b: u32) -> (u32, u32) {
 ///
 /// The router walks the DAG front, greedily builds a maximal legal
 /// parallel gate set per iteration and emits one movement stage (move
-/// in, pulse, retract) per set: the paper's Sec. III-C scheduling.
-/// Batching compatible stages further is the ISA optimizer's job: at
-/// `-O2` its `parallelize` and `fuse` passes merge pulses and cancel
-/// retract/approach round trips on the lowered stream.
+/// in, pulse, retract) per set: the paper's Sec. III-C scheduling. The
+/// ISA optimizer only moves atoms, so every stage's pulse reaches the
+/// optimized stream as it is; at `-O2` it fuses each retraction with
+/// the next approach of the same line.
 ///
 /// `strategy` is [`RouterStrategy::Sequential`], the only strategy.
 ///
@@ -1485,8 +1485,7 @@ fn norm_pair(a: u32, b: u32) -> (u32, u32) {
 /// Never fails for valid inputs: a gate that cannot be scheduled even from
 /// a reset configuration falls back to a transfer-assisted stage (the atom
 /// is re-grabbed next to its partner, charging two SLM↔AOD transfers to the
-/// fidelity model). [`CompileError::RouterStuck`] is reserved for internal
-/// inconsistencies.
+/// fidelity model).
 #[allow(clippy::too_many_arguments)]
 pub fn route_movements(
     transpiled: &TranspiledCircuit,

@@ -105,7 +105,6 @@ pub enum CheckMode {
 
 /// One AOD's replayed line positions, home positions and parked flag;
 /// the optimizer's `Tracker` replays the same state.
-#[derive(Clone)]
 pub(crate) struct AodState {
     pub(crate) rows: Vec<f64>,
     pub(crate) cols: Vec<f64>,
@@ -403,12 +402,7 @@ impl Machine {
     ) -> Result<(), LegalityError> {
         debug_assert!(exempt.windows(2).all(|w| w[0] <= w[1]), "exempt not sorted");
         let first = match self.mode {
-            CheckMode::Lines => {
-                let (first, line_pairs, tested) = self.c1_over_lines(exempt);
-                C1_LINE_PAIRS.add(line_pairs);
-                C1_TESTED.add(tested);
-                first
-            }
+            CheckMode::Lines => self.c1_over_lines(exempt),
             CheckMode::Exhaustive => self.c1_all_pairs(exempt),
         };
         match first {
@@ -442,9 +436,9 @@ impl Machine {
 
     /// [`CheckMode::Lines`]: sweep each axis for close line pairs, then
     /// test the atoms where they cross (see the module docs). Returns the
-    /// first violation, the close line pairs found and the atom pairs
-    /// tested.
-    fn c1_over_lines(&mut self, exempt: &[(u32, u32)]) -> (Option<Violation>, u64, u64) {
+    /// first violation, and counts the close line pairs found and the
+    /// atom pairs tested.
+    fn c1_over_lines(&mut self, exempt: &[(u32, u32)]) -> Option<Violation> {
         let mut sweep = std::mem::take(&mut self.sweep);
         for rows in [true, false] {
             self.occupied_lines(rows, &mut sweep.lines);
@@ -506,10 +500,11 @@ impl Machine {
                 }
             }
         }
-        let line_pairs = (sweep.rows.len() + sweep.cols.len()) as u64;
-        let (first, tested) = (scan.first, scan.tested);
+        C1_LINE_PAIRS.add((sweep.rows.len() + sweep.cols.len()) as u64);
+        C1_TESTED.add(scan.tested);
+        let first = scan.first;
         self.sweep = sweep;
-        (first, line_pairs, tested)
+        first
     }
 
     /// Fills `out` with the lines of one axis that host a slot, at their
@@ -691,23 +686,6 @@ fn init_machine(program: &IsaProgram, mode: CheckMode) -> Result<(Machine, usize
     }
 
     Ok((Machine::new(interact_r, aods, &program.sites, mode), pc))
-}
-
-/// The unwanted-interaction test [`check_legality`] runs at a pulse, for
-/// a configuration outside a stream: the lexicographically smallest
-/// in-field pair within `interact_r` other than the `exempt`
-/// (normalized, sorted) ones, found by the [`CheckMode::Lines`] sweep,
-/// with its distance. AOD `k`'s lines sit at `aods[k]`, and `sites` must
-/// all lie on declared traps. Records no `isa.c1.*` counter: those count
-/// checker evaluations.
-pub(crate) fn first_unwanted_pair(
-    interact_r: f64,
-    aods: &[AodState],
-    sites: &[SiteSpec],
-    exempt: &[(u32, u32)],
-) -> Option<Violation> {
-    let mut m = Machine::new(interact_r, aods.to_vec(), sites, CheckMode::Lines);
-    m.c1_over_lines(exempt).0
 }
 
 /// Verifies that `program`'s stream satisfies the hardware constraints,

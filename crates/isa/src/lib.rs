@@ -26,9 +26,9 @@
 //!   gates by atom re-grabs ([`Instr::Transfer`]) rather than pure
 //!   movement;
 //! * [`opt`] — a verified optimizer: peephole/dataflow passes (move
-//!   coalescing, retract/approach fusion, park elision, dead-move
-//!   elimination) that shave instruction count and line travel, whose
-//!   result is proven by the oracle before it is returned;
+//!   coalescing, park elision, dead-move elimination) that shave
+//!   instruction count and line travel without touching a gate event,
+//!   whose result is proven by the oracle before it is returned;
 //! * [`disassemble`] / [`IsaStats`] — a human-readable listing and
 //!   stream-level statistics (instruction counts, move distance,
 //!   encoded sizes).
@@ -85,7 +85,7 @@ mod stats;
 pub use check::{check_legality, check_legality_mode, CheckMode};
 pub use error::{DecodeError, EncodeError, LegalityError, LowerError, ReplayError};
 pub use lower::lower_gate_schedule;
-pub use opt::{flat_gate_events, optimize, OptLevel, OptReport};
+pub use opt::{optimize, OptLevel, OptReport};
 pub use program::{disassemble, Instr, IsaProgram, ProgramHeader, SiteSpec, FORMAT_VERSION};
 pub use replay::{replay_verify, ReplayReport};
 pub use stats::IsaStats;

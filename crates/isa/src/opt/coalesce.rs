@@ -17,7 +17,7 @@
 
 use crate::program::Instr;
 
-use super::{cost, is_barrier, move_key, move_retract, move_to, PassEdit};
+use super::{is_barrier, move_key, move_retract, move_to, PassEdit};
 
 /// Runs the pass; `None` if no fusion applies.
 pub(crate) fn run(instrs: &[Instr]) -> Option<PassEdit> {
@@ -41,7 +41,7 @@ pub(crate) fn run(instrs: &[Instr]) -> Option<PassEdit> {
             if is_barrier(&out[j]) {
                 break;
             }
-            if move_key(&out[j]).is_some_and(|k| cost::coalescible(key, k)) {
+            if move_key(&out[j]) == Some(key) {
                 let to = move_to(&out[j])?;
                 let retract = move_retract(&out[i])? && move_retract(&out[j])?;
                 set_target(&mut out[i], to, retract);

@@ -6,9 +6,11 @@
 //! rewrites can be validated with no reference to any compiler's
 //! internal state. Movement time dominates both duration and fidelity
 //! on reconfigurable arrays (Atomique, ISCA 2024), and post-schedule
-//! rewriting of move sequences recovers parallelism the scheduler left
-//! behind (Arctic, 2024) — these passes shave instruction count and
-//! line travel without touching a single gate.
+//! move fusion is the scheduling-layer win (Arctic, 2024) — these
+//! passes shave instruction count and line travel without touching a
+//! single gate. The router already packs each stage with a maximal
+//! legal gate set, so an optimized stream fires exactly the router's
+//! pulses.
 //!
 //! # Passes
 //!
@@ -16,23 +18,19 @@
 //! |---|---|---|
 //! | [mod@coalesce] | `Basic` | fuses consecutive moves of one AOD line into one instruction |
 //! | [mod@dead] | `Basic` | drops moves whose displacement is never observed |
-//! | [mod@parallelize] | `Aggressive` | merges two pulses separated only by commuting moves |
-//! | [mod@fuse] | `Aggressive` | cancels a retraction undone by the next approach |
 //! | [mod@park] | `Aggressive` | elides park–unpark pairs and redundant unparks |
 //!
-//! The applicability predicates the passes share live in the
-//! crate-private `cost` module.
+//! A retraction that the next approach exactly undoes needs no pass of
+//! its own: [mod@coalesce] folds the round trip into a zero move, and
+//! [mod@dead] deletes it.
 //!
 //! # Proving the result once
 //!
 //! Every candidate rewrite a pass returns must pass three cheap guards:
 //! it shrinks the stream, it adds no line travel, and it keeps the
-//! *flattened* sequence of observable gate events — each pulse
-//! contributing its pairs in order, plus Raman layers, transfers and
-//! cooling swaps as whole events — so gates may be regrouped across
-//! merged pulses but never reordered, dropped or duplicated. A candidate
-//! that fails a guard is discarded and its pass disabled for the rest of
-//! the run.
+//! sequence of gate events — pulses with their pair lists, Raman layers,
+//! transfers and cooling swaps — exactly. A candidate that fails a guard
+//! is discarded and its pass disabled for the rest of the run.
 //!
 //! The stream oracle ([`check_legality`] + [`replay_verify`]) then runs
 //! once, on the fixpoint's result, and a result that passes is
@@ -55,12 +53,10 @@
 //! so they must not panic on a malformed or illegal stream. To stay
 //! inside the oracle's notion of equivalence, obey three rules:
 //!
-//! 1. **Never reorder, drop or duplicate a gate.** Rydberg pulse
-//!    pairs, Raman layers, transfers and cooling swaps are the program;
-//!    the guards compare their flattened sequence before and after.
-//!    Adjacent pulses may merge (their pair lists concatenate in stream
-//!    order — [mod@parallelize] does this), but a pass that moves a
-//!    gate past another, drops one or fires one twice is rejected.
+//! 1. **Never touch a gate event.** Rydberg pulses, Raman layers,
+//!    transfers and cooling swaps are the program; the guards compare
+//!    their sequence before and after, so a pass that reorders, merges,
+//!    drops or edits one is rejected.
 //! 2. **Positions are only observable at pulses and at end of stream.**
 //!    Between those points atom trajectories are free: moves may be
 //!    fused, re-timed or deleted as long as every line holds the same
@@ -114,17 +110,13 @@
 //! ```
 
 pub mod coalesce;
-pub(crate) mod cost;
 pub mod dead;
-pub mod fuse;
-pub mod parallelize;
 pub mod park;
 
 use crate::check::{check_legality, AodState};
 use crate::program::{Instr, IsaProgram};
 use crate::replay::replay_verify;
 use crate::stats::IsaStats;
-use raa_circuit::Gate;
 use raa_trace::Counter;
 
 /// Candidate rewrites produced by passes (accepted + rejected).
@@ -143,8 +135,8 @@ pub enum OptLevel {
     None,
     /// `-O1`: local move cleanups only — [mod@coalesce] and [mod@dead].
     Basic,
-    /// `-O2`: all passes ([mod@fuse], [mod@coalesce], [mod@park],
-    /// [mod@dead]), iterated to a fixpoint.
+    /// `-O2`: all passes ([mod@coalesce], [mod@park], [mod@dead]),
+    /// iterated to a fixpoint.
     Aggressive,
 }
 
@@ -162,29 +154,17 @@ impl OptLevel {
     }
 
     /// The pass pipeline of this level, in execution order.
-    /// `Aggressive` runs pulse merging first: merged windows turn
-    /// inter-pulse round trips into plain round trips that
-    /// [mod@fuse] and [mod@coalesce] then clean up in the same
-    /// fixpoint iteration.
     fn passes(self) -> &'static [PassKind] {
         match self {
             OptLevel::None => &[],
             OptLevel::Basic => &[PassKind::Coalesce, PassKind::DeadMove],
-            OptLevel::Aggressive => &[
-                PassKind::Parallelize,
-                PassKind::CancelRetract,
-                PassKind::Coalesce,
-                PassKind::ElidePark,
-                PassKind::DeadMove,
-            ],
+            OptLevel::Aggressive => &[PassKind::Coalesce, PassKind::ElidePark, PassKind::DeadMove],
         }
     }
 }
 
 #[derive(Debug, Clone, Copy)]
 enum PassKind {
-    Parallelize,
-    CancelRetract,
     Coalesce,
     ElidePark,
     DeadMove,
@@ -196,8 +176,6 @@ enum PassKind {
 impl PassKind {
     fn name(self) -> &'static str {
         match self {
-            PassKind::Parallelize => "parallelize-pulses",
-            PassKind::CancelRetract => "cancel-retract",
             PassKind::Coalesce => "coalesce-moves",
             PassKind::ElidePark => "elide-parks",
             PassKind::DeadMove => "dead-moves",
@@ -211,8 +189,6 @@ impl PassKind {
     /// oracle only on the fallback's proving re-run.
     fn span_name(self) -> &'static str {
         match self {
-            PassKind::Parallelize => "opt.parallelize-pulses",
-            PassKind::CancelRetract => "opt.cancel-retract",
             PassKind::Coalesce => "opt.coalesce-moves",
             PassKind::ElidePark => "opt.elide-parks",
             PassKind::DeadMove => "opt.dead-moves",
@@ -221,15 +197,13 @@ impl PassKind {
         }
     }
 
-    fn run(self, program: &IsaProgram) -> Option<PassEdit> {
+    fn run(self, instrs: &[Instr]) -> Option<PassEdit> {
         match self {
-            PassKind::Parallelize => parallelize::run(program),
-            PassKind::CancelRetract => fuse::run(&program.instrs),
-            PassKind::Coalesce => coalesce::run(&program.instrs),
-            PassKind::ElidePark => park::run(&program.instrs),
-            PassKind::DeadMove => dead::run(&program.instrs),
+            PassKind::Coalesce => coalesce::run(instrs),
+            PassKind::ElidePark => park::run(instrs),
+            PassKind::DeadMove => dead::run(instrs),
             #[cfg(test)]
-            PassKind::DropFinalRetraction => tests::drop_final_retraction(&program.instrs),
+            PassKind::DropFinalRetraction => tests::drop_final_retraction(instrs),
         }
     }
 }
@@ -282,16 +256,12 @@ pub struct OptReport {
     pub line_travel_after: f64,
     /// Moves fused by [mod@coalesce].
     pub coalesced_moves: usize,
-    /// Pulse pairs merged by [mod@parallelize].
-    pub merged_pulses: usize,
-    /// Retract/approach pairs cancelled by [mod@fuse].
-    pub cancelled_retractions: usize,
     /// Park/unpark instructions elided by [mod@park].
     pub elided_parks: usize,
     /// Moves deleted by [mod@dead].
     pub dead_moves: usize,
     /// Candidates refused: one failed a guard (it did not shrink the
-    /// stream, added line travel or changed the flattened gate trace)
+    /// stream, added line travel or changed a gate event)
     /// or, when the fixpoint re-ran with the oracle on every candidate,
     /// failed the oracle. The stream before the candidate was kept and
     /// the pass disabled for the rest of the run, so refusals cost
@@ -338,7 +308,7 @@ const MAX_ITERATIONS: usize = 64;
 /// a report of what changed.
 ///
 /// Safety is enforced, not assumed. Every candidate rewrite must keep
-/// the exact observable gate sequence and may not add instructions or
+/// the exact sequence of gate events and may not add instructions or
 /// line travel, and the result must pass [`check_legality`] +
 /// [`replay_verify`] before it is returned (see the module docs for the
 /// fallback when it does not). An input that fails the oracle is
@@ -410,7 +380,6 @@ fn fixpoint(
     prove_each: bool,
 ) -> (IsaProgram, OptReport) {
     let mut report = OptReport::unchanged(program, level);
-    let reference_trace = flat_trace(&program.instrs);
     let mut current = program.clone();
     // A pass whose candidate is refused is disabled for the rest of the
     // run: re-running it would deterministically rebuild (and re-pay the
@@ -424,7 +393,7 @@ fn fixpoint(
                 continue;
             }
             let _pass_span = raa_trace::span(pass.span_name());
-            let Some(edit) = pass.run(&current) else {
+            let Some(edit) = pass.run(&current.instrs) else {
                 continue;
             };
             debug_assert!(edit.rewrites > 0, "{}: rewrite without count", pass.name());
@@ -432,13 +401,11 @@ fn fixpoint(
             let previous = std::mem::replace(&mut current.instrs, edit.kept());
             let accepted = current.instrs.len() < previous.len()
                 && line_travel(&current.instrs) <= line_travel(&previous) + 1e-12
-                && flat_trace(&current.instrs) == reference_trace
+                && gate_events(&current.instrs).eq(gate_events(&program.instrs))
                 && (!prove_each || passes_oracle(&current));
             if accepted {
                 OPT_ACCEPTED.incr();
                 match pass {
-                    PassKind::Parallelize => report.merged_pulses += edit.rewrites,
-                    PassKind::CancelRetract => report.cancelled_retractions += edit.rewrites,
                     PassKind::Coalesce => report.coalesced_moves += edit.rewrites,
                     PassKind::ElidePark => report.elided_parks += edit.rewrites,
                     PassKind::DeadMove => report.dead_moves += edit.rewrites,
@@ -476,74 +443,19 @@ fn line_travel(instrs: &[Instr]) -> f64 {
         .sum()
 }
 
-/// One atom of the flattened gate-event sequence: a pulse contributes
-/// each of its pairs in order (so merging adjacent pulses with
-/// concatenated pair lists preserves the sequence); Raman layers,
-/// transfers and cooling swaps are whole events.
-#[derive(Debug, PartialEq)]
-enum FlatEvent<'a> {
-    Pair(u32, u32),
-    Raman(&'a [Gate]),
-    Transfer(u32, u32),
-    Cool(u8),
-}
-
-/// The flattened observable gate-event sequence of a stream, as
-/// normalized instructions: each [`Instr::RydbergPulse`] expands to one
-/// single-pair pulse per scheduled pair (in list order); Raman layers,
-/// transfers and cooling swaps pass through whole. This is the
-/// equivalence relation the optimizer preserves — two streams with
-/// equal flattened sequences execute the same gates in the same order,
-/// differing only in how pulses are grouped.
-///
-/// # Examples
-///
-/// ```
-/// use raa_isa::{flat_gate_events, Instr};
-///
-/// let split = [
-///     Instr::RydbergPulse { pairs: vec![(0, 1)] },
-///     Instr::MoveRow { aod: 0, row: 0, from: 0.0, to: 1.0, retract: true },
-///     Instr::RydbergPulse { pairs: vec![(2, 3)] },
-/// ];
-/// let merged = [Instr::RydbergPulse { pairs: vec![(0, 1), (2, 3)] }];
-/// assert_eq!(flat_gate_events(&split), flat_gate_events(&merged));
-/// ```
-pub fn flat_gate_events(instrs: &[Instr]) -> Vec<Instr> {
-    flat_trace(instrs)
-        .into_iter()
-        .map(|e| match e {
-            FlatEvent::Pair(a, b) => Instr::RydbergPulse {
-                pairs: vec![(a, b)],
-            },
-            FlatEvent::Raman(gates) => Instr::RamanLayer {
-                gates: gates.to_vec(),
-            },
-            FlatEvent::Transfer(a, b) => Instr::Transfer { a, b },
-            FlatEvent::Cool(aod) => Instr::Cool { aod },
-        })
-        .collect()
-}
-
-/// The flattened observable gate-event sequence of a stream.
-/// Optimization must preserve this sequence exactly — pulses may be
-/// regrouped, but no gate may be reordered, dropped or duplicated.
-/// (The borrowing twin of [`flat_gate_events`], used on the hot
-/// per-candidate guard path.)
-fn flat_trace(instrs: &[Instr]) -> Vec<FlatEvent<'_>> {
-    let mut out = Vec::new();
-    for instr in instrs {
-        match instr {
-            Instr::RydbergPulse { pairs } => {
-                out.extend(pairs.iter().map(|&(a, b)| FlatEvent::Pair(a, b)));
-            }
-            Instr::RamanLayer { gates } => out.push(FlatEvent::Raman(gates)),
-            Instr::Transfer { a, b } => out.push(FlatEvent::Transfer(*a, *b)),
-            Instr::Cool { aod } => out.push(FlatEvent::Cool(*aod)),
-            _ => {}
-        }
-    }
-    out
+/// The gate events of a stream in order: pulses with their pair lists,
+/// Raman layers, transfers and cooling swaps. Optimization must keep
+/// this sequence exactly.
+fn gate_events(instrs: &[Instr]) -> impl Iterator<Item = &Instr> {
+    instrs.iter().filter(|i| {
+        matches!(
+            i,
+            Instr::RydbergPulse { .. }
+                | Instr::RamanLayer { .. }
+                | Instr::Transfer { .. }
+                | Instr::Cool { .. }
+        )
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -593,7 +505,6 @@ pub(crate) fn move_retract(instr: &Instr) -> Option<bool> {
 ///
 /// All accessors return `Option` so a pass can abort (`None` = rewrite
 /// nothing) on a stream it does not understand, rather than panic.
-#[derive(Clone)]
 pub(crate) struct Tracker {
     aods: Vec<AodState>,
 }
@@ -704,12 +615,53 @@ mod tests {
     use crate::program::{ProgramHeader, SiteSpec, FORMAT_VERSION};
     use raa_circuit::{Circuit, Gate, Qubit};
 
-    /// Two slots: s0 on SLM[0,0], s1 on AOD0[0,0]; `stages` CZ pulses,
-    /// each approached with `split`-segment moves and retracted home.
-    pub(crate) fn movement_program(stages: usize, split: usize) -> IsaProgram {
+    fn mrow(from: f64, to: f64, retract: bool) -> Instr {
+        Instr::MoveRow {
+            aod: 0,
+            row: 0,
+            from,
+            to,
+            retract,
+        }
+    }
+
+    fn mcol(from: f64, to: f64, retract: bool) -> Instr {
+        Instr::MoveCol {
+            aod: 0,
+            col: 0,
+            from,
+            to,
+            retract,
+        }
+    }
+
+    fn cz_pulse() -> Instr {
+        Instr::RydbergPulse {
+            pairs: vec![(0, 1)],
+        }
+    }
+
+    /// Brings AOD0's atom from home (0.6, 0.4) next to the SLM atom.
+    fn approach() -> [Instr; 2] {
+        [mrow(0.6, 0.05, false), mcol(0.4, 0.08, false)]
+    }
+
+    /// Takes AOD0's atom home again.
+    fn retract() -> [Instr; 2] {
+        [mrow(0.05, 0.6, true), mcol(0.08, 0.4, true)]
+    }
+
+    /// Two slots, s0 on SLM[0,0] and s1 on AOD0[0,0], running `body`
+    /// after the init prefix; the reference circuit has one CZ per
+    /// scheduled pair.
+    fn two_slot_program(body: Vec<Instr>) -> IsaProgram {
         let mut c = Circuit::new(2);
-        for _ in 0..stages {
-            c.push(Gate::cz(Qubit(0), Qubit(1)));
+        for instr in &body {
+            if let Instr::RydbergPulse { pairs } = instr {
+                for _ in pairs {
+                    c.push(Gate::cz(Qubit(0), Qubit(1)));
+                }
+            }
         }
         let mut instrs = vec![
             Instr::InitSlm { rows: 4, cols: 4 },
@@ -721,48 +673,7 @@ mod tests {
                 fy: 0.6,
             },
         ];
-        for _ in 0..stages {
-            let mut at = 0.6;
-            for s in 0..split {
-                let to = if s + 1 == split {
-                    0.05
-                } else {
-                    at - (at - 0.05) / 2.0
-                };
-                instrs.push(Instr::MoveRow {
-                    aod: 0,
-                    row: 0,
-                    from: at,
-                    to,
-                    retract: false,
-                });
-                at = to;
-            }
-            instrs.push(Instr::MoveCol {
-                aod: 0,
-                col: 0,
-                from: 0.4,
-                to: 0.08,
-                retract: false,
-            });
-            instrs.push(Instr::RydbergPulse {
-                pairs: vec![(0, 1)],
-            });
-            instrs.push(Instr::MoveRow {
-                aod: 0,
-                row: 0,
-                from: 0.05,
-                to: 0.6,
-                retract: true,
-            });
-            instrs.push(Instr::MoveCol {
-                aod: 0,
-                col: 0,
-                from: 0.08,
-                to: 0.4,
-                retract: true,
-            });
-        }
+        instrs.extend(body);
         IsaProgram {
             version: FORMAT_VERSION,
             header: ProgramHeader::new("test", "opt"),
@@ -782,6 +693,62 @@ mod tests {
             reference: c,
             instrs,
         }
+    }
+
+    /// `stages` CZ pulses, each approached with `split`-segment row
+    /// moves and retracted home.
+    fn movement_program(stages: usize, split: usize) -> IsaProgram {
+        let mut body = Vec::new();
+        for _ in 0..stages {
+            let mut at = 0.6;
+            for s in 0..split {
+                let to = if s + 1 == split {
+                    0.05
+                } else {
+                    at - (at - 0.05) / 2.0
+                };
+                body.push(mrow(at, to, false));
+                at = to;
+            }
+            body.extend([mcol(0.4, 0.08, false), cz_pulse()]);
+            body.extend(retract());
+        }
+        two_slot_program(body)
+    }
+
+    /// One AOD's row positions, column positions and parked flag.
+    type AodView = (Vec<f64>, Vec<f64>, bool);
+
+    /// Every AOD's view at each pulse and at the end of the stream,
+    /// where the checker observes them.
+    fn observed(p: &IsaProgram) -> Vec<Vec<AodView>> {
+        let snapshot = |t: &Tracker| -> Vec<AodView> {
+            t.aods
+                .iter()
+                .map(|a| (a.rows.clone(), a.cols.clone(), a.parked))
+                .collect()
+        };
+        let (mut tracker, start) = Tracker::from_init(&p.instrs).unwrap();
+        let mut out = Vec::new();
+        for instr in &p.instrs[start..] {
+            if matches!(instr, Instr::RydbergPulse { .. }) {
+                out.push(snapshot(&tracker));
+            }
+            tracker.apply(instr).unwrap();
+        }
+        out.push(snapshot(&tracker));
+        out
+    }
+
+    /// Optimizes the legal two-slot program of `body` at `-O2` and
+    /// checks that the result keeps every observed position and parked
+    /// flag.
+    fn aggressive_keeps_observations(body: Vec<Instr>) -> (IsaProgram, OptReport) {
+        let p = two_slot_program(body);
+        let (out, report) = optimize(&p, OptLevel::Aggressive);
+        assert!(!report.skipped_unverified);
+        assert_eq!(observed(&out), observed(&p));
+        (out, report)
     }
 
     #[test]
@@ -809,10 +776,10 @@ mod tests {
     }
 
     #[test]
-    fn optimization_preserves_the_flattened_gate_trace() {
+    fn optimization_preserves_the_gate_events() {
         let p = movement_program(4, 2);
         let (out, _) = optimize(&p, OptLevel::Aggressive);
-        assert_eq!(flat_trace(&out.instrs), flat_trace(&p.instrs));
+        assert!(gate_events(&out.instrs).eq(gate_events(&p.instrs)));
     }
 
     #[test]
@@ -896,6 +863,75 @@ mod tests {
         let (aggressive, _) = optimize(&p, OptLevel::Aggressive);
         assert!(aggressive.instrs.len() <= basic.instrs.len());
         assert!(basic.instrs.len() <= p.instrs.len());
+    }
+
+    // Retract/approach round trips: coalescing folds one into a zero
+    // move and dead-move elimination deletes it, so no pass of their own
+    // cancels them.
+
+    #[test]
+    fn round_trip_retraction_is_cancelled() {
+        let body = [
+            &approach()[..],
+            &[
+                cz_pulse(),
+                mrow(0.05, 0.6, true),  // retract home...
+                mrow(0.6, 0.05, false), // ...and come straight back
+                cz_pulse(),
+            ],
+            &retract(),
+        ]
+        .concat();
+        let (out, report) = aggressive_keeps_observations(body);
+        let kept = [&approach()[..], &[cz_pulse(), cz_pulse()], &retract()].concat();
+        assert_eq!(out.instrs[2..], kept[..]);
+        assert_eq!(report.instructions_saved(), 2);
+    }
+
+    #[test]
+    fn approach_to_a_new_offset_keeps_observed_positions() {
+        let body = [
+            &approach()[..],
+            &[
+                cz_pulse(),
+                mrow(0.05, 0.6, true),
+                mrow(0.6, 0.1, false), // a different target: travel is real
+                cz_pulse(),
+                mrow(0.1, 0.6, true),
+                mcol(0.08, 0.4, true),
+            ],
+        ]
+        .concat();
+        let (_, report) = aggressive_keeps_observations(body);
+        assert_eq!(report.instructions_saved(), 1);
+    }
+
+    #[test]
+    fn retraction_across_a_pulse_is_kept() {
+        let stage = [&approach()[..], &[cz_pulse()], &retract()].concat();
+        let body = [&stage[..], &[Instr::RydbergPulse { pairs: vec![] }], &stage].concat();
+        let (_, report) = aggressive_keeps_observations(body);
+        assert_eq!(report.instructions_saved(), 0);
+    }
+
+    #[test]
+    fn plain_approach_pairs_keep_observed_positions() {
+        let body = vec![mrow(0.6, 0.3, false), mrow(0.3, 0.6, false)];
+        let (_, report) = aggressive_keeps_observations(body);
+        assert_eq!(report.instructions_saved(), 2);
+    }
+
+    #[test]
+    fn moves_of_a_parked_aod_keep_the_parked_flag() {
+        // The moves of a parked AOD also unpark it: the pulse after them
+        // must still see it in the field.
+        let body = vec![
+            Instr::Park { kept: vec![] },
+            mrow(0.6, 0.3, true),
+            mrow(0.3, 0.6, false),
+            Instr::RydbergPulse { pairs: vec![] },
+        ];
+        aggressive_keeps_observations(body);
     }
 
     #[test]

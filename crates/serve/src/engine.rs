@@ -831,7 +831,7 @@ mod tests {
     }
 
     #[test]
-    fn exhausted_deadline_is_reported_after_the_ladder() {
+    fn exhausted_deadline_is_reported_without_a_recompile() {
         // A deadline of 0 ms expires at the first stage boundary,
         // deterministically. At -O2 the job still compiles once and
         // reports `deadline`: nothing recompiles it at a lower level.

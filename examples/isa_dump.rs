@@ -94,12 +94,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             report.line_travel_saved()
         );
         println!(
-            "passes            : {} pulses merged, {} coalesced, {} retractions cancelled, {} parks elided, {} dead moves",
-            report.merged_pulses,
-            report.coalesced_moves,
-            report.cancelled_retractions,
-            report.elided_parks,
-            report.dead_moves
+            "passes            : {} coalesced, {} parks elided, {} dead moves",
+            report.coalesced_moves, report.elided_parks, report.dead_moves
         );
     }
 

@@ -4,28 +4,23 @@
 //!
 //! * still pass the full oracle (legality + replay + a byte-stable
 //!   codec round trip),
-//! * keep the flattened observable gate sequence (exact below
-//!   `Aggressive`, where no pass regroups pulses),
-//! * never gain instructions, pulses or line travel at any level, and
+//! * keep the exact sequence of gate events: no pass touches a pulse, a
+//!   Raman layer, a transfer or a cooling swap,
+//! * never gain instructions or line travel at any level, and
 //! * at `OptLevel::Aggressive`, *strictly* lose instructions and line
 //!   travel on a majority of the movement (Atomique) streams — the
 //!   transfer-based baseline lowerings carry no moves, so the optimizer
 //!   is a verified identity there.
-//!
-//! The router emits one movement stage per planned gate set; merging
-//! stages is the optimizer's job, so the pulses `-O2` recovers from
-//! serial schedules are pinned per benchmark.
 
-use atomique::{compile, emit_isa, AtomiqueConfig, RouterMode};
+use atomique::{compile, emit_isa, AtomiqueConfig};
 use raa_baselines::{
     compile_fixed, geyser_pulses, lower_fixed, lower_geyser, lower_tan, tan_iterp,
     FixedArchitecture,
 };
-use raa_benchmarks::{large_suite, small_suite, Benchmark};
+use raa_benchmarks::{large_suite, relaxation_suite, small_suite, topology_suite, Benchmark};
 use raa_circuit::NativeGateSet;
 use raa_isa::{
-    check_legality, codec, flat_gate_events, optimize, replay_verify, Instr, IsaProgram, IsaStats,
-    OptLevel,
+    check_legality, codec, optimize, replay_verify, Instr, IsaProgram, IsaStats, OptLevel,
 };
 use raa_physics::HardwareParams;
 
@@ -103,7 +98,6 @@ fn optimizer_is_safe_and_effective_on_the_full_suite() {
         for (backend, program) in all_backends(&b) {
             let before = IsaStats::of(&program);
             let trace = gate_events(&program);
-            let flat_trace = flat_gate_events(&program.instrs);
 
             for level in [OptLevel::None, OptLevel::Basic, OptLevel::Aggressive] {
                 let (out, report) = optimize(&program, level);
@@ -122,29 +116,16 @@ fn optimizer_is_safe_and_effective_on_the_full_suite() {
                 replay_verify(&out)
                     .unwrap_or_else(|e| panic!("{}/{backend}@{level:?}: {e}", b.name));
                 assert_eq!(
-                    flat_gate_events(&out.instrs),
-                    flat_trace,
-                    "{}/{backend}@{level:?}: flattened gate sequence changed",
+                    gate_events(&out),
+                    trace,
+                    "{}/{backend}@{level:?}: gate sequence changed",
                     b.name
                 );
-                if level != OptLevel::Aggressive {
-                    assert_eq!(
-                        gate_events(&out),
-                        trace,
-                        "{}/{backend}@{level:?}: gate sequence changed",
-                        b.name
-                    );
-                }
 
                 let after = IsaStats::of(&out);
                 assert!(
                     after.instructions <= before.instructions,
                     "{}/{backend}@{level:?}: instructions grew",
-                    b.name
-                );
-                assert!(
-                    after.pulses <= before.pulses,
-                    "{}/{backend}@{level:?}: pulse count grew",
                     b.name
                 );
                 assert!(
@@ -199,56 +180,47 @@ fn compile_with_opt_level_matches_standalone_optimization() {
     assert_eq!(wired, standalone);
 }
 
-/// Per small-suite benchmark under `RouterMode::Serial`: the `-O0`
-/// pulse count and the pulses `-O2`'s `parallelize` pass merges.
-const SERIAL_MERGES: [(&str, usize, usize); 11] = [
-    ("Mermin-Bell-5", 27, 0),
-    ("VQE-10", 9, 0),
-    ("VQE-20", 19, 0),
-    ("Adder-10", 65, 0),
-    ("BV-14", 13, 0),
-    ("QSim-rand-5", 35, 0),
-    ("QSim-rand-10", 88, 0),
-    ("H2-4", 42, 0),
-    ("QAOA-rand-5", 3, 0),
-    ("QAOA-regu3-20", 33, 8),
-    ("QAOA-regu4-10", 23, 5),
-];
+/// The small suite plus the seed-2024 circuits on which `-O2` used to
+/// merge pulses at the default configuration.
+fn motion_only_suite() -> Vec<Benchmark> {
+    const MERGED: [&str; 4] = ["QAOA-rand-30", "QAOA-rand-50", "QAOA-rand-100", "Arb-100Q"];
+    let mut suite = small_suite();
+    let small = suite.len();
+    suite.extend(
+        [large_suite(), relaxation_suite(), topology_suite()]
+            .into_iter()
+            .flatten()
+            .filter(|b| MERGED.contains(&b.name)),
+    );
+    assert_eq!(suite.len(), small + MERGED.len(), "a suite lost a circuit");
+    suite
+}
 
-/// Serial scheduling leaves parallelism on the table by construction
-/// (one gate per stage); `-O2` must recover exactly the pinned part of
-/// it by merging pulses the serial router spread over separate stages.
-/// Merging fewer — or more, which would mean the serial stream or the
-/// pass changed — fails here.
+/// `-O2` moves atoms and nothing else: its stream fires exactly the
+/// router's pulses, each with the pair list the router gave it, between
+/// the same Raman layers, transfers and cooling swaps as the `-O0`
+/// stream of the same compile.
 #[test]
-fn o2_recovers_pinned_pulses_from_serial_schedules() {
-    let suite = small_suite();
-    let names: Vec<&str> = suite.iter().map(|b| b.name).collect();
-    let pinned: Vec<&str> = SERIAL_MERGES.iter().map(|&(name, _, _)| name).collect();
-    assert_eq!(names, pinned, "small suite changed; re-pin SERIAL_MERGES");
-
-    let cfg = AtomiqueConfig {
+fn o2_fires_exactly_the_router_pulses() {
+    let o0 = AtomiqueConfig {
         emit_isa: true,
-        router_mode: RouterMode::Serial,
         ..AtomiqueConfig::default()
     };
-    let mut merged_total = 0;
-    for (b, &(name, pulses, merged)) in suite.iter().zip(&SERIAL_MERGES) {
-        let out = compile(&b.circuit, &cfg).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let raw = out.isa.as_ref().expect("emit_isa set");
-        let (opt, report) = optimize(raw, OptLevel::Aggressive);
-        assert_eq!(report.rejected_rewrites, 0, "{name}: unsafe rewrite");
-        let (before, after) = (IsaStats::of(raw).pulses, IsaStats::of(&opt).pulses);
+    let o2 = AtomiqueConfig {
+        opt_level: OptLevel::Aggressive,
+        ..o0.clone()
+    };
+    for b in motion_only_suite() {
+        let stream = |cfg: &AtomiqueConfig| {
+            let out = compile(&b.circuit, cfg).unwrap_or_else(|e| panic!("{}: {e}", b.name));
+            out.isa.expect("emit_isa set")
+        };
+        let (raw, optimized) = (stream(&o0), stream(&o2));
         assert_eq!(
-            (before, report.merged_pulses),
-            (pulses, merged),
-            "{name}: (serial pulses, -O2 merged pulses)"
+            gate_events(&optimized),
+            gate_events(&raw),
+            "{}: -O2 changed a gate event",
+            b.name
         );
-        assert_eq!(after, before - merged, "{name}: pulses after -O2");
-        merged_total += report.merged_pulses;
     }
-    assert!(
-        merged_total > 0,
-        "-O2 merged no pulses on any serial small-suite stream"
-    );
 }

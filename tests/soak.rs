@@ -4,10 +4,11 @@
 //! client threads for `RAA_SOAK_SECS` seconds (default 30).
 //!
 //! Asserts the service *stays* a service: every request terminates
-//! with a documented status, no connection hangs, the queue depth
-//! returns to zero, the engine's cache counters reconcile exactly with
-//! the jobs the clients saw answered, and process memory is stable
-//! (no per-request leak).
+//! with a documented status, a 400 answers each malformed body and
+//! nothing else, no connection hangs, the queue depth returns to zero,
+//! the engine's cache counters reconcile exactly with the jobs the
+//! clients saw answered, and process memory is stable (no per-request
+//! leak).
 //!
 //! Debug builds skip this test (`cargo test -q` tier-1 stays fast);
 //! CI runs it as a separate release step.
@@ -60,6 +61,9 @@ struct ClientReport {
     /// engine exactly once as hit, miss or coalesced).
     jobs_answered: u64,
     requests: u64,
+    /// Malformed bodies sent, and the 400s they were answered with (a
+    /// 400 to any other request is a problem).
+    malformed_sent: u64,
     bad_requests: u64,
     problems: Vec<String>,
 }
@@ -107,6 +111,7 @@ fn sustained_mixed_workload_stays_stable() {
                 let mut iter = 0usize;
                 while !stop.load(Ordering::Acquire) {
                     iter += 1;
+                    let malformed = iter.is_multiple_of(8);
                     let (method, path, body);
                     match iter % 8 {
                         0 => {
@@ -136,6 +141,7 @@ fn sustained_mixed_workload_stays_stable() {
                         }
                     }
                     report.requests += 1;
+                    report.malformed_sent += u64::from(malformed);
                     let (status, text) = match request(addr, method, path, body.as_deref()) {
                         Ok(r) => r,
                         Err(e) => {
@@ -161,7 +167,7 @@ fn sustained_mixed_workload_stays_stable() {
                                 }
                             }
                         }
-                        400 => report.bad_requests += 1,
+                        400 if malformed => report.bad_requests += 1,
                         other => report
                             .problems
                             .push(format!("t{t} i{iter}: unexpected status {other}: {text}")),
@@ -215,6 +221,12 @@ fn sustained_mixed_workload_stays_stable() {
     let stats = engine.stats();
     let answered: u64 = reports.iter().map(|r| r.jobs_answered).sum();
     let requests: u64 = reports.iter().map(|r| r.requests).sum();
+    let malformed: u64 = reports.iter().map(|r| r.malformed_sent).sum();
+    let bad_requests: u64 = reports.iter().map(|r| r.bad_requests).sum();
+    assert_eq!(
+        bad_requests, malformed,
+        "every malformed body must answer 400"
+    );
     assert_eq!(
         stats.hits + stats.misses + stats.coalesced,
         answered,

@@ -51,22 +51,22 @@ const COLUMNS: [&str; 12] = [
 const BASELINES: &[(&str, [u64; 12], u64)] = &[
     (
         "Mermin-Bell-5",
-        [30, 3, 0, 18, 0, 27, 1, 2, 0, 0, 83, 0],
+        [30, 2, 0, 18, 0, 27, 1, 2, 0, 0, 83, 0],
         0x099d2c85b752a705,
     ),
     (
         "VQE-10",
-        [10, 3, 0, 0, 0, 9, 0, 1, 0, 0, 30, 0],
+        [10, 2, 0, 0, 0, 9, 0, 1, 0, 0, 30, 0],
         0x59c8e2ec6be68e6e,
     ),
     (
         "VQE-20",
-        [23, 3, 0, 0, 0, 19, 0, 4, 0, 0, 60, 0],
+        [23, 2, 0, 0, 0, 19, 0, 4, 0, 0, 60, 0],
         0x27af8fb30e5d765e,
     ),
     (
         "Adder-10",
-        [83, 3, 0, 0, 0, 65, 8, 10, 0, 0, 206, 0],
+        [83, 2, 0, 0, 0, 65, 8, 10, 0, 0, 206, 0],
         0x665d762795a20ece,
     ),
     (
@@ -76,12 +76,12 @@ const BASELINES: &[(&str, [u64; 12], u64)] = &[
     ),
     (
         "QSim-rand-5",
-        [39, 3, 0, 6, 0, 35, 3, 1, 0, 0, 102, 0],
+        [39, 2, 0, 6, 0, 35, 3, 1, 0, 0, 102, 0],
         0x3e36f40e260839c4,
     ),
     (
         "QSim-rand-10",
-        [103, 3, 0, 24, 0, 88, 8, 6, 1, 0, 266, 0],
+        [103, 2, 0, 24, 0, 88, 8, 6, 1, 0, 266, 0],
         0x281db4f5d4ea3cee,
     ),
     (
@@ -96,7 +96,7 @@ const BASELINES: &[(&str, [u64; 12], u64)] = &[
     ),
     (
         "QAOA-regu3-20",
-        [60, 3, 0, 24, 0, 33, 5, 10, 12, 0, 109, 2],
+        [60, 2, 0, 24, 0, 33, 5, 10, 12, 0, 109, 2],
         0xca6abdbec10d023b,
     ),
     (
